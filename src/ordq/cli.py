@@ -24,7 +24,7 @@ from typing import List, Optional
 
 from . import tam
 from . import universe as u
-from .logic import formula_index, parse_formula
+from .logic import RankError, formula_index, parse_formula
 from .oracles import OracleTypeError, QueryLedger, extract_script
 from .ordcalc import (
     OMEGA,
@@ -204,6 +204,11 @@ def _check_in_window(instance: Ordinal, structure: u.CardinalStructure):
                        f"structure bound {render(structure.bound)}")
 
 
+def _check_budget(budget: int):
+    if budget <= 0:
+        raise CliError(f"the budget must be positive, got {budget}")
+
+
 def _status_exit(status: str) -> int:
     if status == tam.HALTED:
         return EXIT_OK
@@ -254,6 +259,7 @@ def _cmd_reduce(args) -> int:
     instance = _parse_instance(args.name, args)
     if structure is not None:
         _check_in_window(instance, structure)
+    _check_budget(args.budget)
 
     program = spec.make_program()
     result = tam.run(program, instance, spec.make_bindings(structure),
@@ -361,6 +367,7 @@ def _cmd_run(args) -> int:
         raise CliError("scenario has no instances")
     instances = _scenario_instances(name, raw_instances, structure)
     budget = _scenario_field(blob, "budget", int, default=tam.DEFAULT_BUDGET)
+    _check_budget(budget)
 
     override = None
     if "bound_override" in blob:
@@ -510,7 +517,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     except (OrdinalParseError, OrdinalDomainError, OracleTypeError,
             u.OutOfStructureError, u.NoSuchCardinalError,
-            u.InvalidCodeError) as e:
+            u.InvalidCodeError, u.PowersetCapError, RankError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

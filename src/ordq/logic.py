@@ -54,6 +54,10 @@ class FormulaError(ValueError):
     """Ill-formed formula text or structure."""
 
 
+class RankError(ValueError):
+    """A rank outside 0..MAX_RANK, or a set that does not live in V_rank."""
+
+
 # matrix nodes are nested tuples:
 #   ("var", p) ("param", i) ("in", t, t) ("eq", t, t)
 #   ("not", g) ("and", g, h) ("or", g, h)
@@ -398,12 +402,12 @@ class TruthEnv:
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(self.params))
         if not (0 <= self.rank <= MAX_RANK):
-            raise ValueError(f"rank must be between 0 and {MAX_RANK}")
+            raise RankError(f"rank must be between 0 and {MAX_RANK}")
         for p in self.params:
             if not isinstance(p, HFSet):
                 raise TypeError(f"parameter {p!r} is not an HFSet")
             if p.rank >= self.rank:
-                raise ValueError(
+                raise RankError(
                     f"parameter of rank {p.rank} does not live in V_{self.rank}")
 
 
@@ -411,7 +415,7 @@ class TruthEnv:
 def universe_of(rank: int) -> Tuple[HFSet, ...]:
     """Every set of rank < rank, in a fixed enumeration order."""
     if not (0 <= rank <= MAX_RANK):
-        raise ValueError(f"rank must be between 0 and {MAX_RANK}")
+        raise RankError(f"rank must be between 0 and {MAX_RANK}")
     current: Tuple[HFSet, ...] = ()
     for _ in range(rank):
         elements = list(current)

@@ -18,6 +18,13 @@ values, their membership codes (SetCode: a finite extensional well-founded
 edge set over ordinal node ids, edges packed with the pairing function),
 and the pairing bijection itself.
 
+HFSet values are hash-consed (Filliatre & Conchon, "Type-safe modular
+hash-consing", 2006): a weak intern table keyed by the member set makes
+equal sets the same object, so equality is identity and membership tests
+never recurse.  A SetCode is validated once per object: its child map,
+validity verdict and decoded nodes are worked out on first use and kept on
+the code.  Every decode still asks for the verdict first.
+
 godel_pair merges the two normal forms exponent-wise, combining the
 coefficient pair at each exponent with the classic diagonal polynomial
 (x + y)(x + y + 1)/2 + y.  That makes it a bijection between ordinal pairs
@@ -29,7 +36,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .ordcalc import (
@@ -66,6 +76,10 @@ class NoSuchCardinalError(ValueError):
 
 class InvalidCodeError(ValueError):
     """A SetCode failed validation."""
+
+
+class PowersetCapError(ValueError):
+    """A power set argument has more than POWERSET_CAP members."""
 
 
 @dataclass(frozen=True)
@@ -248,15 +262,36 @@ def sup_of_cardinals_below(structure: CardinalStructure,
 
 
 class HFSet:
-    """An immutable extensional finite set of HFSets."""
+    """An immutable extensional finite set of HFSets, hash-consed: equal sets
+    are the same object, so equality is identity.
 
-    __slots__ = ("members", "rank", "_hash")
+    Construction looks the member set up in a weak intern table: __new__
+    returns the live object with those members if there is one, and __init__
+    fills rank and hash only on a fresh object.  An entry goes away with the
+    last reference to its set.
+    """
+
+    __slots__ = ("members", "rank", "_hash", "__weakref__")
+
+    def __new__(cls, members: Iterable["HFSet"] = ()):
+        members = frozenset(members)
+        self = _interned.get(members)
+        if self is None:
+            with _intern_lock:      # look again: two threads must not both create it
+                self = _interned.get(members)
+                if self is None:
+                    self = object.__new__(cls)
+                    object.__setattr__(self, "members", members)
+                    _interned[members] = self
+        return self
 
     def __init__(self, members: Iterable["HFSet"] = ()):
-        members = frozenset(members)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "rank", 1 + max((m.rank for m in members), default=-1))
-        object.__setattr__(self, "_hash", hash(members))
+        if not hasattr(self, "_hash"):
+            members = self.members
+            object.__setattr__(self, "rank", 1 + max((m.rank for m in members), default=-1))
+            # hash by value, not by address, so that iteration orders of sets
+            # of HFSets stay the same from run to run
+            object.__setattr__(self, "_hash", hash(members))
 
     def __setattr__(self, name, value):
         raise AttributeError("HFSet is immutable")
@@ -265,7 +300,7 @@ class HFSet:
         return self._hash
 
     def __eq__(self, other):
-        return isinstance(other, HFSet) and self.members == other.members
+        return self is other
 
     def __contains__(self, element: "HFSet") -> bool:
         return element in self.members
@@ -283,6 +318,9 @@ class HFSet:
         return f"HFSet({render_hf(self)})"
 
 
+# member set -> the one live HFSet with those members
+_interned: "weakref.WeakValueDictionary[FrozenSet[HFSet], HFSet]" = weakref.WeakValueDictionary()
+_intern_lock = threading.Lock()
 EMPTY_SET = HFSet()
 
 
@@ -339,11 +377,10 @@ def hf_card(s: HFSet) -> int:
 
 def hf_powerset(s: HFSet) -> HFSet:
     if len(s.members) > POWERSET_CAP:
-        raise ValueError(f"powerset argument exceeds the size cap of {POWERSET_CAP}")
-    elements = list(s.members)
-    subsets = []
-    for mask in range(1 << len(elements)):
-        subsets.append(HFSet(e for i, e in enumerate(elements) if mask >> i & 1))
+        raise PowersetCapError(f"powerset argument exceeds the size cap of {POWERSET_CAP}")
+    subsets = [EMPTY_SET]
+    for e in s.members:
+        subsets += [HFSet(sub.members | {e}) for sub in subsets]
     return HFSet(subsets)
 
 
@@ -385,6 +422,9 @@ class SetCode:
 
     Node ids are plain ints; everything here stays at desk scale.  Finite
     Ordinal values are accepted and converted on construction.
+
+    A code is immutable, so it works out its child map, its validity verdict
+    and its decoded nodes once, on first use, and keeps them.
     """
 
     domain: int
@@ -392,9 +432,33 @@ class SetCode:
     root: int
 
     def __post_init__(self):
-        object.__setattr__(self, "domain", _as_nat(self.domain))
-        object.__setattr__(self, "edges", frozenset(_as_nat(e) for e in self.edges))
-        object.__setattr__(self, "root", _as_nat(self.root))
+        if type(self.domain) is not int:
+            object.__setattr__(self, "domain", _as_nat(self.domain))
+        edges = self.edges
+        if not (isinstance(edges, frozenset) and all(type(e) is int for e in edges)):
+            object.__setattr__(self, "edges", frozenset(_as_nat(e) for e in edges))
+        if type(self.root) is not int:
+            object.__setattr__(self, "root", _as_nat(self.root))
+
+    @cached_property
+    def _children(self) -> Dict[int, List[int]]:
+        """node -> its member node ids, ascending."""
+        children: Dict[int, List[int]] = {}
+        for edge in self.edges:
+            x, y = cantor_unpair(edge)
+            children.setdefault(y, []).append(x)
+        for v in children.values():
+            v.sort()
+        return children
+
+    @cached_property
+    def _verdict(self) -> int:
+        return _check_code(self)
+
+    @cached_property
+    def _decoded(self) -> Dict[int, HFSet]:
+        """node -> its HFSet, filled as nodes are decoded."""
+        return {}
 
 
 def cantor_pair(x: int, y: int) -> int:
@@ -421,28 +485,20 @@ def encode_hf(s: HFSet) -> SetCode:
     return SetCode(domain=len(ids), edges=edges, root=ids[s])
 
 
-def _code_children(code: SetCode) -> Dict[int, List[int]]:
-    children: Dict[int, List[int]] = {}
-    for edge in code.edges:
-        x, y = cantor_unpair(edge)
-        children.setdefault(y, []).append(x)
-    for v in children.values():
-        v.sort()
-    return children
-
-
 def validate_code(code: SetCode) -> int:
     """1 if the code is a well-formed extensional well-founded membership
-    graph in which every edge-touched node reaches the root, else 0."""
+    graph in which every edge-touched node reaches the root, else 0.  The
+    verdict is worked out once per code object."""
+    return code._verdict
+
+
+def _check_code(code: SetCode) -> int:
     if not (0 <= code.root < code.domain):
         return 0
-    children = _code_children(code)
-    touched = set()
-    for edge in code.edges:
-        x, y = cantor_unpair(edge)
-        if not (0 <= x < code.domain and 0 <= y < code.domain):
-            return 0
-        touched.update((x, y))
+    children = code._children
+    touched = set(children).union(*children.values())
+    if touched and not (0 <= min(touched) and max(touched) < code.domain):
+        return 0
     # well-founded: the membership digraph is acyclic
     state: Dict[int, int] = {}
 
@@ -469,7 +525,7 @@ def validate_code(code: SetCode) -> int:
             if child not in reaches:
                 reaches.add(child)
                 frontier.append(child)
-    if any(node not in reaches for node in touched):
+    if not touched <= reaches:
         return 0
     # extensional: no two present nodes share the same member set
     member_sets = {}
@@ -481,19 +537,24 @@ def validate_code(code: SetCode) -> int:
     return 1
 
 
+def _decode_node(code: SetCode, node: int) -> HFSet:
+    memo = code._decoded
+    children = code._children
+
+    def build(n: int) -> HFSet:
+        s = memo.get(n)
+        if s is None:
+            s = memo[n] = HFSet([build(c) for c in children.get(n, ())])
+        return s
+
+    return build(node)
+
+
 def decode_set(code: SetCode) -> HFSet:
     """Rebuild the HFSet named by the root; InvalidCodeError on bad codes."""
     if not validate_code(code):
         raise InvalidCodeError("not a valid membership code")
-    children = _code_children(code)
-    memo: Dict[int, HFSet] = {}
-
-    def build(node: int) -> HFSet:
-        if node not in memo:
-            memo[node] = HFSet(build(child) for child in children.get(node, ()))
-        return memo[node]
-
-    return build(code.root)
+    return _decode_node(code, code.root)
 
 
 def code_elements(code: SetCode) -> List[int]:
@@ -501,22 +562,14 @@ def code_elements(code: SetCode) -> List[int]:
     enumeration order of the coded set)."""
     if not validate_code(code):
         raise InvalidCodeError("not a valid membership code")
-    return _code_children(code).get(code.root, [])
+    return list(code._children.get(code.root, ()))
 
 
 def decode_element(code: SetCode, node: int) -> HFSet:
     """Decode a single node of a valid code."""
     if not (0 <= node < code.domain):
         raise InvalidCodeError(f"node {node} outside domain {code.domain}")
-    children = _code_children(code)
-    memo: Dict[int, HFSet] = {}
-
-    def build(n: int) -> HFSet:
-        if n not in memo:
-            memo[n] = HFSet(build(c) for c in children.get(n, ()))
-        return memo[n]
-
-    return build(node)
+    return _decode_node(code, node)
 
 
 # -- the pairing bijection ---------------------------------------------------

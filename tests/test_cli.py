@@ -22,6 +22,12 @@ def calc(capsys, expr):
     return code, out
 
 
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    return err.strip()
+
+
 class TestCalc:
     @pytest.mark.parametrize("expr,expected", [
         ("1 + w", "w"),
@@ -116,6 +122,29 @@ class TestReduce:
         assert code == 0
         assert "output: 2" in out
         assert "total order type: 2" in out
+
+    def test_powerset_over_the_cap_exits_2(self, capsys):
+        # three members: the full mode's second call would need 2^64 subsets
+        code = run_cli("reduce", "powercard_via_pot", "--input", "{{},{{}},{{{}}}}")
+        assert code == 2
+        assert one_line_error(capsys) == "error: powerset argument exceeds the size cap of 16"
+
+    def test_zero_budget_exits_2(self, capsys):
+        code = run_cli("reduce", "nextcard_via_deccard", "--input", "5",
+                       "--bound", "w^3", "--budget", "0")
+        assert code == 2
+        assert one_line_error(capsys) == "error: the budget must be positive, got 0"
+
+    @pytest.mark.parametrize("rank,message", [
+        # the member {{{{}}}} has rank 3, so it is not in V_3
+        ("3", "error: parameter of rank 3 does not live in V_3"),
+        ("9", "error: rank must be between 0 and 5"),
+    ])
+    def test_separation_outside_the_rank_exits_2(self, capsys, rank, message):
+        code = run_cli("reduce", "sep_via_truth", "--input", "{{{{{}}}}}",
+                       "--formula", "E v0 (v0 in #0)", "--rank", rank)
+        assert code == 2
+        assert one_line_error(capsys) == message
 
     def test_ledger_file_re_sums(self, capsys, tmp_path):
         path = tmp_path / "ledger.json"
@@ -217,6 +246,11 @@ class TestRunScenario:
         path = self.scenario(tmp_path, budget="lots")
         assert run_cli("run", path) == 2
         assert "budget" in capsys.readouterr().err
+
+    def test_zero_budget_exits_2(self, capsys, tmp_path):
+        path = self.scenario(tmp_path, budget=0)
+        assert run_cli("run", path) == 2
+        assert one_line_error(capsys) == "error: the budget must be positive, got 0"
 
     def test_bound_override_failure_exits_1(self, capsys, tmp_path):
         path = self.scenario(tmp_path,

@@ -6,11 +6,16 @@ on triples, and card/next/limit answers are found by scanning capped
 grids.  Caps are chosen so the true answer provably lies inside the grid.
 """
 
+import gc
 import math
 import random
+import sys
+import threading
 
 import pytest
 
+from ordq import universe
+from ordq.logic import universe_of
 from ordq.ordcalc import OMEGA, Ordinal, omega_power, parse_ordinal as parse
 from ordq.universe import (
     EMPTY_SET,
@@ -357,6 +362,88 @@ class TestSetCode:
         assert HFSet(decoded) == s
         assert len(decoded) == hf_card(s)
 
+
+class TestHashConsing:
+    def test_equal_sets_are_identical_however_built(self):
+        zero, one = EMPTY_SET, hf(EMPTY_SET)
+        two = parse_hf("{{},{{}}}")
+        assert two is hf(one, zero)
+        assert two is HFSet([one, zero, one])
+        assert two is decode_set(SetCode(3, {cantor_pair(0, 1), cantor_pair(0, 2),
+                                             cantor_pair(1, 2)}, 2))
+        assert two in hf_powerset(two).members
+        assert hf_powerset(two) is parse_hf("{{},{{}},{{{}}},{{},{{}}}}")
+        assert kuratowski(zero, one) is parse_hf("{{{}},{{},{{}}}}")
+        assert kuratowski(zero, zero) is hf(hf(zero))
+        # V_3 is the power set of two = {0, 1}
+        assert sorted(map(id, universe_of(3))) == sorted(map(id, hf_powerset(two)))
+
+    def test_decode_of_encode_is_the_same_object(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            s = random_hfset(rng, max_rank=4, max_width=3)
+            assert decode_set(encode_hf(s)) is s
+
+    def test_invalid_code_fails_every_decode(self):
+        code = SetCode(2, [cantor_pair(0, 1), cantor_pair(1, 0)], 0)
+        for _ in range(2):
+            with pytest.raises(InvalidCodeError):
+                decode_set(code)
+            with pytest.raises(InvalidCodeError):
+                code_elements(code)
+
+    @pytest.mark.parametrize("make", [
+        lambda: encode_hf(parse_hf("{{},{{}},{{{}}}}")),
+        lambda: SetCode(3, [cantor_pair(1, 0), cantor_pair(2, 0)], 0),
+        lambda: SetCode(2, [cantor_pair(0, 1), cantor_pair(1, 0)], 0),
+        lambda: SetCode(9, [], 4),
+    ])
+    def test_cached_verdict_matches_a_fresh_code(self, make):
+        code = make()
+        verdict = validate_code(code)
+        assert validate_code(code) == verdict
+        fresh = make()
+        assert fresh == code and fresh is not code
+        assert validate_code(fresh) == verdict
+
+    def test_decode_element_before_decode_set(self):
+        s = parse_hf("{{},{{}},{{},{{}}}}")
+        code = encode_hf(s)
+        elements = [decode_element(code, n) for n in code_elements(code)]
+        assert all(e in s for e in elements)
+        assert decode_set(code) is s
+        assert [decode_element(code, n) for n in code_elements(code)] == elements
+
+    def test_intern_table_drops_dead_sets(self):
+        gc.collect()
+        before = len(universe._interned)
+        s = hf_powerset(HFSet(nest(i) for i in range(6)))
+        code = encode_hf(s)
+        assert decode_set(code) is s
+        assert len(universe._interned) > before
+        del s, code
+        gc.collect()
+        assert len(universe._interned) == before
+
+
+    def test_threads_building_the_same_sets_share_them(self):
+        source = HFSet(nest(i) for i in range(20, 30))     # sets no other test builds
+        results = []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: results.append(hf_powerset(source)))
+                       for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 4
+        assert len({id(sub) for p in results for sub in p.members}) == 2 ** 10
+        assert all(p is results[0] for p in results)
 
 class TestPairing:
     def test_pins(self):
