@@ -442,7 +442,9 @@ def eval_formula(f: Formula, env: TruthEnv) -> int:
         if kind == "in":
             return term_value(node[1], assignment) in term_value(node[2], assignment)
         if kind == "eq":
-            return term_value(node[1], assignment) == term_value(node[2], assignment)
+            # every HFSet is interned (hash-consed), so equal sets are the
+            # same object and identity decides equality without a call
+            return term_value(node[1], assignment) is term_value(node[2], assignment)
         if kind == "not":
             return not matrix_value(node[1], assignment)
         if kind == "and":

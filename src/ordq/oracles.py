@@ -336,10 +336,6 @@ class QueryLedger:
         return iter(self.entries)
 
 
-def ledger_total_order_type(ledger: QueryLedger) -> Ordinal:
-    return ledger.total_order_type()
-
-
 # -- effectivizers -----------------------------------------------------------
 
 
@@ -367,10 +363,6 @@ def summarize_query(q: Any) -> str:
     return str(q)
 
 
-def summarize_response(v: Any) -> str:
-    return summarize_query(v)
-
-
 class Effectivizer:
     """A named deterministic oracle; ranked ones carry their hit set."""
 
@@ -390,7 +382,7 @@ class Effectivizer:
         if ledger is not None:
             ledger.append(SingleEntry(time=time, oracle=self.name,
                                       query=summarize_query(query),
-                                      response=summarize_response(value),
+                                      response=summarize_query(value),
                                       response_value=value))
         return value, ONE
 
@@ -399,24 +391,18 @@ class Effectivizer:
             raise NotRankedError(f"{self.name} does not expose a hit set")
         return self.hit_set
 
+    def scan(self, start: Ordinal, tick: Callable[[], None]) -> Tuple[str, OrdinalSet]:
+        """The hit set a scan from `start` runs over, with the oracle name
+        its ledger run carries.  `tick` charges one interpreter event; a
+        live oracle answers in closed form and never calls it."""
+        return self.name, self.ranked()
+
 
 def answer(e: Effectivizer, query: Any, ledger: Optional[QueryLedger] = None,
            time: OrdinalLike = 0) -> Any:
     """One oracle call, optionally ledgered at the given time."""
     value, _ = e.call(query, ledger, _coerce(time))
     return value
-
-
-def least_satisfying_above(e: Effectivizer, a: OrdinalLike) -> Optional[Ordinal]:
-    return e.ranked().least_above(_coerce(a))
-
-
-def greatest_satisfying_at_most(e: Effectivizer, a: OrdinalLike) -> Optional[Ordinal]:
-    return e.ranked().greatest_at_most(_coerce(a))
-
-
-def next_limit_of_satisfying_above(e: Effectivizer, a: OrdinalLike) -> Optional[Ordinal]:
-    return e.ranked().next_limit_above(_coerce(a))
 
 
 def _require(condition: bool, message: str):
@@ -528,13 +514,12 @@ class SingleSeg:
 
 @dataclass(frozen=True)
 class RunSeg:
-    """One recorded scan: its window, charged order type, pattern, and the
-    hit-set restriction needed to reproduce pointwise responses."""
+    """One recorded scan: its window, pattern, and the hit-set restriction
+    needed to reproduce pointwise responses."""
 
     oracle: str
     from_query: Ordinal
     to_query: Ordinal
-    order_type: Ordinal
     pattern: str
     hits: Optional[OrdinalSet]
 
@@ -550,19 +535,22 @@ def extract_script(ledger: QueryLedger) -> Tuple[Segment, ...]:
             out.append(SingleSeg(oracle=e.oracle, value=e.response_value))
         else:
             out.append(RunSeg(oracle=e.oracle, from_query=e.from_query,
-                              to_query=e.to_query, order_type=e.order_type,
-                              pattern=e.pattern, hits=e.hits))
+                              to_query=e.to_query, pattern=e.pattern,
+                              hits=e.hits))
     return tuple(out)
 
 
 class ScriptedEffectivizer(Effectivizer):
     """Answers from a recorded script instead of computing.
 
-    Pointwise calls consume SingleSeg segments in order.  Scan statements
-    consume one RunSeg each (validated against the scan's window) or, when
-    the script is purely pointwise, simulate the scan probe by probe while
-    finite segments last.  Exhaustion raises ScriptExhausted; a segment of
-    the wrong shape raises ScriptMismatch.
+    Pointwise calls consume SingleSeg segments in order.  A scan takes its
+    hit set from scan(), so replay runs the same scan code as a live run.
+    A RunSeg must start at the scan's window start; its pattern becomes the
+    hit set: "oracle-hits" the recorded hits, "all-0-then-final-1" the one
+    recorded endpoint, "all-0" no hits up to the recorded endpoint.  A
+    SingleSeg at a scan gives a view that reads one recorded bit per probe.
+    Exhaustion raises ScriptExhausted; a segment of the wrong shape raises
+    ScriptMismatch.
     """
 
     def __init__(self, segments: Sequence[Segment]):
@@ -587,14 +575,21 @@ class ScriptedEffectivizer(Effectivizer):
         self.cursor += 1
         return seg
 
-    def take_run(self) -> RunSeg:
+    def scan(self, start, tick):
         seg = self.peek()
         if seg is None:
             raise ScriptExhausted("script exhausted")
-        if not isinstance(seg, RunSeg):
-            raise ScriptMismatch("scan statement reached a pointwise segment")
+        if isinstance(seg, SingleSeg):
+            return seg.oracle, _PointwiseHits(self, tick)
+        if seg.from_query != start:
+            raise ScriptMismatch(
+                f"recorded scan starts at {render(seg.from_query)}, not {render(start)}")
         self.cursor += 1
-        return seg
+        if seg.pattern == PATTERN_ORACLE_HITS:
+            return seg.oracle, seg.hits
+        if seg.pattern == PATTERN_FINAL_ONE:
+            return seg.oracle, FiniteOrdinalSet((seg.to_query,))
+        return seg.oracle, _NoHitsUpTo(seg.to_query)
 
     def answer_value(self, query: Any) -> Any:
         return self._next_single().value
@@ -604,9 +599,54 @@ class ScriptedEffectivizer(Effectivizer):
         if ledger is not None:
             ledger.append(SingleEntry(time=time, oracle=seg.oracle,
                                       query=summarize_query(query),
-                                      response=summarize_response(seg.value),
+                                      response=summarize_query(seg.value),
                                       response_value=seg.value))
         return seg.value, ONE
 
-    def exhausted(self) -> bool:
-        return self.cursor >= len(self.segments)
+
+class _NoHitsUpTo(FiniteOrdinalSet):
+    """A recorded fruitless sweep: no hits up to the recorded endpoint."""
+
+    def __init__(self, horizon: Ordinal):
+        super().__init__(())
+        self.horizon = horizon
+
+    def scan_horizon(self):
+        return self.horizon
+
+
+class _PointwiseHits(OrdinalSet):
+    """Hit-set view of a pointwise script.  Each ordinal a rank query
+    probes, in increasing order, reads the next recorded bit and charges
+    one event; bits already read are kept, so the view also serves as the
+    recorded hits of the scan it fed."""
+
+    def __init__(self, script: ScriptedEffectivizer, tick: Callable[[], None]):
+        self.script = script
+        self.tick = tick
+        self.bits = {}
+
+    def _hit(self, probe: Ordinal) -> bool:
+        if probe not in self.bits:
+            self.tick()
+            self.bits[probe] = self.script.answer_value(probe)
+        return self.bits[probe] == 1
+
+    def least_above(self, a):
+        probe = successor(_coerce(a))
+        while not self._hit(probe):
+            probe = successor(probe)
+        return probe
+
+    def greatest_at_most(self, a):
+        a = _coerce(a)
+        if not a.is_finite():
+            raise ScriptExhausted("a pointwise script cannot feed a limit sweep")
+        hits = [n for n in range(a.to_int() + 1) if self._hit(Ordinal.from_int(n))]
+        return Ordinal.from_int(hits[-1]) if hits else None
+
+    def next_limit_above(self, a):
+        # finitely many recorded bits never show a limit: read on until the
+        # script or the budget runs out
+        while True:
+            a = self.least_above(a)

@@ -22,7 +22,7 @@ render() inverts parse_ordinal() exactly on canonical strings.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple, Union
+from typing import Tuple, Union
 
 
 class OrdinalParseError(ValueError):
@@ -432,7 +432,3 @@ def render(a: OrdinalLike) -> str:
             base = f"w^({render(e)})"
         parts.append(base if c == 1 else f"{base}*{c}")
     return "+".join(parts)
-
-
-def iter_terms(a: OrdinalLike) -> Iterator[Tuple[Ordinal, int]]:
-    yield from _coerce(a).terms

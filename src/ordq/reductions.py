@@ -408,6 +408,10 @@ def _brute_separation(rank: int):
 # -- catalog -----------------------------------------------------------------
 
 
+def _deccard_bindings(cs: CardinalStructure) -> Dict[str, Effectivizer]:
+    return {"deccard": make_effectivizer(DEC_CARD, structure=cs)}
+
+
 def catalog(name: str, approximator: Optional[Approximator] = None,
             count_only: bool = False, level: int = 2,
             rank: int = 3) -> ReductionSpec:
@@ -417,21 +421,21 @@ def catalog(name: str, approximator: Optional[Approximator] = None,
             name=name, source="NextCard", oracle="DecCard",
             bound=BoundForm.next_card_succ(),
             make_program=program_nextcard_via_deccard,
-            make_bindings=lambda cs: {"deccard": make_effectivizer(DEC_CARD, structure=cs)},
+            make_bindings=_deccard_bindings,
             reference=_ref_nextcard)
     if name == "ordcard_scan_naive":
         return ReductionSpec(
             name=name, source="OrdCard", oracle="DecCard",
             bound=BoundForm.succ_of_input(),
             make_program=lambda: program_ordcard_scan(improved=False),
-            make_bindings=lambda cs: {"deccard": make_effectivizer(DEC_CARD, structure=cs)},
+            make_bindings=_deccard_bindings,
             reference=_ref_ordcard)
     if name == "ordcard_scan_improved":
         return ReductionSpec(
             name=name, source="OrdCard", oracle="DecCard",
             bound=BoundForm.input_itself(),
             make_program=lambda: program_ordcard_scan(improved=True),
-            make_bindings=lambda cs: {"deccard": make_effectivizer(DEC_CARD, structure=cs)},
+            make_bindings=_deccard_bindings,
             reference=_ref_ordcard)
     if name == "ordcard_guesscheck":
         if approximator is not None:
@@ -439,7 +443,7 @@ def catalog(name: str, approximator: Optional[Approximator] = None,
                 name=name, source="OrdCard", oracle="DecCard",
                 bound=BoundForm.finite(),
                 make_program=lambda: program_ordcard_guesscheck(approximator),
-                make_bindings=lambda cs: {"deccard": make_effectivizer(DEC_CARD, structure=cs)},
+                make_bindings=_deccard_bindings,
                 reference=_ref_ordcard)
         # default approximator needs the structure, known only at binding time
         cell: Dict[str, Approximator] = {}
@@ -448,7 +452,7 @@ def catalog(name: str, approximator: Optional[Approximator] = None,
 
         def make_default_bindings(cs):
             cell["approx"] = direct_descent(cs)
-            return {"deccard": make_effectivizer(DEC_CARD, structure=cs)}
+            return _deccard_bindings(cs)
 
         return ReductionSpec(
             name=name, source="OrdCard", oracle="DecCard",
@@ -460,7 +464,7 @@ def catalog(name: str, approximator: Optional[Approximator] = None,
             name=name, source="NextLimitOfCardinals", oracle="DecCard",
             bound=BoundForm.next_limit_interval(),
             make_program=program_flagtrick,
-            make_bindings=lambda cs: {"deccard": make_effectivizer(DEC_CARD, structure=cs)},
+            make_bindings=_deccard_bindings,
             reference=_ref_next_limit)
     if name == "powercard_via_pot":
         return ReductionSpec(

@@ -6,8 +6,8 @@ The clock advances only when an oracle is consulted, one step per answered
 call, so a halting run's clock reading equals its ledger's total order type.
 
 The scan statements are where the transfinite content lives.  Instead of
-stepping through limit stages, each scan is resolved against the bound
-oracle's ranked hit set:
+stepping through limit stages, each scan is resolved against the hit set
+the bound oracle's scan() hands back:
 
   first-hit       probes every ordinal strictly above an anchor until the
                   first positive answer; charged the interval's order type.
@@ -31,8 +31,11 @@ Budgets cap interpreter events (statement executions plus per-guess and
 per-probe micro-steps), not ordinal time: a scan of length w^2 is one event.
 
 run_scripted replays a program against recorded responses instead of live
-oracles; replaying a halting run's own extracted script reproduces the run
-exactly, ledger included.
+oracles.  Replay runs the same scan code as a live run: a scripted oracle's
+scan() turns each recorded scan into a hit set, and a plain pointwise
+script into a view that reads one recorded bit per probe.  Replaying a
+halting run's own extracted script reproduces the run exactly, ledger
+included.
 """
 
 from __future__ import annotations
@@ -264,10 +267,6 @@ class _BudgetExceeded(Exception):
     pass
 
 
-class _ScriptOut(Exception):
-    pass
-
-
 class _Machine:
     def __init__(self, program: Program, input_value, bindings, budget: int):
         if budget <= 0:
@@ -290,9 +289,6 @@ class _Machine:
         self.events += 1
         if self.events > self.budget:
             raise _BudgetExceeded
-
-    def _oracle(self, slot: str) -> Effectivizer:
-        return self.bindings[slot]
 
     def _eval(self, expr: tuple):
         tag = expr[0]
@@ -330,22 +326,21 @@ class _Machine:
                                     hits=hits))
         self.time = add(self.time, order_type)
 
-    def _take_replay_run(self, oracle: ScriptedEffectivizer,
-                         from_q: Ordinal) -> RunSeg:
-        seg = oracle.take_run()
-        if seg.from_query != from_q:
-            raise ProgramError(
-                f"recorded scan starts at {seg.from_query}, not {from_q}")
-        return seg
-
-    def _sweep_and_diverge(self, oracle_name: str, hits, start: Ordinal,
-                           pattern: str):
-        horizon = hits.scan_horizon()
-        if horizon is not None and horizon > start:
-            self._append_run(oracle_name, start, horizon,
-                             left_sub(start, horizon), pattern,
+    def _scan_run(self, oracle_name: str, hits, start: Ordinal,
+                  end: Optional[Ordinal], pattern: str) -> Ordinal:
+        """Ledger a scan from start to its exit point `end` and return it.
+        With no exit point, ledger the fruitless sweep up to the hit set's
+        declared horizon, if it has one, and diverge."""
+        stop = end if end is not None else hits.scan_horizon()
+        if end is None and pattern == PATTERN_FINAL_ONE:
+            pattern = PATTERN_ALL_ZERO                  # the sweep found no hit
+        if stop is not None and stop > start:
+            self._append_run(oracle_name, start, stop, left_sub(start, stop),
+                             pattern,
                              hits=hits if pattern == PATTERN_ORACLE_HITS else None)
-        raise _Diverged
+        if end is None:
+            raise _Diverged
+        return end
 
     # -- statements ----------------------------------------------------------
 
@@ -374,158 +369,45 @@ class _Machine:
         self.registers[st.register] = st.fn(*values)
 
     def _do_oracle_call(self, st: OracleCall):
-        self.registers[st.register] = self._call(self._oracle(st.slot),
+        self.registers[st.register] = self._call(self.bindings[st.slot],
                                                  self._eval(st.arg))
 
     def _do_first_hit(self, st: ScanFirstHit):
         anchor = self._ord(self._eval(st.above))
-        oracle = self._oracle(st.slot)
-        if isinstance(oracle, ScriptedEffectivizer):
-            result = self._first_hit_scripted(oracle, anchor)
-        else:
-            hits = oracle.ranked()
-            result = hits.least_above(anchor)
-            if result is None:
-                self._sweep_and_diverge(oracle.name, hits, anchor,
-                                        PATTERN_ALL_ZERO)
-            self._append_run(oracle.name, anchor, result,
-                             left_sub(anchor, result), PATTERN_FINAL_ONE)
-        self.registers[st.register] = result
-
-    def _first_hit_scripted(self, oracle: ScriptedEffectivizer,
-                            anchor: Ordinal) -> Ordinal:
-        seg = oracle.peek()
-        if seg is None:
-            raise _ScriptOut
-        if isinstance(seg, RunSeg):
-            seg = self._take_replay_run(oracle, anchor)
-            if seg.pattern == PATTERN_ALL_ZERO:
-                self._append_run(seg.oracle, seg.from_query, seg.to_query,
-                                 seg.order_type, seg.pattern)
-                raise _Diverged
-            self._append_run(seg.oracle, seg.from_query, seg.to_query,
-                             seg.order_type, seg.pattern)
-            return seg.to_query
-        # pointwise script: probe upward one recorded bit at a time
-        probe = successor(anchor)
-        name = seg.oracle
-        while True:
-            self._tick()
-            bit = oracle.answer_value(probe)
-            if bit == 1:
-                self._append_run(name, anchor, probe, left_sub(anchor, probe),
-                                 PATTERN_FINAL_ONE)
-                return probe
-            probe = successor(probe)
+        name, hits = self.bindings[st.slot].scan(anchor, self._tick)
+        self.registers[st.register] = self._scan_run(
+            name, hits, anchor, hits.least_above(anchor), PATTERN_FINAL_ONE)
 
     def _do_last_hit(self, st: ScanLastHitAtMost):
         bound = self._ord(self._eval(st.bound))
-        oracle = self._oracle(st.slot)
-        charged = successor(bound) if st.charge_closed else bound
-        if isinstance(oracle, ScriptedEffectivizer):
-            seg = oracle.peek()
-            if seg is None:
-                raise _ScriptOut
-            if isinstance(seg, SingleSeg):
-                result = self._last_hit_pointwise(oracle, bound, charged)
-                self.registers[st.register] = result
-                return
-            seg = self._take_replay_run(oracle, ZERO)
-            hits, name = seg.hits, seg.oracle
-        else:
-            hits, name = oracle.ranked(), oracle.name
+        name, hits = self.bindings[st.slot].scan(ZERO, self._tick)
         result = hits.greatest_at_most(bound)
+        charged = successor(bound) if st.charge_closed else bound
         self._append_run(name, ZERO, bound, charged, PATTERN_ORACLE_HITS,
                          hits=hits)
         if result is None:
             raise _Diverged
         self.registers[st.register] = result
 
-    def _last_hit_pointwise(self, oracle: ScriptedEffectivizer,
-                            bound: Ordinal, charged: Ordinal) -> Ordinal:
-        if not bound.is_finite():
-            raise _ScriptOut  # a pointwise script cannot feed a limit sweep
-        name, best, probe = None, None, ZERO
-        while probe <= bound:
-            self._tick()
-            seg = oracle.peek()
-            if seg is None or not isinstance(seg, SingleSeg):
-                raise _ScriptOut
-            name = seg.oracle
-            if oracle.answer_value(probe) == 1:
-                best = probe
-            probe = successor(probe)
-        self._append_run(name, ZERO, bound, charged, PATTERN_ORACLE_HITS)
-        if best is None:
-            raise _Diverged
-        return best
-
     def _do_flag_scan(self, st: ScanFlagToggleUntil):
         start = self._ord(self._eval(st.start))
-        oracle = self._oracle(st.slot)
-        initials = tuple(f.initial for f in st.flags)
         if not st.flags:
             raise ProgramError("flag scan needs at least one flag")
-        if isinstance(oracle, ScriptedEffectivizer):
-            exit_point = self._flag_scan_scripted(oracle, start, initials)
-            self.registers[st.register] = exit_point
+        if all(f.initial == 0 for f in st.flags):
+            self.registers[st.register] = start      # nothing to wait for
             return
-        hits, name = oracle.ranked(), oracle.name
-        exit_point = self._flag_exit_point(hits, name, start, initials)
-        self.registers[st.register] = exit_point
-
-    def _flag_exit_point(self, hits, name: str, start: Ordinal,
-                         initials: Tuple[int, ...]) -> Ordinal:
-        if all(v == 0 for v in initials):
-            return start                             # nothing to wait for
-        if all(v == 1 for v in initials):
-            h = hits.least_above(start)              # one toggle zeroes all
-            if h is None:
-                self._sweep_and_diverge(name, hits, start, PATTERN_ALL_ZERO)
-            self._append_run(name, start, h, left_sub(start, h),
-                             PATTERN_FINAL_ONE)
-            return h
-        # mixed bank: toggles alone never zero it; only a limit of hits,
-        # where every flag reads its lim-inf 0, can end the scan
-        lam = hits.next_limit_above(start)
-        if lam is None:
-            self._sweep_and_diverge(name, hits, start, PATTERN_ORACLE_HITS)
-        self._append_run(name, start, lam, left_sub(start, lam),
-                         PATTERN_ORACLE_HITS, hits=hits)
-        return lam
-
-    def _flag_scan_scripted(self, oracle: ScriptedEffectivizer,
-                            start: Ordinal, initials: Tuple[int, ...]) -> Ordinal:
-        if all(v == 0 for v in initials):
-            return start
-        seg = oracle.peek()
-        if seg is None:
-            raise _ScriptOut
-        if isinstance(seg, RunSeg):
-            seg = self._take_replay_run(oracle, start)
-            if seg.pattern == PATTERN_ALL_ZERO:      # a recorded fruitless sweep
-                self._append_run(seg.oracle, seg.from_query, seg.to_query,
-                                 seg.order_type, seg.pattern)
-                raise _Diverged
-            return self._flag_exit_point(seg.hits if seg.hits is not None
-                                         else _RecordedFinalHit(seg),
-                                         seg.oracle, start, initials)
-        # pointwise: only an all-ones bank can exit within a finite prefix
-        state = list(initials)
-        probe, name = successor(start), seg.oracle
-        while True:
-            self._tick()
-            bit = oracle.answer_value(probe)
-            if bit == 1:
-                state = [1 - v for v in state]
-            if all(v == 0 for v in state):
-                self._append_run(name, start, probe, left_sub(start, probe),
-                                 PATTERN_FINAL_ONE)
-                return probe
-            probe = successor(probe)
+        name, hits = self.bindings[st.slot].scan(start, self._tick)
+        if all(f.initial == 1 for f in st.flags):    # one toggle zeroes all
+            end, pattern = hits.least_above(start), PATTERN_FINAL_ONE
+        else:
+            # mixed bank: toggles alone never zero it; only a limit of hits,
+            # where every flag reads its lim-inf 0, can end the scan
+            end, pattern = hits.next_limit_above(start), PATTERN_ORACLE_HITS
+        self.registers[st.register] = self._scan_run(name, hits, start, end,
+                                                     pattern)
 
     def _do_guess_check(self, st: GuessCheckLoop):
-        oracle = self._oracle(st.slot)
+        oracle = self.bindings[st.slot]
         source = st.guesses(self.input, self.program.parameter)
         last = None
         for raw in source:
@@ -553,7 +435,7 @@ class _Machine:
         if formula_from_index(k).num_params != len(params) + 1:
             self.registers[st.register] = encode_hf(EMPTY_SET)
             return
-        oracle = self._oracle(st.slot)
+        oracle = self.bindings[st.slot]
         kept = []
         for node in code_elements(code):
             self._tick()
@@ -576,23 +458,6 @@ class _Machine:
     }
 
 
-class _RecordedFinalHit:
-    """Minimal hit-set view of a final-one run segment: its one hit is the
-    recorded endpoint."""
-
-    def __init__(self, seg: RunSeg):
-        self.seg = seg
-
-    def least_above(self, a):
-        return self.seg.to_query if self.seg.to_query > a else None
-
-    def next_limit_above(self, a):
-        return None
-
-    def scan_horizon(self):
-        return None
-
-
 def _run_machine(m: _Machine) -> RunResult:
     try:
         m._execute(m.program.body)
@@ -602,7 +467,7 @@ def _run_machine(m: _Machine) -> RunResult:
         return RunResult(DIVERGED, None, None, m.ledger)
     except _BudgetExceeded:
         return RunResult(BUDGET_EXCEEDED, None, None, m.ledger)
-    except (_ScriptOut, ScriptExhausted):
+    except ScriptExhausted:
         return RunResult(SCRIPT_EXHAUSTED, None, None, m.ledger)
     raise ProgramError(f"program {m.program.name} ended without halting")
 
@@ -618,8 +483,10 @@ def run_scripted(program: Program, input_value,
     """Evaluate with every oracle slot answered from one recorded script.
 
     The script is either a plain sequence of response values (consumed one
-    per pointwise call, with scans simulated probe by probe) or a sequence
-    of recorded segments as extracted from a previous run's ledger."""
+    per pointwise call and one per scan probe, each probe charged one
+    event) or a sequence of recorded segments as extracted from a previous
+    run's ledger.  Either way the scans run their live code, over the hit
+    sets ScriptedEffectivizer.scan() makes of the script."""
     if script and isinstance(script[0], (SingleSeg, RunSeg)):
         oracle = ScriptedEffectivizer(tuple(script))
     else:

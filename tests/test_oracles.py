@@ -11,6 +11,8 @@ from ordq.oracles import (
     NEXT_CARD,
     ORD_CARD,
     PATTERN_ALL_ZERO,
+    PATTERN_FINAL_ONE,
+    PATTERN_ORACLE_HITS,
     POT,
     POWER_CARD,
     SCRIPTED,
@@ -23,6 +25,7 @@ from ordq.oracles import (
     OracleTypeError,
     QueryLedger,
     RunEntry,
+    RunSeg,
     ScriptExhausted,
     ScriptMismatch,
     ScriptedEffectivizer,
@@ -31,14 +34,10 @@ from ordq.oracles import (
     answer,
     extract_script,
     flag_value_after,
-    greatest_satisfying_at_most,
-    least_satisfying_above,
     make_effectivizer,
-    next_limit_of_satisfying_above,
     NotRankedError,
-    ledger_total_order_type,
 )
-from ordq.ordcalc import OMEGA, Ordinal, omega_power, parse_ordinal as P, render
+from ordq.ordcalc import OMEGA, ZERO, Ordinal, omega_power, parse_ordinal as P, render
 
 import tuple_model as tm
 from gen import random_ordinal
@@ -233,13 +232,13 @@ class TestLedger:
         led = QueryLedger()
         led.append(self.single("0"))
         led.append(self.run_entry("1", "0", "w", "w"))
-        assert render(ledger_total_order_type(led)) == "w"
+        assert render(led.total_order_type()) == "w"
 
     def test_omega_plus_one_does_not(self):
         led = QueryLedger()
         led.append(self.run_entry("0", "0", "w", "w"))
         led.append(self.single("w"))
-        assert render(ledger_total_order_type(led)) == "w+1"
+        assert render(led.total_order_type()) == "w+1"
 
     def test_rechunking_a_run_keeps_the_total(self):
         led = QueryLedger()
@@ -249,7 +248,7 @@ class TestLedger:
         split.append(self.run_entry("0", "0", "5", "5"))
         split.append(self.run_entry("5", "5", "w", "w"))
         split.append(self.single("w"))
-        assert ledger_total_order_type(split) == ledger_total_order_type(led)
+        assert split.total_order_type() == led.total_order_type()
 
     def test_time_must_advance(self):
         led = QueryLedger()
@@ -261,7 +260,7 @@ class TestLedger:
         led = QueryLedger()
         led.append(self.single("0"))
         led.append(self.single("w*3"))
-        assert render(ledger_total_order_type(led)) == "2"
+        assert render(led.total_order_type()) == "2"
 
     def test_zero_length_run_rejected(self):
         led = QueryLedger()
@@ -288,9 +287,9 @@ class TestEffectivizerCatalog:
         assert answer(dec, P("w^2")) == 1
         assert answer(dec, P("w^2+1")) == 0
         assert answer(dec, 5) == 1
-        assert render(least_satisfying_above(dec, P("w"))) == "w^2"
-        assert render(greatest_satisfying_at_most(dec, P("w+3"))) == "w"
-        assert render(next_limit_of_satisfying_above(dec, 0)) == "w"
+        assert render(dec.ranked().least_above(P("w"))) == "w^2"
+        assert render(dec.ranked().greatest_at_most(P("w+3"))) == "w"
+        assert render(dec.ranked().next_limit_above(0)) == "w"
 
     def test_deccard_accepts_the_whole_declared_window(self):
         wide = u.omega_powers(omega_power(P("w*2")))
@@ -308,7 +307,7 @@ class TestEffectivizerCatalog:
     def test_only_ranked_oracles_serve_scans(self):
         nxt = make_effectivizer(NEXT_CARD, structure=self.CS)
         with pytest.raises(NotRankedError):
-            least_satisfying_above(nxt, 0)
+            nxt.ranked()
 
     def test_query_shape_is_checked(self):
         dec = make_effectivizer(DEC_CARD, structure=self.CS)
@@ -399,7 +398,7 @@ class TestScripted:
         sc = make_effectivizer(SCRIPTED, hit_set=FiniteOrdinalSet([P("w")]))
         assert answer(sc, P("w")) == 1
         assert answer(sc, 4) == 0
-        assert render(least_satisfying_above(sc, 0)) == "w"
+        assert render(sc.ranked().least_above(0)) == "w"
 
     def test_extract_and_replay_reproduce_a_ledger(self):
         cs = u.omega_powers(omega_power(P("w*2")))
@@ -430,13 +429,33 @@ class TestScripted:
         with pytest.raises(ScriptMismatch):
             answer(rep, P("0"))
 
-    def test_take_run_requires_a_run_segment(self):
-        rep = ScriptedEffectivizer((SingleSeg(oracle="DecCard", value=0),))
-        with pytest.raises(ScriptMismatch):
-            rep.take_run()
-        rep2 = ScriptedEffectivizer(())
+    def test_scan_on_an_exhausted_script(self):
         with pytest.raises(ScriptExhausted):
-            rep2.take_run()
+            ScriptedEffectivizer(()).scan(ZERO, lambda: None)
+
+    def test_scan_probes_a_pointwise_script_one_event_per_probe(self):
+        rep = ScriptedEffectivizer((SingleSeg(oracle="DecCard", value=0),
+                                    SingleSeg(oracle="DecCard", value=1)))
+        ticks = []
+        name, hits = rep.scan(P("3"), lambda: ticks.append(1))
+        assert name == "DecCard"
+        assert render(hits.least_above(P("3"))) == "5" and len(ticks) == 2
+        assert render(hits.least_above(P("3"))) == "5" and len(ticks) == 2
+
+    def test_scan_maps_each_run_pattern_to_a_hit_set(self):
+        def seg(pattern, hits=None):
+            return RunSeg(oracle="DecCard", from_query=P("3"), to_query=OMEGA,
+                          pattern=pattern, hits=hits)
+
+        bits = OmegaMultiplesSet()
+        rep = ScriptedEffectivizer((seg(PATTERN_FINAL_ONE), seg(PATTERN_ALL_ZERO),
+                                    seg(PATTERN_ORACLE_HITS, bits)))
+        name, final = rep.scan(P("3"), None)
+        assert name == "DecCard" and final.least_above(P("3")) == OMEGA
+        _, fruitless = rep.scan(P("3"), None)
+        assert fruitless.least_above(P("3")) is None
+        assert fruitless.scan_horizon() == OMEGA
+        assert rep.scan(P("3"), None) == ("DecCard", bits)
 
     def _run_ledger(self):
         led = QueryLedger()

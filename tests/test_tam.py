@@ -352,6 +352,20 @@ class TestScripted:
         res = run_scripted(prog, P("w"), [P("w^2")])
         assert render(res.output) == "w^2" and len(res.ledger) == 1
 
+    def test_each_probe_charges_one_event(self):
+        res = run_scripted(FIRST_HIT, P("5"), [0, 0, 0, 1], budget=2)
+        assert res.status == "budget-exceeded"
+
+    def test_pointwise_mixed_flag_bank_never_exits(self):
+        assert run_scripted(FLAG_SCAN, P("4"), [0, 1, 1]).status == "script-exhausted"
+        res = run_scripted(FLAG_SCAN, P("4"), [0, 1] * 20, budget=5)
+        assert res.status == "budget-exceeded"
+
+    def test_recorded_scan_rejected_at_another_window_start(self):
+        source = run(FIRST_HIT, P("5"), dec(u.omega_powers(WIDE)))
+        with pytest.raises(ScriptMismatch):
+            replay(FIRST_HIT, P("6"), source)
+
     def test_run_segment_rejected_by_pointwise_call(self):
         prog = Program("one-call", (
             OracleCall(slot="check", arg=INPUT, register="r"),
@@ -383,6 +397,7 @@ class TestReplay:
         inp = sep_input(s, "A v0 (!(v0 in #0))")
         yield SEP_PROG, inp, run(SEP_PROG, inp,
                                  {"truth": make_effectivizer(TRUTH, level=2, rank=3)})
+        yield LAST_HIT, P("3"), run_scripted(LAST_HIT, P("3"), [1, 0, 0, 1])
 
     def test_replaying_the_recorded_script_reproduces_the_run(self):
         for prog, inp, res in self.runs():
