@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from .ordcalc import (
     OMEGA,
@@ -154,30 +154,24 @@ class BoundForm:
             return mul(l, r)
         raise ValueError(f"unknown bound form {k!r}")
 
-    def within(self, total: Ordinal, structure, input_value) -> bool:
-        if self.kind == "finite":
-            return total < OMEGA
-        if self.kind == "product":
-            l = self.left.evaluate(structure, input_value)
-            r = self.right.evaluate(structure, input_value)
-            if l is None or r is None:
-                return total < OMEGA
-            return total <= mul(l, r) or total <= mul(r, l)
-        bound = self.evaluate(structure, input_value)
-        return bound is not None and total <= bound
-
-    def product_note(self, total: Ordinal, structure, input_value) -> str:
-        """For product forms: which operand order bounds the total."""
+    def check(self, total: Ordinal, structure, input_value) -> "BoundCheck":
+        """Evaluate the bound (a product form's two operands) once and judge
+        the total against it.  A finite form holds for any finite total; a
+        product holds in either operand order, and with an operand that has
+        no value (an "unbounded factor") it holds for any finite total."""
         if self.kind != "product":
-            return ""
+            value = self.evaluate(structure, input_value)
+            if self.kind == "finite":
+                return BoundCheck(value, total < OMEGA, "")
+            return BoundCheck(value, value is not None and total <= value, "")
         l = self.left.evaluate(structure, input_value)
         r = self.right.evaluate(structure, input_value)
         if l is None or r is None:
-            return "unbounded factor"
-        fg, gf = mul(l, r), mul(r, l)
-        holds = [order for order, prod in (("f*g", fg), ("g*f", gf))
+            return BoundCheck(None, total < OMEGA, "unbounded factor")
+        fg = mul(l, r)
+        holds = [order for order, prod in (("f*g", fg), ("g*f", mul(r, l)))
                  if total <= prod]
-        return "+".join(holds) if holds else "neither"
+        return BoundCheck(fg, bool(holds), "+".join(holds) or "neither")
 
     def describe(self) -> str:
         k = self.kind
@@ -198,6 +192,15 @@ class BoundForm:
         if k == "product":
             return f"({self.left.describe()})*({self.right.describe()})"
         raise ValueError(k)
+
+
+class BoundCheck(NamedTuple):
+    """One row's bound: its value (None when it has none), whether the total
+    is within it, and for product forms which operand order bounds it."""
+
+    value: Optional[Ordinal]
+    within: bool
+    product_note: str
 
 
 # -- approximators -----------------------------------------------------------
@@ -584,12 +587,11 @@ def verify(spec: ReductionSpec, structure: Optional[CardinalStructure],
         correct = (res.halted and res.output == expected) or \
                   (not res.halted and expected is None)
         total = res.ledger.total_order_type()
-        within = bound.within(total, structure, instance) if res.halted else True
+        checked = bound.check(total, structure, instance)
         if spec.composite or not res.halted:
             replay_ok = None
         else:
             replay_ok = tam.replay(program, instance, res, budget).same_as(res)
-        bound_value = bound.evaluate(structure, instance)
         report.rows.append(Row(
             input_text=summarize_query(instance),
             status=res.status,
@@ -597,11 +599,11 @@ def verify(spec: ReductionSpec, structure: Optional[CardinalStructure],
             expected_text=_text(expected),
             correct=correct,
             order_type=render(total),
-            bound_text=bound.describe() if bound_value is None
-            else render(bound_value),
-            within=within,
+            bound_text=bound.describe() if checked.value is None
+            else render(checked.value),
+            within=checked.within or not res.halted,
             replay_ok=replay_ok,
-            product_note=bound.product_note(total, structure, instance)))
+            product_note=checked.product_note))
     return report
 
 

@@ -23,7 +23,9 @@ hash-consing", 2006): a weak intern table keyed by the member set makes
 equal sets the same object, so equality is identity and membership tests
 never recurse.  A SetCode is validated once per object: its child map,
 validity verdict and decoded nodes are worked out on first use and kept on
-the code.  Every decode still asks for the verdict first.
+the code.  A code built by encode_hf starts out with its child map and
+decoded nodes, which the encoder has in hand; its verdict is still worked
+out on first decode.  Every decode asks for the verdict first.
 
 godel_pair merges the two normal forms exponent-wise, combining the
 coefficient pair at each exponent with the classic diagonal polynomial
@@ -34,7 +36,6 @@ itself, and unpairing is exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 import weakref
@@ -333,19 +334,40 @@ def hf(*members: HFSet) -> HFSet:
 
 
 def render_hf(s: HFSet) -> str:
-    return "{" + ",".join(render_hf(m) for m in sorted(s.members, key=_hf_sort_key)) + "}"
+    """Nested-brace text of s, members in (rank, size, text) order.  Each
+    node's text is built once per call and reused for both the sort and the
+    join, so the work no longer doubles with every level of nesting."""
+    memo: Dict[HFSet, str] = {}
+
+    def text(n: HFSet) -> str:
+        t = memo.get(n)
+        if t is None:
+            keyed = sorted((m.rank, len(m.members), text(m)) for m in n.members)
+            t = memo[n] = "{" + ",".join(k[2] for k in keyed) + "}"
+        return t
+
+    return text(s)
+
+
+POWERSET_CAP = 16
+# Deepest brace nesting parse_hf accepts ("{}" is 1): deeper literals would
+# exhaust the interpreter stack in the recursive parse, decode and render.
+NESTING_CAP = 256
 
 
 def parse_hf(text: str) -> HFSet:
-    """Parse nested braces such as "{{},{{}}}" into an HFSet."""
+    """Parse nested braces such as "{{},{{}}}" into an HFSet; ValueError on
+    bad syntax or nesting deeper than NESTING_CAP."""
     pos = 0
 
-    def node() -> HFSet:
+    def node(depth: int) -> HFSet:
         nonlocal pos
         while pos < len(text) and text[pos].isspace():
             pos += 1
         if pos >= len(text) or text[pos] != "{":
             raise ValueError(f"expected '{{' at position {pos} in {text!r}")
+        if depth > NESTING_CAP:
+            raise ValueError(f"set literal nested deeper than {NESTING_CAP} levels")
         pos += 1
         members = []
         while True:
@@ -358,17 +380,14 @@ def parse_hf(text: str) -> HFSet:
                 if pos >= len(text) or text[pos] != ",":
                     raise ValueError(f"expected ',' or '}}' at position {pos} in {text!r}")
                 pos += 1
-            members.append(node())
+            members.append(node(depth + 1))
 
-    result = node()
+    result = node(1)
     while pos < len(text) and text[pos].isspace():
         pos += 1
     if pos != len(text):
         raise ValueError(f"trailing input at position {pos} in {text!r}")
     return result
-
-
-POWERSET_CAP = 16
 
 
 def hf_card(s: HFSet) -> int:
@@ -395,14 +414,13 @@ def hf_product(a: HFSet, b: HFSet) -> HFSet:
 
 def transitive_closure(s: HFSet) -> FrozenSet[HFSet]:
     """All sets hereditarily reachable from s, including s itself."""
-    seen = set()
-    stack = [s]
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.extend(node.members)
+    seen = {s}
+    frontier = seen
+    while frontier:
+        # set operations reuse the hashes the member sets already store
+        frontier = set().union(*(n.members for n in frontier))
+        frontier -= seen
+        seen |= frontier
     return frozenset(seen)
 
 
@@ -424,7 +442,9 @@ class SetCode:
     Ordinal values are accepted and converted on construction.
 
     A code is immutable, so it works out its child map, its validity verdict
-    and its decoded nodes once, on first use, and keeps them.
+    and its decoded nodes once, on first use, and keeps them.  A code built
+    by encode_hf starts out with its child map and decoded nodes; its
+    verdict is still worked out on first decode.
     """
 
     domain: int
@@ -441,15 +461,14 @@ class SetCode:
             object.__setattr__(self, "root", _as_nat(self.root))
 
     @cached_property
-    def _children(self) -> Dict[int, List[int]]:
-        """node -> its member node ids, ascending."""
+    def _children(self) -> Dict[int, Tuple[int, ...]]:
+        """node -> its member node ids, ascending; nodes without members are
+        absent."""
         children: Dict[int, List[int]] = {}
         for edge in self.edges:
             x, y = cantor_unpair(edge)
             children.setdefault(y, []).append(x)
-        for v in children.values():
-            v.sort()
-        return children
+        return {y: tuple(sorted(xs)) for y, xs in children.items()}
 
     @cached_property
     def _verdict(self) -> int:
@@ -473,16 +492,44 @@ def cantor_unpair(z: int) -> Tuple[int, int]:
 
 def encode_hf(s: HFSet) -> SetCode:
     """Deterministic canonical code: nodes are numbered by rank, then by
-    their sorted member-id tuples, so equal sets always get equal codes."""
-    nodes = sorted(transitive_closure(s), key=lambda n: n.rank)
-    ids: Dict[HFSet, int] = {}
-    for rank, group in itertools.groupby(nodes, key=lambda n: n.rank):
-        keyed = sorted(group, key=lambda n: (len(n.members),
-                                             sorted(ids[m] for m in n.members)))
-        for node in keyed:
-            ids[node] = len(ids)
-    edges = frozenset(cantor_pair(ids[m], ids[n]) for n in ids for m in n.members)
-    return SetCode(domain=len(ids), edges=edges, root=ids[s])
+    member count, then by their sorted member-id tuples, so equal sets
+    always get equal codes.
+
+    The returned code starts out with its child map and decoded nodes,
+    which the numbering pass has in hand; its verdict is still worked out
+    on first decode."""
+    by_rank: List[List[HFSet]] = [[] for _ in range(s.rank + 1)]
+    for node in transitive_closure(s):
+        by_rank[node.rank].append(node)
+    # id(node) -> its code node id; keying by the set itself would call the
+    # Python-level HFSet.__hash__ once per edge
+    ids: Dict[int, int] = {}
+    children: Dict[int, Tuple[int, ...]] = {}
+    decoded: Dict[int, HFSet] = {}
+    for group in by_rank:
+        # members have lower rank, so their ids are already assigned; the
+        # member-id tuples of distinct sets differ
+        node_of = {tuple(sorted(map(ids.__getitem__, map(id, node.members)))): node
+                   for node in group}
+        # member count, then member ids: two stable sorts with no key tuple
+        # per node (such tuples, freed amid the kept ones, raised peak RSS)
+        order = sorted(node_of)
+        order.sort(key=len)
+        for kids in order:
+            node = node_of[kids]
+            i = ids[id(node)] = len(ids)
+            decoded[i] = node
+            if kids:
+                children[i] = kids
+    root = ids[id(s)]
+    del ids, by_rank
+    edges = frozenset((x + y) * (x + y + 1) // 2 + y
+                      for y, kids in children.items() for x in kids)
+    code = SetCode(domain=len(decoded), edges=edges, root=root)
+    # cached_property reads the instance dict first, so these are the cache
+    code.__dict__["_children"] = children
+    code.__dict__["_decoded"] = decoded
+    return code
 
 
 def validate_code(code: SetCode) -> int:
@@ -530,7 +577,7 @@ def _check_code(code: SetCode) -> int:
     # extensional: no two present nodes share the same member set
     member_sets = {}
     for node in reaches:
-        key = tuple(children.get(node, ()))
+        key = children.get(node, ())
         if key in member_sets:
             return 0
         member_sets[key] = node

@@ -285,8 +285,9 @@ def test_criterion_8_composed_pipelines():
     res = tam.run(comp.make_program(), triple, comp.make_bindings(None))
     assert res.halted and res.output == brute_separation(triple)
     total = res.ledger.total_order_type()
-    assert comp.bound.within(total, None, triple)
-    notes.append(comp.bound.product_note(total, None, triple))
+    checked = comp.bound.check(total, None, triple)
+    assert checked.within
+    notes.append(checked.product_note)
 
     # a three-call stage over a two-call stage multiplies the counts
     outer = delegate_spec("Probe", DEC_CARD,
@@ -299,8 +300,9 @@ def test_criterion_8_composed_pipelines():
     res = tam.run(comp.make_program(), P("w"), comp.make_bindings(POWERS))
     total = res.ledger.total_order_type()
     assert res.halted and total == Ordinal.from_int(6)
-    assert comp.bound.within(total, POWERS, P("w"))
-    notes.append(comp.bound.product_note(total, POWERS, P("w")))
+    checked = comp.bound.check(total, POWERS, P("w"))
+    assert checked.within
+    notes.append(checked.product_note)
 
     # a transfinite scan spliced through a single outer call
     outer = delegate_spec(NEXT_CARD, NEXT_CARD,
@@ -311,8 +313,9 @@ def test_criterion_8_composed_pipelines():
     total = res.ledger.total_order_type()
     assert res.halted and render(res.output) == "w^2"
     assert render(total) == "w^2"
-    assert comp.bound.within(total, POWERS, P("w*2+1"))
-    notes.append(comp.bound.product_note(total, POWERS, P("w*2+1")))
+    checked = comp.bound.check(total, POWERS, P("w*2+1"))
+    assert checked.within
+    notes.append(checked.product_note)
 
     assert all(note and note != "neither" for note in notes)
     watch.check()

@@ -129,6 +129,21 @@ class TestReduce:
         assert code == 2
         assert one_line_error(capsys) == "error: powerset argument exceeds the size cap of 16"
 
+    def test_set_literal_one_level_over_the_nesting_cap_exits_2(self, capsys):
+        depth = u.NESTING_CAP + 1
+        code = run_cli("reduce", "powercard_via_pot", "--count-only",
+                       "--input", "{" * depth + "}" * depth)
+        assert code == 2
+        assert one_line_error(capsys).endswith(
+            f"set literal nested deeper than {u.NESTING_CAP} levels")
+
+    def test_set_literal_at_the_nesting_cap_runs(self, capsys):
+        depth = u.NESTING_CAP
+        code = run_cli("reduce", "powercard_via_pot", "--count-only",
+                       "--input", "{" * depth + "}" * depth)
+        assert code == 0
+        assert "status: halted" in capsys.readouterr().out
+
     def test_zero_budget_exits_2(self, capsys):
         code = run_cli("reduce", "nextcard_via_deccard", "--input", "5",
                        "--bound", "w^3", "--budget", "0")

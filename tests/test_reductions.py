@@ -84,17 +84,22 @@ class TestBoundForms:
 
     def test_within_finite_form(self):
         f = BoundForm.finite()
-        assert f.within(Ordinal.from_int(400), POWERS, P("w"))
-        assert not f.within(OMEGA, POWERS, P("w"))
+        assert f.check(Ordinal.from_int(400), POWERS, P("w")).within
+        assert not f.check(OMEGA, POWERS, P("w")).within
 
     def test_product_checks_both_orders(self):
         # w*2 and 2*w differ, so a total of w+1 fits one order only
         prod = BoundForm.product(BoundForm.const(P("w")), BoundForm.const(2))
-        assert prod.within(P("w+1"), None, P("0"))
-        assert prod.product_note(P("w+1"), None, P("0")) == "f*g"
-        assert prod.product_note(P("w"), None, P("0")) == "f*g+g*f"
-        assert prod.product_note(P("w*2+1"), None, P("0")) == "neither"
-        assert not prod.within(P("w*2+1"), None, P("0"))
+        assert prod.check(P("w+1"), None, P("0")).within
+        assert prod.check(P("w+1"), None, P("0")).product_note == "f*g"
+        assert prod.check(P("w"), None, P("0")).product_note == "f*g+g*f"
+        assert prod.check(P("w*2+1"), None, P("0")).product_note == "neither"
+        assert not prod.check(P("w*2+1"), None, P("0")).within
+        assert prod.check(P("w"), None, P("0")).value == prod.evaluate(None, P("0"))
+        # an operand without a value leaves only the finiteness promise
+        loose = BoundForm.product(BoundForm.finite(), BoundForm.const(2))
+        assert loose.check(P("5"), None, P("0")) == (None, True, "unbounded factor")
+        assert not loose.check(OMEGA, None, P("0")).within
 
     def test_catalog_rejects_unknown_names(self):
         with pytest.raises(ValueError):

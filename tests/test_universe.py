@@ -7,10 +7,12 @@ grids.  Caps are chosen so the true answer provably lies inside the grid.
 """
 
 import gc
+import itertools
 import math
 import random
 import sys
 import threading
+import time
 
 import pytest
 
@@ -21,6 +23,7 @@ from ordq.universe import (
     EMPTY_SET,
     HFSet,
     InvalidCodeError,
+    NESTING_CAP,
     NoSuchCardinalError,
     OutOfStructureError,
     SetCode,
@@ -282,6 +285,29 @@ class TestHFSet:
         with pytest.raises(AttributeError):
             EMPTY_SET.members = frozenset()
 
+    def test_render_deep_chain_builds_each_node_once(self):
+        # sorting members by their text used to render each member again
+        # for the join, doubling the work at every level
+        start = time.perf_counter()
+        text = render_hf(nest(200))
+        assert time.perf_counter() - start < 2.0
+        assert text == "{" * 201 + "}" * 201
+        # members of one rank: the smaller first, whatever the input order
+        assert render_hf(parse_hf("{{{},{{}}},{{{}}}}")) == "{{{{}}},{{},{{}}}}"
+        ordinal = EMPTY_SET
+        for _ in range(6):
+            ordinal = HFSet(ordinal.members | {ordinal})
+        assert render_hf(ordinal) == ("{{},{{}},{{},{{}}},{{},{{}},{{},{{}}}},"
+                                      "{{},{{}},{{},{{}}},{{},{{}},{{},{{}}}}},"
+                                      "{{},{{}},{{},{{}}},{{},{{}},{{},{{}}}},"
+                                      "{{},{{}},{{},{{}}},{{},{{}},{{},{{}}}}}}}")
+
+    def test_parse_nesting_cap(self):
+        at_cap = "{" * NESTING_CAP + "}" * NESTING_CAP
+        assert parse_hf(at_cap) is nest(NESTING_CAP - 1)
+        with pytest.raises(ValueError, match="nested deeper"):
+            parse_hf("{" + at_cap + "}")
+
 
 def nest(depth: int) -> HFSet:
     out = EMPTY_SET
@@ -361,6 +387,66 @@ class TestSetCode:
         decoded = [decode_element(code, n) for n in code_elements(code)]
         assert HFSet(decoded) == s
         assert len(decoded) == hf_card(s)
+
+
+def reference_encode_hf(s: HFSet) -> SetCode:
+    """The straightforward encoder the one-pass encode_hf must agree with:
+    number nodes by rank, then by (member count, sorted member ids)."""
+    seen, stack = set(), [s]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(node.members)
+    nodes = sorted(seen, key=lambda n: n.rank)
+    ids = {}
+    for rank, group in itertools.groupby(nodes, key=lambda n: n.rank):
+        keyed = sorted(group, key=lambda n: (len(n.members),
+                                             sorted(ids[m] for m in n.members)))
+        for node in keyed:
+            ids[node] = len(ids)
+    edges = frozenset(cantor_pair(ids[m], ids[n]) for n in ids for m in n.members)
+    return SetCode(domain=len(ids), edges=edges, root=ids[s])
+
+
+def encoder_cases():
+    rng = random.Random(23)
+    sets = [random_hfset(rng, max_rank=5, max_width=4) for _ in range(40)]
+    return sets + [EMPTY_SET, nest(7), hf_powerset(HFSet(universe_of(3)))]
+
+
+class TestOnePassEncoder:
+    def test_matches_the_reference_encoder(self):
+        for s in encoder_cases():
+            assert encode_hf(s) == reference_encode_hf(s), s
+
+    def test_prefilled_views_match_a_fresh_code(self):
+        for s in encoder_cases():
+            code = encode_hf(s)
+            children, decoded = code.__dict__["_children"], code.__dict__["_decoded"]
+            fresh = SetCode(code.domain, code.edges, code.root)
+            assert "_children" not in fresh.__dict__
+            assert decode_set(fresh) is decode_set(code) is s
+            assert fresh._children == children
+            assert all(type(kids) is tuple for kids in fresh._children.values())
+            assert fresh._decoded == decoded
+
+    def test_first_decode_still_validates_once(self, monkeypatch):
+        calls = []
+        check = universe._check_code
+
+        def counting(code):
+            calls.append(code)
+            return check(code)
+
+        monkeypatch.setattr(universe, "_check_code", counting)
+        code = encode_hf(hf_powerset(HFSet(universe_of(3))))
+        assert calls == []
+        decode_set(code)
+        assert len(calls) == 1 and calls[0] is code
+        decode_set(code)
+        code_elements(code)
+        assert len(calls) == 1
 
 
 class TestHashConsing:
