@@ -26,9 +26,16 @@ Every natural decodes to something; naturals that decode to an ill-formed
 tree (unknown tag, quantifier under a connective, bad parameter layout)
 map to the canonical false formula instead of erroring.
 
-Evaluation is brute force: quantifiers range over every set of rank below
-the environment's rank cap.  The cap is 5; note |V_5| = 65536, so multi-
-quantifier evaluation is only practical at rank 4 and below.
+Evaluation is bit-parallel over the innermost quantified variable.  For
+each rank, V_rank is numbered once (universe_of) and every set gets two
+bitsets over those n = |V_rank| positions: its members and the sets that
+contain it.  The matrix compiles to a function from the outer variables
+and the parameters to an n-bit mask, the set of values of the innermost
+variable that make it true: an atom is a table lookup, and !, & and |
+are bit operations.  The innermost E asks for a nonzero mask and the
+innermost A for a full one, so a formula with q quantifiers costs n^(q-1)
+mask walks instead of n^q walks down the matrix.  The rank cap is 5;
+|V_5| = 65536, so rank 5 with q >= 2 is still expensive and has no bound.
 """
 
 from __future__ import annotations
@@ -369,8 +376,10 @@ def _decode_node(code: int) -> tuple:
     raise FormulaError(f"tag {tag} is not a matrix constructor")
 
 
+@functools.lru_cache(maxsize=32)
 def formula_from_index(k: int) -> Formula:
-    """Decode; naturals carrying ill-formed trees yield the false formula."""
+    """Decode; naturals carrying ill-formed trees yield the false formula.
+    Formulas are immutable, so each recent index is decoded once."""
     if k < 0:
         return FALSE_FORMULA
     prefix: List[str] = []
@@ -425,36 +434,109 @@ def universe_of(rank: int) -> Tuple[HFSet, ...]:
     return current
 
 
-def eval_formula(f: Formula, env: TruthEnv) -> int:
-    """Brute-force truth value of f over V_env.rank with env.params."""
+@functools.lru_cache(maxsize=None)
+def _rank_bits(rank: int) -> Tuple[Dict[HFSet, int], List[int], List[int]]:
+    """The position of each set of V_rank in universe_of(rank), and per
+    position the bitset of its members and of the sets that contain it."""
+    domain = universe_of(rank)
+    # sets are interned, so a parameter that lives in V_rank is the very
+    # object universe_of holds and finds its position here
+    index = {s: i for i, s in enumerate(domain)}
+    members = [sum(1 << index[m] for m in s.members) for s in domain]
+    owned_by: List[List[int]] = [[] for _ in domain]
+    for j, s in enumerate(domain):
+        for m in s.members:
+            owned_by[index[m]].append(j)
+    return index, members, [_bitset(js, len(domain)) for js in owned_by]
+
+
+def _bitset(positions: List[int], size: int) -> int:
+    # built in a byte buffer: or-ing bits into a wide int copies it each time
+    if not positions:
+        return 0
+    buf = bytearray((size + 7) // 8)
+    for p in positions:
+        buf[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(buf, "little")
+
+
+@functools.lru_cache(maxsize=32)
+def _compile(f: Formula, rank: int):
+    """(matrix, index, full) for a closed f over V_rank.  matrix maps the
+    slot values (positions of the outer variables, then of the parameters)
+    to the mask of innermost values that satisfy f's matrix; full has a bit
+    per set of V_rank.  An atom without the innermost variable (with no
+    quantifier, every atom) gives full or 0."""
     if free_variables(f):
         raise FormulaError(f"cannot evaluate open formula {render_formula(f)}")
+    index, members, owners = _rank_bits(rank)
+    q = len(f.prefix)
+    full = (1 << len(index)) - 1
+    inner = ("var", q - 1)
+    outer = max(q - 1, 0)
+
+    def slot(t: tuple) -> int:
+        return t[1] if t[0] == "var" else outer + t[1]
+
+    def build(node: tuple):
+        kind = node[0]
+        if kind == "not":
+            g = build(node[1])
+            return lambda vals: full ^ g(vals)
+        if kind in ("and", "or"):
+            g, h = build(node[1]), build(node[2])
+            if kind == "and":
+                return lambda vals: g(vals) & h(vals)
+            return lambda vals: g(vals) | h(vals)
+        left, right = node[1], node[2]
+        if left == inner and right == inner:
+            constant = 0 if kind == "in" else full
+            return lambda vals: constant
+        if inner in (left, right):
+            j = slot(right if left == inner else left)
+            if kind == "eq":
+                return lambda vals: 1 << vals[j]
+            table = members if left == inner else owners
+            return lambda vals: table[vals[j]]
+        a, b = slot(left), slot(right)
+        if kind == "eq":
+            return lambda vals: full if vals[a] == vals[b] else 0
+        return lambda vals: full if members[vals[b]] >> vals[a] & 1 else 0
+
+    return build(f.matrix), index, full
+
+
+def eval_formula(f: Formula, env: TruthEnv) -> int:
+    """Truth value of f over V_env.rank with env.params: the outer
+    quantifiers are enumerated, the innermost one is decided on a bitset."""
+    matrix, index, full = _compile(f, env.rank)
     if f.num_params > len(env.params):
         raise FormulaError(
             f"formula uses {f.num_params} parameters, env provides {len(env.params)}")
-    domain = universe_of(env.rank)
+    prefix = f.prefix
+    last = len(prefix) - 1
+    size = len(index)
+    vals = [0] * max(last, 0) + [index[p] for p in env.params]
 
-    def term_value(t: tuple, assignment: Tuple[HFSet, ...]) -> HFSet:
-        return assignment[t[1]] if t[0] == "var" else env.params[t[1]]
+    def quantify(position: int) -> bool:
+        if position >= last:
+            mask = matrix(vals)
+            return mask == full if last >= 0 and prefix[last] == FORALL else mask != 0
 
-    def matrix_value(node: tuple, assignment) -> bool:
-        kind = node[0]
-        if kind == "in":
-            return term_value(node[1], assignment) in term_value(node[2], assignment)
-        if kind == "eq":
-            # every HFSet is interned (hash-consed), so equal sets are the
-            # same object and identity decides equality without a call
-            return term_value(node[1], assignment) is term_value(node[2], assignment)
-        if kind == "not":
-            return not matrix_value(node[1], assignment)
-        if kind == "and":
-            return matrix_value(node[1], assignment) and matrix_value(node[2], assignment)
-        return matrix_value(node[1], assignment) or matrix_value(node[2], assignment)
+        def values():
+            for x in range(size):
+                vals[position] = x
+                yield quantify(position + 1)
 
-    def quantify(position: int, assignment: Tuple[HFSet, ...]) -> bool:
-        if position == len(f.prefix):
-            return matrix_value(f.matrix, assignment)
-        values = (quantify(position + 1, assignment + (x,)) for x in domain)
-        return any(values) if f.prefix[position] == EXISTS else all(values)
+        return any(values()) if prefix[position] == EXISTS else all(values())
 
-    return int(quantify(0, ()))
+    return int(quantify(0))
+
+
+def _sigma_truth(f: Formula, level: int, rank: int, params: Tuple[HFSet, ...]) -> int:
+    """The answer of a level-`level` truth oracle over V_rank: 0 for a
+    formula above the level or taking another number of parameters, else
+    f's truth value.  The oracles and the separation reference share it."""
+    if classify_level(f) > level or f.num_params != len(params):
+        return 0
+    return eval_formula(f, TruthEnv(rank, params))

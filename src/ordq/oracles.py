@@ -54,7 +54,7 @@ from .universe import (
     hf_powerset,
     render_hf,
 )
-from .logic import TruthEnv, classify_level, eval_formula, formula_from_index
+from .logic import _sigma_truth, formula_from_index
 
 PATTERN_ALL_ZERO = "all-0"
 PATTERN_FINAL_ONE = "all-0-then-final-1"
@@ -474,12 +474,7 @@ def _truth_fn(level: int, rank: int):
                 and isinstance(q[1], tuple)):
             raise OracleTypeError(f"expected (index, params) query, got {q!r}")
         k, params = q
-        f = formula_from_index(k)
-        if classify_level(f) > level:
-            return 0
-        if f.num_params != len(params):
-            return 0
-        return eval_formula(f, TruthEnv(rank, params))
+        return _sigma_truth(formula_from_index(k), level, rank, params)
 
     return truth
 
@@ -492,11 +487,8 @@ def _sep_fn(level: int, rank: int):
         s = decode_set(_expect_code(code_s))
         params = tuple(decode_set(_expect_code(c)) for c in param_codes)
         f = formula_from_index(k)
-        if f.num_params != len(params) + 1 or classify_level(f) > level:
-            return encode_hf(_u.EMPTY_SET)
-        kept = [x for x in s
-                if eval_formula(f, TruthEnv(rank, (x,) + params)) == 1]
-        return encode_hf(HFSet(kept))
+        return encode_hf(HFSet(x for x in s
+                               if _sigma_truth(f, level, rank, (x,) + params)))
 
     return sep
 

@@ -34,7 +34,7 @@ from .ordcalc import (
 )
 from . import universe as u
 from .universe import CardinalStructure, HFSet, NoSuchCardinalError, OutOfStructureError, SetCode
-from .logic import TruthEnv, eval_formula, formula_from_index
+from .logic import _sigma_truth, formula_from_index
 from .oracles import (
     DEC_CARD,
     POT,
@@ -393,17 +393,13 @@ def _ref_powercard(_structure, code):
     return Ordinal.from_int(2 ** u.hf_card(u.decode_set(code)))
 
 
-def _brute_separation(rank: int):
+def _brute_separation(rank: int, level: int):
     def ref(_structure, triple):
         code, k, param_codes = triple
-        s = u.decode_set(code)
         params = tuple(u.decode_set(c) for c in param_codes)
         f = formula_from_index(k)
-        if f.num_params != len(params) + 1:
-            return u.encode_hf(u.EMPTY_SET)
-        kept = [x for x in s
-                if eval_formula(f, TruthEnv(rank, (x,) + params)) == 1]
-        return u.encode_hf(HFSet(kept))
+        return u.encode_hf(HFSet(x for x in u.decode_set(code)
+                                 if _sigma_truth(f, level, rank, (x,) + params)))
 
     return ref
 
@@ -483,7 +479,7 @@ def catalog(name: str, approximator: Optional[Approximator] = None,
             make_program=program_sep_via_truth,
             make_bindings=lambda cs, lv=level, rk=rank: {
                 "truth": make_effectivizer(TRUTH, level=lv, rank=rk)},
-            reference=_brute_separation(rank))
+            reference=_brute_separation(rank, level))
     raise ValueError(f"unknown reduction name {name!r}")
 
 

@@ -439,7 +439,8 @@ class SetCode:
     set {pair(x, y) : x is a member of y} packed with cantor_pair.
 
     Node ids are plain ints; everything here stays at desk scale.  Finite
-    Ordinal values are accepted and converted on construction.
+    Ordinal values are accepted and converted on construction; encode_hf,
+    which builds its fields from ints, skips that check.
 
     A code is immutable, so it works out its child map, its validity verdict
     and its decoded nodes once, on first use, and keeps them.  A code built
@@ -525,10 +526,12 @@ def encode_hf(s: HFSet) -> SetCode:
     del ids, by_rank
     edges = frozenset((x + y) * (x + y + 1) // 2 + y
                       for y, kids in children.items() for x in kids)
-    code = SetCode(domain=len(decoded), edges=edges, root=root)
-    # cached_property reads the instance dict first, so these are the cache
-    code.__dict__["_children"] = children
-    code.__dict__["_decoded"] = decoded
+    # the fields are ints already, so __post_init__'s per-edge type check is
+    # skipped; cached_property reads the instance dict first, so the child
+    # map and the decoded nodes are the cache
+    code = object.__new__(SetCode)
+    code.__dict__.update(domain=len(decoded), edges=edges, root=root,
+                         _children=children, _decoded=decoded)
     return code
 
 

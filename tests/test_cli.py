@@ -293,6 +293,33 @@ class TestRunScenario:
         assert "all checks passed" in capsys.readouterr().out
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+class TestGoldenBytes:
+    """Report and ledger JSON must stay byte-identical across speed-ups; the
+    files under tests/golden were written by an earlier, slower version."""
+
+    @pytest.mark.parametrize("golden,argv", [
+        ("nextcard_suite_report.json",
+         ["run", os.path.join(os.path.dirname(ordq.__file__), "scenarios",
+                              "nextcard_suite.json"), "--output"]),
+        ("sep_via_truth_rank4_ledger.json",
+         ["reduce", "sep_via_truth", "--rank", "4",
+          "--input", "{{},{{}},{{{}}},{{},{{}}}}",
+          "--formula", "E y A z A w (y in #0 & (w in z | !(z in y)))", "--ledger"]),
+        ("nextcard_via_deccard_ledger.json",
+         ["reduce", "nextcard_via_deccard", "--input", "w*2+1", "--bound", "w^3",
+          "--ledger"]),
+    ])
+    def test_matches_the_golden_file(self, capsys, tmp_path, golden, argv):
+        path = tmp_path / golden
+        assert run_cli(*argv, str(path)) == 0
+        capsys.readouterr()
+        with open(os.path.join(GOLDEN, golden), "rb") as handle:
+            assert path.read_bytes() == handle.read()
+
+
 class TestSelftest:
     def test_exits_zero(self, capsys):
         assert run_cli("selftest") == 0

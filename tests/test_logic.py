@@ -3,7 +3,9 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from ordq import logic
 from ordq.logic import (
     EXISTS,
     FALSE_FORMULA,
@@ -172,7 +174,12 @@ class TestEval:
         with pytest.raises(FormulaError):
             eval_formula(parse_formula("v0 in v1"), TruthEnv(2))
         with pytest.raises(FormulaError):
+            eval_formula(parse_formula("A v0 (v0 in v1)"), TruthEnv(4))
+        with pytest.raises(FormulaError):
             eval_formula(parse_formula("#0 = #0"), TruthEnv(2))
+        with pytest.raises(FormulaError):
+            eval_formula(parse_formula("E v0 A v1 (v1 in #1 | v0 = #0)"),
+                         TruthEnv(3, (EMPTY_SET,)))
 
     def test_env_validation(self):
         with pytest.raises(ValueError):
@@ -215,6 +222,111 @@ class TestEval:
                 assert eval_formula(g, env) == base
             checked += 1
         assert checked == 100
+
+
+def reference_eval_formula(f: Formula, env: TruthEnv) -> int:
+    """The tree-walking evaluator the bitset eval_formula must agree with:
+    every assignment of every quantified variable, one walk down the matrix
+    per assignment."""
+    if free_variables(f):
+        raise FormulaError(f"cannot evaluate open formula {render_formula(f)}")
+    if f.num_params > len(env.params):
+        raise FormulaError("too few parameters")
+    domain = universe_of(env.rank)
+
+    def term_value(t, assignment):
+        return assignment[t[1]] if t[0] == "var" else env.params[t[1]]
+
+    def matrix_value(node, assignment) -> bool:
+        kind = node[0]
+        if kind == "in":
+            return term_value(node[1], assignment) in term_value(node[2], assignment)
+        if kind == "eq":
+            return term_value(node[1], assignment) == term_value(node[2], assignment)
+        if kind == "not":
+            return not matrix_value(node[1], assignment)
+        if kind == "and":
+            return matrix_value(node[1], assignment) and matrix_value(node[2], assignment)
+        return matrix_value(node[1], assignment) or matrix_value(node[2], assignment)
+
+    def quantify(position, assignment) -> bool:
+        if position == len(f.prefix):
+            return matrix_value(f.matrix, assignment)
+        values = (quantify(position + 1, assignment + (x,)) for x in domain)
+        return any(values) if f.prefix[position] == EXISTS else all(values)
+
+    return int(quantify(0, ()))
+
+
+@st.composite
+def closed_formulas(draw):
+    """A closed formula with 0-3 quantifiers at a rank 0-4, and parameters
+    drawn from that rank's universe."""
+    rank = draw(st.integers(0, 4))
+    binders = draw(st.integers(0, 3))
+    prefix = tuple(draw(st.sampled_from((EXISTS, FORALL))) for _ in range(binders))
+    domain = universe_of(rank)
+    slots = draw(st.integers(0, 2)) if domain else 0
+    terms = [("var", p) for p in range(binders)] + [("param", i) for i in range(slots)]
+    assume(terms)
+    term = st.sampled_from(terms)
+    atoms = st.tuples(st.sampled_from(("in", "eq")), term, term)
+    matrix = draw(st.recursive(atoms, lambda sub: st.one_of(
+        st.tuples(st.just("not"), sub),
+        st.tuples(st.sampled_from(("and", "or")), sub, sub)), max_leaves=6))
+    f = Formula(prefix, _relabel_params(matrix))
+    params = tuple(draw(st.sampled_from(domain)) for _ in range(f.num_params))
+    return f, TruthEnv(rank, params)
+
+
+class TestBitsetEval:
+    @settings(max_examples=300, deadline=None)
+    @given(closed_formulas())
+    def test_matches_the_tree_walking_evaluator(self, case):
+        f, env = case
+        assert eval_formula(f, env) == reference_eval_formula(f, env), (str(f), env)
+
+    @pytest.mark.parametrize("text,rank,params,expected", [
+        # rank 0: the domain is empty, so E is false and A is true
+        ("E v0 (v0 = v0)", 0, (), 0),
+        ("A v0 (v0 in v0)", 0, (), 1),
+        ("E v0 A v1 (v0 = v1)", 0, (), 0),
+        ("A v0 E v1 (v0 = v1)", 0, (), 1),
+        # no quantifier, parameters only
+        ("#0 in #1 | #0 = #1", 3, ("{}", "{{}}"), 1),
+        ("#0 in #1 | #0 = #1", 3, ("{{}}", "{}"), 0),
+        ("!(#0 = #0)", 1, ("{}",), 0),
+        # the innermost variable on both sides of an atom
+        ("E v0 (v0 in v0)", 3, (), 0),
+        ("A v0 (v0 = v0)", 3, (), 1),
+        ("A v0 (!(v0 in v0))", 4, (), 1),
+        ("E v0 E v1 (v1 in v1 | v0 in v0)", 3, (), 0),
+        # an atom that skips the innermost variable
+        ("A v0 E v1 (v0 = #0 | !(v0 = #0))", 3, ("{}",), 1),
+        ("E v0 A v1 (v0 in #0 & v1 = v1)", 3, ("{{}}",), 1),
+    ])
+    def test_edge_cases(self, text, rank, params, expected):
+        f = parse_formula(text)
+        env = TruthEnv(rank, tuple(parse_hf(p) for p in params))
+        assert eval_formula(f, env) == reference_eval_formula(f, env) == expected
+
+    def test_false_formula_at_every_rank(self):
+        for rank in range(5):
+            assert eval_formula(FALSE_FORMULA, TruthEnv(rank)) == 0
+
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_bitsets_agree_with_membership(self, rank):
+        index, members, owners = logic._rank_bits(rank)
+        domain = universe_of(rank)
+        assert [index[s] for s in domain] == list(range(len(domain)))
+        for a in domain:
+            for b in domain:
+                assert members[index[b]] >> index[a] & 1 == (a in b)
+                assert owners[index[a]] >> index[b] & 1 == (a in b)
+
+    def test_decoded_formulas_are_shared(self):
+        k = formula_index(parse_formula("E v0 A v1 (v1 in v0 | v1 = #0)"))
+        assert formula_from_index(k) is formula_from_index(k)
 
 
 # -- generators ---------------------------------------------------------------

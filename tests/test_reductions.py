@@ -8,7 +8,7 @@ import pytest
 from ordq import tam
 from ordq import universe as u
 from ordq.logic import TruthEnv, eval_formula, formula_from_index, formula_index, parse_formula, universe_of
-from ordq.oracles import DEC_CARD, NEXT_CARD, TRUTH, make_effectivizer
+from ordq.oracles import DEC_CARD, NEXT_CARD, TRUTH, make_effectivizer, summarize_query
 from ordq.ordcalc import (
     OMEGA,
     Ordinal,
@@ -350,6 +350,17 @@ class TestSeparation:
         report = verify(spec, None, triples)
         assert report.passed
         assert [row.order_type for row in report.rows] == ["3", "2"]
+
+    def test_formula_above_the_level_passes_with_empty_output(self):
+        # "A v0 E v1" is level 3: the level-2 oracle answers 0 for it, so the
+        # machine keeps nothing, and the reference follows the same rule
+        spec = catalog("sep_via_truth", level=2, rank=3)
+        k = formula_index(parse_formula("A v0 E v1 (v0 in #0 | v1 = #0)"))
+        report = verify(spec, None, [(code_of(*V3), k, ())])
+        assert report.passed
+        row = report.rows[0]
+        assert row.output_text == row.expected_text == summarize_query(u.encode_hf(u.EMPTY_SET))
+        assert row.order_type == str(len(V3))
 
 
 class TestVerifyReports:

@@ -448,6 +448,24 @@ class TestOnePassEncoder:
         code_elements(code)
         assert len(calls) == 1
 
+    def test_encoded_codes_skip_the_edge_check(self, monkeypatch):
+        calls = []
+        post_init = SetCode.__post_init__
+
+        def counting(code):
+            calls.append(code)
+            post_init(code)
+
+        monkeypatch.setattr(SetCode, "__post_init__", counting)
+        code = encode_hf(hf_powerset(HFSet(universe_of(3))))
+        assert calls == []
+        outside = SetCode(Ordinal.from_int(code.domain),
+                          [Ordinal.from_int(e) for e in code.edges], code.root)
+        assert len(calls) == 1 and calls[0] is outside
+        assert type(outside.edges) is frozenset
+        assert outside == code and hash(outside) == hash(code)
+        assert decode_set(outside) is decode_set(code)
+
 
 class TestHashConsing:
     def test_equal_sets_are_identical_however_built(self):
