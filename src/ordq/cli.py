@@ -24,7 +24,7 @@ from typing import List, Optional
 
 from . import tam
 from . import universe as u
-from .logic import RankError, formula_index, parse_formula
+from .logic import RankError, formula_index, free_variables, parse_formula
 from .oracles import OracleTypeError, QueryLedger, extract_script
 from .ordcalc import (
     OMEGA,
@@ -177,9 +177,14 @@ def _parse_set_arg(text: str, what: str) -> u.SetCode:
 
 def _parse_formula_arg(text: str) -> int:
     try:
-        return formula_index(parse_formula(text))
+        f = parse_formula(text)
     except ValueError as e:
         raise CliError(f"bad formula {text!r}: {e}")
+    free = free_variables(f)
+    if free:
+        raise CliError(f"bad formula {text!r}: free variable "
+                       f"{', '.join(f'v{i}' for i in free)}")
+    return formula_index(f)
 
 
 def _needs_structure(name: str) -> bool:
@@ -390,6 +395,16 @@ def _cmd_run(args) -> int:
 # -- selftest ----------------------------------------------------------------
 
 
+class SelftestFailure(Exception):
+    """A selftest check that did not hold."""
+
+
+def _check(ok: bool, what: str):
+    # an explicit check, so that python -O cannot strip it as it does assert
+    if not ok:
+        raise SelftestFailure(what)
+
+
 def _suite_arithmetic():
     samples = [parse_ordinal(s) for s in
                ("0", "1", "5", "w", "w+3", "w*2", "w*2+1", "w^2", "w^2+w",
@@ -397,44 +412,46 @@ def _suite_arithmetic():
     for a in samples:
         for b in samples:
             s = add(a, b)
-            assert s >= b, "addition dropped below its right operand"
-            assert left_sub(a, s) == left_sub(a, s)
-            assert add(a, left_sub(a, s)) == s, "left subtraction round trip"
-            assert render(parse_ordinal(render(s))) == render(s)
-    assert render(add(1, OMEGA)) == "w"
-    assert render(opow(OMEGA, OMEGA)) == "w^(w)"
+            _check(s >= b, "addition dropped below its right operand")
+            _check(left_sub(a, s) == left_sub(a, s), "left subtraction is not deterministic")
+            _check(add(a, left_sub(a, s)) == s, "left subtraction round trip")
+            _check(render(parse_ordinal(render(s))) == render(s), "render/parse round trip")
+    _check(render(add(1, OMEGA)) == "w", "1 + w is not w")
+    _check(render(opow(OMEGA, OMEGA)) == "w^(w)", "w^w renders wrongly")
 
 
 def _suite_oracles():
     from .oracles import OmegaMultiplesSet, flag_value_after
     hits = OmegaMultiplesSet()
-    assert hits.least_above(parse_ordinal("w*3+5")) == parse_ordinal("w*4")
-    assert hits.greatest_at_most(parse_ordinal("w*3+5")) == parse_ordinal("w*3")
-    assert hits.next_limit_above(parse_ordinal("5")) == parse_ordinal("w^2")
-    assert flag_value_after(1, hits, parse_ordinal("w^2")) == 0
+    _check(hits.least_above(parse_ordinal("w*3+5")) == parse_ordinal("w*4"), "least_above")
+    _check(hits.greatest_at_most(parse_ordinal("w*3+5")) == parse_ordinal("w*3"),
+           "greatest_at_most")
+    _check(hits.next_limit_above(parse_ordinal("5")) == parse_ordinal("w^2"),
+           "next_limit_above")
+    _check(flag_value_after(1, hits, parse_ordinal("w^2")) == 0, "flag_value_after")
     sup, attained = hits.sup_below(parse_ordinal("w^2"))
-    assert render(sup) == "w^2" and not attained
+    _check(render(sup) == "w^2" and not attained, "sup_below")
 
 
 def _suite_ledger():
     ledger = QueryLedger()
     from .oracles import SingleEntry
     ledger.append(SingleEntry(parse_ordinal("0"), "X", "q", "1", 1))
-    assert render(ledger.total_order_type()) == "1"
-    assert extract_script(ledger)[0].value == 1
+    _check(render(ledger.total_order_type()) == "1", "total order type of one entry")
+    _check(extract_script(ledger)[0].value == 1, "extracted script value")
 
 
 def _suite_reductions():
     cs = u.omega_powers(parse_ordinal("w^3"))
     report = verify(catalog("nextcard_via_deccard"), cs,
                     [parse_ordinal(s) for s in ("5", "w", "w*2+1")])
-    assert report.passed, "next-cardinal reduction failed"
+    _check(report.passed, "next-cardinal reduction failed")
     report = verify(catalog("flagtrick"), u.multiples_of_omega(parse_ordinal("w^3")),
                     [parse_ordinal(s) for s in ("3", "w", "w+5")])
-    assert report.passed, "flag toggling reduction failed"
+    _check(report.passed, "flag toggling reduction failed")
     code = u.encode_hf(u.hf(u.EMPTY_SET))
     report = verify(catalog("powercard_via_pot"), None, [code])
-    assert report.passed, "power cardinality reduction failed"
+    _check(report.passed, "power cardinality reduction failed")
 
 
 _SELFTEST_SUITES = (
@@ -450,7 +467,7 @@ def _cmd_selftest(_args) -> int:
     for name, suite in _SELFTEST_SUITES:
         try:
             suite()
-        except AssertionError as e:
+        except SelftestFailure as e:
             failures += 1
             print(f"FAIL - {name}: {e}")
         else:

@@ -18,11 +18,29 @@ coefficient 1 left implicit, finite exponents >= 2 written as bare naturals
 and every other exponent parenthesized.  Examples: "w^2*3+w+4", "w^(w)+5".
 
 render() inverts parse_ordinal() exactly on canonical strings.
+
+Values are hash-consed: Ordinal(terms) returns the value the module intern
+table holds for an equal term tuple, if any.  Each value keeps its rendered
+text, filled on the first render(), and a precomputed finiteness flag.
+Equality and comparison return at once on identical operands and skip
+exponents that are the same object.  The hash stays hash(terms), so set and
+dict orders, and the bytes of reports and ledgers, do not depend on the table.
+
+The table is a plain dict of at most _INTERN_CAP (1,024) values, emptied when
+full; 0, 1 and w are put back after each clear.  It is not weak, because a
+weakref and a removal callback for every short-lived value nearly doubled the
+time of arithmetic-heavy loops, and it is capped, because an unbounded table
+keeps every value and its text alive, naturals thousands of digits long
+included.  After a clear an equal value can exist twice, so identity is only
+a fast path and equality falls back to the hash and the terms.
+
+opow refuses a finite power whose result would be a natural of more than
+_POW_BITS_CAP bits or have more than _POW_TERM_CAP terms, before building it.
 """
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Dict, Tuple, Union
 
 
 class OrdinalParseError(ValueError):
@@ -39,20 +57,41 @@ class OrdinalDomainError(ValueError):
 
 TermTuple = Tuple[Tuple["Ordinal", int], ...]
 
+# The intern table (see the module docstring): hash(terms) -> value.
+_INTERN_CAP = 1024
+_interned: Dict[int, "Ordinal"] = {}
+
+# Bounds on finite exponentiation, checked before the result is built.
+_POW_BITS_CAP = 8192
+_POW_TERM_CAP = 1024
+
 
 class Ordinal:
     """Immutable ordinal below epsilon_0.
 
     Supports +, *, ** and the comparison operators.  Plain ints coerce on
     either side.  Construction goes through from_int / omega_power / the
-    module functions; terms are assumed normalized.
+    module functions; terms are assumed normalized.  Equal terms give the
+    same object while the intern table holds it.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_text", "_finite")
 
-    def __init__(self, terms: TermTuple = ()):
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", hash(terms))
+    def __new__(cls, terms: TermTuple = ()):
+        h = hash(terms)
+        self = _interned.get(h)
+        if self is not None and self.terms == terms:
+            return self
+        if len(_interned) >= _INTERN_CAP:
+            _interned.clear()
+            _interned.update(_PINNED)
+        self = object.__new__(cls)
+        _set_terms(self, terms)
+        _set_hash(self, h)
+        _set_text(self, None)               # filled by the first render()
+        _set_finite(self, not terms or (len(terms) == 1 and not terms[0][0].terms))
+        _interned[h] = self
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Ordinal is immutable")
@@ -73,14 +112,12 @@ class Ordinal:
         return not self.terms
 
     def is_finite(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0].is_zero())
+        return self._finite
 
     def to_int(self) -> int:
-        if self.is_zero():
-            return 0
-        if not self.is_finite():
+        if not self._finite:
             raise OrdinalDomainError(f"{self} is not finite")
-        return self.terms[0][1]
+        return self.terms[0][1] if self.terms else 0
 
     # -- operators ---------------------------------------------------------
 
@@ -88,38 +125,43 @@ class Ordinal:
         return self._hash
 
     def __eq__(self, other):
-        other = _coerce_opt(other)
-        return other is not None and self.terms == other.terms
+        if self is other:
+            return True
+        if type(other) is not Ordinal:
+            other = _coerce_opt(other)
+            if other is None:
+                return False
+        return self._hash == other._hash and self.terms == other.terms
 
     def __ne__(self, other):
         return not self.__eq__(other)
 
     def __lt__(self, other):
-        return compare(self, _coerce(other)) < 0
+        return _cmp(self, _coerce(other)) < 0
 
     def __le__(self, other):
-        return compare(self, _coerce(other)) <= 0
+        return _cmp(self, _coerce(other)) <= 0
 
     def __gt__(self, other):
-        return compare(self, _coerce(other)) > 0
+        return _cmp(self, _coerce(other)) > 0
 
     def __ge__(self, other):
-        return compare(self, _coerce(other)) >= 0
+        return _cmp(self, _coerce(other)) >= 0
 
     def __add__(self, other):
-        return add(self, _coerce(other))
+        return _add(self, _coerce(other))
 
     def __radd__(self, other):
-        return add(_coerce(other), self)
+        return _add(_coerce(other), self)
 
     def __mul__(self, other):
-        return mul(self, _coerce(other))
+        return _mul(self, _coerce(other))
 
     def __rmul__(self, other):
-        return mul(_coerce(other), self)
+        return _mul(_coerce(other), self)
 
     def __pow__(self, other):
-        return opow(self, _coerce(other))
+        return _pow(self, _coerce(other))
 
     def __str__(self):
         return render(self)
@@ -131,11 +173,18 @@ class Ordinal:
         return bool(self.terms)
 
 
+# The slots' own setters: the class's __setattr__ refuses every write.
+_set_terms = Ordinal.terms.__set__
+_set_hash = Ordinal._hash.__set__
+_set_text = Ordinal._text.__set__
+_set_finite = Ordinal._finite.__set__
+
 OrdinalLike = Union[Ordinal, int]
 
 ZERO = Ordinal()
 ONE = Ordinal(((ZERO, 1),))
 OMEGA = Ordinal(((ONE, 1),))
+_PINNED = {o._hash: o for o in (ZERO, ONE, OMEGA)}
 
 
 def _coerce(value: OrdinalLike) -> Ordinal:
@@ -164,83 +213,117 @@ def omega_power(exponent: OrdinalLike, coefficient: int = 1) -> Ordinal:
 
 
 # -- comparison ------------------------------------------------------------
+#
+# The public functions coerce their arguments once; the underscored ones
+# below take Ordinal only and are what the arithmetic calls internally.
+
+
+def _cmp(a: Ordinal, b: Ordinal) -> int:
+    if a is b:
+        return 0
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        if ea is not eb:
+            c = _cmp(ea, eb)
+            if c:
+                return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    la, lb = len(a.terms), len(b.terms)
+    # the longer normal form continues with strictly smaller, positive terms
+    return 0 if la == lb else (-1 if la < lb else 1)
 
 
 def compare(a: OrdinalLike, b: OrdinalLike) -> int:
     """Three-way comparison: -1, 0 or 1."""
-    a, b = _coerce(a), _coerce(b)
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = compare(ea, eb)
-        if c != 0:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) == len(b.terms):
-        return 0
-    # the longer normal form continues with strictly smaller, positive terms
-    return -1 if len(a.terms) < len(b.terms) else 1
+    return _cmp(_coerce(a), _coerce(b))
 
 
 # -- arithmetic ------------------------------------------------------------
 
 
+def _add(a: Ordinal, b: Ordinal) -> Ordinal:
+    bt = b.terms
+    if not bt:
+        return a
+    at = a.terms
+    e0 = bt[0][0]
+    # a's terms above b's leading exponent survive, the rest is absorbed
+    for i, (e, c) in enumerate(at):
+        cmp = _cmp(e, e0)
+        if cmp < 0:
+            break
+        if cmp == 0:
+            return Ordinal(at[:i] + ((e0, c + bt[0][1]),) + bt[1:])
+    else:
+        i = len(at)
+    return Ordinal(at[:i] + bt) if i else b
+
+
 def add(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
     """Ordinal sum a + b (not commutative)."""
-    a, b = _coerce(a), _coerce(b)
-    if not b.terms:
-        return a
-    e0, c0 = b.terms[0]
-    keep = []
-    for e, c in a.terms:
-        cmp = compare(e, e0)
-        if cmp > 0:
-            keep.append((e, c))
-        else:
-            if cmp == 0:
-                c0 = c + c0
-            break
-    return Ordinal(tuple(keep) + ((e0, c0),) + b.terms[1:])
+    return _add(_coerce(a), _coerce(b))
 
 
-def mul(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
-    """Ordinal product a * b (left-distributive over +, not commutative)."""
-    a, b = _coerce(a), _coerce(b)
+def _mul(a: Ordinal, b: Ordinal) -> Ordinal:
     if not a.terms or not b.terms:
         return ZERO
     e1, c1 = a.terms[0]
     out = []
     for f, d in b.terms:
-        if f.is_zero():
+        if not f.terms:
             # finite factor scales the leading coefficient, tail survives
             out.append((e1, c1 * d))
             out.extend(a.terms[1:])
         else:
-            out.append((add(e1, f), d))
+            out.append((_add(e1, f), d))
     return Ordinal(tuple(out))
 
 
-def opow(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
-    """Ordinal exponentiation a ** b."""
-    a, b = _coerce(a), _coerce(b)
+def mul(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
+    """Ordinal product a * b (left-distributive over +, not commutative)."""
+    return _mul(_coerce(a), _coerce(b))
+
+
+def _pow(a: Ordinal, b: Ordinal) -> Ordinal:
     if not b.terms:
         return ONE
     if not a.terms:
         return ZERO
     if a == ONE:
         return ONE
-    limit_terms = tuple(t for t in b.terms if not t[0].is_zero())
+    limit_terms = tuple(t for t in b.terms if t[0].terms)
     fin = finite_part(b)
-    if a.is_finite():
-        n = a.to_int()
+    if a._finite:
+        n = a.terms[0][1]
+        # n^fin has more than (bit_length(n) - 1) * fin bits
+        if (n.bit_length() - 1) * fin > _POW_BITS_CAP:
+            raise OrdinalDomainError(
+                f"{n}^{fin} has more than {_POW_BITS_CAP} bits")
         if not limit_terms:
             return Ordinal.from_int(n ** fin)
         # n^(w^e * c) = w^(w^(-1+e) * c) for finite n >= 2
-        shifted = tuple((left_sub(ONE, e) if e.is_finite() else e, c) for e, c in limit_terms)
-        return omega_power(Ordinal(shifted), n ** fin)
+        shifted = tuple((_left_sub(ONE, e) if e._finite else e, c) for e, c in limit_terms)
+        return Ordinal(((Ordinal(shifted), n ** fin),))
+    # (L + m)^k, with r terms in L and a finite m >= 1, has 1 + k*r terms;
+    # a power of a limit keeps the limit's term count
+    r = len(a.terms) - 1
+    size = 1 + fin * r if not a.terms[-1][0].terms else len(a.terms)
+    if size > _POW_TERM_CAP:
+        raise OrdinalDomainError(
+            f"({a})^{fin} has {size} terms, more than {_POW_TERM_CAP}")
     head = ONE
     if limit_terms:
-        head = omega_power(mul(a.terms[0][0], Ordinal(limit_terms)))
-    return mul(head, _pow_finite(a, fin))
+        head = Ordinal(((_mul(a.terms[0][0], Ordinal(limit_terms)), 1),))
+    return _mul(head, _pow_finite(a, fin))
+
+
+def opow(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
+    """Ordinal exponentiation a ** b.
+
+    A finite power whose result would pass a fixed size (a natural of more
+    than _POW_BITS_CAP bits, or more than _POW_TERM_CAP terms) raises
+    OrdinalDomainError before anything is built."""
+    return _pow(_coerce(a), _coerce(b))
 
 
 def _pow_finite(a: Ordinal, n: int) -> Ordinal:
@@ -248,11 +331,31 @@ def _pow_finite(a: Ordinal, n: int) -> Ordinal:
     base = a
     while n:
         if n & 1:
-            result = mul(result, base)
-        base2 = mul(base, base) if n > 1 else base
-        base = base2
+            result = _mul(result, base)
+        if n > 1:
+            base = _mul(base, base)
         n >>= 1
     return result
+
+
+def _left_sub(a: Ordinal, b: Ordinal) -> Ordinal:
+    if a is b:
+        return ZERO
+    at, bt = a.terms, b.terms
+    i = 0
+    while i < len(at) and i < len(bt) and at[i] == bt[i]:
+        i += 1
+    if i == len(at):
+        return Ordinal(bt[i:])
+    if i == len(bt):
+        raise OrdinalDomainError(f"left_sub needs a <= b, got {a} > {b}")
+    (ea, ca), (eb, cb) = at[i], bt[i]
+    cmp = _cmp(ea, eb)
+    if cmp < 0:
+        return Ordinal(bt[i:])
+    if cmp > 0 or ca > cb:
+        raise OrdinalDomainError(f"left_sub needs a <= b, got {a} > {b}")
+    return Ordinal(((eb, cb - ca),) + bt[i + 1:])
 
 
 def left_sub(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
@@ -261,21 +364,7 @@ def left_sub(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
     This is the order type of the segment b minus an initial copy of a;
     it measures intervals such as the span of a scan from a up to b.
     """
-    a, b = _coerce(a), _coerce(b)
-    i = 0
-    while i < len(a.terms) and i < len(b.terms) and a.terms[i] == b.terms[i]:
-        i += 1
-    if i == len(a.terms):
-        return Ordinal(b.terms[i:])
-    if i == len(b.terms):
-        raise OrdinalDomainError(f"left_sub needs a <= b, got {a} > {b}")
-    (ea, ca), (eb, cb) = a.terms[i], b.terms[i]
-    cmp = compare(ea, eb)
-    if cmp < 0:
-        return Ordinal(b.terms[i:])
-    if cmp > 0 or ca > cb:
-        raise OrdinalDomainError(f"left_sub needs a <= b, got {a} > {b}")
-    return Ordinal(((eb, cb - ca),) + b.terms[i + 1:])
+    return _left_sub(_coerce(a), _coerce(b))
 
 
 # -- classification --------------------------------------------------------
@@ -286,11 +375,11 @@ def classify(a: OrdinalLike) -> str:
     a = _coerce(a)
     if not a.terms:
         return "zero"
-    return "successor" if a.terms[-1][0].is_zero() else "limit"
+    return "limit" if a.terms[-1][0].terms else "successor"
 
 
 def successor(a: OrdinalLike) -> Ordinal:
-    return add(a, ONE)
+    return _add(_coerce(a), ONE)
 
 
 def leading_exponent(a: OrdinalLike) -> Ordinal:
@@ -302,7 +391,7 @@ def leading_exponent(a: OrdinalLike) -> Ordinal:
 
 def finite_part(a: OrdinalLike) -> int:
     a = _coerce(a)
-    if a.terms and a.terms[-1][0].is_zero():
+    if a.terms and not a.terms[-1][0].terms:
         return a.terms[-1][1]
     return 0
 
@@ -310,7 +399,7 @@ def finite_part(a: OrdinalLike) -> int:
 def limit_part(a: OrdinalLike) -> Ordinal:
     """a with its finite tail removed; the largest limit-or-zero <= a."""
     a = _coerce(a)
-    if a.terms and a.terms[-1][0].is_zero():
+    if a.terms and not a.terms[-1][0].terms:
         return Ordinal(a.terms[:-1])
     return a
 
@@ -362,7 +451,7 @@ class _Parser:
         while self.eat("+"):
             terms.append(self.term())
         for i in range(1, len(terms)):
-            if compare(terms[i][0], terms[i - 1][0]) >= 0:
+            if _cmp(terms[i][0], terms[i - 1][0]) >= 0:
                 self.error("term exponents must strictly decrease")
         return Ordinal(tuple(terms))
 
@@ -415,19 +504,28 @@ def parse_ordinal(text: str) -> Ordinal:
 
 
 def render(a: OrdinalLike) -> str:
-    """Canonical string form; parse_ordinal(render(a)) == a."""
+    """Canonical string form; parse_ordinal(render(a)) == a.  The text is
+    kept on the value after its first rendering."""
     a = _coerce(a)
-    if not a.terms:
+    text = a._text
+    if text is None:
+        text = _render_terms(a.terms)
+        _set_text(a, text)
+    return text
+
+
+def _render_terms(terms: TermTuple) -> str:
+    if not terms:
         return "0"
     parts = []
-    for e, c in a.terms:
-        if e.is_zero():
+    for e, c in terms:
+        if not e.terms:
             parts.append(str(c))
             continue
-        if e == ONE:
+        if e is ONE or e == ONE:
             base = "w"
-        elif e.is_finite():
-            base = f"w^{e.to_int()}"
+        elif e._finite:
+            base = f"w^{e.terms[0][1]}"
         else:
             base = f"w^({render(e)})"
         parts.append(base if c == 1 else f"{base}*{c}")

@@ -3,6 +3,9 @@ scenario validation, and byte-stable output."""
 
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -53,6 +56,17 @@ class TestCalc:
     def test_bad_expressions_exit_2(self, capsys, expr):
         assert run_cli("calc", expr) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("expr,message", [
+        ("9^99999999", "9^99999999 has more than 8192 bits"),
+        ("2^(w+99999999)", "2^99999999 has more than 8192 bits"),
+        ("(w+1)^5000", "(w+1)^5000 has 5001 terms, more than 1024"),
+    ])
+    def test_oversized_power_exits_2_quickly(self, capsys, expr, message):
+        started = time.perf_counter()
+        assert run_cli("calc", expr) == 2
+        assert time.perf_counter() - started < 2.0
+        assert one_line_error(capsys) == f"error: {message}"
 
 
 class TestReduce:
@@ -110,6 +124,13 @@ class TestReduce:
         expected = u.encode_hf(u.parse_hf("{{},{{}}}"))
         assert f"output: code(domain={expected.domain}" in out
         assert "total order type: 2" in out
+
+    def test_open_formula_exits_2(self, capsys):
+        code = run_cli("reduce", "sep_via_truth", "--input", "{{}}",
+                       "--formula", "E v0 (v0 in #0 | v1 in v0)")
+        assert code == 2
+        assert one_line_error(capsys) == (
+            "error: bad formula 'E v0 (v0 in #0 | v1 in v0)': free variable v1")
 
     def test_separation_without_formula_exits_2(self, capsys):
         code = run_cli("reduce", "sep_via_truth", "--input", "{{}}")
@@ -326,3 +347,16 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "suites passed" in out
         assert out.count("ok - ") == 4
+
+    def test_a_broken_check_fails_under_dash_o(self):
+        # python -O strips assert statements; the suites' checks must survive it
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        script = ("import sys, ordq.cli as c\n"
+                  "c.left_sub = lambda a, b: a\n"
+                  "sys.exit(c.main(['selftest']))\n")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "FAIL - ordinal arithmetic: left subtraction round trip" in proc.stdout
+        assert "selftest: 1 of 4 suites failed" in proc.stdout

@@ -1,11 +1,14 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
+from ordq import ordcalc
 from ordq.ordcalc import (
     OMEGA, ONE, ZERO, Ordinal, OrdinalDomainError, OrdinalParseError,
-    add, classify, compare, finite_part, leading_exponent, left_sub,
+    _cmp, add, classify, compare, finite_part, leading_exponent, left_sub,
     mul, omega_power, opow, parse_ordinal, render, successor,
 )
 
@@ -146,6 +149,45 @@ class TestArithmetic:
 
 
 class TestPow:
+    def test_huge_natural_power_is_refused_before_it_is_built(self):
+        # 9^(10^6) has 3.2 million bits (396 KiB); refusing it allocates
+        # next to nothing and takes no measurable time
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(OrdinalDomainError, match="more than 8192 bits"):
+                opow(9, 10**6)
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert elapsed < 0.25
+
+    def test_natural_power_cap(self):
+        assert opow(2, 8192) == Ordinal.from_int(2 ** 8192)
+        assert opow(2, add(W, 8192)) == omega_power(1, 2 ** 8192)
+        with pytest.raises(OrdinalDomainError):
+            opow(2, 8193)
+        with pytest.raises(OrdinalDomainError):
+            opow(2, add(W, 8193))
+
+    @pytest.mark.parametrize("text", ["w+1", "w*2+3", "w^2+w*4+1", "w^(w)+w+2"])
+    def test_term_count_of_a_finite_power(self, text):
+        # (L + m)^k has 1 + k*r terms, r the number of terms of L
+        a = parse_ordinal(text)
+        r = len(a.terms) - 1
+        for k in (1, 2, 3, 7):
+            assert len(opow(a, k).terms) == 1 + k * r
+
+    def test_term_cap(self):
+        a = add(W, 1)
+        assert len(opow(a, 1023).terms) == 1024
+        with pytest.raises(OrdinalDomainError, match="1025 terms, more than 1024"):
+            opow(a, 1024)
+        # without a finite part the power keeps the base's term count
+        assert opow(add(opow(W, 2), W), 99999) == parse_ordinal("w^199998+w^199997")
+
     def test_examples(self):
         assert opow(W, 2) == parse_ordinal("w^2")
         assert opow(2, W) == W
@@ -210,6 +252,14 @@ class TestOrdinalType:
         with pytest.raises(AttributeError):
             W.terms = ()
 
+    @pytest.mark.parametrize("slot", ["terms", "_hash", "_text", "_finite"])
+    def test_no_slot_takes_a_write(self, slot):
+        value = parse_ordinal("w^2+3")
+        render(value)
+        with pytest.raises(AttributeError):
+            setattr(value, slot, None)
+        assert value.terms and render(value) == "w^2+3"
+
     def test_normal_form_invariant_holds_for_generated(self):
         rng = random.Random(5)
         for _ in range(300):
@@ -218,3 +268,78 @@ class TestOrdinalType:
             assert exps == sorted(exps, reverse=True)
             assert len(set(exps)) == len(exps)
             assert all(c >= 1 for _, c in value.terms)
+
+
+def reference_compare(a: Ordinal, b: Ordinal) -> int:
+    """The structural comparison the identity fast paths must agree with."""
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        c = reference_compare(ea, eb)
+        if c != 0:
+            return c
+        if ca != cb:
+            return -1 if ca < cb else 1
+    if len(a.terms) == len(b.terms):
+        return 0
+    return -1 if len(a.terms) < len(b.terms) else 1
+
+
+def clear_intern_table():
+    """Build more distinct values than the intern table keeps."""
+    for n in range(ordcalc._INTERN_CAP + 1):
+        Ordinal.from_int(10**9 + n)
+
+
+class TestInterning:
+    def test_equal_terms_give_the_same_object(self):
+        a = parse_ordinal("w^(w+1)*2+w^3+5")
+        assert parse_ordinal("w^(w+1)*2+w^3+5") is a
+        assert add(parse_ordinal("w^(w+1)*2+w^3"), 5) is a
+        assert Ordinal(()) is ZERO and Ordinal.from_int(1) is ONE
+
+    def test_constants_survive_a_clear(self):
+        clear_intern_table()
+        assert Ordinal(()) is ZERO
+        assert Ordinal.from_int(1) is ONE
+        assert omega_power(1) is OMEGA
+
+    def test_the_table_stays_bounded(self):
+        clear_intern_table()
+        assert len(ordcalc._interned) <= ordcalc._INTERN_CAP
+
+    @given(st.integers(0, 2**32))
+    def test_equal_values_agree_across_a_clear(self, seed):
+        a = random_ordinal(random.Random(seed), depth=3)
+        text = render(a)
+        clear_intern_table()
+        b = random_ordinal(random.Random(seed), depth=3)
+        assert b is not a or a in (ZERO, ONE, OMEGA)
+        assert a == b and b == a and not a != b
+        assert hash(a) == hash(b) == hash(a.terms)
+        assert render(b) == text
+        assert compare(a, b) == _cmp(a, b) == _cmp(b, a) == 0
+        assert a <= b and a >= b and not a < b
+        assert {a: "a"}[b] == "a" and len({a, b}) == 1
+        assert left_sub(a, b) == ZERO
+        assert parse_ordinal(text) == a
+
+    @given(st.integers(0, 2**32), st.integers(0, 2**32))
+    def test_cmp_agrees_with_the_reference(self, s1, s2):
+        a = random_ordinal(random.Random(s1), depth=3)
+        b = random_ordinal(random.Random(s2), depth=3)
+        for x, y in ((a, b), (b, a), (a, add(a, b)), (add(b, a), b), (a, a)):
+            assert _cmp(x, y) == reference_compare(x, y) == compare(x, y)
+
+    def test_cmp_agrees_with_the_reference_on_rebuilt_copies(self):
+        rng = random.Random(77)
+        values = [random_ordinal(rng, depth=3) for _ in range(60)]
+        clear_intern_table()
+        rebuilt = [parse_ordinal(render(v)) for v in values]
+        for x in values:
+            for y in rebuilt:
+                assert _cmp(x, y) == reference_compare(x, y)
+
+    def test_text_is_cached_on_the_value(self):
+        a = parse_ordinal("w^(w^2+1)*3+w+1")
+        assert render(a) is render(a)
+        assert str(a) == "w^(w^2+1)*3+w+1"
+        assert repr(a) == "Ordinal('w^(w^2+1)*3+w+1')"
