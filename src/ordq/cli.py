@@ -31,6 +31,7 @@ from .ordcalc import (
     Ordinal,
     OrdinalDomainError,
     OrdinalParseError,
+    _nat_literal,
     add,
     left_sub,
     mul,
@@ -130,7 +131,7 @@ class _ExprParser:
             start = self.pos
             while self.pos < len(self.text) and self.text[self.pos].isdigit():
                 self.pos += 1
-            return Ordinal.from_int(int(self.text[start:self.pos]))
+            return Ordinal.from_int(_nat_literal(self.text[start:self.pos], start))
         raise CliError(f"unexpected character {ch!r} at position {self.pos}")
 
 

@@ -50,8 +50,6 @@ from .universe import (
     SetCode,
     decode_set,
     encode_hf,
-    hf_card,
-    hf_powerset,
     render_hf,
 )
 from .logic import _sigma_truth, formula_from_index
@@ -432,12 +430,12 @@ def make_effectivizer(name: str, structure: CardinalStructure = None,
                             lambda q: _u.card_of(structure, _expect_ordinal(q)))
     if name == POT:
         _require(structure is None and level is None, "Pot takes no environment")
-        return Effectivizer(POT, lambda q: encode_hf(hf_powerset(decode_set(_expect_code(q)))))
+        return Effectivizer(POT, lambda q: _u.powerset_code(_expect_code(q)))
     if name == POWER_CARD:
         _require(structure is None and level is None, "PowerCard takes no environment")
         return Effectivizer(POWER_CARD,
                             lambda q: Ordinal.from_int(
-                                hf_card(hf_powerset(decode_set(_expect_code(q))))))
+                                2 ** len(_u._capped_elements(_expect_code(q)))))
     if name == TRUTH:
         _require(level is not None and rank is not None,
                  "TruthSigma needs a level and a rank")

@@ -35,7 +35,11 @@ included.  After a clear an equal value can exist twice, so identity is only
 a fast path and equality falls back to the hash and the terms.
 
 opow refuses a finite power whose result would be a natural of more than
-_POW_BITS_CAP bits or have more than _POW_TERM_CAP terms, before building it.
+_NAT_BITS_CAP bits or have more than _POW_TERM_CAP terms, and mul a product
+whose coefficient would pass _NAT_BITS_CAP bits, before building it.  The
+parsers refuse natural literals of more than _DIGITS_CAP digits.  Together
+these keep every natural far enough below the interpreter's int/str
+conversion limit (4,300 digits) that its text can be rendered.
 """
 
 from __future__ import annotations
@@ -61,9 +65,12 @@ TermTuple = Tuple[Tuple["Ordinal", int], ...]
 _INTERN_CAP = 1024
 _interned: Dict[int, "Ordinal"] = {}
 
-# Bounds on finite exponentiation, checked before the result is built.
-_POW_BITS_CAP = 8192
+# Bounds on finite powers and products, checked before the result is built.
+_NAT_BITS_CAP = 8192
 _POW_TERM_CAP = 1024
+# Longest natural literal, in digits; sums of such literals stay below the
+# interpreter's default int/str conversion limit of 4,300 digits.
+_DIGITS_CAP = 4000
 
 
 class Ordinal:
@@ -271,7 +278,11 @@ def _mul(a: Ordinal, b: Ordinal) -> Ordinal:
     out = []
     for f, d in b.terms:
         if not f.terms:
-            # finite factor scales the leading coefficient, tail survives
+            # finite factor scales the leading coefficient, tail survives;
+            # c1 * d has at least bit_length(c1) + bit_length(d) - 1 bits
+            if c1.bit_length() + d.bit_length() - 2 > _NAT_BITS_CAP:
+                raise OrdinalDomainError(
+                    f"a product has more than {_NAT_BITS_CAP} bits")
             out.append((e1, c1 * d))
             out.extend(a.terms[1:])
         else:
@@ -296,9 +307,9 @@ def _pow(a: Ordinal, b: Ordinal) -> Ordinal:
     if a._finite:
         n = a.terms[0][1]
         # n^fin has more than (bit_length(n) - 1) * fin bits
-        if (n.bit_length() - 1) * fin > _POW_BITS_CAP:
+        if (n.bit_length() - 1) * fin > _NAT_BITS_CAP:
             raise OrdinalDomainError(
-                f"{n}^{fin} has more than {_POW_BITS_CAP} bits")
+                f"{n}^{fin} has more than {_NAT_BITS_CAP} bits")
         if not limit_terms:
             return Ordinal.from_int(n ** fin)
         # n^(w^e * c) = w^(w^(-1+e) * c) for finite n >= 2
@@ -321,7 +332,7 @@ def opow(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
     """Ordinal exponentiation a ** b.
 
     A finite power whose result would pass a fixed size (a natural of more
-    than _POW_BITS_CAP bits, or more than _POW_TERM_CAP terms) raises
+    than _NAT_BITS_CAP bits, or more than _POW_TERM_CAP terms) raises
     OrdinalDomainError before anything is built."""
     return _pow(_coerce(a), _coerce(b))
 
@@ -407,6 +418,14 @@ def limit_part(a: OrdinalLike) -> Ordinal:
 # -- concrete syntax -------------------------------------------------------
 
 
+def _nat_literal(digits: str, pos: int) -> int:
+    """The natural a run of decimal digits names; OrdinalParseError, at pos,
+    when it has more than _DIGITS_CAP digits."""
+    if len(digits) > _DIGITS_CAP:
+        raise OrdinalParseError(f"numbers may have at most {_DIGITS_CAP} digits", pos)
+    return int(digits)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -439,7 +458,7 @@ class _Parser:
         digits = self.text[start:self.pos]
         if digits[0] == "0" and len(digits) > 1:
             self.error("numbers may not start with 0")
-        return int(digits)
+        return _nat_literal(digits, start)
 
     def ordinal(self) -> Ordinal:
         if self.peek() == "0":

@@ -284,44 +284,55 @@ def program_flagtrick() -> Program:
     ))
 
 
-def _is_strict_total_order(edges, n: int) -> bool:
-    for i in range(n):
-        if (i, i) in edges:
-            return False
-        for j in range(i + 1, n):
-            if ((i, j) in edges) == ((j, i) in edges):
+def _is_transitive(rows: List[int]) -> bool:
+    """rows[i] is the bit set of the j with (i, j) in the relation; it is
+    transitive when each such row j lies inside row i (Warshall, JACM 1962)."""
+    for row in rows:
+        rest = row
+        while rest:
+            low = rest & -rest
+            if rows[low.bit_length() - 1] & ~row:
                 return False
-    for i, j in edges:
-        for k in range(n):
-            if (j, k) in edges and (i, k) not in edges:
-                return False
+            rest ^= low
     return True
 
 
 def _minimal_well_order_length(power_code: SetCode, relations_code: SetCode) -> Ordinal:
     """Scan every relation for well-orderings of the power set and return the
-    shortest length found.  Pairs are mapped to index edges once up front so
-    the scan runs on small integer sets."""
+    shortest length found.
+
+    Only the small power set is decoded.  Each distinct member node of the
+    relations is decoded once and mapped to bit i*n+j when it is the pair
+    (i, j), or to the stray bit above all pairs when it is not a pair; a
+    relation is then the sum of its members' bits, read from the relations
+    code's child map, and its n rows are tested with int operations."""
     elements = list(u.decode_set(power_code))
     n = len(elements)
-    pair_of = {u.kuratowski(a, b): (i, j)
-               for i, a in enumerate(elements)
-               for j, b in enumerate(elements)}
-    best = None
-    for relation in u.decode_set(relations_code).members:
-        edges = set()
-        for member in relation.members:
-            edge = pair_of.get(member)
-            if edge is None:
-                break
-            edges.add(edge)
-        else:
-            if _is_strict_total_order(edges, n):
-                # finite strict total orders are exactly the well-orderings
-                best = n if best is None else min(best, n)
-    if best is None:
+    stray = 1 << (n * n)
+    bit_of = {u.kuratowski(a, b): 1 << (i * n + j)
+              for i, a in enumerate(elements)
+              for j, b in enumerate(elements)}
+    relations = u.code_elements(relations_code)
+    children = relations_code._children
+    members = set().union(*(children.get(r, ()) for r in relations))
+    bit = {node: bit_of.get(u.decode_element(relations_code, node), stray)
+           for node in members}
+    diagonal = sum(1 << (i * n + i) for i in range(n))
+    full_row = (1 << n) - 1
+    # an irreflexive transitive relation is asymmetric, so it is total
+    # exactly when it holds one pair of each of the n(n-1)/2 two-element sets
+    total_pairs = n * (n - 1) // 2
+    found = False
+    for relation in relations:
+        pairs = sum(map(bit.__getitem__, children.get(relation, ())))
+        if pairs >= stray or pairs & diagonal or pairs.bit_count() != total_pairs:
+            continue
+        if _is_transitive([(pairs >> (i * n)) & full_row for i in range(n)]):
+            # finite strict total orders are exactly the well-orderings
+            found = True
+    if not found:
         raise ValueError("no well-ordering among the relations")
-    return Ordinal.from_int(best)
+    return Ordinal.from_int(n)
 
 
 def _square_code(power_code: SetCode) -> SetCode:

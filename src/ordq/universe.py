@@ -27,6 +27,12 @@ the code.  A code built by encode_hf starts out with its child map and
 decoded nodes, which the encoder has in hand; its verdict is still worked
 out on first decode.  Every decode asks for the verdict first.
 
+The Pot oracle answers on codes: powerset_code builds the canonical code of
+a power set from the argument's child map, one int mask per subset and no
+HFSet per subset.  encode_hf and powerset_code number their nodes through
+one shared helper (_canonical_ids: rank, then member count, then sorted
+member ids), so the canonical order is written once.
+
 godel_pair merges the two normal forms exponent-wise, combining the
 coefficient pair at each exponent with the classic diagonal polynomial
 (x + y)(x + y + 1)/2 + y.  That makes it a bijection between ordinal pairs
@@ -491,6 +497,47 @@ def cantor_unpair(z: int) -> Tuple[int, int]:
     return (w - y, y)
 
 
+def _canonical_ids(by_rank: List[list]) -> Tuple[dict, Dict[int, Tuple[int, ...]]]:
+    """Number the nodes of a transitive closure in canonical order: by rank,
+    then by member count, then by sorted member-id tuple.
+
+    by_rank lists each rank's nodes, lowest rank first, as (key, member
+    keys) pairs; the members all have lower rank, so they already have ids
+    when their rank is numbered.  Returns key -> id and the child map (id ->
+    ascending tuple of member ids; nodes without members absent).  encode_hf
+    and powerset_code both number through here, so the canonical order is
+    written once."""
+    ids: dict = {}
+    children: Dict[int, Tuple[int, ...]] = {}
+    for group in by_rank:
+        # the member-id tuples of distinct sets differ
+        node_of = {tuple(sorted(map(ids.__getitem__, members))): key
+                   for key, members in group}
+        # member count, then member ids: two stable sorts with no key tuple
+        # per node (such tuples, freed amid the kept ones, raised peak RSS)
+        order = sorted(node_of)
+        order.sort(key=len)
+        for kids in order:
+            i = ids[node_of[kids]] = len(ids)
+            if kids:
+                children[i] = kids
+    return ids, children
+
+
+def _built_code(domain: int, root: int, children: Dict[int, Tuple[int, ...]],
+                decoded: Dict[int, HFSet]) -> SetCode:
+    """A SetCode that starts out with its child map and decoded nodes.  The
+    fields are ints already, so __post_init__'s per-edge type check is
+    skipped; cached_property reads the instance dict first, so the child map
+    and the decoded nodes are the cache."""
+    edges = frozenset((x + y) * (x + y + 1) // 2 + y
+                      for y, kids in children.items() for x in kids)
+    code = object.__new__(SetCode)
+    code.__dict__.update(domain=domain, edges=edges, root=root,
+                         _children=children, _decoded=decoded)
+    return code
+
+
 def encode_hf(s: HFSet) -> SetCode:
     """Deterministic canonical code: nodes are numbered by rank, then by
     member count, then by their sorted member-id tuples, so equal sets
@@ -499,40 +546,83 @@ def encode_hf(s: HFSet) -> SetCode:
     The returned code starts out with its child map and decoded nodes,
     which the numbering pass has in hand; its verdict is still worked out
     on first decode."""
-    by_rank: List[List[HFSet]] = [[] for _ in range(s.rank + 1)]
-    for node in transitive_closure(s):
-        by_rank[node.rank].append(node)
-    # id(node) -> its code node id; keying by the set itself would call the
+    # nodes are keyed by id(node); keying by the set itself would call the
     # Python-level HFSet.__hash__ once per edge
-    ids: Dict[int, int] = {}
-    children: Dict[int, Tuple[int, ...]] = {}
-    decoded: Dict[int, HFSet] = {}
-    for group in by_rank:
-        # members have lower rank, so their ids are already assigned; the
-        # member-id tuples of distinct sets differ
-        node_of = {tuple(sorted(map(ids.__getitem__, map(id, node.members)))): node
-                   for node in group}
-        # member count, then member ids: two stable sorts with no key tuple
-        # per node (such tuples, freed amid the kept ones, raised peak RSS)
-        order = sorted(node_of)
-        order.sort(key=len)
-        for kids in order:
-            node = node_of[kids]
-            i = ids[id(node)] = len(ids)
-            decoded[i] = node
-            if kids:
-                children[i] = kids
-    root = ids[id(s)]
-    del ids, by_rank
-    edges = frozenset((x + y) * (x + y + 1) // 2 + y
-                      for y, kids in children.items() for x in kids)
-    # the fields are ints already, so __post_init__'s per-edge type check is
-    # skipped; cached_property reads the instance dict first, so the child
-    # map and the decoded nodes are the cache
-    code = object.__new__(SetCode)
-    code.__dict__.update(domain=len(decoded), edges=edges, root=root,
-                         _children=children, _decoded=decoded)
-    return code
+    closure = transitive_closure(s)
+    by_rank: List[list] = [[] for _ in range(s.rank + 1)]
+    for node in closure:
+        by_rank[node.rank].append((id(node), map(id, node.members)))
+    ids, children = _canonical_ids(by_rank)
+    decoded = {ids[id(node)]: node for node in closure}
+    return _built_code(len(ids), ids[id(s)], children, decoded)
+
+
+def _capped_elements(code: SetCode) -> List[int]:
+    """code_elements of a power set argument: InvalidCodeError on a bad code,
+    then PowersetCapError above POWERSET_CAP members."""
+    elements = code_elements(code)
+    if len(elements) > POWERSET_CAP:
+        raise PowersetCapError(f"powerset argument exceeds the size cap of {POWERSET_CAP}")
+    return elements
+
+
+def powerset_code(code: SetCode) -> SetCode:
+    """The canonical code of the power set of the set x that code names,
+    equal to encode_hf(hf_powerset(decode_set(code))) but built from x's
+    child map: InvalidCodeError on a bad code, then PowersetCapError above
+    POWERSET_CAP members, both before anything is built.  No HFSet is
+    built per subset, and the code starts out with its child map."""
+    domain, children = _powerset_children(code)
+    # the power set is the one node of the top rank, so it is numbered last
+    return _built_code(domain, domain - 1, children, {})
+
+
+def _powerset_children(code: SetCode) -> Tuple[int, Dict[int, Tuple[int, ...]]]:
+    """The node count and child map of powerset_code's answer; the numbering
+    work space is freed on return, before the edges are packed.
+
+    Each subset is an int mask over x's members (bit k for the k-th member
+    id).  A subset that is already a node below x is matched by its mask
+    and keeps its old id as key; the others are keyed ~mask."""
+    elements = _capped_elements(code)
+    children = code._children
+    rank: Dict[int, int] = {}           # old id -> rank, for the nodes below x
+
+    def rank_of(n: int) -> int:
+        r = rank.get(n)
+        if r is None:
+            r = rank[n] = 1 + max(map(rank_of, children.get(n, ())), default=-1)
+        return r
+
+    for n in elements:
+        rank_of(n)
+    bit = {n: 1 << k for k, n in enumerate(elements)}
+    node_of_mask = {}
+    for n in rank:
+        kids = children.get(n, ())
+        if all(c in bit for c in kids):
+            node_of_mask[sum(map(bit.__getitem__, kids))] = n
+    # rank(m) = max(rank(m without its low bit), 1 + rank of the low bit's
+    # member); the member keys of m grow the same way
+    size = 1 << len(elements)
+    mask_rank = [0] * size
+    mask_members: List[Tuple[int, ...]] = [()] * size
+    for m in range(1, size):
+        low = m & -m
+        rest = m ^ low
+        e = elements[low.bit_length() - 1]
+        mask_rank[m] = max(mask_rank[rest], 1 + rank[e])
+        mask_members[m] = mask_members[rest] + (e,)
+    subsets = [node_of_mask.get(m, ~m) for m in range(size)]
+    by_rank: List[list] = [[] for _ in range(mask_rank[-1] + 2)]
+    for n, r in rank.items():
+        by_rank[r].append((n, children.get(n, ())))
+    for m, key in enumerate(subsets):
+        if key < 0:
+            by_rank[mask_rank[m]].append((key, mask_members[m]))
+    by_rank[-1].append((~size, subsets))
+    ids, new_children = _canonical_ids(by_rank)
+    return len(ids), new_children
 
 
 def validate_code(code: SetCode) -> int:
@@ -549,7 +639,8 @@ def _check_code(code: SetCode) -> int:
     touched = set(children).union(*children.values())
     if touched and not (0 <= min(touched) and max(touched) < code.domain):
         return 0
-    # well-founded: the membership digraph is acyclic
+    # well-founded: no cycle through the nodes the root reaches; the nodes
+    # the search marks are the transitive closure of the root
     state: Dict[int, int] = {}
 
     def has_cycle(node: int) -> bool:
@@ -563,28 +654,15 @@ def _check_code(code: SetCode) -> int:
         state[node] = 2
         return False
 
-    for node in list(touched) + [code.root]:
-        if state.get(node) is None and has_cycle(node):
-            return 0
-    # every touched node must sit in the transitive closure of the root
-    reaches = {code.root}
-    frontier = [code.root]
-    while frontier:
-        node = frontier.pop()
-        for child in children.get(node, ()):
-            if child not in reaches:
-                reaches.add(child)
-                frontier.append(child)
-    if not touched <= reaches:
+    if has_cycle(code.root):
+        return 0
+    # every touched node must sit in the transitive closure of the root, so
+    # the search above also covered every cycle among them
+    if not touched <= state.keys():
         return 0
     # extensional: no two present nodes share the same member set
-    member_sets = {}
-    for node in reaches:
-        key = children.get(node, ())
-        if key in member_sets:
-            return 0
-        member_sets[key] = node
-    return 1
+    member_sets = {children.get(node, ()) for node in state}
+    return int(len(member_sets) == len(state))
 
 
 def _decode_node(code: SetCode, node: int) -> HFSet:

@@ -69,6 +69,32 @@ class TestCalc:
         assert one_line_error(capsys) == f"error: {message}"
 
 
+class TestLongNaturals:
+    """Naturals past the interpreter's 4,300-digit int/str limit exit 2 with
+    one error line, not a ValueError traceback."""
+
+    def test_long_literal_in_calc_exits_2(self, capsys):
+        assert run_cli("calc", "1" * 5000) == 2
+        assert one_line_error(capsys) == \
+            "error: numbers may have at most 4000 digits (at position 0)"
+
+    def test_oversized_product_exits_2(self, capsys):
+        # 2^16000 has 4,817 digits
+        assert run_cli("calc", "(2^8000)*(2^8000)") == 2
+        assert one_line_error(capsys) == "error: a product has more than 8192 bits"
+
+    def test_long_literal_input_exits_2(self, capsys):
+        ones = "1" * 5000
+        assert run_cli("reduce", "nextcard_via_deccard", "--input", ones) == 2
+        assert one_line_error(capsys) == (f"error: bad input {ones!r}: numbers may "
+                                          "have at most 4000 digits (at position 0)")
+
+    def test_sums_of_the_longest_literals_still_render(self, capsys):
+        code, out = calc(capsys, "+".join(["9" * 4000] * 3))
+        assert code == 0
+        assert out == str(3 * (10 ** 4000 - 1))
+
+
 class TestReduce:
     def test_nextcard_pin(self, capsys):
         code = run_cli("reduce", "nextcard_via_deccard", "--input", "w*2+1",
@@ -332,6 +358,11 @@ class TestGoldenBytes:
         ("nextcard_via_deccard_ledger.json",
          ["reduce", "nextcard_via_deccard", "--input", "w*2+1", "--bound", "w^3",
           "--ledger"]),
+        ("powercard_via_pot_ledger.json",
+         ["reduce", "powercard_via_pot", "--input", "{{},{{}}}", "--ledger"]),
+        ("powercard_via_pot_count_only_ledger.json",
+         ["reduce", "powercard_via_pot", "--count-only",
+          "--input", "{{},{{}},{{{}}},{{},{{}}}}", "--ledger"]),
     ])
     def test_matches_the_golden_file(self, capsys, tmp_path, golden, argv):
         path = tmp_path / golden

@@ -41,6 +41,7 @@ from ordq.ordcalc import OMEGA, ZERO, Ordinal, omega_power, parse_ordinal as P, 
 
 import tuple_model as tm
 from gen import random_ordinal
+from test_universe import nest
 
 W2 = (1, 0, 0)
 
@@ -335,6 +336,33 @@ class TestEffectivizerCatalog:
             n = answer(pc, code).to_int()
             assert n == 2 ** u.hf_card(s)
             assert n == u.hf_card(u.decode_set(answer(pot, code)))
+
+
+class TestPowerCardWithoutAPowerSet:
+    def test_agrees_with_the_power_set_count_up_to_four_members(self):
+        pc = make_effectivizer(POWER_CARD)
+        for k in range(5):
+            for s in (u.HFSet(universe_of(4)[:k]), u.HFSet(nest(i) for i in range(k))):
+                code = u.encode_hf(s)
+                old = u.hf_card(u.hf_powerset(u.decode_set(code)))
+                assert answer(pc, code) == Ordinal.from_int(old) == Ordinal.from_int(2 ** k)
+
+    def test_sixteen_members(self):
+        code = u.encode_hf(u.HFSet(universe_of(4)))
+        assert answer(make_effectivizer(POWER_CARD), code) == Ordinal.from_int(65536)
+
+    def test_seventeen_members_raise(self):
+        code = u.encode_hf(u.HFSet(nest(i) for i in range(17)))
+        with pytest.raises(u.PowersetCapError, match="size cap of 16"):
+            answer(make_effectivizer(POWER_CARD), code)
+
+    def test_an_invalid_code_raises_before_the_cap(self):
+        # 17 members and a cycle: the code is checked first, as before
+        edges = [u.cantor_pair(i, 17) for i in range(17)]
+        code = u.SetCode(19, edges + [u.cantor_pair(17, 18), u.cantor_pair(18, 17)], 17)
+        for name in (POWER_CARD, POT):
+            with pytest.raises(u.InvalidCodeError):
+                answer(make_effectivizer(name), code)
 
 
 class TestTruthAndSeparation:

@@ -41,6 +41,16 @@ class TestParseRender:
         with pytest.raises(OrdinalParseError):
             parse_ordinal(text)
 
+    def test_natural_literal_digit_cap(self):
+        longest = "9" * 4000
+        assert render(parse_ordinal(longest)) == longest
+        assert parse_ordinal(f"w*{longest}+{longest}") == \
+            Ordinal(((ONE, int(longest)), (ZERO, int(longest))))
+        with pytest.raises(OrdinalParseError, match="at most 4000 digits"):
+            parse_ordinal("1" + longest)
+        with pytest.raises(OrdinalParseError, match=r"\(at position 2\)"):
+            parse_ordinal("w*1" + longest)
+
     def test_noncanonical_inputs_still_mean_the_right_thing(self):
         assert parse_ordinal("w^w") == opow(W, W)
         assert parse_ordinal("w * 2 + 1") == add(mul(W, 2), 1)
@@ -141,6 +151,16 @@ class TestArithmetic:
             assert add(a, b) < add(a, c)
             if not a.is_zero():
                 assert mul(a, b) < mul(a, c)
+
+    def test_natural_product_cap(self):
+        # a product whose coefficient has more than 8192 bits is refused
+        # before it is built, so its text stays renderable
+        assert mul(2 ** 8191, 2) == Ordinal.from_int(2 ** 8192)
+        assert mul(W, 2 ** 8192) == omega_power(1, 2 ** 8192)
+        with pytest.raises(OrdinalDomainError, match="more than 8192 bits"):
+            mul(2 ** 8192, 2)
+        with pytest.raises(OrdinalDomainError, match="more than 8192 bits"):
+            mul(omega_power(1, 2 ** 4097), 2 ** 4097)
 
     def test_right_distributivity_fails_as_it_must(self):
         # (1+1)*w = w but 1*w + 1*w = w*2

@@ -4,6 +4,7 @@ references, report plumbing, and two-stage composition."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordq import tam
 from ordq import universe as u
@@ -20,6 +21,7 @@ from ordq.ordcalc import (
     successor,
 )
 from ordq.reductions import (
+    _minimal_well_order_length,
     Approximator,
     BoundForm,
     CATALOG_NAMES,
@@ -33,7 +35,7 @@ from ordq.reductions import (
 from ordq.tam import ApproximatorContractError
 
 import tuple_model as tm
-from test_universe import W3
+from test_universe import W3, permuted
 
 POWERS = u.omega_powers(W3)
 MULTIPLES = u.multiples_of_omega(W3)
@@ -290,6 +292,129 @@ class TestPowerCard:
         report = verify(catalog("powercard_via_pot"), None, codes)
         assert report.passed
         assert all(row.order_type == "2" for row in report.rows)
+
+
+def reference_is_strict_total_order(edges, n):
+    for i in range(n):
+        if (i, i) in edges:
+            return False
+        for j in range(i + 1, n):
+            if ((i, j) in edges) == ((j, i) in edges):
+                return False
+    for i, j in edges:
+        for k in range(n):
+            if (j, k) in edges and (i, k) not in edges:
+                return False
+    return True
+
+
+def reference_minimal_well_order_length(power_code, relations_code):
+    """The well-order search on decoded HFSet pairs, as it ran before it
+    read bit rows."""
+    elements = list(u.decode_set(power_code))
+    n = len(elements)
+    pair_of = {u.kuratowski(a, b): (i, j)
+               for i, a in enumerate(elements)
+               for j, b in enumerate(elements)}
+    best = None
+    for relation in u.decode_set(relations_code).members:
+        edges = set()
+        for member in relation.members:
+            edge = pair_of.get(member)
+            if edge is None:
+                break
+            edges.add(edge)
+        else:
+            if reference_is_strict_total_order(edges, n):
+                best = n if best is None else min(best, n)
+    if best is None:
+        raise ValueError("no well-ordering among the relations")
+    return Ordinal.from_int(best)
+
+
+def index_pairs(kind, n, rng):
+    """Index pairs of one relation on n points: a strict total order, one
+    with a pair dropped, added back reversed or made reflexive, a total order
+    on n - 1 points with its loops (as many pairs as a strict total order on
+    n), a cycle, or random pairs."""
+    if n == 0:
+        return set()
+    order = list(range(n))
+    rng.shuffle(order)
+    total = {(order[a], order[b]) for a in range(n) for b in range(a + 1, n)}
+    if kind == "order":
+        return total
+    if kind == "partial":
+        return total - {(order[0], order[-1])}
+    if kind == "both-ways":
+        return total | {(order[-1], order[0])}
+    if kind == "reflexive":
+        return total | {(order[0], order[0])}
+    if kind == "loops":
+        return {(order[a], order[b]) for a in range(n - 1) for b in range(a, n - 1)}
+    if kind == "cycle":
+        return {(order[a], order[(a + 1) % n]) for a in range(n)}
+    return {(i, j) for i in range(n) for j in range(n) if rng.random() < 0.4}
+
+
+RELATION_KINDS = ["order", "partial", "both-ways", "reflexive", "loops", "cycle", "random"]
+
+
+def relations_of(elements, kinds, rng, stray):
+    """A set of relations on elements; stray adds a member that need not be
+    a pair of elements to some of them."""
+    v4 = universe_of(4)
+    relations = []
+    for kind in kinds:
+        members = [u.kuratowski(elements[i], elements[j])
+                   for i, j in index_pairs(kind, len(elements), rng)]
+        if stray and rng.random() < 0.5:
+            members.append(rng.choice(v4))
+        relations.append(u.HFSet(members))
+    return u.HFSet(relations)
+
+
+def search_outcome(search, power_code, relations_code):
+    try:
+        return search(power_code, relations_code)
+    except ValueError as e:
+        return str(e)
+
+
+class TestWellOrderSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 15), max_size=4, unique=True),
+           st.lists(st.sampled_from(RELATION_KINDS), max_size=6),
+           st.booleans(), st.randoms(use_true_random=False))
+    def test_bit_rows_agree_with_the_reference(self, picks, kinds, stray, rng):
+        v4 = universe_of(4)
+        elements = [v4[i] for i in picks]
+        power = u.encode_hf(u.HFSet(elements))
+        relations = u.encode_hf(relations_of(elements, kinds, rng, stray))
+        want = search_outcome(reference_minimal_well_order_length, power, relations)
+        assert search_outcome(_minimal_well_order_length, power, relations) == want
+        shuffled = permuted(relations, rng, rng.randrange(3))
+        assert search_outcome(_minimal_well_order_length, power, shuffled) == want
+
+    def test_no_well_order_raises(self):
+        elements = V3
+        power = code_of(*elements)
+        rng = random.Random(3)
+        relations = u.encode_hf(relations_of(
+            elements, ["partial", "both-ways", "reflexive", "loops", "cycle"], rng, False))
+        with pytest.raises(ValueError, match="no well-ordering"):
+            reference_minimal_well_order_length(power, relations)
+        with pytest.raises(ValueError, match="no well-ordering"):
+            _minimal_well_order_length(power, relations)
+
+    def test_a_non_pair_member_spoils_a_total_order(self):
+        power = code_of(*V3)
+        order = {u.kuratowski(V3[i], V3[j]) for i in range(4) for j in range(i + 1, 4)}
+        spoiled = u.encode_hf(u.hf(u.HFSet(order | {u.EMPTY_SET})))
+        with pytest.raises(ValueError):
+            _minimal_well_order_length(power, spoiled)
+        whole = u.encode_hf(u.hf(u.HFSet(order | {u.EMPTY_SET}), u.HFSet(order)))
+        assert _minimal_well_order_length(power, whole) == Ordinal.from_int(4)
 
 
 def brute_separation(triple, rank=3):

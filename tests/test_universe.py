@@ -15,6 +15,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordq import universe
 from ordq.logic import universe_of
@@ -26,6 +27,8 @@ from ordq.universe import (
     NESTING_CAP,
     NoSuchCardinalError,
     OutOfStructureError,
+    POWERSET_CAP,
+    PowersetCapError,
     SetCode,
     cantor_pair,
     cantor_unpair,
@@ -48,6 +51,7 @@ from ordq.universe import (
     next_limit_of_cardinals_above,
     omega_powers,
     parse_hf,
+    powerset_code,
     render_hf,
     sup_of_cardinals_below,
     transitive_closure,
@@ -369,6 +373,11 @@ class TestSetCode:
         code = SetCode(3, [cantor_pair(0, 1), cantor_pair(0, 2)], 1)
         assert validate_code(code) == 0
 
+    def test_validate_rejects_a_cycle_the_root_does_not_reach(self):
+        # 1 and 2 are members of each other; the root 0 is empty
+        code = SetCode(3, [cantor_pair(1, 2), cantor_pair(2, 1)], 0)
+        assert validate_code(code) == 0
+
     def test_validate_rejects_duplicate_empty_nodes(self):
         # 1 and 2 are both coded empty members of the root: extensionality
         code = SetCode(3, [cantor_pair(1, 0), cantor_pair(2, 0)], 0)
@@ -548,6 +557,91 @@ class TestHashConsing:
         assert len(results) == 4
         assert len({id(sub) for p in results for sub in p.members}) == 2 ** 10
         assert all(p is results[0] for p in results)
+
+
+def reference_powerset_code(code: SetCode) -> SetCode:
+    """The power set through HFSet values, as Pot answered before it worked
+    on codes."""
+    return encode_hf(hf_powerset(decode_set(code)))
+
+
+def permuted(code: SetCode, rng: random.Random, extra: int = 0) -> SetCode:
+    """The same set under shuffled node ids, with extra isolated nodes: a
+    valid but non-canonical code."""
+    ids = list(range(code.domain + extra))
+    rng.shuffle(ids)
+    edges = [cantor_pair(ids[x], ids[y]) for x, y in map(cantor_unpair, code.edges)]
+    return SetCode(code.domain + extra, edges, ids[code.root])
+
+
+def assert_same_code(got: SetCode, want: SetCode):
+    assert (got.domain, got.root, got.edges) == (want.domain, want.root, want.edges)
+
+
+# {0, 1}, V_3 = {0, 1, {1}, 2} and 3 have members that are also subsets of
+# them; of the subsets of {1, 2}, only the empty one is also below it
+SUBSET_MEMBERS = ["{{},{{}}}", "{{},{{}},{{{}}},{{},{{}}}}",
+                  "{{},{{}},{{},{{}}}}", "{{{}},{{},{{}}}}"]
+
+
+class TestPowersetCode:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 15), max_size=4, unique=True),
+           st.randoms(use_true_random=False), st.integers(0, 3))
+    def test_matches_the_reference_on_sets_from_v4(self, picks, rng, extra):
+        v4 = universe_of(4)
+        code = encode_hf(HFSet(v4[i] for i in picks))
+        want = reference_powerset_code(code)
+        assert_same_code(powerset_code(code), want)
+        assert_same_code(powerset_code(permuted(code, rng, extra)), want)
+
+    @pytest.mark.parametrize("text", SUBSET_MEMBERS)
+    def test_members_that_are_subsets(self, text):
+        code = encode_hf(parse_hf(text))
+        want = reference_powerset_code(code)
+        assert_same_code(powerset_code(code), want)
+        assert_same_code(powerset_code(permuted(code, random.Random(text), 2)), want)
+
+    def test_twelve_members_of_mixed_rank(self):
+        s = HFSet(list(universe_of(4))[:10] + [nest(5), nest(7)])
+        assert hf_card(s) == 12
+        code = permuted(encode_hf(s), random.Random(12), 3)
+        assert_same_code(powerset_code(code), reference_powerset_code(code))
+
+    def test_the_answer_carries_its_child_map(self):
+        x = parse_hf(SUBSET_MEMBERS[1])
+        code = powerset_code(encode_hf(x))
+        assert "_children" in code.__dict__
+        fresh = SetCode(code.domain, code.edges, code.root)
+        assert fresh._children == code._children
+        assert validate_code(code) == 1
+        assert decode_set(code) is decode_set(fresh) is hf_powerset(x)
+
+    @pytest.mark.parametrize("code", [
+        SetCode(2, [cantor_pair(0, 1), cantor_pair(1, 0)], 0),
+        SetCode(3, [cantor_pair(1, 0), cantor_pair(2, 0)], 0),
+        SetCode(2, [], 2),
+        # an invalid code over the cap: the code is checked first
+        SetCode(19, [cantor_pair(i, 17) for i in range(17)] + [cantor_pair(17, 18),
+                                                                cantor_pair(18, 17)], 17),
+    ])
+    def test_invalid_codes_raise_as_before(self, code):
+        with pytest.raises(InvalidCodeError) as want:
+            reference_powerset_code(code)
+        with pytest.raises(InvalidCodeError) as got:
+            powerset_code(code)
+        assert str(got.value) == str(want.value)
+
+    def test_over_the_cap_raises_as_before(self):
+        code = encode_hf(HFSet(nest(i) for i in range(POWERSET_CAP + 1)))
+        with pytest.raises(PowersetCapError) as want:
+            reference_powerset_code(code)
+        started = time.perf_counter()
+        with pytest.raises(PowersetCapError) as got:
+            powerset_code(code)
+        assert time.perf_counter() - started < 0.5
+        assert str(got.value) == str(want.value)
+
 
 class TestPairing:
     def test_pins(self):
