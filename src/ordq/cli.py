@@ -11,21 +11,20 @@ Four subcommands:
 Exit codes: 0 success, 1 failed checks or an unexpected error, 2 usage or
 validation problems, 3 the run diverged, 4 the run exceeded its budget.
 All file output is written atomically and is byte-stable for a given input.
+
+Each subcommand imports what it needs when it runs: calc loads only
+ordcalc, and a run or reduce loads logic only for separation.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
-import tempfile
 from typing import List, Optional
 
-from . import tam
-from . import universe as u
-from .logic import RankError, formula_index, free_variables, parse_formula
-from .oracles import OracleTypeError, QueryLedger, extract_script
 from .ordcalc import (
     OMEGA,
     Ordinal,
@@ -39,7 +38,6 @@ from .ordcalc import (
     parse_ordinal,
     render,
 )
-from .reductions import BoundForm, CATALOG_NAMES, Report, catalog, verify
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -48,10 +46,23 @@ EXIT_DIVERGED = 3
 EXIT_BUDGET = 4
 
 DEFAULT_BOUND = "w^(w*2)"
+DEFAULT_STRUCTURE = "omega-powers"
 
 
 class CliError(Exception):
     """Validation problem that should surface as exit code 2."""
+
+
+# Longest argument an error message quotes in full.
+_ECHO_CAP = 40
+
+
+def _echo(text: str) -> str:
+    """The argument quoted for an error message: whole when short, else its
+    first _ECHO_CAP characters and its length."""
+    if len(text) <= _ECHO_CAP:
+        return repr(text)
+    return f"{text[:_ECHO_CAP]!r}... ({len(text)} characters)"
 
 
 # -- calc --------------------------------------------------------------------
@@ -70,7 +81,7 @@ class _ExprParser:
         self._skip_ws()
         if self.pos != len(self.text):
             raise CliError(f"trailing input at position {self.pos}: "
-                           f"{self.text[self.pos:]!r}")
+                           f"{_echo(self.text[self.pos:])}")
         return value
 
     def _skip_ws(self):
@@ -147,8 +158,8 @@ def _cmd_calc(args) -> int:
 # -- shared builders ---------------------------------------------------------
 
 
-def _build_structure(kind: str, bound_text: str,
-                     cardinal_texts: Optional[List[str]]) -> u.CardinalStructure:
+def _build_structure(kind: str, bound_text: str, cardinal_texts: Optional[List[str]]):
+    from . import universe as u
     bound = _parse_ordinal_arg(bound_text, "bound")
     if kind == u.OMEGA_POWERS:
         return u.omega_powers(bound)
@@ -166,24 +177,26 @@ def _parse_ordinal_arg(text: str, what: str) -> Ordinal:
     try:
         return parse_ordinal(text)
     except OrdinalParseError as e:
-        raise CliError(f"bad {what} {text!r}: {e}")
+        raise CliError(f"bad {what} {_echo(text)}: {e}")
 
 
-def _parse_set_arg(text: str, what: str) -> u.SetCode:
+def _parse_set_arg(text: str, what: str):
+    from . import universe as u
     try:
         return u.encode_hf(u.parse_hf(text))
     except ValueError as e:
-        raise CliError(f"bad {what} {text!r}: {e}")
+        raise CliError(f"bad {what} {_echo(text)}: {e}")
 
 
 def _parse_formula_arg(text: str) -> int:
+    from .logic import formula_index, free_variables, parse_formula
     try:
         f = parse_formula(text)
     except ValueError as e:
-        raise CliError(f"bad formula {text!r}: {e}")
+        raise CliError(f"bad formula {_echo(text)}: {e}")
     free = free_variables(f)
     if free:
-        raise CliError(f"bad formula {text!r}: free variable "
+        raise CliError(f"bad formula {_echo(text)}: free variable "
                        f"{', '.join(f'v{i}' for i in free)}")
     return formula_index(f)
 
@@ -204,7 +217,7 @@ def _parse_instance(name: str, args) -> object:
     return _parse_ordinal_arg(args.input, "input")
 
 
-def _check_in_window(instance: Ordinal, structure: u.CardinalStructure):
+def _check_in_window(instance: Ordinal, structure):
     if instance >= structure.bound:
         raise CliError(f"instance {render(instance)} is not below the "
                        f"structure bound {render(structure.bound)}")
@@ -216,6 +229,7 @@ def _check_budget(budget: int):
 
 
 def _status_exit(status: str) -> int:
+    from . import tam
     if status == tam.HALTED:
         return EXIT_OK
     if status == tam.DIVERGED:
@@ -226,8 +240,15 @@ def _status_exit(status: str) -> int:
 
 
 def _atomic_write(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ordq-")
+    """Write a fresh file beside path, then rename it over path."""
+    stem = os.path.join(os.path.dirname(os.path.abspath(path)), f".ordq-{os.getpid()}-")
+    for n in itertools.count():
+        tmp = f"{stem}{n}"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+            break
+        except FileExistsError:
+            pass
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -237,7 +258,7 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _ledger_json(program_name: str, instance, result: tam.RunResult) -> dict:
+def _ledger_json(program_name: str, instance, result) -> dict:
     from .oracles import summarize_query
     return {
         "program": program_name,
@@ -254,6 +275,8 @@ def _ledger_json(program_name: str, instance, result: tam.RunResult) -> dict:
 
 
 def _cmd_reduce(args) -> int:
+    from . import tam
+    from .reductions import CATALOG_NAMES, catalog
     if args.name not in CATALOG_NAMES:
         raise CliError(f"unknown reduction {args.name!r}; pick one of "
                        f"{', '.join(CATALOG_NAMES)}")
@@ -265,11 +288,11 @@ def _cmd_reduce(args) -> int:
     instance = _parse_instance(args.name, args)
     if structure is not None:
         _check_in_window(instance, structure)
-    _check_budget(args.budget)
+    budget = tam.DEFAULT_BUDGET if args.budget is None else args.budget
+    _check_budget(budget)
 
     program = spec.make_program()
-    result = tam.run(program, instance, spec.make_bindings(structure),
-                     args.budget)
+    result = tam.run(program, instance, spec.make_bindings(structure), budget)
     print(f"status: {result.status}")
     if result.output is not None:
         from .oracles import summarize_query
@@ -284,15 +307,9 @@ def _cmd_reduce(args) -> int:
 # -- run ---------------------------------------------------------------------
 
 
-_BOUND_KINDS = {
-    "const": lambda v: BoundForm.const(parse_ordinal(v)),
-    "input": lambda v: BoundForm.input_itself(),
-    "succ-of-input": lambda v: BoundForm.succ_of_input(),
-    "next-card-succ": lambda v: BoundForm.next_card_succ(),
-    "finite": lambda v: BoundForm.finite(),
-    "set-size": lambda v: BoundForm.set_size(),
-    "next-limit-interval": lambda v: BoundForm.next_limit_interval(),
-}
+# the BoundForm kinds a scenario's bound_override may name
+_BOUND_KINDS = ("const", "input", "succ-of-input", "next-card-succ", "finite",
+                "set-size", "next-limit-interval")
 
 
 def _scenario_field(blob: dict, key: str, kind, required=False, default=None):
@@ -351,6 +368,8 @@ def _scenario_instances(name: str, raw_instances: list, structure):
 
 
 def _cmd_run(args) -> int:
+    from . import tam
+    from .reductions import CATALOG_NAMES, BoundForm, catalog, verify
     blob = _load_scenario(args.scenario)
     name = _scenario_field(blob, "reduction", str, required=True)
     if name not in CATALOG_NAMES:
@@ -381,8 +400,8 @@ def _cmd_run(args) -> int:
         kind = _scenario_field(desc, "kind", str, required=True)
         if kind not in _BOUND_KINDS:
             raise CliError(f"unknown bound form {kind!r}")
-        override = _BOUND_KINDS[kind](_scenario_field(desc, "value", str,
-                                                      default="0"))
+        value = _scenario_field(desc, "value", str, default="0")
+        override = BoundForm(kind, value=parse_ordinal(value) if kind == "const" else None)
 
     report = verify(spec, structure, instances, budget,
                     bound_override=override)
@@ -435,14 +454,16 @@ def _suite_oracles():
 
 
 def _suite_ledger():
+    from .oracles import QueryLedger, SingleEntry, extract_script
     ledger = QueryLedger()
-    from .oracles import SingleEntry
     ledger.append(SingleEntry(parse_ordinal("0"), "X", "q", "1", 1))
     _check(render(ledger.total_order_type()) == "1", "total order type of one entry")
     _check(extract_script(ledger)[0].value == 1, "extracted script value")
 
 
 def _suite_reductions():
+    from . import universe as u
+    from .reductions import catalog, verify
     cs = u.omega_powers(parse_ordinal("w^3"))
     report = verify(catalog("nextcard_via_deccard"), cs,
                     [parse_ordinal(s) for s in ("5", "w", "w*2+1")])
@@ -498,8 +519,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="catalog entry, e.g. nextcard_via_deccard")
     p.add_argument("--input", required=True,
                    help="ordinal, or a brace set literal for set-typed entries")
-    p.add_argument("--structure", default=u.OMEGA_POWERS,
-                   help="cardinal structure kind (default omega-powers)")
+    p.add_argument("--structure", default=DEFAULT_STRUCTURE,
+                   help=f"cardinal structure kind (default {DEFAULT_STRUCTURE})")
     p.add_argument("--bound", default=DEFAULT_BOUND,
                    help=f"structure window bound (default {DEFAULT_BOUND})")
     p.add_argument("--cardinals", action="append",
@@ -511,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="power cardinality without the relation search")
     p.add_argument("--level", type=int, default=2)
     p.add_argument("--rank", type=int, default=3)
-    p.add_argument("--budget", type=int, default=tam.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int)
     p.add_argument("--ledger", help="write the query ledger JSON here")
     p.set_defaults(fn=_cmd_reduce)
 
@@ -530,14 +551,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as e:
+    except Exception as e:
+        if not (isinstance(e, CliError) or _is_usage_error(e)):
+            raise
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (OrdinalParseError, OrdinalDomainError, OracleTypeError,
-            u.OutOfStructureError, u.NoSuchCardinalError,
-            u.InvalidCodeError, u.PowersetCapError, RankError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+
+
+# the library's bad-input errors, which exit 2 like CliError
+_USAGE_ERRORS = (
+    ("ordcalc", "OrdinalParseError"), ("ordcalc", "OrdinalDomainError"),
+    ("oracles", "OracleTypeError"), ("universe", "OutOfStructureError"),
+    ("universe", "NoSuchCardinalError"), ("universe", "InvalidCodeError"),
+    ("universe", "PowersetCapError"), ("logic", "RankError"),
+)
+
+
+def _is_usage_error(e: Exception) -> bool:
+    """Whether e is one of _USAGE_ERRORS.  A module that is not loaded
+    cannot have raised one, so none is loaded to check."""
+    return any(isinstance(e, getattr(sys.modules[f"{__package__}.{m}"], name))
+               for m, name in _USAGE_ERRORS if f"{__package__}.{m}" in sys.modules)
 
 
 if __name__ == "__main__":

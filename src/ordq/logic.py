@@ -42,9 +42,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ._record import Record, _set
 from .universe import EMPTY_SET, HFSet, cantor_pair, cantor_unpair, _hf_sort_key
 
 EXISTS = "E"
@@ -70,20 +70,21 @@ class RankError(ValueError):
 #   ("not", g) ("and", g, h) ("or", g, h)
 
 
-@dataclass(frozen=True)
-class Formula:
-    prefix: Tuple[str, ...]
-    matrix: tuple
+class Formula(Record):
+    __slots__ = ("prefix", "matrix", "_params")
+    _fields = ("prefix", "matrix")
 
-    def __post_init__(self):
-        for q in self.prefix:
+    def __init__(self, prefix: Tuple[str, ...], matrix: tuple):
+        for q in prefix:
             if q not in (EXISTS, FORALL):
                 raise FormulaError(f"bad quantifier {q!r}")
         params = set()
-        _check_matrix(self.matrix, params)
+        _check_matrix(matrix, params)
         if params and sorted(params) != list(range(max(params) + 1)):
             raise FormulaError("parameter slots must be numbered 0..m-1")
-        object.__setattr__(self, "_params", 1 + max(params) if params else 0)
+        _set(self, "prefix", prefix)
+        _set(self, "matrix", matrix)
+        _set(self, "_params", 1 + max(params) if params else 0)
 
     @property
     def num_params(self) -> int:
@@ -401,23 +402,23 @@ def formula_from_index(k: int) -> Formula:
 # -- evaluation --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruthEnv:
+class TruthEnv(Record):
     """A rank cap and the parameter tuple filling #0, #1, ..."""
 
-    rank: int
-    params: Tuple[HFSet, ...] = ()
+    __slots__ = _fields = ("rank", "params")
 
-    def __post_init__(self):
-        object.__setattr__(self, "params", tuple(self.params))
-        if not (0 <= self.rank <= MAX_RANK):
+    def __init__(self, rank: int, params: Tuple[HFSet, ...] = ()):
+        params = tuple(params)
+        if not (0 <= rank <= MAX_RANK):
             raise RankError(f"rank must be between 0 and {MAX_RANK}")
-        for p in self.params:
+        for p in params:
             if not isinstance(p, HFSet):
                 raise TypeError(f"parameter {p!r} is not an HFSet")
-            if p.rank >= self.rank:
+            if p.rank >= rank:
                 raise RankError(
-                    f"parameter of rank {p.rank} does not live in V_{self.rank}")
+                    f"parameter of rank {p.rank} does not live in V_{rank}")
+        _set(self, "rank", rank)
+        _set(self, "params", params)
 
 
 @functools.lru_cache(maxsize=None)

@@ -24,9 +24,10 @@ segment list extracted from a previous run's ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+import functools
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from ._record import same_class_eq
 from .ordcalc import (
     OMEGA,
     ONE,
@@ -52,7 +53,6 @@ from .universe import (
     encode_hf,
     render_hf,
 )
-from .logic import _sigma_truth, formula_from_index
 
 PATTERN_ALL_ZERO = "all-0"
 PATTERN_FINAL_ONE = "all-0-then-final-1"
@@ -263,8 +263,8 @@ def flag_value_after(initial: int, toggles: OrdinalSet, position: OrdinalLike) -
 # -- query ledger ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SingleEntry:
+@same_class_eq
+class SingleEntry(NamedTuple):
     time: Ordinal
     oracle: str
     query: str
@@ -279,8 +279,8 @@ class SingleEntry:
                 "to": self.query, "order_type": "1", "response": self.response}
 
 
-@dataclass(frozen=True)
-class RunEntry:
+@same_class_eq
+class RunEntry(NamedTuple):
     time: Ordinal
     oracle: str
     from_query: Ordinal
@@ -466,27 +466,40 @@ def _expect_code(q) -> SetCode:
     raise OracleTypeError(f"expected a set code query, got {q!r}")
 
 
+@functools.cache
+def _logic():
+    """ordq.logic, loaded on first use: only the truth and separation
+    oracles and the separation scan need it.  A cached module beats an
+    import statement on these per-instance paths."""
+    from . import logic
+    return logic
+
+
 def _truth_fn(level: int, rank: int):
+    logic = _logic()
+
     def truth(q):
         if not (isinstance(q, tuple) and len(q) == 2 and isinstance(q[0], int)
                 and isinstance(q[1], tuple)):
             raise OracleTypeError(f"expected (index, params) query, got {q!r}")
         k, params = q
-        return _sigma_truth(formula_from_index(k), level, rank, params)
+        return logic._sigma_truth(logic.formula_from_index(k), level, rank, params)
 
     return truth
 
 
 def _sep_fn(level: int, rank: int):
+    logic = _logic()
+
     def sep(q):
         if not (isinstance(q, tuple) and len(q) == 3 and isinstance(q[1], int)):
             raise OracleTypeError(f"expected (code, index, param codes) query, got {q!r}")
         code_s, k, param_codes = q
         s = decode_set(_expect_code(code_s))
         params = tuple(decode_set(_expect_code(c)) for c in param_codes)
-        f = formula_from_index(k)
+        f = logic.formula_from_index(k)
         return encode_hf(HFSet(x for x in s
-                               if _sigma_truth(f, level, rank, (x,) + params)))
+                               if logic._sigma_truth(f, level, rank, (x,) + params)))
 
     return sep
 
@@ -494,16 +507,16 @@ def _sep_fn(level: int, rank: int):
 # -- scripted oracles and replay ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class SingleSeg:
+@same_class_eq
+class SingleSeg(NamedTuple):
     """One recorded pointwise response (with the oracle name it came from)."""
 
     oracle: str
     value: Any
 
 
-@dataclass(frozen=True)
-class RunSeg:
+@same_class_eq
+class RunSeg(NamedTuple):
     """One recorded scan: its window, pattern, and the hit-set restriction
     needed to reproduce pointwise responses."""
 

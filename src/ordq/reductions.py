@@ -18,10 +18,10 @@ ordinal multiplication does not commute.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
+from ._record import Record, _set, same_class_eq
 from .ordcalc import (
     OMEGA,
     Ordinal,
@@ -34,12 +34,12 @@ from .ordcalc import (
 )
 from . import universe as u
 from .universe import CardinalStructure, HFSet, NoSuchCardinalError, OutOfStructureError, SetCode
-from .logic import _sigma_truth, formula_from_index
 from .oracles import (
     DEC_CARD,
     POT,
     TRUTH,
     Effectivizer,
+    _logic,
     make_effectivizer,
     summarize_query,
 )
@@ -78,8 +78,8 @@ class ReductionTypeError(TypeError):
 # -- symbolic bounds ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundForm:
+@same_class_eq
+class BoundForm(NamedTuple):
     """Symbolic per-input bound on the ledger's total order type."""
 
     kind: str
@@ -206,8 +206,8 @@ class BoundCheck(NamedTuple):
 # -- approximators -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Approximator:
+@same_class_eq
+class Approximator(NamedTuple):
     """Pull-based guess source.  The distinct values it emits must strictly
     decrease, and any emitted cardinal must be the input's cardinality."""
 
@@ -405,12 +405,14 @@ def _ref_powercard(_structure, code):
 
 
 def _brute_separation(rank: int, level: int):
+    logic = _logic()
+
     def ref(_structure, triple):
         code, k, param_codes = triple
         params = tuple(u.decode_set(c) for c in param_codes)
-        f = formula_from_index(k)
+        f = logic.formula_from_index(k)
         return u.encode_hf(HFSet(x for x in u.decode_set(code)
-                                 if _sigma_truth(f, level, rank, (x,) + params)))
+                                 if logic._sigma_truth(f, level, rank, (x,) + params)))
 
     return ref
 
@@ -514,8 +516,8 @@ def delegate_spec(source: str, oracle_name: str,
 # -- verification ------------------------------------------------------------
 
 
-@dataclass
-class Row:
+@same_class_eq
+class Row(NamedTuple):
     input_text: str
     status: str
     output_text: Optional[str]
@@ -541,12 +543,15 @@ class Row:
                 **({"product_note": self.product_note} if self.product_note else {})}
 
 
-@dataclass
-class Report:
-    reduction: str
-    structure: str
-    bound: str
-    rows: List[Row] = field(default_factory=list)
+class Report(Record):
+    __slots__ = _fields = ("reduction", "structure", "bound", "rows")
+
+    def __init__(self, reduction: str, structure: str, bound: str,
+                 rows: Optional[List[Row]] = None):
+        _set(self, "reduction", reduction)
+        _set(self, "structure", structure)
+        _set(self, "bound", bound)
+        _set(self, "rows", [] if rows is None else rows)
 
     @property
     def passed(self) -> bool:
@@ -642,8 +647,7 @@ class CompositeEffectivizer(Effectivizer):
         res = self._run_inner(query)
         if ledger is not None:
             for entry in res.ledger:
-                ledger.append(dataclasses.replace(entry,
-                                                  time=add(time, entry.time)))
+                ledger.append(entry._replace(time=add(time, entry.time)))
         return res.output, res.ledger.total_order_type()
 
 

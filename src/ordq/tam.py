@@ -40,11 +40,10 @@ included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
+from ._record import Record, _set, same_class_eq
 from .ordcalc import ZERO, Ordinal, _coerce, add, left_sub, successor
-from .logic import formula_from_index
 from .universe import EMPTY_SET, HFSet, SetCode, code_elements, decode_element, decode_set, encode_hf
 from .oracles import (
     PATTERN_ALL_ZERO,
@@ -57,6 +56,7 @@ from .oracles import (
     ScriptExhausted,
     ScriptedEffectivizer,
     SingleSeg,
+    _logic,
     extract_script,
     flag_value_after,
 )
@@ -113,31 +113,31 @@ def succ(expr: tuple) -> tuple:
 # -- statements --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Flag:
-    name: str
-    initial: int
+class Flag(Record):
+    __slots__ = _fields = ("name", "initial")
 
-    def __post_init__(self):
-        if self.initial not in (0, 1):
+    def __init__(self, name: str, initial: int):
+        if initial not in (0, 1):
             raise ProgramError("flags are bits")
+        _set(self, "name", name)
+        _set(self, "initial", initial)
 
 
-@dataclass(frozen=True)
-class Assign:
+@same_class_eq
+class Assign(NamedTuple):
     register: str
     expr: tuple
 
 
-@dataclass(frozen=True)
-class OracleCall:
+@same_class_eq
+class OracleCall(NamedTuple):
     slot: str
     arg: tuple
     register: str
 
 
-@dataclass(frozen=True)
-class ScanFirstHit:
+@same_class_eq
+class ScanFirstHit(NamedTuple):
     """Least positive position strictly above the anchor."""
 
     slot: str
@@ -145,8 +145,8 @@ class ScanFirstHit:
     register: str
 
 
-@dataclass(frozen=True)
-class ScanLastHitAtMost:
+@same_class_eq
+class ScanLastHitAtMost(NamedTuple):
     """Greatest positive position at most the bound.  The naive form is
     charged bound+1 (the closed sweep); the declared form is charged just
     the bound."""
@@ -157,8 +157,8 @@ class ScanLastHitAtMost:
     charge_closed: bool = True
 
 
-@dataclass(frozen=True)
-class ScanFlagToggleUntil:
+@same_class_eq
+class ScanFlagToggleUntil(NamedTuple):
     """Toggle all flags at every hit strictly above the start; stop at the
     first stage where every flag reads 0."""
 
@@ -168,8 +168,8 @@ class ScanFlagToggleUntil:
     register: str
 
 
-@dataclass(frozen=True)
-class GuessCheckLoop:
+@same_class_eq
+class GuessCheckLoop(NamedTuple):
     """guesses(input, param) yields candidates; consecutive repeats collapse
     and the distinct values must strictly decrease."""
 
@@ -178,16 +178,16 @@ class GuessCheckLoop:
     register: str
 
 
-@dataclass(frozen=True)
-class ComputableSubroutine:
+@same_class_eq
+class ComputableSubroutine(NamedTuple):
     name: str
     fn: Callable
     args: Tuple[tuple, ...]
     register: str
 
 
-@dataclass(frozen=True)
-class SeparationScan:
+@same_class_eq
+class SeparationScan(NamedTuple):
     """Input (code(S), formula index, coded side parameters): one truth call
     per element of S, output the code of the satisfying subset.  A formula
     whose parameter count does not fit gets the empty set with zero calls."""
@@ -196,15 +196,15 @@ class SeparationScan:
     register: str
 
 
-@dataclass(frozen=True)
-class If:
+@same_class_eq
+class If(NamedTuple):
     condition: tuple            # ("is-finite", expr)
     then_branch: Tuple[Any, ...]
     else_branch: Tuple[Any, ...] = ()
 
 
-@dataclass(frozen=True)
-class Halt:
+@same_class_eq
+class Halt(NamedTuple):
     output: tuple
 
 
@@ -213,8 +213,8 @@ Statement = Union[Assign, OracleCall, ScanFirstHit, ScanLastHitAtMost,
                   SeparationScan, If, Halt]
 
 
-@dataclass(frozen=True)
-class Program:
+@same_class_eq
+class Program(NamedTuple):
     name: str
     body: Tuple[Statement, ...]
     parameter: Ordinal = ZERO
@@ -234,8 +234,8 @@ class Program:
         return tuple(found)
 
 
-@dataclass
-class RunResult:
+@same_class_eq
+class RunResult(NamedTuple):
     status: str
     output: Any
     halt_time: Optional[Ordinal]
@@ -432,7 +432,7 @@ class _Machine:
             raise ProgramError("input must be (set code, formula index, parameter codes)")
         code, k, param_codes = shape
         params = tuple(decode_set(c) for c in param_codes)
-        if formula_from_index(k).num_params != len(params) + 1:
+        if _logic().formula_from_index(k).num_params != len(params) + 1:
             self.registers[st.register] = encode_hf(EMPTY_SET)
             return
         oracle = self.bindings[st.slot]

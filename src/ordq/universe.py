@@ -45,10 +45,10 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from ._record import Record, _set
 from .ordcalc import (
     OMEGA,
     ONE,
@@ -89,19 +89,19 @@ class PowersetCapError(ValueError):
     """A power set argument has more than POWERSET_CAP members."""
 
 
-@dataclass(frozen=True)
-class CardinalStructure:
+class CardinalStructure(Record):
     """A kind tag, a working bound, and (for explicit-list) the list."""
 
-    kind: str
-    bound: Ordinal
-    cardinals: Tuple[Ordinal, ...] = ()
+    __slots__ = _fields = ("kind", "bound", "cardinals")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown structure kind {self.kind!r}")
-        if self.bound <= OMEGA:
+    def __init__(self, kind: str, bound: Ordinal, cardinals: Tuple[Ordinal, ...] = ()):
+        if kind not in KINDS:
+            raise ValueError(f"unknown structure kind {kind!r}")
+        if bound <= OMEGA:
             raise ValueError("the working bound must exceed w")
+        _set(self, "kind", kind)
+        _set(self, "bound", bound)
+        _set(self, "cardinals", cardinals)
 
 
 def omega_powers(bound: OrdinalLike) -> CardinalStructure:
@@ -371,7 +371,7 @@ def parse_hf(text: str) -> HFSet:
         while pos < len(text) and text[pos].isspace():
             pos += 1
         if pos >= len(text) or text[pos] != "{":
-            raise ValueError(f"expected '{{' at position {pos} in {text!r}")
+            raise ValueError(f"expected '{{' at position {pos}")
         if depth > NESTING_CAP:
             raise ValueError(f"set literal nested deeper than {NESTING_CAP} levels")
         pos += 1
@@ -384,7 +384,7 @@ def parse_hf(text: str) -> HFSet:
                 return HFSet(members)
             if members:
                 if pos >= len(text) or text[pos] != ",":
-                    raise ValueError(f"expected ',' or '}}' at position {pos} in {text!r}")
+                    raise ValueError(f"expected ',' or '}}' at position {pos}")
                 pos += 1
             members.append(node(depth + 1))
 
@@ -392,7 +392,7 @@ def parse_hf(text: str) -> HFSet:
     while pos < len(text) and text[pos].isspace():
         pos += 1
     if pos != len(text):
-        raise ValueError(f"trailing input at position {pos} in {text!r}")
+        raise ValueError(f"trailing input at position {pos}")
     return result
 
 
@@ -439,8 +439,7 @@ def _as_nat(value) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class SetCode:
+class SetCode(Record):
     """A finite membership graph: node ids 0..domain-1, root, and the edge
     set {pair(x, y) : x is a member of y} packed with cantor_pair.
 
@@ -454,18 +453,14 @@ class SetCode:
     verdict is still worked out on first decode.
     """
 
-    domain: int
-    edges: FrozenSet[int]
-    root: int
+    _fields = ("domain", "edges", "root")
 
-    def __post_init__(self):
-        if type(self.domain) is not int:
-            object.__setattr__(self, "domain", _as_nat(self.domain))
-        edges = self.edges
+    def __init__(self, domain: int, edges: FrozenSet[int], root: int):
+        _set(self, "domain", domain if type(domain) is int else _as_nat(domain))
         if not (isinstance(edges, frozenset) and all(type(e) is int for e in edges)):
-            object.__setattr__(self, "edges", frozenset(_as_nat(e) for e in edges))
-        if type(self.root) is not int:
-            object.__setattr__(self, "root", _as_nat(self.root))
+            edges = frozenset(_as_nat(e) for e in edges)
+        _set(self, "edges", edges)
+        _set(self, "root", root if type(root) is int else _as_nat(root))
 
     @cached_property
     def _children(self) -> Dict[int, Tuple[int, ...]]:
@@ -527,7 +522,7 @@ def _canonical_ids(by_rank: List[list]) -> Tuple[dict, Dict[int, Tuple[int, ...]
 def _built_code(domain: int, root: int, children: Dict[int, Tuple[int, ...]],
                 decoded: Dict[int, HFSet]) -> SetCode:
     """A SetCode that starts out with its child map and decoded nodes.  The
-    fields are ints already, so __post_init__'s per-edge type check is
+    fields are ints already, so __init__'s per-edge type check is
     skipped; cached_property reads the instance dict first, so the child map
     and the decoded nodes are the cache."""
     edges = frozenset((x + y) * (x + y + 1) // 2 + y

@@ -86,8 +86,9 @@ class TestLongNaturals:
     def test_long_literal_input_exits_2(self, capsys):
         ones = "1" * 5000
         assert run_cli("reduce", "nextcard_via_deccard", "--input", ones) == 2
-        assert one_line_error(capsys) == (f"error: bad input {ones!r}: numbers may "
-                                          "have at most 4000 digits (at position 0)")
+        assert one_line_error(capsys) == (f"error: bad input {ones[:40]!r}... (5000 "
+                                          "characters): numbers may have at most "
+                                          "4000 digits (at position 0)")
 
     def test_sums_of_the_longest_literals_still_render(self, capsys):
         code, out = calc(capsys, "+".join(["9" * 4000] * 3))

@@ -459,13 +459,13 @@ class TestOnePassEncoder:
 
     def test_encoded_codes_skip_the_edge_check(self, monkeypatch):
         calls = []
-        post_init = SetCode.__post_init__
+        init = SetCode.__init__
 
-        def counting(code):
+        def counting(code, *fields):
             calls.append(code)
-            post_init(code)
+            init(code, *fields)
 
-        monkeypatch.setattr(SetCode, "__post_init__", counting)
+        monkeypatch.setattr(SetCode, "__init__", counting)
         code = encode_hf(hf_powerset(HFSet(universe_of(3))))
         assert calls == []
         outside = SetCode(Ordinal.from_int(code.domain),
