@@ -42,9 +42,6 @@ class Record:
     def __eq__(self, other):
         return type(other) is type(self) and self._key() == other._key()
 
-    def __ne__(self, other):
-        return not self == other
-
     def __hash__(self):
         return hash(self._key())
 

@@ -551,7 +551,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except Exception as e:
+    except (CliError, ValueError, TypeError) as e:     # the usage errors' bases
         if not (isinstance(e, CliError) or _is_usage_error(e)):
             raise
         print(f"error: {e}", file=sys.stderr)
