@@ -19,11 +19,11 @@ _EXPORTS = {
         "parse_ordinal", "render", "successor",
     ),
     "universe": (
-        "CardinalStructure", "HFSet", "NoSuchCardinalError",
-        "OutOfStructureError", "SetCode", "card_of", "decode_set", "encode_hf",
-        "explicit_list", "hf", "hf_card", "hf_powerset", "is_cardinal",
-        "multiples_of_omega", "next_card_of", "next_limit_of_cardinals_above",
-        "omega_powers", "parse_hf", "render_hf", "sup_of_cardinals_below",
+        "CardinalStructure", "HFSet", "OutOfStructureError", "SetCode",
+        "card_of", "decode_set", "encode_hf", "explicit_list", "hf", "hf_card",
+        "hf_powerset", "is_cardinal", "multiples_of_omega", "next_card_of",
+        "next_limit_of_cardinals_above", "omega_powers", "parse_hf",
+        "render_hf", "sup_of_cardinals_below",
     ),
     "logic": (
         "Formula", "TruthEnv", "classify_level", "eval_formula",

@@ -30,6 +30,7 @@ from .ordcalc import (
     Ordinal,
     OrdinalDomainError,
     OrdinalParseError,
+    _echo,
     _nat_literal,
     add,
     left_sub,
@@ -51,18 +52,6 @@ DEFAULT_STRUCTURE = "omega-powers"
 
 class CliError(Exception):
     """Validation problem that should surface as exit code 2."""
-
-
-# Longest argument an error message quotes in full.
-_ECHO_CAP = 40
-
-
-def _echo(text: str) -> str:
-    """The argument quoted for an error message: whole when short, else its
-    first _ECHO_CAP characters and its length."""
-    if len(text) <= _ECHO_CAP:
-        return repr(text)
-    return f"{text[:_ECHO_CAP]!r}... ({len(text)} characters)"
 
 
 # -- calc --------------------------------------------------------------------
@@ -170,7 +159,7 @@ def _build_structure(kind: str, bound_text: str, cardinal_texts: Optional[List[s
             raise CliError("an explicit-list structure needs --cardinals")
         cards = [_parse_ordinal_arg(c, "cardinal") for c in cardinal_texts]
         return u.explicit_list(cards, bound)
-    raise CliError(f"unknown structure kind {kind!r}; pick one of {', '.join(u.KINDS)}")
+    raise CliError(f"unknown structure kind {_echo(kind)}; pick one of {', '.join(u.KINDS)}")
 
 
 def _parse_ordinal_arg(text: str, what: str) -> Ordinal:
@@ -201,26 +190,30 @@ def _parse_formula_arg(text: str) -> int:
     return formula_index(f)
 
 
-def _needs_structure(name: str) -> bool:
-    return name not in ("powercard_via_pot", "sep_via_truth")
-
-
-def _parse_instance(name: str, args) -> object:
-    if name == "powercard_via_pot":
-        return _parse_set_arg(args.input, "input set")
-    if name == "sep_via_truth":
-        if not args.formula:
-            raise CliError("sep_via_truth needs --formula")
-        code = _parse_set_arg(args.input, "input set")
-        params = tuple(_parse_set_arg(p, "parameter") for p in args.param)
-        return (code, _parse_formula_arg(args.formula), params)
-    return _parse_ordinal_arg(args.input, "input")
-
-
-def _check_in_window(instance: Ordinal, structure):
-    if instance >= structure.bound:
-        raise CliError(f"instance {render(instance)} is not below the "
+def _parse_instance(spec, raw, where: str, structure):
+    """One instance of spec, named `where` in errors.  Its shape follows
+    what spec computes: a set literal for PowerCard, an object with
+    set/formula/params for Separation, otherwise an ordinal, which must lie
+    below the bound of `structure`."""
+    if spec.source == "PowerCard":
+        if not isinstance(raw, str):
+            raise CliError(f"{where} should be a set literal string")
+        return _parse_set_arg(raw, where)
+    if spec.source == "Separation":
+        if not isinstance(raw, dict):
+            raise CliError(f"{where} should be an object with set/formula/params")
+        code = _parse_set_arg(_scenario_field(raw, "set", str, required=True), f"{where} set")
+        k = _parse_formula_arg(_scenario_field(raw, "formula", str, required=True))
+        params = tuple(_parse_set_arg(p, f"{where} parameter")
+                       for p in _scenario_field(raw, "params", list, default=[]))
+        return (code, k, params)
+    if not isinstance(raw, str):
+        raise CliError(f"{where} should be an ordinal string")
+    a = _parse_ordinal_arg(raw, where)
+    if a >= structure.bound:
+        raise CliError(f"{where} {render(a)} is not below the "
                        f"structure bound {render(structure.bound)}")
+    return a
 
 
 def _check_budget(budget: int):
@@ -276,18 +269,22 @@ def _ledger_json(program_name: str, instance, result) -> dict:
 
 def _cmd_reduce(args) -> int:
     from . import tam
+    from .oracles import summarize_query
     from .reductions import CATALOG_NAMES, catalog
     if args.name not in CATALOG_NAMES:
-        raise CliError(f"unknown reduction {args.name!r}; pick one of "
+        raise CliError(f"unknown reduction {_echo(args.name)}; pick one of "
                        f"{', '.join(CATALOG_NAMES)}")
     spec = catalog(args.name, count_only=args.count_only,
                    level=args.level, rank=args.rank)
     structure = None
-    if _needs_structure(args.name):
+    if spec.oracle == "DecCard":
         structure = _build_structure(args.structure, args.bound, args.cardinals)
-    instance = _parse_instance(args.name, args)
-    if structure is not None:
-        _check_in_window(instance, structure)
+    raw = args.input
+    if spec.source == "Separation":
+        if not args.formula:
+            raise CliError(f"{args.name} needs --formula")
+        raw = {"set": args.input, "formula": args.formula, "params": args.param}
+    instance = _parse_instance(spec, raw, "input", structure)
     budget = tam.DEFAULT_BUDGET if args.budget is None else args.budget
     _check_budget(budget)
 
@@ -295,7 +292,6 @@ def _cmd_reduce(args) -> int:
     result = tam.run(program, instance, spec.make_bindings(structure), budget)
     print(f"status: {result.status}")
     if result.output is not None:
-        from .oracles import summarize_query
         print(f"output: {summarize_query(result.output)}")
     print(f"total order type: {render(result.ledger.total_order_type())}")
     if args.ledger:
@@ -305,11 +301,6 @@ def _cmd_reduce(args) -> int:
 
 
 # -- run ---------------------------------------------------------------------
-
-
-# the BoundForm kinds a scenario's bound_override may name
-_BOUND_KINDS = ("const", "input", "succ-of-input", "next-card-succ", "finite",
-                "set-size", "next-limit-interval")
 
 
 def _scenario_field(blob: dict, key: str, kind, required=False, default=None):
@@ -334,53 +325,20 @@ def _load_scenario(path: str) -> dict:
         raise CliError(f"scenario {path!r} line {e.lineno}: {e.msg}")
 
 
-def _scenario_instances(name: str, raw_instances: list, structure):
-    instances = []
-    for i, raw in enumerate(raw_instances):
-        where = f"instance #{i}"
-        if name == "powercard_via_pot":
-            if not isinstance(raw, str):
-                raise CliError(f"{where} should be a set literal string")
-            instances.append(_parse_set_arg(raw, where))
-        elif name == "sep_via_truth":
-            if not isinstance(raw, dict):
-                raise CliError(f"{where} should be an object with "
-                               "set/formula/params")
-            code = _parse_set_arg(_scenario_field(raw, "set", str, required=True),
-                                  f"{where} set")
-            k = _parse_formula_arg(_scenario_field(raw, "formula", str,
-                                                   required=True))
-            params = tuple(_parse_set_arg(p, f"{where} parameter")
-                           for p in _scenario_field(raw, "params", list,
-                                                    default=[]))
-            instances.append((code, k, params))
-        else:
-            if not isinstance(raw, str):
-                raise CliError(f"{where} should be an ordinal string")
-            a = _parse_ordinal_arg(raw, where)
-            if structure is not None:
-                try:
-                    _check_in_window(a, structure)
-                except CliError as e:
-                    raise CliError(f"{where}: {e}")
-            instances.append(a)
-    return instances
-
-
 def _cmd_run(args) -> int:
     from . import tam
-    from .reductions import CATALOG_NAMES, BoundForm, catalog, verify
+    from .reductions import BOUND_KINDS, CATALOG_NAMES, BoundForm, catalog, verify
     blob = _load_scenario(args.scenario)
     name = _scenario_field(blob, "reduction", str, required=True)
     if name not in CATALOG_NAMES:
-        raise CliError(f"scenario names unknown reduction {name!r}")
+        raise CliError(f"scenario names unknown reduction {_echo(name)}")
     level = _scenario_field(blob, "level", int, default=2)
     rank = _scenario_field(blob, "rank", int, default=3)
     count_only = _scenario_field(blob, "count_only", bool, default=False)
     spec = catalog(name, count_only=count_only, level=level, rank=rank)
 
     structure = None
-    if _needs_structure(name):
+    if spec.oracle == "DecCard":
         desc = _scenario_field(blob, "structure", dict, required=True)
         structure = _build_structure(
             _scenario_field(desc, "kind", str, required=True),
@@ -390,7 +348,8 @@ def _cmd_run(args) -> int:
     raw_instances = _scenario_field(blob, "instances", list, required=True)
     if not raw_instances:
         raise CliError("scenario has no instances")
-    instances = _scenario_instances(name, raw_instances, structure)
+    instances = [_parse_instance(spec, raw, f"instance #{i}", structure)
+                 for i, raw in enumerate(raw_instances)]
     budget = _scenario_field(blob, "budget", int, default=tam.DEFAULT_BUDGET)
     _check_budget(budget)
 
@@ -398,10 +357,14 @@ def _cmd_run(args) -> int:
     if "bound_override" in blob:
         desc = _scenario_field(blob, "bound_override", dict)
         kind = _scenario_field(desc, "kind", str, required=True)
-        if kind not in _BOUND_KINDS:
-            raise CliError(f"unknown bound form {kind!r}")
+        # a product's operands cannot be written in a scenario
+        kinds = [k for k in BOUND_KINDS if k != "product"]
+        if kind not in kinds:
+            raise CliError(f"bad bound_override kind {_echo(kind)}; "
+                           f"pick one of {', '.join(kinds)}")
         value = _scenario_field(desc, "value", str, default="0")
-        override = BoundForm(kind, value=parse_ordinal(value) if kind == "const" else None)
+        override = BoundForm(kind, value=_parse_ordinal_arg(value, "bound_override value")
+                             if kind == "const" else None)
 
     report = verify(spec, structure, instances, budget,
                     bound_override=override)
@@ -562,8 +525,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 _USAGE_ERRORS = (
     ("ordcalc", "OrdinalParseError"), ("ordcalc", "OrdinalDomainError"),
     ("oracles", "OracleTypeError"), ("universe", "OutOfStructureError"),
-    ("universe", "NoSuchCardinalError"), ("universe", "InvalidCodeError"),
-    ("universe", "PowersetCapError"), ("logic", "RankError"),
+    ("universe", "InvalidCodeError"), ("universe", "PowersetCapError"),
+    ("logic", "RankError"),
 )
 
 

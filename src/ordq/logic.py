@@ -45,6 +45,7 @@ import itertools
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ._record import Record, _set
+from .ordcalc import _echo
 from .universe import EMPTY_SET, HFSet, cantor_pair, cantor_unpair, _hf_sort_key
 
 EXISTS = "E"
@@ -204,7 +205,7 @@ def parse_formula(text: str) -> Formula:
     def take(expected: str) -> str:
         token = take_any(repr(expected))
         if token != expected:
-            raise FormulaError(f"expected {expected!r}, found {token!r}")
+            raise FormulaError(f"expected {expected!r}, found {_echo(token)}")
         return token
 
     prefix: List[str] = []
@@ -215,9 +216,9 @@ def parse_formula(text: str) -> Formula:
         prefix.append(take_any("a quantifier"))
         name = take_any("a binder name")
         if name in _KEYWORDS or not (name[0].isalpha() or name[0] == "_"):
-            raise FormulaError(f"bad binder name {name!r}")
+            raise FormulaError(f"bad binder name {_echo(name)}")
         if name in scope:
-            raise FormulaError(f"binder {name!r} used twice")
+            raise FormulaError(f"binder {_echo(name)} used twice")
         scope[name] = len(scope)
         if peek() == "(":
             take("(")
@@ -230,17 +231,17 @@ def parse_formula(text: str) -> Formula:
         if token == "#":
             index = take_any("a parameter number")
             if not index.isdigit():
-                raise FormulaError(f"bad parameter number {index!r}")
+                raise FormulaError(f"bad parameter number {_echo(index)}")
             return ("param", int(index))
         if token in ("E", "A"):
             raise FormulaError("quantifier inside the matrix: input is not prenex")
         if not (token[0].isalpha() or token[0] == "_"):
-            raise FormulaError(f"expected a term, found {token!r}")
+            raise FormulaError(f"expected a term, found {_echo(token)}")
         if token in scope:
             return ("var", scope[token])
         if token[0] == "v" and token[1:].isdigit() and int(token[1:]) >= binders:
             return ("var", int(token[1:]))
-        raise FormulaError(f"unbound variable {token!r}")
+        raise FormulaError(f"unbound variable {_echo(token)}")
 
     def atom_or_group() -> tuple:
         if peek() == "!":
@@ -259,7 +260,7 @@ def parse_formula(text: str) -> Formula:
             return ("in", left, term())
         if op == "=":
             return ("eq", left, term())
-        raise FormulaError(f"expected 'in' or '=', found {op!r}")
+        raise FormulaError(f"expected 'in' or '=', found {_echo(op)}")
 
     def conjunction() -> tuple:
         node = atom_or_group()
@@ -279,7 +280,7 @@ def parse_formula(text: str) -> Formula:
     for _ in range(parens):
         take(")")
     if pos != len(tokens):
-        raise FormulaError(f"trailing input from token {tokens[pos]!r}")
+        raise FormulaError(f"trailing input from token {_echo(tokens[pos])}")
     return Formula(tuple(prefix), matrix)
 
 

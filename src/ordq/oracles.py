@@ -46,7 +46,6 @@ from . import universe as _u
 from .universe import (
     CardinalStructure,
     HFSet,
-    NoSuchCardinalError,
     OutOfStructureError,
     SetCode,
     decode_set,
@@ -86,7 +85,8 @@ class OrdinalSet:
     is the least ordinal above the argument in which members are cofinal.
     sup_below reports the supremum of members strictly below the argument
     plus an attained bit (True iff that supremum is itself a member).
-    None always means "no such point".
+    None always means "no such point"; CardinalClassSet passes on the None
+    of the universe queries as it comes (see ordq.universe).
     """
 
     def contains(self, a: OrdinalLike) -> bool:
@@ -117,34 +117,19 @@ class CardinalClassSet(OrdinalSet):
         self.structure = structure
 
     def contains(self, a):
-        try:
-            return bool(_u.is_cardinal(self.structure, a))
-        except OutOfStructureError:
-            return False
+        return bool(_u.is_cardinal(self.structure, a))
 
     def least_above(self, a):
-        try:
-            return _u.next_card_of(self.structure, a)
-        except (NoSuchCardinalError, OutOfStructureError):
-            return None
+        return _u.next_card_of(self.structure, a)
 
     def greatest_at_most(self, a):
-        try:
-            return _u.card_of(self.structure, a)
-        except OutOfStructureError:
-            return None
+        return _u.card_of(self.structure, a)
 
     def next_limit_above(self, a):
-        try:
-            return _u.next_limit_of_cardinals_above(self.structure, a)
-        except (NoSuchCardinalError, OutOfStructureError):
-            return None
+        return _u.next_limit_of_cardinals_above(self.structure, a)
 
     def sup_below(self, a):
-        try:
-            return _u.sup_of_cardinals_below(self.structure, a)
-        except OutOfStructureError:
-            return None
+        return _u.sup_of_cardinals_below(self.structure, a)
 
     def scan_horizon(self):
         return self.structure.bound
@@ -408,26 +393,29 @@ def _require(condition: bool, message: str):
         raise OracleTypeError(message)
 
 
+# pointwise cardinal oracle -> the universe query it answers with, looked
+# up when the oracle is made, so that a patched query is the one it calls
+_CARD_QUERIES = {DEC_CARD: "is_cardinal", NEXT_CARD: "next_card_of", ORD_CARD: "card_of"}
+
+
 def make_effectivizer(name: str, structure: CardinalStructure = None,
                       level: int = None, rank: int = None,
                       script: Sequence = None,
                       hit_set: OrdinalSet = None) -> Effectivizer:
     """Build one of the catalog oracles over the given environment."""
-    if name == DEC_CARD:
-        _require(structure is not None, "DecCard needs a cardinal structure")
+    if name in _CARD_QUERIES:
+        _require(structure is not None, f"{name} needs a cardinal structure")
+        query = getattr(_u, _CARD_QUERIES[name])
 
-        def dec(q):
-            return int(_u.is_cardinal(structure, _expect_ordinal(q)))
+        def card_answer(q):
+            a = _expect_ordinal(q)
+            if a >= structure.bound:
+                raise OutOfStructureError(f"{render(a)} is not below the working "
+                                          f"bound {render(structure.bound)}")
+            return query(structure, a)
 
-        return Effectivizer(DEC_CARD, dec, hit_set=CardinalClassSet(structure))
-    if name == NEXT_CARD:
-        _require(structure is not None, "NextCard needs a cardinal structure")
-        return Effectivizer(NEXT_CARD,
-                            lambda q: _u.next_card_of(structure, _expect_ordinal(q)))
-    if name == ORD_CARD:
-        _require(structure is not None, "OrdCard needs a cardinal structure")
-        return Effectivizer(ORD_CARD,
-                            lambda q: _u.card_of(structure, _expect_ordinal(q)))
+        return Effectivizer(name, card_answer,
+                            hit_set=CardinalClassSet(structure) if name == DEC_CARD else None)
     if name == POT:
         _require(structure is None and level is None, "Pot takes no environment")
         return Effectivizer(POT, lambda q: _u.powerset_code(_expect_code(q)))

@@ -418,6 +418,19 @@ def limit_part(a: OrdinalLike) -> Ordinal:
 # -- concrete syntax -------------------------------------------------------
 
 
+# Longest text an error message quotes in full.
+_ECHO_CAP = 40
+
+
+def _echo(text: str) -> str:
+    """text quoted for an error message: whole when short, else its first
+    _ECHO_CAP characters and its length.  The command line and the formula
+    parser quote their input through it."""
+    if len(text) <= _ECHO_CAP:
+        return repr(text)
+    return f"{text[:_ECHO_CAP]!r}... ({len(text)} characters)"
+
+
 def _nat_literal(digits: str, pos: int) -> int:
     """The natural a run of decimal digits names; OrdinalParseError, at pos,
     when it has more than _DIGITS_CAP digits."""

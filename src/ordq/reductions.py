@@ -24,6 +24,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 from ._record import Record, _set, same_class_eq
 from .ordcalc import (
     OMEGA,
+    ZERO,
     Ordinal,
     _coerce,
     add,
@@ -33,7 +34,7 @@ from .ordcalc import (
     successor,
 )
 from . import universe as u
-from .universe import CardinalStructure, HFSet, NoSuchCardinalError, OutOfStructureError, SetCode
+from .universe import CardinalStructure, HFSet, SetCode
 from .oracles import (
     DEC_CARD,
     POT,
@@ -123,36 +124,10 @@ class BoundForm(NamedTuple):
                  input_value) -> Optional[Ordinal]:
         """The bound's value at this input; None when the form is the bare
         finiteness promise or the input leaves the structure."""
-        k = self.kind
-        if k == "const":
-            return self.value
-        if k == "input":
-            return _coerce(input_value)
-        if k == "succ-of-input":
-            return successor(input_value)
-        if k == "next-card-succ":
-            try:
-                return successor(u.next_card_of(structure, input_value))
-            except (NoSuchCardinalError, OutOfStructureError):
-                return None
-        if k == "finite":
-            return None
-        if k == "set-size":
-            code = input_value[0]
-            return Ordinal.from_int(len(u.code_elements(code)))
-        if k == "next-limit-interval":
-            try:
-                lam = u.next_limit_of_cardinals_above(structure, input_value)
-            except (NoSuchCardinalError, OutOfStructureError):
-                return None
-            return left_sub(input_value, lam)
-        if k == "product":
-            l = self.left.evaluate(structure, input_value)
-            r = self.right.evaluate(structure, input_value)
-            if l is None or r is None:
-                return None
-            return mul(l, r)
-        raise ValueError(f"unknown bound form {k!r}")
+        entry = BOUND_KINDS.get(self.kind)
+        if entry is None:
+            raise ValueError(f"unknown bound form {self.kind!r}")
+        return entry[1](self, structure, input_value)
 
     def check(self, total: Ordinal, structure, input_value) -> "BoundCheck":
         """Evaluate the bound (a product form's two operands) once and judge
@@ -174,24 +149,35 @@ class BoundForm(NamedTuple):
         return BoundCheck(fg, bool(holds), "+".join(holds) or "neither")
 
     def describe(self) -> str:
-        k = self.kind
-        if k == "const":
-            return render(self.value)
-        if k == "input":
-            return "a"
-        if k == "succ-of-input":
-            return "a+1"
-        if k == "next-card-succ":
-            return "nextcard(a)+1"
-        if k == "finite":
-            return "finite"
-        if k == "set-size":
-            return "|S|"
-        if k == "next-limit-interval":
-            return "leftsub(a, next limit of cardinals)"
-        if k == "product":
+        if self.kind == "product":
             return f"({self.left.describe()})*({self.right.describe()})"
-        raise ValueError(k)
+        return BOUND_KINDS[self.kind][0] or render(self.value)
+
+
+def _next_card_succ(form, cs, a) -> Optional[Ordinal]:
+    card = u.next_card_of(cs, a)
+    return None if card is None else successor(card)
+
+
+def _next_limit_interval(form, cs, a) -> Optional[Ordinal]:
+    lam = u.next_limit_of_cardinals_above(cs, a)
+    return None if lam is None else left_sub(a, lam)
+
+
+# bound kind -> (text, value rule).  A rule takes the form, the structure
+# and the input, and answers None where the bound has no value.  A const
+# form's text is its value, and a product's joins its operands' texts; a
+# product's value is the f*g its check works out, whatever the total.
+BOUND_KINDS = {
+    "const": (None, lambda form, cs, a: form.value),
+    "input": ("a", lambda form, cs, a: _coerce(a)),
+    "succ-of-input": ("a+1", lambda form, cs, a: successor(a)),
+    "next-card-succ": ("nextcard(a)+1", _next_card_succ),
+    "finite": ("finite", lambda form, cs, a: None),
+    "set-size": ("|S|", lambda form, cs, a: Ordinal.from_int(len(u.code_elements(a[0])))),
+    "next-limit-interval": ("leftsub(a, next limit of cardinals)", _next_limit_interval),
+    "product": (None, lambda form, cs, a: form.check(ZERO, cs, a).value),
+}
 
 
 class BoundCheck(NamedTuple):
@@ -379,27 +365,6 @@ def program_sep_via_truth() -> Program:
 # -- references --------------------------------------------------------------
 
 
-def _ref_nextcard(structure, a):
-    try:
-        return u.next_card_of(structure, a)
-    except (NoSuchCardinalError, OutOfStructureError):
-        return None
-
-
-def _ref_ordcard(structure, a):
-    try:
-        return u.card_of(structure, a)
-    except OutOfStructureError:
-        return None
-
-
-def _ref_next_limit(structure, a):
-    try:
-        return u.next_limit_of_cardinals_above(structure, a)
-    except (NoSuchCardinalError, OutOfStructureError):
-        return None
-
-
 def _ref_powercard(_structure, code):
     return Ordinal.from_int(2 ** u.hf_card(u.decode_set(code)))
 
@@ -434,21 +399,21 @@ def catalog(name: str, approximator: Optional[Approximator] = None,
             bound=BoundForm.next_card_succ(),
             make_program=program_nextcard_via_deccard,
             make_bindings=_deccard_bindings,
-            reference=_ref_nextcard)
+            reference=u.next_card_of)
     if name == "ordcard_scan_naive":
         return ReductionSpec(
             name=name, source="OrdCard", oracle="DecCard",
             bound=BoundForm.succ_of_input(),
             make_program=lambda: program_ordcard_scan(improved=False),
             make_bindings=_deccard_bindings,
-            reference=_ref_ordcard)
+            reference=u.card_of)
     if name == "ordcard_scan_improved":
         return ReductionSpec(
             name=name, source="OrdCard", oracle="DecCard",
             bound=BoundForm.input_itself(),
             make_program=lambda: program_ordcard_scan(improved=True),
             make_bindings=_deccard_bindings,
-            reference=_ref_ordcard)
+            reference=u.card_of)
     if name == "ordcard_guesscheck":
         if approximator is not None:
             return ReductionSpec(
@@ -456,7 +421,7 @@ def catalog(name: str, approximator: Optional[Approximator] = None,
                 bound=BoundForm.finite(),
                 make_program=lambda: program_ordcard_guesscheck(approximator),
                 make_bindings=_deccard_bindings,
-                reference=_ref_ordcard)
+                reference=u.card_of)
         # default approximator needs the structure, known only at binding time
         cell: Dict[str, Approximator] = {}
         lazy = Approximator("direct-descent",
@@ -470,14 +435,14 @@ def catalog(name: str, approximator: Optional[Approximator] = None,
             name=name, source="OrdCard", oracle="DecCard",
             bound=BoundForm.finite(),
             make_program=lambda: program_ordcard_guesscheck(lazy),
-            make_bindings=make_default_bindings, reference=_ref_ordcard)
+            make_bindings=make_default_bindings, reference=u.card_of)
     if name == "flagtrick":
         return ReductionSpec(
             name=name, source="NextLimitOfCardinals", oracle="DecCard",
             bound=BoundForm.next_limit_interval(),
             make_program=program_flagtrick,
             make_bindings=_deccard_bindings,
-            reference=_ref_next_limit)
+            reference=u.next_limit_of_cardinals_above)
     if name == "powercard_via_pot":
         return ReductionSpec(
             name=name, source="PowerCard", oracle="Pot",

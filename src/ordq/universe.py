@@ -13,6 +13,13 @@ so "greatest cardinal at most a" and friends are total where they promise
 to be.  All queries are answered in closed form on the normal form of the
 argument; nothing is enumerated.
 
+The five cardinal queries (is_cardinal, card_of, next_card_of,
+next_limit_of_cardinals_above, sup_of_cardinals_below) answer None for
+"no such point": for an argument at or past the working bound, and when the
+point they look for does not exist below it.  This module is the one place
+that decides it (_within_bound wraps each query for the first case), and
+callers pass None on rather than catch an error.
+
 The second half of the module is the hereditarily finite set side: HFSet
 values, their membership codes (SetCode: a finite extensional well-founded
 edge set over ordinal node ids, edges packed with the pairing function),
@@ -45,7 +52,7 @@ from __future__ import annotations
 import math
 import threading
 import weakref
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ._record import Record, _set
@@ -63,7 +70,6 @@ from .ordcalc import (
     limit_part,
     mul,
     omega_power,
-    render,
 )
 
 OMEGA_POWERS = "omega-powers"
@@ -74,11 +80,8 @@ KINDS = (OMEGA_POWERS, MULTIPLES_OF_OMEGA, EXPLICIT_LIST)
 
 
 class OutOfStructureError(ValueError):
-    """The queried ordinal is not below the structure's working bound."""
-
-
-class NoSuchCardinalError(ValueError):
-    """The requested cardinal does not exist below the working bound."""
+    """A pointwise cardinal oracle was asked about an ordinal that is not
+    below the structure's working bound."""
 
 
 class InvalidCodeError(ValueError):
@@ -137,16 +140,21 @@ def _limit_closed(structure: CardinalStructure) -> bool:
     return is_cardinal(structure, OMEGA) == 1
 
 
-def _check_in_bound(structure: CardinalStructure, a: Ordinal):
-    if a >= structure.bound:
-        raise OutOfStructureError(
-            f"{render(a)} is not below the working bound {render(structure.bound)}")
+def _within_bound(query):
+    """Wrap a cardinal query so that it takes its argument as an Ordinal
+    and answers None for one at or past the structure's bound."""
+
+    @wraps(query)
+    def within_bound(structure: CardinalStructure, a: OrdinalLike):
+        a = _coerce(a)
+        return None if a >= structure.bound else query(structure, a)
+
+    return within_bound
 
 
-def is_cardinal(structure: CardinalStructure, a: OrdinalLike) -> int:
-    """1 if a is a cardinal of the structure, else 0."""
-    a = _coerce(a)
-    _check_in_bound(structure, a)
+@_within_bound
+def is_cardinal(structure: CardinalStructure, a: Ordinal) -> Optional[int]:
+    """1 if a is a cardinal of the structure, else 0; None past the bound."""
     if a.is_finite() or a == OMEGA:
         return 1
     if structure.kind == OMEGA_POWERS:
@@ -156,10 +164,10 @@ def is_cardinal(structure: CardinalStructure, a: OrdinalLike) -> int:
     return int(a in structure.cardinals)
 
 
-def card_of(structure: CardinalStructure, a: OrdinalLike) -> Ordinal:
-    """The greatest cardinal <= a (total: finite ordinals are cardinals)."""
-    a = _coerce(a)
-    _check_in_bound(structure, a)
+@_within_bound
+def card_of(structure: CardinalStructure, a: Ordinal) -> Optional[Ordinal]:
+    """The greatest cardinal <= a (total below the bound: finite ordinals
+    are cardinals); None past the bound."""
     if a.is_finite():
         return a
     if structure.kind == OMEGA_POWERS:
@@ -170,10 +178,9 @@ def card_of(structure: CardinalStructure, a: OrdinalLike) -> Ordinal:
     return below[-1] if below else OMEGA
 
 
-def next_card_of(structure: CardinalStructure, a: OrdinalLike) -> Ordinal:
-    """The least cardinal > a; NoSuchCardinalError if none below the bound."""
-    a = _coerce(a)
-    _check_in_bound(structure, a)
+@_within_bound
+def next_card_of(structure: CardinalStructure, a: Ordinal) -> Optional[Ordinal]:
+    """The least cardinal > a; None if there is none below the bound."""
     if a.is_finite():
         result = add(a, 1)
     elif structure.kind == OMEGA_POWERS:
@@ -181,26 +188,22 @@ def next_card_of(structure: CardinalStructure, a: OrdinalLike) -> Ordinal:
     elif structure.kind == MULTIPLES_OF_OMEGA:
         result = add(limit_part(a), OMEGA)
     else:
-        above = [c for c in structure.cardinals if c > a]
-        if not above:
-            raise NoSuchCardinalError(f"no cardinal above {render(a)}")
-        result = above[0]
-    if result >= structure.bound:
-        raise NoSuchCardinalError(
-            f"no cardinal above {render(a)} below the bound {render(structure.bound)}")
-    return result
+        # the bound stands in for "no listed cardinal above a"
+        result = next((c for c in structure.cardinals if c > a), structure.bound)
+    return result if result < structure.bound else None
 
 
-def next_limit_of_cardinals_above(structure: CardinalStructure, a: OrdinalLike) -> Ordinal:
-    """The least ordinal > a in which the cardinals are cofinal.
+@_within_bound
+def next_limit_of_cardinals_above(structure: CardinalStructure,
+                                  a: Ordinal) -> Optional[Ordinal]:
+    """The least ordinal > a in which the cardinals are cofinal; None if
+    there is none below the bound.
 
     w qualifies for every structure (the finite cardinals pile up under it).
     Beyond w the answer depends on the kind: limits of omega powers are the
     powers with limit exponent, limits of multiples of w are the nonzero
     multiples of w^2, and a finite explicit list has no limit points at all.
     """
-    a = _coerce(a)
-    _check_in_bound(structure, a)
     if a < OMEGA:
         result = OMEGA
     elif structure.kind == OMEGA_POWERS:
@@ -216,23 +219,19 @@ def next_limit_of_cardinals_above(structure: CardinalStructure, a: OrdinalLike) 
         high = Ordinal(tuple(t for t in a.terms if t[0] >= 2))
         result = add(high, omega_power(2))
     else:
-        raise NoSuchCardinalError(
-            f"no limit of cardinals above {render(a)} below the bound")
-    if result >= structure.bound:
-        raise NoSuchCardinalError(
-            f"no limit of cardinals above {render(a)} below the bound {render(structure.bound)}")
-    return result
+        return None
+    return result if result < structure.bound else None
 
 
+@_within_bound
 def sup_of_cardinals_below(structure: CardinalStructure,
-                           a: OrdinalLike) -> Optional[Tuple[Ordinal, bool]]:
-    """(sup of cardinals < a, attained?) or None when a == 0.
+                           a: Ordinal) -> Optional[Tuple[Ordinal, bool]]:
+    """(sup of cardinals < a, attained?); None when a == 0 or a is past
+    the bound.
 
     attained is False exactly when the cardinals are cofinal in a, in which
     case the supremum equals a itself.
     """
-    a = _coerce(a)
-    _check_in_bound(structure, a)
     if a.is_zero():
         return None
     if a.is_finite():

@@ -13,6 +13,7 @@ import ordq
 from ordq import cli
 from ordq import universe as u
 from ordq.ordcalc import parse_ordinal as P, render
+from ordq.reductions import BOUND_KINDS
 
 
 def run_cli(*argv):
@@ -118,6 +119,12 @@ class TestReduce:
         assert run_cli("reduce", "nosuch", "--input", "1") == 2
         assert "unknown reduction" in capsys.readouterr().err
 
+    def test_long_unknown_name_is_quoted_in_part(self, capsys):
+        assert run_cli("reduce", "x" * 3000, "--input", "1") == 2
+        line = one_line_error(capsys)
+        assert f"{'x' * 40!r}... (3000 characters)" in line
+        assert len(line) < 300, line
+
     def test_instance_outside_window_exits_2(self, capsys):
         code = run_cli("reduce", "nextcard_via_deccard", "--input", "w^3",
                        "--bound", "w^3")
@@ -158,6 +165,15 @@ class TestReduce:
         assert code == 2
         assert one_line_error(capsys) == (
             "error: bad formula 'E v0 (v0 in #0 | v1 in v0)': free variable v1")
+
+    def test_long_formula_token_is_quoted_in_part(self, capsys):
+        name = "x" * 3000
+        code = run_cli("reduce", "sep_via_truth", "--input", "{}",
+                       "--formula", f"E v0 (v0 in {name})")
+        assert code == 2
+        line = one_line_error(capsys)
+        assert len(line) < 200, line
+        assert line.endswith(f"unbound variable {name[:40]!r}... (3000 characters)")
 
     def test_separation_without_formula_exits_2(self, capsys):
         code = run_cli("reduce", "sep_via_truth", "--input", "{{}}")
@@ -321,6 +337,47 @@ class TestRunScenario:
                              instances=["w*2+1"])
         assert run_cli("run", path) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value,echo", [
+        ("w +", "'w +'"),
+        ("w*" + "x" * 3000, "'w*" + "x" * 38 + "'... (3002 characters)"),
+    ])
+    def test_bad_bound_override_value_exits_2(self, capsys, tmp_path, value, echo):
+        path = self.scenario(tmp_path, bound_override={"kind": "const", "value": value})
+        assert run_cli("run", path) == 2
+        line = one_line_error(capsys)
+        assert line.startswith(f"error: bad bound_override value {echo}: "), line
+        assert len(line) < 200, line
+
+    @pytest.mark.parametrize("kind", [k for k in BOUND_KINDS if k != "product"])
+    def test_every_scenario_bound_kind_runs(self, capsys, tmp_path, kind):
+        override = {"kind": kind, "value": "w"}
+        if kind == "set-size":      # the size of a separation instance's set
+            path = write_scenario(tmp_path, {
+                "reduction": "sep_via_truth", "bound_override": override,
+                "instances": [{"set": "{{},{{}}}", "formula": "E v0 (v0 = #0)"}]})
+        else:
+            path = self.scenario(tmp_path, bound_override=override)
+        assert run_cli("run", path) in (0, 1)
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["product", "bogus"])
+    def test_bound_kind_outside_the_scenario_table_exits_2(self, capsys, tmp_path, kind):
+        path = self.scenario(tmp_path, bound_override={"kind": kind})
+        assert run_cli("run", path) == 2
+        assert one_line_error(capsys).startswith(f"error: bad bound_override kind {kind!r}; ")
+
+    @pytest.mark.parametrize("field", ["reduction", "structure kind"])
+    def test_long_unknown_name_is_quoted_in_part(self, capsys, tmp_path, field):
+        name = "x" * 3000
+        if field == "reduction":
+            path = self.scenario(tmp_path, reduction=name)
+        else:
+            path = self.scenario(tmp_path, structure={"kind": name})
+        assert run_cli("run", path) == 2
+        line = one_line_error(capsys)
+        assert f"{name[:40]!r}... (3000 characters)" in line
+        assert len(line) < 200, line
 
     def test_separation_scenario(self, capsys, tmp_path):
         path = write_scenario(tmp_path, {

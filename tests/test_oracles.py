@@ -140,7 +140,7 @@ class TestFiniteSetRanked:
 
 class TestCardinalClassDelegation:
     """The ranked view of a structure's cardinals answers like the module
-    functions, with out-of-range errors flattened to None."""
+    functions, None included."""
 
     CS = u.omega_powers(omega_power(P("w*2")))
 
@@ -304,6 +304,14 @@ class TestEffectivizerCatalog:
         assert render(answer(nxt, P("w*2+1"))) == "w^2"
         assert render(answer(oc, P("w*2+1"))) == "w"
         assert render(answer(oc, P("17"))) == "17"
+
+    @pytest.mark.parametrize("name", [DEC_CARD, NEXT_CARD, ORD_CARD])
+    def test_pointwise_queries_at_or_past_the_bound_are_rejected(self, name):
+        oracle = make_effectivizer(name, structure=self.CS)
+        for q in (omega_power(P("w*2")), omega_power(P("w*2")) + 1, omega_power(P("w^2"))):
+            with pytest.raises(u.OutOfStructureError, match="not below the working bound"):
+                answer(oracle, q)
+        answer(oracle, omega_power(P("w+1")) * 5 + 3)   # just inside: answered
 
     def test_only_ranked_oracles_serve_scans(self):
         nxt = make_effectivizer(NEXT_CARD, structure=self.CS)

@@ -17,7 +17,7 @@ EXPORTS = (
     "OMEGA", "ONE", "ZERO", "Ordinal", "OrdinalDomainError", "OrdinalParseError",
     "add", "classify", "compare", "finite_part", "leading_exponent", "left_sub",
     "mul", "omega_power", "opow", "parse_ordinal", "render", "successor",
-    "CardinalStructure", "HFSet", "NoSuchCardinalError", "OutOfStructureError",
+    "CardinalStructure", "HFSet", "OutOfStructureError",
     "SetCode", "card_of", "decode_set", "encode_hf", "explicit_list", "hf",
     "hf_card", "hf_powerset", "is_cardinal", "multiples_of_omega", "next_card_of",
     "next_limit_of_cardinals_above", "omega_powers", "parse_hf", "render_hf",

@@ -25,8 +25,6 @@ from ordq.universe import (
     HFSet,
     InvalidCodeError,
     NESTING_CAP,
-    NoSuchCardinalError,
-    OutOfStructureError,
     POWERSET_CAP,
     PowersetCapError,
     SetCode,
@@ -142,17 +140,13 @@ class TestStructureExamples:
 
     def test_out_of_structure(self):
         for _, cs, _, _ in STRUCTURES:
-            with pytest.raises(OutOfStructureError):
-                is_cardinal(cs, W3)
-            with pytest.raises(OutOfStructureError):
-                card_of(cs, parse("w^3+1"))
+            assert is_cardinal(cs, W3) is None
+            assert card_of(cs, parse("w^3+1")) is None
 
     def test_no_next_card(self):
         # above w^2 the omega-powers structure bounded by w^3 is exhausted
-        with pytest.raises(NoSuchCardinalError):
-            next_card_of(omega_powers(W3), parse("w^2*2"))
-        with pytest.raises(NoSuchCardinalError):
-            next_card_of(explicit_list(EXPLICIT, W3), parse("w^2"))
+        assert next_card_of(omega_powers(W3), parse("w^2*2")) is None
+        assert next_card_of(explicit_list(EXPLICIT, W3), parse("w^2")) is None
 
     def test_constructor_rejects(self):
         with pytest.raises(ValueError):
@@ -192,8 +186,7 @@ class TestStructureBrute:
             if candidates:
                 assert next_card_of(cs, a) == min(candidates), t
             else:
-                with pytest.raises(NoSuchCardinalError):
-                    next_card_of(cs, a)
+                assert next_card_of(cs, a) is None, t
 
     def test_sup_below_against_grid(self, name, cs, pred, limit_pred):
         wide = [u for u in grid(12) if pred(u)]
@@ -218,9 +211,8 @@ class TestStructureBrute:
         for t in grid(2):
             a = to_ordinal(t)
             hits = [u for u in grid(4) if u > t and limit_pred(u)]
-            try:
-                got = next_limit_of_cardinals_above(cs, a)
-            except NoSuchCardinalError:
+            got = next_limit_of_cardinals_above(cs, a)
+            if got is None:
                 assert not hits, t
                 continue
             if hits:
