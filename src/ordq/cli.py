@@ -190,16 +190,21 @@ def _parse_formula_arg(text: str) -> int:
     return formula_index(f)
 
 
+def _shape(spec) -> str:
+    """The shape of spec's instances, which follows what spec computes."""
+    return {"PowerCard": "set", "Separation": "separation"}.get(spec.source, "ordinal")
+
+
 def _parse_instance(spec, raw, where: str, structure):
-    """One instance of spec, named `where` in errors.  Its shape follows
-    what spec computes: a set literal for PowerCard, an object with
-    set/formula/params for Separation, otherwise an ordinal, which must lie
-    below the bound of `structure`."""
-    if spec.source == "PowerCard":
+    """One instance of spec, named `where` in errors: a set literal, an
+    object with set/formula/params for a separation, otherwise an ordinal,
+    which must lie below the bound of `structure`."""
+    shape = _shape(spec)
+    if shape == "set":
         if not isinstance(raw, str):
             raise CliError(f"{where} should be a set literal string")
         return _parse_set_arg(raw, where)
-    if spec.source == "Separation":
+    if shape == "separation":
         if not isinstance(raw, dict):
             raise CliError(f"{where} should be an object with set/formula/params")
         code = _parse_set_arg(_scenario_field(raw, "set", str, required=True), f"{where} set")
@@ -362,6 +367,10 @@ def _cmd_run(args) -> int:
         if kind not in kinds:
             raise CliError(f"bad bound_override kind {_echo(kind)}; "
                            f"pick one of {', '.join(kinds)}")
+        reads, shape = BOUND_KINDS[kind][1], _shape(spec)
+        if reads not in (None, shape):
+            raise CliError(f"bound_override.kind {kind!r} reads {reads} instances, "
+                           f"but {name} takes {shape} instances")
         value = _scenario_field(desc, "value", str, default="0")
         override = BoundForm(kind, value=_parse_ordinal_arg(value, "bound_override value")
                              if kind == "const" else None)

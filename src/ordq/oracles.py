@@ -338,7 +338,8 @@ def summarize_query(q: Any) -> str:
     if isinstance(q, int):
         return render(Ordinal.from_int(q))
     if isinstance(q, SetCode):
-        return f"code(domain={q.domain},root={q.root},edges={len(q.edges)})"
+        edges = sum(map(len, q._children.values()))  # builds no edge set
+        return f"code(domain={q.domain},root={q.root},edges={edges})"
     if isinstance(q, tuple):
         return "(" + ",".join(summarize_query(x) for x in q) + ")"
     if isinstance(q, HFSet):

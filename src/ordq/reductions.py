@@ -127,7 +127,7 @@ class BoundForm(NamedTuple):
         entry = BOUND_KINDS.get(self.kind)
         if entry is None:
             raise ValueError(f"unknown bound form {self.kind!r}")
-        return entry[1](self, structure, input_value)
+        return entry[2](self, structure, input_value)
 
     def check(self, total: Ordinal, structure, input_value) -> "BoundCheck":
         """Evaluate the bound (a product form's two operands) once and judge
@@ -164,19 +164,22 @@ def _next_limit_interval(form, cs, a) -> Optional[Ordinal]:
     return None if lam is None else left_sub(a, lam)
 
 
-# bound kind -> (text, value rule).  A rule takes the form, the structure
-# and the input, and answers None where the bound has no value.  A const
-# form's text is its value, and a product's joins its operands' texts; a
-# product's value is the f*g its check works out, whatever the total.
+# bound kind -> (text, the instance shape it reads or None, value rule).  A
+# rule takes the form, the structure and the input, and answers None where
+# the bound has no value.  A const form's text is its value, and a product's
+# joins its operands' texts; a product's value is the f*g its check works
+# out, whatever the total.
 BOUND_KINDS = {
-    "const": (None, lambda form, cs, a: form.value),
-    "input": ("a", lambda form, cs, a: _coerce(a)),
-    "succ-of-input": ("a+1", lambda form, cs, a: successor(a)),
-    "next-card-succ": ("nextcard(a)+1", _next_card_succ),
-    "finite": ("finite", lambda form, cs, a: None),
-    "set-size": ("|S|", lambda form, cs, a: Ordinal.from_int(len(u.code_elements(a[0])))),
-    "next-limit-interval": ("leftsub(a, next limit of cardinals)", _next_limit_interval),
-    "product": (None, lambda form, cs, a: form.check(ZERO, cs, a).value),
+    "const": (None, None, lambda form, cs, a: form.value),
+    "input": ("a", "ordinal", lambda form, cs, a: _coerce(a)),
+    "succ-of-input": ("a+1", "ordinal", lambda form, cs, a: successor(a)),
+    "next-card-succ": ("nextcard(a)+1", "ordinal", _next_card_succ),
+    "finite": ("finite", None, lambda form, cs, a: None),
+    "set-size": ("|S|", "separation",
+                 lambda form, cs, a: Ordinal.from_int(len(u.code_elements(a[0])))),
+    "next-limit-interval": ("leftsub(a, next limit of cardinals)", "ordinal",
+                            _next_limit_interval),
+    "product": (None, None, lambda form, cs, a: form.check(ZERO, cs, a).value),
 }
 
 

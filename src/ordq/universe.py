@@ -30,9 +30,9 @@ hash-consing", 2006): a weak intern table keyed by the member set makes
 equal sets the same object, so equality is identity and membership tests
 never recurse.  A SetCode is validated once per object: its child map,
 validity verdict and decoded nodes are worked out on first use and kept on
-the code.  A code built by encode_hf starts out with its child map and
-decoded nodes, which the encoder has in hand; its verdict is still worked
-out on first decode.  Every decode asks for the verdict first.
+the code.  A code built by encode_hf keeps the child map and decoded nodes
+the encoder has in hand and no edge set, which is derived on demand; its
+verdict is still worked out on first decode.  Every decode asks for it.
 
 The Pot oracle answers on codes: powerset_code builds the canonical code of
 a power set from the argument's child map, one int mask per subset and no
@@ -448,8 +448,9 @@ class SetCode(Record):
 
     A code is immutable, so it works out its child map, its validity verdict
     and its decoded nodes once, on first use, and keeps them.  A code built
-    by encode_hf starts out with its child map and decoded nodes; its
-    verdict is still worked out on first decode.
+    by encode_hf or powerset_code stores its child map (and encode_hf's
+    decoded nodes); its edge set is derived on demand, for equality, hashing
+    and repr, and its verdict is worked out on first decode.
     """
 
     _fields = ("domain", "edges", "root")
@@ -460,6 +461,12 @@ class SetCode(Record):
             edges = frozenset(_as_nat(e) for e in edges)
         _set(self, "edges", edges)
         _set(self, "root", root if type(root) is int else _as_nat(root))
+
+    @cached_property
+    def edges(self) -> FrozenSet[int]:
+        """A built code's edge set, packed from its child map on first read."""
+        return frozenset((x + y) * (x + y + 1) // 2 + y
+                         for y, kids in self._children.items() for x in kids)
 
     @cached_property
     def _children(self) -> Dict[int, Tuple[int, ...]]:
@@ -520,15 +527,12 @@ def _canonical_ids(by_rank: List[list]) -> Tuple[dict, Dict[int, Tuple[int, ...]
 
 def _built_code(domain: int, root: int, children: Dict[int, Tuple[int, ...]],
                 decoded: Dict[int, HFSet]) -> SetCode:
-    """A SetCode that starts out with its child map and decoded nodes.  The
-    fields are ints already, so __init__'s per-edge type check is
-    skipped; cached_property reads the instance dict first, so the child map
-    and the decoded nodes are the cache."""
-    edges = frozenset((x + y) * (x + y + 1) // 2 + y
-                      for y, kids in children.items() for x in kids)
+    """A SetCode that starts out with its child map and decoded nodes and no
+    edge set.  The fields are ints already, so __init__'s per-edge type
+    check is skipped; cached_property reads the instance dict first, so the
+    child map and the decoded nodes are the cache."""
     code = object.__new__(SetCode)
-    code.__dict__.update(domain=domain, edges=edges, root=root,
-                         _children=children, _decoded=decoded)
+    code.__dict__.update(domain=domain, root=root, _children=children, _decoded=decoded)
     return code
 
 
@@ -537,9 +541,9 @@ def encode_hf(s: HFSet) -> SetCode:
     member count, then by their sorted member-id tuples, so equal sets
     always get equal codes.
 
-    The returned code starts out with its child map and decoded nodes,
-    which the numbering pass has in hand; its verdict is still worked out
-    on first decode."""
+    The returned code stores the child map and decoded nodes the numbering
+    pass has in hand, and no edge set; its verdict is still worked out on
+    first decode."""
     # nodes are keyed by id(node); keying by the set itself would call the
     # Python-level HFSet.__hash__ once per edge
     closure = transitive_closure(s)
@@ -565,15 +569,7 @@ def powerset_code(code: SetCode) -> SetCode:
     equal to encode_hf(hf_powerset(decode_set(code))) but built from x's
     child map: InvalidCodeError on a bad code, then PowersetCapError above
     POWERSET_CAP members, both before anything is built.  No HFSet is
-    built per subset, and the code starts out with its child map."""
-    domain, children = _powerset_children(code)
-    # the power set is the one node of the top rank, so it is numbered last
-    return _built_code(domain, domain - 1, children, {})
-
-
-def _powerset_children(code: SetCode) -> Tuple[int, Dict[int, Tuple[int, ...]]]:
-    """The node count and child map of powerset_code's answer; the numbering
-    work space is freed on return, before the edges are packed.
+    built per subset, and the code stores only its child map.
 
     Each subset is an int mask over x's members (bit k for the k-th member
     id).  A subset that is already a node below x is matched by its mask
@@ -616,7 +612,8 @@ def _powerset_children(code: SetCode) -> Tuple[int, Dict[int, Tuple[int, ...]]]:
             by_rank[mask_rank[m]].append((key, mask_members[m]))
     by_rank[-1].append((~size, subsets))
     ids, new_children = _canonical_ids(by_rank)
-    return len(ids), new_children
+    # the power set is the one node of the top rank, so it is numbered last
+    return _built_code(len(ids), len(ids) - 1, new_children, {})
 
 
 def validate_code(code: SetCode) -> int:
@@ -633,23 +630,23 @@ def _check_code(code: SetCode) -> int:
     touched = set(children).union(*children.values())
     if touched and not (0 <= min(touched) and max(touched) < code.domain):
         return 0
-    # well-founded: no cycle through the nodes the root reaches; the nodes
-    # the search marks are the transitive closure of the root
-    state: Dict[int, int] = {}
-
-    def has_cycle(node: int) -> bool:
-        state[node] = 1
-        for child in children.get(node, ()):
+    # well-founded: no cycle through the nodes the root reaches (a search on
+    # an explicit stack); the nodes it marks are the root's transitive closure
+    state: Dict[int, int] = {code.root: 1}      # 1 on the stack, 2 done
+    stack = [(code.root, iter(children.get(code.root, ())))]
+    while stack:
+        node, kids = stack[-1]
+        for child in kids:
             mark = state.get(child)
             if mark == 1:
-                return True
-            if mark is None and has_cycle(child):
-                return True
-        state[node] = 2
-        return False
-
-    if has_cycle(code.root):
-        return 0
+                return 0
+            if mark is None:
+                state[child] = 1
+                stack.append((child, iter(children.get(child, ()))))
+                break
+        else:
+            state[node] = 2
+            stack.pop()
     # every touched node must sit in the transitive closure of the root, so
     # the search above also covered every cycle among them
     if not touched <= state.keys():
@@ -660,16 +657,18 @@ def _check_code(code: SetCode) -> int:
 
 
 def _decode_node(code: SetCode, node: int) -> HFSet:
+    """Decode node of a valid code, members first, on an explicit stack."""
     memo = code._decoded
     children = code._children
-
-    def build(n: int) -> HFSet:
-        s = memo.get(n)
-        if s is None:
-            s = memo[n] = HFSet([build(c) for c in children.get(n, ())])
-        return s
-
-    return build(node)
+    stack = [node]
+    while node not in memo:
+        n = stack[-1]
+        todo = [c for c in children.get(n, ()) if c not in memo]
+        if todo:
+            stack += reversed(todo)
+        elif stack.pop() not in memo:      # n may be on the stack twice
+            memo[n] = HFSet([memo[c] for c in children.get(n, ())])
+    return memo[node]
 
 
 def decode_set(code: SetCode) -> HFSet:
@@ -688,7 +687,9 @@ def code_elements(code: SetCode) -> List[int]:
 
 
 def decode_element(code: SetCode, node: int) -> HFSet:
-    """Decode a single node of a valid code."""
+    """Decode a single node of a valid code; InvalidCodeError on bad codes."""
+    if not validate_code(code):
+        raise InvalidCodeError("not a valid membership code")
     if not (0 <= node < code.domain):
         raise InvalidCodeError(f"node {node} outside domain {code.domain}")
     return _decode_node(code, node)

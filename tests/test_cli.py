@@ -361,6 +361,38 @@ class TestRunScenario:
         assert run_cli("run", path) in (0, 1)
         assert "error" not in capsys.readouterr().err
 
+    SET_INSTANCES = {
+        "powercard_via_pot": ["{}", "{{}}"],
+        "sep_via_truth": [{"set": "{{},{{}}}", "formula": "E v0 (v0 = #0)"}],
+    }
+
+    def kind_over(self, tmp_path, kind, name):
+        return self.scenario(tmp_path, reduction=name,
+                             bound_override={"kind": kind, "value": "w"},
+                             **({"instances": self.SET_INSTANCES[name]}
+                                if name in self.SET_INSTANCES else {}))
+
+    @pytest.mark.parametrize("kind,name,shapes", [
+        ("set-size", "ordcard_scan_naive", "separation instances, but ordcard_scan_naive "
+                                           "takes ordinal instances"),
+        ("set-size", "powercard_via_pot", "separation instances, but powercard_via_pot "
+                                          "takes set instances"),
+    ] + [(kind, name, f"ordinal instances, but {name} takes {shape} instances")
+         for kind in ("input", "succ-of-input", "next-card-succ", "next-limit-interval")
+         for name, shape in (("powercard_via_pot", "set"), ("sep_via_truth", "separation"))])
+    def test_bound_kind_that_does_not_fit_the_input_exits_2(self, capsys, tmp_path,
+                                                             kind, name, shapes):
+        assert run_cli("run", self.kind_over(tmp_path, kind, name)) == 2
+        assert one_line_error(capsys) == f"error: bound_override.kind {kind!r} reads {shapes}"
+
+    @pytest.mark.parametrize("kind,name", [
+        ("const", "powercard_via_pot"), ("finite", "powercard_via_pot"),
+        ("const", "sep_via_truth"), ("finite", "sep_via_truth"),
+        ("set-size", "sep_via_truth")])
+    def test_bound_kind_that_reads_no_input_or_fits_runs(self, capsys, tmp_path, kind, name):
+        assert run_cli("run", self.kind_over(tmp_path, kind, name)) == 0
+        assert "all checks passed" in capsys.readouterr().out
+
     @pytest.mark.parametrize("kind", ["product", "bogus"])
     def test_bound_kind_outside_the_scenario_table_exits_2(self, capsys, tmp_path, kind):
         path = self.scenario(tmp_path, bound_override={"kind": kind})

@@ -36,6 +36,7 @@ from ordq.oracles import (
     flag_value_after,
     make_effectivizer,
     NotRankedError,
+    summarize_query,
 )
 from ordq.ordcalc import OMEGA, ZERO, Ordinal, omega_power, parse_ordinal as P, render
 
@@ -278,6 +279,19 @@ class TestLedger:
             {"kind": "single", "oracle": "NextCard", "from": "w", "to": "w",
              "order_type": "1", "response": "w^2"},
         ]
+
+    @pytest.mark.parametrize("text,power", [
+        ("{}", False), ("{{}}", False), ("{{},{{}}}", False), ("{{},{{}}}", True)])
+    def test_code_summary_counts_edges_from_the_child_map(self, text, power):
+        code = u.encode_hf(u.parse_hf(text))
+        if power:
+            code = u.powerset_code(code)
+        summary = summarize_query(code)
+        assert "edges" not in code.__dict__
+        assert summary == (f"code(domain={code.domain},root={code.root},"
+                           f"edges={len(code.edges)})")
+        rebuilt = u.SetCode(code.domain, code.edges, code.root)
+        assert summarize_query(rebuilt) == summary
 
 
 class TestEffectivizerCatalog:

@@ -389,6 +389,64 @@ class TestSetCode:
         assert HFSet(decoded) == s
         assert len(decoded) == hf_card(s)
 
+    def test_long_chain_validates_and_decodes_without_recursion(self):
+        # node i is the only member of node i+1: a 3,000-deep chain
+        chain = [cantor_pair(i, i + 1) for i in range(2999)]
+        code = SetCode(3000, chain, 2999)
+        assert validate_code(code) == 1
+        top = decode_set(code)
+        assert top.rank == 2999 and len(top) == 1
+        assert decode_element(code, 0) is EMPTY_SET
+        assert decode_element(code, 1500).rank == 1500
+
+    def test_long_chain_closed_into_a_cycle_is_rejected(self):
+        chain = [cantor_pair(i, i + 1) for i in range(2999)]
+        code = SetCode(3000, chain + [cantor_pair(2999, 0)], 2999)
+        assert validate_code(code) == 0
+        with pytest.raises(InvalidCodeError):
+            decode_set(code)
+
+    def test_decode_element_rejects_an_invalid_code(self):
+        # node 2 sits on a cycle the root 0 does not reach
+        code = SetCode(3, [cantor_pair(1, 2), cantor_pair(2, 1)], 0)
+        with pytest.raises(InvalidCodeError):
+            decode_element(code, 2)
+
+
+def packed(children) -> frozenset:
+    return frozenset(cantor_pair(x, y) for y, kids in children.items() for x in kids)
+
+
+class TestBuiltCodesStoreTheirChildMap:
+    """encode_hf and powerset_code keep only the child map; the edge set is
+    derived when equality, hashing or repr asks for it."""
+
+    CASES = {
+        "encode_hf": lambda: encode_hf(parse_hf("{{},{{}},{{{}}},{{},{{}}}}")),
+        "powerset_code": lambda: powerset_code(encode_hf(parse_hf("{{},{{}},{{{}}}}"))),
+        "powerset of a power set": lambda: powerset_code(
+            powerset_code(encode_hf(parse_hf("{{},{{}}}")))),
+    }
+
+    @pytest.mark.parametrize("make", CASES.values(), ids=CASES.keys())
+    def test_no_edge_set_until_asked(self, make):
+        from ordq.oracles import summarize_query
+        code = make()
+        decode_set(code)
+        code_elements(code)
+        summarize_query(code)
+        assert "edges" not in code.__dict__
+        assert code.edges == packed(code._children)
+        assert "edges" in code.__dict__
+
+    @pytest.mark.parametrize("make", CASES.values(), ids=CASES.keys())
+    def test_equal_and_same_hash_as_a_code_from_its_edges(self, make):
+        code = make()
+        rebuilt = SetCode(code.domain, code.edges, code.root)
+        assert rebuilt == code and hash(rebuilt) == hash(code)
+        assert repr(rebuilt) == repr(code)
+        assert make() == code and hash(make()) == hash(code)
+
 
 def reference_encode_hf(s: HFSet) -> SetCode:
     """The straightforward encoder the one-pass encode_hf must agree with:
