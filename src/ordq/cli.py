@@ -27,6 +27,7 @@ from typing import List, Optional
 
 from .ordcalc import (
     OMEGA,
+    InputError,
     Ordinal,
     OrdinalDomainError,
     OrdinalParseError,
@@ -190,27 +191,21 @@ def _parse_formula_arg(text: str) -> int:
     return formula_index(f)
 
 
-def _shape(spec) -> str:
-    """The shape of spec's instances, which follows what spec computes."""
-    return {"PowerCard": "set", "Separation": "separation"}.get(spec.source, "ordinal")
-
-
 def _parse_instance(spec, raw, where: str, structure):
     """One instance of spec, named `where` in errors: a set literal, an
     object with set/formula/params for a separation, otherwise an ordinal,
     which must lie below the bound of `structure`."""
-    shape = _shape(spec)
-    if shape == "set":
+    if spec.shape == "set":
         if not isinstance(raw, str):
             raise CliError(f"{where} should be a set literal string")
         return _parse_set_arg(raw, where)
-    if shape == "separation":
+    if spec.shape == "separation":
         if not isinstance(raw, dict):
             raise CliError(f"{where} should be an object with set/formula/params")
         code = _parse_set_arg(_scenario_field(raw, "set", str, required=True), f"{where} set")
         k = _parse_formula_arg(_scenario_field(raw, "formula", str, required=True))
         params = tuple(_parse_set_arg(p, f"{where} parameter")
-                       for p in _scenario_field(raw, "params", list, default=[]))
+                       for p in _scenario_field(raw, "params", list, default=[], items=str))
         return (code, k, params)
     if not isinstance(raw, str):
         raise CliError(f"{where} should be an ordinal string")
@@ -282,10 +277,10 @@ def _cmd_reduce(args) -> int:
     spec = catalog(args.name, count_only=args.count_only,
                    level=args.level, rank=args.rank)
     structure = None
-    if spec.oracle == "DecCard":
+    if spec.shape == "ordinal":
         structure = _build_structure(args.structure, args.bound, args.cardinals)
     raw = args.input
-    if spec.source == "Separation":
+    if spec.shape == "separation":
         if not args.formula:
             raise CliError(f"{args.name} needs --formula")
         raw = {"set": args.input, "formula": args.formula, "params": args.param}
@@ -308,7 +303,9 @@ def _cmd_reduce(args) -> int:
 # -- run ---------------------------------------------------------------------
 
 
-def _scenario_field(blob: dict, key: str, kind, required=False, default=None):
+def _scenario_field(blob: dict, key: str, kind, required=False, default=None,
+                    items=None):
+    """blob[key], which must be a kind (a list of items, if items is given)."""
     if key not in blob:
         if required:
             raise CliError(f"scenario is missing the {key!r} field")
@@ -317,17 +314,23 @@ def _scenario_field(blob: dict, key: str, kind, required=False, default=None):
     if not isinstance(value, kind):
         raise CliError(f"scenario field {key!r} should be "
                        f"{getattr(kind, '__name__', kind)}, got {type(value).__name__}")
+    if items and not all(isinstance(v, items) for v in value):
+        raise CliError(f"scenario field {key!r} should be a list of {items.__name__}")
     return value
 
 
 def _load_scenario(path: str) -> dict:
     try:
         with open(path) as handle:
-            return json.load(handle)
-    except OSError as e:
+            blob = json.load(handle)
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(f"cannot read scenario {path!r}: {e}")
     except json.JSONDecodeError as e:
         raise CliError(f"scenario {path!r} line {e.lineno}: {e.msg}")
+    if not isinstance(blob, dict):
+        raise CliError(f"scenario {path!r} should hold a JSON object, "
+                       f"got {type(blob).__name__}")
+    return blob
 
 
 def _cmd_run(args) -> int:
@@ -343,12 +346,12 @@ def _cmd_run(args) -> int:
     spec = catalog(name, count_only=count_only, level=level, rank=rank)
 
     structure = None
-    if spec.oracle == "DecCard":
+    if spec.shape == "ordinal":
         desc = _scenario_field(blob, "structure", dict, required=True)
         structure = _build_structure(
             _scenario_field(desc, "kind", str, required=True),
             _scenario_field(desc, "bound", str, default=DEFAULT_BOUND),
-            _scenario_field(desc, "cardinals", list))
+            _scenario_field(desc, "cardinals", list, items=str))
 
     raw_instances = _scenario_field(blob, "instances", list, required=True)
     if not raw_instances:
@@ -367,10 +370,10 @@ def _cmd_run(args) -> int:
         if kind not in kinds:
             raise CliError(f"bad bound_override kind {_echo(kind)}; "
                            f"pick one of {', '.join(kinds)}")
-        reads, shape = BOUND_KINDS[kind][1], _shape(spec)
-        if reads not in (None, shape):
+        reads = BOUND_KINDS[kind][1]
+        if reads not in (None, spec.shape):
             raise CliError(f"bound_override.kind {kind!r} reads {reads} instances, "
-                           f"but {name} takes {shape} instances")
+                           f"but {name} takes {spec.shape} instances")
         value = _scenario_field(desc, "value", str, default="0")
         override = BoundForm(kind, value=_parse_ordinal_arg(value, "bound_override value")
                              if kind == "const" else None)
@@ -523,27 +526,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ValueError, TypeError) as e:     # the usage errors' bases
-        if not (isinstance(e, CliError) or _is_usage_error(e)):
-            raise
+    except (CliError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-
-
-# the library's bad-input errors, which exit 2 like CliError
-_USAGE_ERRORS = (
-    ("ordcalc", "OrdinalParseError"), ("ordcalc", "OrdinalDomainError"),
-    ("oracles", "OracleTypeError"), ("universe", "OutOfStructureError"),
-    ("universe", "InvalidCodeError"), ("universe", "PowersetCapError"),
-    ("logic", "RankError"),
-)
-
-
-def _is_usage_error(e: Exception) -> bool:
-    """Whether e is one of _USAGE_ERRORS.  A module that is not loaded
-    cannot have raised one, so none is loaded to check."""
-    return any(isinstance(e, getattr(sys.modules[f"{__package__}.{m}"], name))
-               for m, name in _USAGE_ERRORS if f"{__package__}.{m}" in sys.modules)
 
 
 if __name__ == "__main__":

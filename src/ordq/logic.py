@@ -45,7 +45,7 @@ import itertools
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ._record import Record, _set
-from .ordcalc import _echo
+from .ordcalc import InputError, _echo
 from .universe import EMPTY_SET, HFSet, cantor_pair, cantor_unpair, _hf_sort_key
 
 EXISTS = "E"
@@ -62,7 +62,7 @@ class FormulaError(ValueError):
     """Ill-formed formula text or structure."""
 
 
-class RankError(ValueError):
+class RankError(InputError):
     """A rank outside 0..MAX_RANK, or a set that does not live in V_rank."""
 
 

@@ -32,6 +32,7 @@ from .ordcalc import (
     OMEGA,
     ONE,
     ZERO,
+    InputError,
     Ordinal,
     OrdinalLike,
     _coerce,
@@ -58,7 +59,7 @@ PATTERN_FINAL_ONE = "all-0-then-final-1"
 PATTERN_ORACLE_HITS = "oracle-hits"
 
 
-class OracleTypeError(TypeError):
+class OracleTypeError(InputError, TypeError):
     """Query shape does not match the oracle."""
 
 

@@ -47,7 +47,12 @@ from __future__ import annotations
 from typing import Dict, Tuple, Union
 
 
-class OrdinalParseError(ValueError):
+class InputError(ValueError):
+    """Bad input: the base of the library's input errors in every layer,
+    which the command line reports with exit code 2."""
+
+
+class OrdinalParseError(InputError):
     """Raised on malformed ordinal syntax; carries the offending position."""
 
     def __init__(self, message: str, pos: int):
@@ -55,7 +60,7 @@ class OrdinalParseError(ValueError):
         self.pos = pos
 
 
-class OrdinalDomainError(ValueError):
+class OrdinalDomainError(InputError):
     """Raised when an operation is applied outside its domain."""
 
 

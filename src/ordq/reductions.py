@@ -1,11 +1,12 @@
 """Catalog of oracle reductions with declared query-count bounds.
 
-Each entry names what it computes (source), what it calls (oracle), a
-symbolic bound on the ledger's total order type as a function of the input,
-a program builder, and an independent reference for the expected output.
-verify() runs a batch of instances and reports, per instance: correctness
-against the reference, the charged order type, the evaluated bound, and
-whether replaying the recorded responses reproduces the run.
+The catalog is one table keyed by entry name.  Each row names what the
+entry computes (source), what it calls (oracle), a symbolic bound on the
+ledger's total order type as a function of the input, the shape of its
+instances, its program, and an independent reference for the expected
+output.  verify() runs a batch of instances and reports, per instance:
+correctness against the reference, the charged order type, the evaluated
+bound, and whether replaying the recorded responses reproduces the run.
 
 compose() chains two entries when the outer's oracle is the inner's source:
 every pointwise call the outer program makes is expanded into a full run of
@@ -61,16 +62,6 @@ from .tam import (
     reg,
 )
 
-CATALOG_NAMES = (
-    "nextcard_via_deccard",
-    "ordcard_scan_naive",
-    "ordcard_scan_improved",
-    "ordcard_guesscheck",
-    "flagtrick",
-    "powercard_via_pot",
-    "sep_via_truth",
-)
-
 
 class ReductionTypeError(TypeError):
     """Composition attempted between entries whose types do not chain."""
@@ -91,30 +82,6 @@ class BoundForm(NamedTuple):
     @staticmethod
     def const(c) -> "BoundForm":
         return BoundForm("const", value=_coerce(c))
-
-    @staticmethod
-    def input_itself() -> "BoundForm":
-        return BoundForm("input")
-
-    @staticmethod
-    def succ_of_input() -> "BoundForm":
-        return BoundForm("succ-of-input")
-
-    @staticmethod
-    def next_card_succ() -> "BoundForm":
-        return BoundForm("next-card-succ")
-
-    @staticmethod
-    def finite() -> "BoundForm":
-        return BoundForm("finite")
-
-    @staticmethod
-    def set_size() -> "BoundForm":
-        return BoundForm("set-size")
-
-    @staticmethod
-    def next_limit_interval() -> "BoundForm":
-        return BoundForm("next-limit-interval")
 
     @staticmethod
     def product(left: "BoundForm", right: "BoundForm") -> "BoundForm":
@@ -231,46 +198,7 @@ class ReductionSpec:
     make_bindings: Callable[[Optional[CardinalStructure]], Dict[str, Effectivizer]]
     reference: Callable[[Optional[CardinalStructure], Any], Any]
     composite: bool = False   # composed runs cannot be replayed pointwise
-
-
-def program_nextcard_via_deccard() -> Program:
-    return Program("nextcard_via_deccard", (
-        ScanFirstHit(slot="deccard", above=INPUT, register="r"),
-        Halt(reg("r")),
-    ))
-
-
-def program_ordcard_scan(improved: bool) -> Program:
-    if not improved:
-        return Program("ordcard_scan_naive", (
-            ScanLastHitAtMost(slot="deccard", bound=INPUT, register="r"),
-            Halt(reg("r")),
-        ))
-    return Program("ordcard_scan_improved", (
-        If(("is-finite", INPUT),
-           then_branch=(Halt(INPUT),),
-           else_branch=(
-               ScanLastHitAtMost(slot="deccard", bound=INPUT, register="r",
-                                 charge_closed=False),
-               Halt(reg("r")),
-           )),
-    ))
-
-
-def program_ordcard_guesscheck(approximator: Approximator) -> Program:
-    return Program("ordcard_guesscheck", (
-        GuessCheckLoop(slot="deccard", guesses=approximator, register="r"),
-        Halt(reg("r")),
-    ))
-
-
-def program_flagtrick() -> Program:
-    return Program("flagtrick", (
-        ScanFlagToggleUntil(slot="deccard", start=INPUT,
-                            flags=(Flag("steady", 0), Flag("armed", 1)),
-                            register="r"),
-        Halt(reg("r")),
-    ))
+    shape: str = "ordinal"    # the instances it takes: ordinal, set or separation
 
 
 def _is_transitive(rows: List[int]) -> bool:
@@ -333,38 +261,6 @@ def _count_power(power_code: SetCode, _unused) -> Ordinal:
     return Ordinal.from_int(u.hf_card(u.decode_set(power_code)))
 
 
-def program_powercard_via_pot(count_only: bool = False) -> Program:
-    """Two oracle calls bracketing free host work.  The full mode points the
-    second call at the square of the power set, so every binary relation on
-    it, well-orderings included, comes back; the count-only mode keeps the
-    call count but aims the second call at the power set itself, since the
-    square of anything bigger overflows the host powerset cap."""
-    if count_only:
-        return Program("powercard_via_pot_count", (
-            OracleCall(slot="pot", arg=INPUT, register="pow1"),
-            OracleCall(slot="pot", arg=reg("pow1"), register="pow2"),
-            ComputableSubroutine("count-power", _count_power,
-                                 (reg("pow1"), reg("pow2")), "n"),
-            Halt(reg("n")),
-        ))
-    return Program("powercard_via_pot", (
-        OracleCall(slot="pot", arg=INPUT, register="pow1"),
-        ComputableSubroutine("square-code", _square_code, (reg("pow1"),), "sq"),
-        OracleCall(slot="pot", arg=reg("sq"), register="rels"),
-        ComputableSubroutine("minimal-well-order-length",
-                             _minimal_well_order_length,
-                             (reg("pow1"), reg("rels")), "n"),
-        Halt(reg("n")),
-    ))
-
-
-def program_sep_via_truth() -> Program:
-    return Program("sep_via_truth", (
-        SeparationScan(slot="truth", register="r"),
-        Halt(reg("r")),
-    ))
-
-
 # -- references --------------------------------------------------------------
 
 
@@ -388,80 +284,125 @@ def _brute_separation(rank: int, level: int):
 # -- catalog -----------------------------------------------------------------
 
 
-def _deccard_bindings(cs: CardinalStructure) -> Dict[str, Effectivizer]:
-    return {"deccard": make_effectivizer(DEC_CARD, structure=cs)}
+class _Options(NamedTuple):
+    """catalog()'s options, as the rows that depend on them read them."""
+
+    approximator: Approximator
+    count_only: bool
+    level: int
+    rank: int
+
+
+class _Row(NamedTuple):
+    """One catalog entry.  oracle is what the program's one slot is bound
+    to; shape names the instances the entry takes.  The program and the
+    reference are functions of catalog()'s options."""
+
+    source: str
+    oracle: str
+    bound: BoundForm
+    shape: str                  # "ordinal", "set" or "separation"
+    program: Callable[[_Options], Program]
+    reference: Callable[[_Options], Callable]
+
+
+_HALT_R = Halt(reg("r"))
+
+# Two oracle calls bracketing free host work.  The full mode points the
+# second call at the square of the power set, so every binary relation on
+# it, well-orderings included, comes back; the count-only mode keeps the
+# call count but aims the second call at the power set itself, since the
+# square of anything bigger overflows the host powerset cap.
+_POWERCARD = {
+    False: Program("powercard_via_pot", (
+        OracleCall(slot="pot", arg=INPUT, register="pow1"),
+        ComputableSubroutine("square-code", _square_code, (reg("pow1"),), "sq"),
+        OracleCall(slot="pot", arg=reg("sq"), register="rels"),
+        ComputableSubroutine("minimal-well-order-length", _minimal_well_order_length,
+                             (reg("pow1"), reg("rels")), "n"),
+        Halt(reg("n")),
+    )),
+    True: Program("powercard_via_pot_count", (
+        OracleCall(slot="pot", arg=INPUT, register="pow1"),
+        OracleCall(slot="pot", arg=reg("pow1"), register="pow2"),
+        ComputableSubroutine("count-power", _count_power, (reg("pow1"), reg("pow2")), "n"),
+        Halt(reg("n")),
+    )),
+}
+
+_CATALOG = {
+    "nextcard_via_deccard": _Row(
+        "NextCard", DEC_CARD, BoundForm("next-card-succ"), "ordinal",
+        lambda o: Program("nextcard_via_deccard", (
+            ScanFirstHit(slot="deccard", above=INPUT, register="r"), _HALT_R)),
+        lambda o: u.next_card_of),
+    "ordcard_scan_naive": _Row(
+        "OrdCard", DEC_CARD, BoundForm("succ-of-input"), "ordinal",
+        lambda o: Program("ordcard_scan_naive", (
+            ScanLastHitAtMost(slot="deccard", bound=INPUT, register="r"), _HALT_R)),
+        lambda o: u.card_of),
+    "ordcard_scan_improved": _Row(
+        "OrdCard", DEC_CARD, BoundForm("input"), "ordinal",
+        lambda o: Program("ordcard_scan_improved", (
+            If(("is-finite", INPUT), then_branch=(Halt(INPUT),), else_branch=(
+                ScanLastHitAtMost(slot="deccard", bound=INPUT, register="r",
+                                  charge_closed=False),
+                _HALT_R)),)),
+        lambda o: u.card_of),
+    "ordcard_guesscheck": _Row(
+        "OrdCard", DEC_CARD, BoundForm("finite"), "ordinal",
+        lambda o: Program("ordcard_guesscheck", (
+            GuessCheckLoop(slot="deccard", guesses=o.approximator, register="r"),
+            _HALT_R)),
+        lambda o: u.card_of),
+    "flagtrick": _Row(
+        "NextLimitOfCardinals", DEC_CARD, BoundForm("next-limit-interval"), "ordinal",
+        lambda o: Program("flagtrick", (
+            ScanFlagToggleUntil(slot="deccard", start=INPUT,
+                                flags=(Flag("steady", 0), Flag("armed", 1)),
+                                register="r"),
+            _HALT_R)),
+        lambda o: u.next_limit_of_cardinals_above),
+    "powercard_via_pot": _Row(
+        "PowerCard", POT, BoundForm.const(2), "set",
+        lambda o: _POWERCARD[o.count_only],
+        lambda o: _ref_powercard),
+    "sep_via_truth": _Row(
+        "Separation", TRUTH, BoundForm("set-size"), "separation",
+        lambda o: Program("sep_via_truth", (
+            SeparationScan(slot="truth", register="r"), _HALT_R)),
+        lambda o: _brute_separation(o.rank, o.level)),
+}
+
+CATALOG_NAMES = tuple(_CATALOG)
 
 
 def catalog(name: str, approximator: Optional[Approximator] = None,
             count_only: bool = False, level: int = 2,
             rank: int = 3) -> ReductionSpec:
-    """Build a catalog entry by its stable name."""
-    if name == "nextcard_via_deccard":
-        return ReductionSpec(
-            name=name, source="NextCard", oracle="DecCard",
-            bound=BoundForm.next_card_succ(),
-            make_program=program_nextcard_via_deccard,
-            make_bindings=_deccard_bindings,
-            reference=u.next_card_of)
-    if name == "ordcard_scan_naive":
-        return ReductionSpec(
-            name=name, source="OrdCard", oracle="DecCard",
-            bound=BoundForm.succ_of_input(),
-            make_program=lambda: program_ordcard_scan(improved=False),
-            make_bindings=_deccard_bindings,
-            reference=u.card_of)
-    if name == "ordcard_scan_improved":
-        return ReductionSpec(
-            name=name, source="OrdCard", oracle="DecCard",
-            bound=BoundForm.input_itself(),
-            make_program=lambda: program_ordcard_scan(improved=True),
-            make_bindings=_deccard_bindings,
-            reference=u.card_of)
-    if name == "ordcard_guesscheck":
-        if approximator is not None:
-            return ReductionSpec(
-                name=name, source="OrdCard", oracle="DecCard",
-                bound=BoundForm.finite(),
-                make_program=lambda: program_ordcard_guesscheck(approximator),
-                make_bindings=_deccard_bindings,
-                reference=u.card_of)
-        # default approximator needs the structure, known only at binding time
-        cell: Dict[str, Approximator] = {}
-        lazy = Approximator("direct-descent",
-                            lambda a: cell["approx"].chain_for(a))
+    """Build a catalog entry by its stable name.  approximator reaches
+    ordcard_guesscheck (by default, direct descent over the structure the
+    entry is bound to), count_only powercard_via_pot, and level and rank
+    sep_via_truth's truth oracle and reference."""
+    row = _CATALOG.get(name)
+    if row is None:
+        raise ValueError(f"unknown reduction name {name!r}")
+    bound_to = [None]           # the structure last bound, for direct descent
+    if approximator is None:
+        approximator = Approximator(
+            "direct-descent", lambda a: direct_descent(bound_to[0]).chain_for(a))
+    options = _Options(approximator, count_only, level, rank)
+    program = row.program(options)
+    slot, = program.slots()
+    oracle, env = ((f"{TRUTH}{level}", {"level": level, "rank": rank})
+                   if row.oracle == TRUTH else (row.oracle, {}))
 
-        def make_default_bindings(cs):
-            cell["approx"] = direct_descent(cs)
-            return _deccard_bindings(cs)
+    def make_bindings(structure):
+        bound_to[0] = structure
+        return {slot: make_effectivizer(row.oracle, structure=structure, **env)}
 
-        return ReductionSpec(
-            name=name, source="OrdCard", oracle="DecCard",
-            bound=BoundForm.finite(),
-            make_program=lambda: program_ordcard_guesscheck(lazy),
-            make_bindings=make_default_bindings, reference=u.card_of)
-    if name == "flagtrick":
-        return ReductionSpec(
-            name=name, source="NextLimitOfCardinals", oracle="DecCard",
-            bound=BoundForm.next_limit_interval(),
-            make_program=program_flagtrick,
-            make_bindings=_deccard_bindings,
-            reference=u.next_limit_of_cardinals_above)
-    if name == "powercard_via_pot":
-        return ReductionSpec(
-            name=name, source="PowerCard", oracle="Pot",
-            bound=BoundForm.const(2),
-            make_program=lambda: program_powercard_via_pot(count_only),
-            make_bindings=lambda cs: {"pot": make_effectivizer(POT)},
-            reference=_ref_powercard)
-    if name == "sep_via_truth":
-        return ReductionSpec(
-            name=name, source="Separation", oracle=f"{TRUTH}{level}",
-            bound=BoundForm.set_size(),
-            make_program=program_sep_via_truth,
-            make_bindings=lambda cs, lv=level, rk=rank: {
-                "truth": make_effectivizer(TRUTH, level=lv, rank=rk)},
-            reference=_brute_separation(rank, level))
-    raise ValueError(f"unknown reduction name {name!r}")
+    return ReductionSpec(name, row.source, oracle, row.bound, lambda: program,
+                         make_bindings, row.reference(options), shape=row.shape)
 
 
 def delegate_spec(source: str, oracle_name: str,
@@ -642,4 +583,5 @@ def compose(outer: ReductionSpec, inner: ReductionSpec,
         make_program=outer.make_program,
         make_bindings=make_bindings,
         reference=outer.reference,
-        composite=True)
+        composite=True,
+        shape=outer.shape)

@@ -21,9 +21,9 @@ that decides it (_within_bound wraps each query for the first case), and
 callers pass None on rather than catch an error.
 
 The second half of the module is the hereditarily finite set side: HFSet
-values, their membership codes (SetCode: a finite extensional well-founded
-edge set over ordinal node ids, edges packed with the pairing function),
-and the pairing bijection itself.
+values and their membership codes (SetCode: a finite extensional
+well-founded edge set over node ids, edges packed with the Cantor pairing
+function).
 
 HFSet values are hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", 2006): a weak intern table keyed by the member set makes
@@ -39,12 +39,6 @@ a power set from the argument's child map, one int mask per subset and no
 HFSet per subset.  encode_hf and powerset_code number their nodes through
 one shared helper (_canonical_ids: rank, then member count, then sorted
 member ids), so the canonical order is written once.
-
-godel_pair merges the two normal forms exponent-wise, combining the
-coefficient pair at each exponent with the classic diagonal polynomial
-(x + y)(x + y + 1)/2 + y.  That makes it a bijection between ordinal pairs
-and ordinals whose restriction to the naturals is the diagonal polynomial
-itself, and unpairing is exact.
 """
 
 from __future__ import annotations
@@ -59,6 +53,7 @@ from ._record import Record, _set
 from .ordcalc import (
     OMEGA,
     ONE,
+    InputError,
     Ordinal,
     OrdinalLike,
     _coerce,
@@ -79,16 +74,16 @@ EXPLICIT_LIST = "explicit-list"
 KINDS = (OMEGA_POWERS, MULTIPLES_OF_OMEGA, EXPLICIT_LIST)
 
 
-class OutOfStructureError(ValueError):
+class OutOfStructureError(InputError):
     """A pointwise cardinal oracle was asked about an ordinal that is not
     below the structure's working bound."""
 
 
-class InvalidCodeError(ValueError):
+class InvalidCodeError(InputError):
     """A SetCode failed validation."""
 
 
-class PowersetCapError(ValueError):
+class PowersetCapError(InputError):
     """A power set argument has more than POWERSET_CAP members."""
 
 
@@ -101,7 +96,7 @@ class CardinalStructure(Record):
         if kind not in KINDS:
             raise ValueError(f"unknown structure kind {kind!r}")
         if bound <= OMEGA:
-            raise ValueError("the working bound must exceed w")
+            raise InputError("the working bound must exceed w")
         _set(self, "kind", kind)
         _set(self, "bound", bound)
         _set(self, "cardinals", cardinals)
@@ -126,9 +121,9 @@ def explicit_list(cardinals: Iterable[OrdinalLike], bound: OrdinalLike) -> Cardi
     values = sorted({_coerce(c) for c in cardinals} | {OMEGA})
     for v in values:
         if v.is_finite():
-            raise ValueError(f"explicit cardinal {v} must be infinite")
+            raise InputError(f"explicit cardinal {v} must be infinite")
         if v >= bound:
-            raise ValueError(f"explicit cardinal {v} must lie below the bound {bound}")
+            raise InputError(f"explicit cardinal {v} must lie below the bound {bound}")
     structure = CardinalStructure(EXPLICIT_LIST, bound, tuple(values))
     assert _limit_closed(structure)
     return structure
@@ -577,15 +572,15 @@ def powerset_code(code: SetCode) -> SetCode:
     elements = _capped_elements(code)
     children = code._children
     rank: Dict[int, int] = {}           # old id -> rank, for the nodes below x
-
-    def rank_of(n: int) -> int:
-        r = rank.get(n)
-        if r is None:
-            r = rank[n] = 1 + max(map(rank_of, children.get(n, ())), default=-1)
-        return r
-
-    for n in elements:
-        rank_of(n)
+    for n in elements:                  # members first, on an explicit stack
+        stack = [n]
+        while n not in rank:
+            m = stack[-1]
+            todo = [c for c in children.get(m, ()) if c not in rank]
+            if todo:
+                stack += todo
+            elif stack.pop() not in rank:      # m may be on the stack twice
+                rank[m] = 1 + max(map(rank.__getitem__, children.get(m, ())), default=-1)
     bit = {n: 1 << k for k, n in enumerate(elements)}
     node_of_mask = {}
     for n in rank:
@@ -693,36 +688,3 @@ def decode_element(code: SetCode, node: int) -> HFSet:
     if not (0 <= node < code.domain):
         raise InvalidCodeError(f"node {node} outside domain {code.domain}")
     return _decode_node(code, node)
-
-
-# -- the pairing bijection ---------------------------------------------------
-
-
-def godel_pair(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
-    """Pack two ordinals into one, exponent slot by exponent slot.
-
-    At each exponent the coefficient pair (from a, from b) is combined with
-    the diagonal polynomial; absent terms contribute 0.  On natural numbers
-    this reduces to the diagonal polynomial itself.
-    """
-    a, b = _coerce(a), _coerce(b)
-    slots: Dict[Ordinal, List[int]] = {}
-    for e, c in a.terms:
-        slots.setdefault(e, [0, 0])[0] = c
-    for e, c in b.terms:
-        slots.setdefault(e, [0, 0])[1] = c
-    terms = tuple((e, cantor_pair(*slots[e]))
-                  for e in sorted(slots, reverse=True))
-    return Ordinal(terms)
-
-
-def godel_unpair(z: OrdinalLike) -> Tuple[Ordinal, Ordinal]:
-    z = _coerce(z)
-    left, right = [], []
-    for e, c in z.terms:
-        x, y = cantor_unpair(c)
-        if x:
-            left.append((e, x))
-        if y:
-            right.append((e, y))
-    return Ordinal(tuple(left)), Ordinal(tuple(right))

@@ -143,6 +143,17 @@ class TestReduce:
         assert code == 4
         assert "budget-exceeded" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--bound", "9"], "the working bound must exceed w"),
+        (["--structure", "explicit-list", "--cardinals", "5"],
+         "explicit cardinal 5 must be infinite"),
+        (["--structure", "explicit-list", "--cardinals", "w^(w*2)"],
+         "explicit cardinal w^(w*2) must lie below the bound w^(w*2)"),
+    ])
+    def test_bad_structure_exits_2(self, capsys, argv, message):
+        assert run_cli("reduce", "flagtrick", "--input", "w", *argv) == 2
+        assert one_line_error(capsys) == f"error: {message}"
+
     def test_explicit_list_needs_cardinals(self, capsys):
         code = run_cli("reduce", "nextcard_via_deccard", "--input", "5",
                        "--structure", "explicit-list", "--bound", "w^3")
@@ -321,6 +332,30 @@ class TestRunScenario:
         assert run_cli("run", str(path)) == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("root,kind", [(7, "int"), (None, "NoneType"), ([], "list")])
+    def test_root_that_is_not_an_object_exits_2(self, capsys, tmp_path, root, kind):
+        path = write_scenario(tmp_path, root)
+        assert run_cli("run", path) == 2
+        assert one_line_error(capsys) == \
+            f"error: scenario {path!r} should hold a JSON object, got {kind}"
+
+    def test_undecodable_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b"\xff{}")
+        assert run_cli("run", str(path)) == 2
+        assert one_line_error(capsys).startswith(f"error: cannot read scenario {str(path)!r}: ")
+
+    @pytest.mark.parametrize("field,blob", [
+        ("cardinals", {"reduction": "flagtrick", "instances": ["w"],
+                       "structure": {"kind": "explicit-list", "cardinals": [3]}}),
+        ("params", {"reduction": "sep_via_truth", "instances": [
+            {"set": "{}", "formula": "E v0 (v0 = #0)", "params": [3]}]}),
+    ])
+    def test_list_item_of_the_wrong_type_exits_2(self, capsys, tmp_path, field, blob):
+        assert run_cli("run", write_scenario(tmp_path, blob)) == 2
+        assert one_line_error(capsys) == \
+            f"error: scenario field {field!r} should be a list of str"
+
     def test_wrong_field_type_exits_2(self, capsys, tmp_path):
         path = self.scenario(tmp_path, budget="lots")
         assert run_cli("run", path) == 2
@@ -460,6 +495,19 @@ class TestGoldenBytes:
         capsys.readouterr()
         with open(os.path.join(GOLDEN, golden), "rb") as handle:
             assert path.read_bytes() == handle.read()
+
+
+@pytest.mark.parametrize("module,name", [
+    ("ordcalc", "OrdinalParseError"), ("ordcalc", "OrdinalDomainError"),
+    ("oracles", "OracleTypeError"), ("universe", "OutOfStructureError"),
+    ("universe", "InvalidCodeError"), ("universe", "PowersetCapError"),
+    ("logic", "RankError"),
+])
+def test_library_input_errors_share_the_base_main_catches(module, name):
+    from ordq.ordcalc import InputError
+    error = getattr(getattr(ordq, module), name)
+    assert issubclass(error, InputError)
+    assert issubclass(error, TypeError) == (name == "OracleTypeError")
 
 
 class TestSelftest:

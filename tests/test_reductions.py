@@ -60,32 +60,32 @@ def grid_ordinals(max_coefficient=2):
 class TestBoundForms:
     def test_describe_strings(self):
         assert BoundForm.const(2).describe() == "2"
-        assert BoundForm.succ_of_input().describe() == "a+1"
-        assert BoundForm.next_card_succ().describe() == "nextcard(a)+1"
-        assert BoundForm.finite().describe() == "finite"
-        assert BoundForm.set_size().describe() == "|S|"
-        prod = BoundForm.product(BoundForm.const(1), BoundForm.set_size())
+        assert BoundForm("succ-of-input").describe() == "a+1"
+        assert BoundForm("next-card-succ").describe() == "nextcard(a)+1"
+        assert BoundForm("finite").describe() == "finite"
+        assert BoundForm("set-size").describe() == "|S|"
+        prod = BoundForm.product(BoundForm.const(1), BoundForm("set-size"))
         assert prod.describe() == "(1)*(|S|)"
 
     def test_evaluate(self):
         a = P("w*2+1")
-        assert BoundForm.input_itself().evaluate(POWERS, a) == a
-        assert BoundForm.succ_of_input().evaluate(POWERS, a) == P("w*2+2")
-        assert BoundForm.next_card_succ().evaluate(POWERS, a) == P("w^2+1")
-        assert BoundForm.finite().evaluate(POWERS, a) is None
+        assert BoundForm("input").evaluate(POWERS, a) == a
+        assert BoundForm("succ-of-input").evaluate(POWERS, a) == P("w*2+2")
+        assert BoundForm("next-card-succ").evaluate(POWERS, a) == P("w^2+1")
+        assert BoundForm("finite").evaluate(POWERS, a) is None
         triple = (code_of(u.EMPTY_SET, u.hf(u.EMPTY_SET)), 0, ())
-        assert BoundForm.set_size().evaluate(None, triple) == Ordinal.from_int(2)
-        assert BoundForm.next_limit_interval().evaluate(MULTIPLES, P("w+5")) \
+        assert BoundForm("set-size").evaluate(None, triple) == Ordinal.from_int(2)
+        assert BoundForm("next-limit-interval").evaluate(MULTIPLES, P("w+5")) \
             == left_sub(P("w+5"), P("w^2"))
 
     def test_evaluate_out_of_reach_is_none(self):
         # no cardinal above the last one: the bound has no value there
         cs = u.explicit_list([P("w*2")], W3)
-        assert BoundForm.next_card_succ().evaluate(cs, P("w*3")) is None
-        assert BoundForm.next_limit_interval().evaluate(POWERS, P("w^2")) is None
+        assert BoundForm("next-card-succ").evaluate(cs, P("w*3")) is None
+        assert BoundForm("next-limit-interval").evaluate(POWERS, P("w^2")) is None
 
     def test_within_finite_form(self):
-        f = BoundForm.finite()
+        f = BoundForm("finite")
         assert f.check(Ordinal.from_int(400), POWERS, P("w")).within
         assert not f.check(OMEGA, POWERS, P("w")).within
 
@@ -99,13 +99,25 @@ class TestBoundForms:
         assert not prod.check(P("w*2+1"), None, P("0")).within
         assert prod.check(P("w"), None, P("0")).value == prod.evaluate(None, P("0"))
         # an operand without a value leaves only the finiteness promise
-        loose = BoundForm.product(BoundForm.finite(), BoundForm.const(2))
+        loose = BoundForm.product(BoundForm("finite"), BoundForm.const(2))
         assert loose.check(P("5"), None, P("0")) == (None, True, "unbounded factor")
         assert not loose.check(OMEGA, None, P("0")).within
 
     def test_catalog_rejects_unknown_names(self):
         with pytest.raises(ValueError):
             catalog("no_such_entry")
+
+    def test_entries_in_order_with_their_oracles_and_shapes(self):
+        assert [(name, catalog(name).oracle, catalog(name).shape)
+                for name in CATALOG_NAMES] == [
+            ("nextcard_via_deccard", "DecCard", "ordinal"),
+            ("ordcard_scan_naive", "DecCard", "ordinal"),
+            ("ordcard_scan_improved", "DecCard", "ordinal"),
+            ("ordcard_guesscheck", "DecCard", "ordinal"),
+            ("flagtrick", "DecCard", "ordinal"),
+            ("powercard_via_pot", "Pot", "set"),
+            ("sep_via_truth", "TruthSigma2", "separation")]
+        assert catalog("sep_via_truth", level=3).oracle == "TruthSigma3"
 
     def test_all_catalog_names_construct(self):
         for name in CATALOG_NAMES:
@@ -612,4 +624,5 @@ class TestComposition:
                                      truth_reference))
         assert comp.source == "Separation"
         assert comp.oracle == "TruthSigma2"
+        assert comp.shape == "separation"
         assert comp.composite
