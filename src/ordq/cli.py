@@ -311,7 +311,7 @@ def _scenario_field(blob: dict, key: str, kind, required=False, default=None,
             raise CliError(f"scenario is missing the {key!r} field")
         return default
     value = blob[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or kind is int and isinstance(value, bool):
         raise CliError(f"scenario field {key!r} should be "
                        f"{getattr(kind, '__name__', kind)}, got {type(value).__name__}")
     if items and not all(isinstance(v, items) for v in value):

@@ -26,36 +26,39 @@ Every natural decodes to something; naturals that decode to an ill-formed
 tree (unknown tag, quantifier under a connective, bad parameter layout)
 map to the canonical false formula instead of erroring.
 
-Evaluation is bit-parallel over the innermost quantified variable.  For
-each rank, V_rank is numbered once (universe_of) and every set gets two
-bitsets over those n = |V_rank| positions: its members and the sets that
-contain it.  The matrix compiles to a function from the outer variables
-and the parameters to an n-bit mask, the set of values of the innermost
-variable that make it true: an atom is a table lookup, and !, & and |
-are bit operations.  The innermost E asks for a nonzero mask and the
-innermost A for a full one, so a formula with q quantifiers costs n^(q-1)
-mask walks instead of n^q walks down the matrix.  The rank cap is 5;
-|V_5| = 65536, so rank 5 with q >= 2 is still expensive and has no bound.
+Evaluation is bit-parallel over the innermost quantified variable, on
+Ackermann's numbering (Ackermann 1937): a set is numbered by the sum of
+2^m over the numbers m of its members, so V_rank is the naturals below
+n = |V_rank| (0, 1, 2, 4, 16, 65536 for ranks 0..5), the members of y are
+the one bits of y, and the sets that contain x form a periodic bit
+pattern.  The matrix compiles to a function from the numbers of the outer
+variables and the parameters to an n-bit mask, the values of the
+innermost variable that make it true; !, & and | are bit operations.  The
+innermost E asks for a nonzero mask and the innermost A for a full one, so
+q quantifiers cost n^(q-1) mask walks instead of n^q walks down the
+matrix.  An evaluation needing more than 65,536 walks (rank 5 with three
+quantifiers, rank 4 with six) raises RankError before it starts.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ._record import Record, _set
 from .ordcalc import InputError, _echo
-from .universe import EMPTY_SET, HFSet, cantor_pair, cantor_unpair, _hf_sort_key
+from .universe import HFSet, cantor_pair, cantor_unpair
 
 EXISTS = "E"
 FORALL = "A"
 
 TAG_IN, TAG_EQ, TAG_NOT, TAG_AND, TAG_OR, TAG_EXISTS, TAG_FORALL = range(7)
 
-_CONNECTIVE_ARITY = {TAG_NOT: 1, TAG_AND: 2, TAG_OR: 2}
-
 MAX_RANK = 5
+# |V_rank| for each rank: V_0 is empty and V_{r+1} is the power set of V_r
+_SIZES = (0, 1, 2, 4, 16, 65536)
+_MAX_WALKS = _SIZES[MAX_RANK]      # the most mask walks one evaluation may take
 
 
 class FormulaError(ValueError):
@@ -424,58 +427,51 @@ class TruthEnv(Record):
 
 @functools.lru_cache(maxsize=None)
 def universe_of(rank: int) -> Tuple[HFSet, ...]:
-    """Every set of rank < rank, in a fixed enumeration order."""
+    """Every set of rank < rank, in Ackermann's order: position i holds the
+    set of the sets at the one bits of i."""
     if not (0 <= rank <= MAX_RANK):
         raise RankError(f"rank must be between 0 and {MAX_RANK}")
-    current: Tuple[HFSet, ...] = ()
-    for _ in range(rank):
-        elements = list(current)
-        current = tuple(HFSet(e for i, e in enumerate(elements) if mask >> i & 1)
-                        for mask in range(1 << len(elements)))
-        current = tuple(sorted(set(current), key=_hf_sort_key))
-    return current
+    sets: List[HFSet] = []
+    for i in range(_SIZES[rank]):
+        sets.append(HFSet(sets[j] for j in range(i.bit_length()) if i >> j & 1))
+    return tuple(sets)
+
+
+# every key is a set of V_5, so the cache holds at most 65,536 entries
+@functools.lru_cache(maxsize=None)
+def _position(s: HFSet) -> int:
+    """s's Ackermann number: the sum of 2^m over the numbers m of its members."""
+    return sum(1 << _position(m) for m in s.members)
 
 
 @functools.lru_cache(maxsize=None)
-def _rank_bits(rank: int) -> Tuple[Dict[HFSet, int], List[int], List[int]]:
-    """The position of each set of V_rank in universe_of(rank), and per
-    position the bitset of its members and of the sets that contain it."""
-    domain = universe_of(rank)
-    # sets are interned, so a parameter that lives in V_rank is the very
-    # object universe_of holds and finds its position here
-    index = {s: i for i, s in enumerate(domain)}
-    members = [sum(1 << index[m] for m in s.members) for s in domain]
-    owned_by: List[List[int]] = [[] for _ in domain]
-    for j, s in enumerate(domain):
-        for m in s.members:
-            owned_by[index[m]].append(j)
-    return index, members, [_bitset(js, len(domain)) for js in owned_by]
-
-
-def _bitset(positions: List[int], size: int) -> int:
-    # built in a byte buffer: or-ing bits into a wide int copies it each time
-    if not positions:
-        return 0
-    buf = bytearray((size + 7) // 8)
-    for p in positions:
-        buf[p >> 3] |= 1 << (p & 7)
-    return int.from_bytes(buf, "little")
+def _owners(size: int) -> List[int]:
+    """Per x < size, the bitset of the y < size with bit x set: runs of 2^x
+    zeros and 2^x ones, or 0 once 2^x reaches size (no such y exists)."""
+    full = (1 << size) - 1
+    rows = [full // ((1 << (1 << x)) + 1) << (1 << x)
+            for x in range(size.bit_length() - 1)]
+    return rows + [0] * (size - len(rows))
 
 
 @functools.lru_cache(maxsize=32)
 def _compile(f: Formula, rank: int):
-    """(matrix, index, full) for a closed f over V_rank.  matrix maps the
-    slot values (positions of the outer variables, then of the parameters)
-    to the mask of innermost values that satisfy f's matrix; full has a bit
-    per set of V_rank.  An atom without the innermost variable (with no
-    quantifier, every atom) gives full or 0."""
+    """(matrix, full) for a closed f over V_rank.  matrix maps the slot
+    values (numbers of the outer variables, then of the parameters) to the
+    mask of innermost values that satisfy f's matrix; full has a bit per set
+    of V_rank.  An atom without the innermost variable (with no quantifier,
+    every atom) gives full or 0."""
     if free_variables(f):
         raise FormulaError(f"cannot evaluate open formula {render_formula(f)}")
-    index, members, owners = _rank_bits(rank)
+    size = _SIZES[rank]
     q = len(f.prefix)
-    full = (1 << len(index)) - 1
-    inner = ("var", q - 1)
     outer = max(q - 1, 0)
+    if size ** outer > _MAX_WALKS:
+        raise RankError(f"{q} quantifiers over V_{rank} take {size}^{outer} "
+                        f"mask walks, over the cap of {_MAX_WALKS}")
+    owners = _owners(size)
+    full = (1 << size) - 1
+    inner = ("var", q - 1)
 
     def slot(t: tuple) -> int:
         return t[1] if t[0] == "var" else outer + t[1]
@@ -498,27 +494,28 @@ def _compile(f: Formula, rank: int):
             j = slot(right if left == inner else left)
             if kind == "eq":
                 return lambda vals: 1 << vals[j]
-            table = members if left == inner else owners
-            return lambda vals: table[vals[j]]
+            if left == inner:
+                return lambda vals: vals[j]         # y's members are y's bits
+            return lambda vals: owners[vals[j]]
         a, b = slot(left), slot(right)
         if kind == "eq":
             return lambda vals: full if vals[a] == vals[b] else 0
-        return lambda vals: full if members[vals[b]] >> vals[a] & 1 else 0
+        return lambda vals: full if vals[b] >> vals[a] & 1 else 0
 
-    return build(f.matrix), index, full
+    return build(f.matrix), full
 
 
 def eval_formula(f: Formula, env: TruthEnv) -> int:
     """Truth value of f over V_env.rank with env.params: the outer
     quantifiers are enumerated, the innermost one is decided on a bitset."""
-    matrix, index, full = _compile(f, env.rank)
+    matrix, full = _compile(f, env.rank)
     if f.num_params > len(env.params):
         raise FormulaError(
             f"formula uses {f.num_params} parameters, env provides {len(env.params)}")
     prefix = f.prefix
     last = len(prefix) - 1
-    size = len(index)
-    vals = [0] * max(last, 0) + [index[p] for p in env.params]
+    size = _SIZES[env.rank]
+    vals = [0] * max(last, 0) + [_position(p) for p in env.params]
 
     def quantify(position: int) -> bool:
         if position >= last:

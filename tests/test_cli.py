@@ -236,6 +236,28 @@ class TestReduce:
         assert code == 2
         assert one_line_error(capsys) == message
 
+    def test_evaluation_over_the_walk_cap_exits_2(self, capsys):
+        # three quantifiers over V_5 would take 65,536^2 mask walks per call
+        start = time.perf_counter()
+        code = run_cli("reduce", "sep_via_truth", "--rank", "5", "--level", "3",
+                       "--input", "{{},{{}}}",
+                       "--formula", "A v0 A v1 E v2 (v2 = v2 & #0 = #0)")
+        assert code == 2
+        assert one_line_error(capsys) == (
+            "error: 3 quantifiers over V_5 take 65536^2 mask walks, "
+            "over the cap of 65536")
+        assert time.perf_counter() - start < 5
+
+    def test_two_quantifiers_at_rank_5_run(self, capsys):
+        code = run_cli("reduce", "sep_via_truth", "--rank", "5", "--level", "3",
+                       "--input", "{{},{{}}}",
+                       "--formula", "A v0 E v1 (v1 in v0 | v0 in #0)")
+        assert code == 0
+        # {} is dropped: at v0 = {}, neither v1 in {} nor {} in {} holds
+        expected = u.encode_hf(u.parse_hf("{{{}}}"))
+        assert (f"output: code(domain={expected.domain},root={expected.root},"
+                f"edges={len(expected.edges)})") in capsys.readouterr().out
+
     def test_ledger_file_re_sums(self, capsys, tmp_path):
         path = tmp_path / "ledger.json"
         code = run_cli("reduce", "nextcard_via_deccard", "--input", "w*2+1",
@@ -360,6 +382,20 @@ class TestRunScenario:
         path = self.scenario(tmp_path, budget="lots")
         assert run_cli("run", path) == 2
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["budget", "rank", "level"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_json_boolean_in_an_int_field_exits_2(self, capsys, tmp_path, field, value):
+        path = self.scenario(tmp_path, **{field: value})
+        assert run_cli("run", path) == 2
+        assert one_line_error(capsys) == \
+            f"error: scenario field {field!r} should be int, got bool"
+
+    def test_count_only_takes_a_json_boolean(self, capsys, tmp_path):
+        path = write_scenario(tmp_path, {"reduction": "powercard_via_pot",
+                                         "instances": ["{{}}"], "count_only": True})
+        assert run_cli("run", path) == 0
+        assert "all checks passed" in capsys.readouterr().out
 
     def test_zero_budget_exits_2(self, capsys, tmp_path):
         path = self.scenario(tmp_path, budget=0)

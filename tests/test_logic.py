@@ -12,6 +12,7 @@ from ordq.logic import (
     FORALL,
     Formula,
     FormulaError,
+    RankError,
     TruthEnv,
     classify_level,
     eval_formula,
@@ -22,6 +23,7 @@ from ordq.logic import (
     render_formula,
     universe_of,
 )
+from ordq.ordcalc import InputError
 from ordq.universe import EMPTY_SET, HFSet, hf, parse_hf
 
 
@@ -189,6 +191,20 @@ class TestEval:
         with pytest.raises(TypeError):
             TruthEnv(2, ("nope",))
 
+    def test_evaluations_over_the_walk_cap_are_refused(self):
+        # q quantifiers over V_rank take |V_rank|^(q-1) mask walks; more
+        # than 65,536 is refused before the first walk
+        for text, env in [("A v0 A v1 E v2 (v2 = v2 & #0 = #0)", TruthEnv(5, (EMPTY_SET,))),
+                          ("E v0 E v1 E v2 E v3 E v4 E v5 (v0 in v5)", TruthEnv(4))]:
+            with pytest.raises(RankError):
+                eval_formula(parse_formula(text), env)
+        assert issubclass(RankError, InputError)
+        # at the cap, and over ranks of size 0 and 1
+        assert eval_formula(parse_formula("E v0 E v1 E v2 E v3 E v4 (v0 in v4)"),
+                            TruthEnv(4)) == 1
+        many = parse_formula(" ".join(f"A v{i}" for i in range(20)) + " (v0 = v19)")
+        assert eval_formula(many, TruthEnv(1)) == eval_formula(many, TruthEnv(0)) == 1
+
     def test_universe_sizes(self):
         assert [len(universe_of(r)) for r in range(5)] == [0, 1, 2, 4, 16]
         assert set(universe_of(3)) < set(universe_of(4))
@@ -304,6 +320,12 @@ class TestBitsetEval:
         # an atom that skips the innermost variable
         ("A v0 E v1 (v0 = #0 | !(v0 = #0))", 3, ("{}",), 1),
         ("E v0 A v1 (v0 in #0 & v1 = v1)", 3, ("{{}}",), 1),
+        # rank 5: two quantifiers over the 65,536 sets of V_5
+        ("A v0 E v1 (v0 in v1)", 5, (), 0),
+        ("E v0 A v1 (!(v1 in v0))", 5, (), 1),
+        ("A v0 E v1 (v1 in v0 | v0 = v1)", 5, (), 1),
+        ("E v0 A v1 (v1 in v0 | v1 = v0)", 5, (), 0),
+        ("E v0 (#0 in v0)", 5, ("{{{{}}}}",), 1),
     ])
     def test_edge_cases(self, text, rank, params, expected):
         f = parse_formula(text)
@@ -316,13 +338,14 @@ class TestBitsetEval:
 
     @pytest.mark.parametrize("rank", [3, 4])
     def test_bitsets_agree_with_membership(self, rank):
-        index, members, owners = logic._rank_bits(rank)
+        # Ackermann's numbering: universe_of(rank)[y] is numbered y, and
+        # x in y iff bit x of y is set, which the owner rows also say
         domain = universe_of(rank)
-        assert [index[s] for s in domain] == list(range(len(domain)))
-        for a in domain:
-            for b in domain:
-                assert members[index[b]] >> index[a] & 1 == (a in b)
-                assert owners[index[a]] >> index[b] & 1 == (a in b)
+        owners = logic._owners(len(domain))
+        assert [logic._position(s) for s in domain] == list(range(len(domain)))
+        for x, a in enumerate(domain):
+            for y, b in enumerate(domain):
+                assert y >> x & 1 == owners[x] >> y & 1 == (a in b)
 
     def test_decoded_formulas_are_shared(self):
         k = formula_index(parse_formula("E v0 A v1 (v1 in v0 | v1 = #0)"))
