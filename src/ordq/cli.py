@@ -8,8 +8,9 @@ Four subcommands:
   run SCENARIO     verify a JSON batch and print/write the report
   selftest         exercise the invariant suites and exit 0 on success
 
-Exit codes: 0 success, 1 failed checks or an unexpected error, 2 usage or
-validation problems, 3 the run diverged, 4 the run exceeded its budget.
+Exit codes: 0 success, 1 failed checks, an unexpected error or a closed
+stdout pipe, 2 usage or validation problems, 3 the run diverged, 4 the run
+exceeded its budget.
 All file output is written atomically and is byte-stable for a given input.
 
 Each subcommand imports what it needs when it runs: calc loads only
@@ -29,13 +30,11 @@ from .ordcalc import (
     OMEGA,
     InputError,
     Ordinal,
-    OrdinalDomainError,
     OrdinalParseError,
     _echo,
-    _nat_literal,
     add,
+    evaluate,
     left_sub,
-    mul,
     opow,
     parse_ordinal,
     render,
@@ -58,90 +57,8 @@ class CliError(Exception):
 # -- calc --------------------------------------------------------------------
 
 
-class _ExprParser:
-    """Infix ordinal arithmetic: +, *, right-associative ^, parentheses,
-    the constant w, and leftsub(a, b)."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def parse(self) -> Ordinal:
-        value = self._sum()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise CliError(f"trailing input at position {self.pos}: "
-                           f"{_echo(self.text[self.pos:])}")
-        return value
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _eat(self, symbol: str) -> bool:
-        self._skip_ws()
-        if self.text.startswith(symbol, self.pos):
-            self.pos += len(symbol)
-            return True
-        return False
-
-    def _sum(self) -> Ordinal:
-        value = self._product()
-        while self._eat("+"):
-            value = add(value, self._product())
-        return value
-
-    def _product(self) -> Ordinal:
-        value = self._power()
-        while self._eat("*"):
-            value = mul(value, self._power())
-        return value
-
-    def _power(self) -> Ordinal:
-        base = self._atom()
-        if self._eat("^"):
-            return opow(base, self._power())
-        return base
-
-    def _atom(self) -> Ordinal:
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            raise CliError("unexpected end of expression")
-        ch = self.text[self.pos]
-        if ch == "(":
-            self.pos += 1
-            value = self._sum()
-            if not self._eat(")"):
-                raise CliError(f"expected ')' at position {self.pos}")
-            return value
-        if self.text.startswith("leftsub", self.pos):
-            self.pos += len("leftsub")
-            if not self._eat("("):
-                raise CliError("leftsub needs parenthesised arguments")
-            a = self._sum()
-            if not self._eat(","):
-                raise CliError("leftsub takes two arguments")
-            b = self._sum()
-            if not self._eat(")"):
-                raise CliError(f"expected ')' at position {self.pos}")
-            return left_sub(a, b)
-        if ch == "w":
-            self.pos += 1
-            return OMEGA
-        if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return Ordinal.from_int(_nat_literal(self.text[start:self.pos], start))
-        raise CliError(f"unexpected character {ch!r} at position {self.pos}")
-
-
 def _cmd_calc(args) -> int:
-    try:
-        value = _ExprParser(" ".join(args.expression)).parse()
-    except OrdinalDomainError as e:
-        raise CliError(str(e))
-    print(render(value))
+    print(render(evaluate(" ".join(args.expression))))
     return EXIT_OK
 
 
@@ -223,13 +140,8 @@ def _check_budget(budget: int):
 
 def _status_exit(status: str) -> int:
     from . import tam
-    if status == tam.HALTED:
-        return EXIT_OK
-    if status == tam.DIVERGED:
-        return EXIT_DIVERGED
-    if status == tam.BUDGET_EXCEEDED:
-        return EXIT_BUDGET
-    return EXIT_FAIL
+    return {tam.HALTED: EXIT_OK, tam.DIVERGED: EXIT_DIVERGED,
+            tam.BUDGET_EXCEEDED: EXIT_BUDGET}.get(status, EXIT_FAIL)
 
 
 def _atomic_write(path: str, text: str):
@@ -429,11 +341,12 @@ def _suite_oracles():
 
 
 def _suite_ledger():
-    from .oracles import QueryLedger, SingleEntry, extract_script
+    from .oracles import QueryLedger, ScriptedEffectivizer, SingleEntry, answer, extract_script
     ledger = QueryLedger()
     ledger.append(SingleEntry(parse_ordinal("0"), "X", "q", "1", 1))
     _check(render(ledger.total_order_type()) == "1", "total order type of one entry")
-    _check(extract_script(ledger)[0].value == 1, "extracted script value")
+    _check(answer(ScriptedEffectivizer(extract_script(ledger)), 0) == 1,
+           "a replayed entry's answer")
 
 
 def _suite_reductions():
@@ -525,10 +438,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()      # a reader that has gone shows here, not at exit
+        return code
     except (CliError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # stdout's reader closed the pipe; point stdout at devnull so that
+        # the interpreter's flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -17,9 +17,11 @@ responses are the oracle's hit set restricted to the window.  Run entries
 keep that restriction as a descriptor so a recorded run can be replayed
 exactly.
 
-ScriptedEffectivizer replaces an oracle with recorded responses: either a
-finite pointwise sequence (each call consumes one value) or the richer
-segment list extracted from a previous run's ledger.
+ScriptedEffectivizer replaces an oracle with recorded responses.  Its
+script is a previous run's ledger entries, as extract_script() returns
+them, or bare values, each of which answers one pointwise call; the two
+can mix.  A single entry answers with its response value under its oracle
+name, and a run entry hands a scan the hit set its pattern records.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class ScriptExhausted(RuntimeError):
 
 
 class ScriptMismatch(RuntimeError):
-    """A scripted segment does not fit the call the machine is making."""
+    """A recorded scan does not fit the call the machine is making."""
 
 
 # -- ranked ordinal sets -----------------------------------------------------
@@ -357,13 +359,10 @@ class Effectivizer:
         self._answer = answer_fn
         self.hit_set = hit_set
 
-    def answer_value(self, query: Any) -> Any:
-        return self._answer(query)
-
     def call(self, query: Any, ledger: Optional[QueryLedger],
              time: Ordinal) -> Tuple[Any, Ordinal]:
         """Answer one pointwise call; returns (value, elapsed order type)."""
-        value = self.answer_value(query)
+        value = self._answer(query)
         if ledger is not None:
             ledger.append(SingleEntry(time=time, oracle=self.name,
                                       query=summarize_query(query),
@@ -438,7 +437,7 @@ def make_effectivizer(name: str, structure: CardinalStructure = None,
         _require(script is not None or hit_set is not None,
                  "Scripted needs a response script or a declared hit set")
         if script is not None:
-            return ScriptedEffectivizer.from_pointwise(script)
+            return ScriptedEffectivizer(script)
         return Effectivizer(SCRIPTED, lambda q: int(hit_set.contains(_expect_ordinal(q))),
                             hit_set=hit_set)
     raise OracleTypeError(f"unknown effectivizer name {name!r}")
@@ -497,104 +496,67 @@ def _sep_fn(level: int, rank: int):
 # -- scripted oracles and replay ---------------------------------------------
 
 
-@same_class_eq
-class SingleSeg(NamedTuple):
-    """One recorded pointwise response (with the oracle name it came from)."""
-
-    oracle: str
-    value: Any
-
-
-@same_class_eq
-class RunSeg(NamedTuple):
-    """One recorded scan: its window, pattern, and the hit-set restriction
-    needed to reproduce pointwise responses."""
-
-    oracle: str
-    from_query: Ordinal
-    to_query: Ordinal
-    pattern: str
-    hits: Optional[OrdinalSet]
-
-
-Segment = Union[SingleSeg, RunSeg]
-
-
-def extract_script(ledger: QueryLedger) -> Tuple[Segment, ...]:
-    """The recorded response sequence of a run, in compressed form."""
-    out: List[Segment] = []
-    for e in ledger:
-        if isinstance(e, SingleEntry):
-            out.append(SingleSeg(oracle=e.oracle, value=e.response_value))
-        else:
-            out.append(RunSeg(oracle=e.oracle, from_query=e.from_query,
-                              to_query=e.to_query, pattern=e.pattern,
-                              hits=e.hits))
-    return tuple(out)
+def extract_script(ledger: QueryLedger) -> Tuple[LedgerEntry, ...]:
+    """The recorded response sequence of a run: its ledger's entries."""
+    return tuple(ledger.entries)
 
 
 class ScriptedEffectivizer(Effectivizer):
     """Answers from a recorded script instead of computing.
 
-    Pointwise calls consume SingleSeg segments in order.  A scan takes its
-    hit set from scan(), so replay runs the same scan code as a live run.
-    A RunSeg must start at the scan's window start; its pattern becomes the
-    hit set: "oracle-hits" the recorded hits, "all-0-then-final-1" the one
-    recorded endpoint, "all-0" no hits up to the recorded endpoint.  A
-    SingleSeg at a scan gives a view that reads one recorded bit per probe.
-    Exhaustion raises ScriptExhausted; a segment of the wrong shape raises
-    ScriptMismatch.
+    Pointwise calls consume single entries and bare values in order.  A
+    scan takes its hit set from scan(), so replay runs the same scan code
+    as a live run.  A run entry must start at the scan's window start; its
+    pattern becomes the hit set: "oracle-hits" the recorded hits,
+    "all-0-then-final-1" the one recorded endpoint, "all-0" no hits up to
+    the recorded endpoint.  A pointwise answer at a scan gives a view that
+    reads one recorded bit per probe.  Exhaustion raises ScriptExhausted; a
+    run entry at a pointwise call raises ScriptMismatch.
     """
 
-    def __init__(self, segments: Sequence[Segment]):
+    def __init__(self, script: Sequence):
         super().__init__(SCRIPTED, answer_fn=None, hit_set=None)
-        self.segments = tuple(segments)
+        self.script = tuple(script)
         self.cursor = 0
 
-    @staticmethod
-    def from_pointwise(values: Sequence, oracle: str = SCRIPTED) -> "ScriptedEffectivizer":
-        return ScriptedEffectivizer(tuple(SingleSeg(oracle=oracle, value=v)
-                                          for v in values))
-
-    def peek(self) -> Optional[Segment]:
-        return self.segments[self.cursor] if self.cursor < len(self.segments) else None
-
-    def _next_single(self) -> SingleSeg:
-        seg = self.peek()
-        if seg is None:
+    def _peek(self) -> Any:
+        if self.cursor == len(self.script):
             raise ScriptExhausted("script exhausted")
-        if not isinstance(seg, SingleSeg):
-            raise ScriptMismatch("pointwise call hit a run segment")
+        return self.script[self.cursor]
+
+    def _next_answer(self) -> Tuple[str, Any]:
+        """Consume the next pointwise answer: (oracle name, value)."""
+        item = self._peek()
+        if isinstance(item, RunEntry):
+            raise ScriptMismatch("pointwise call hit a recorded scan")
         self.cursor += 1
-        return seg
+        if isinstance(item, SingleEntry):
+            return item.oracle, item.response_value
+        return SCRIPTED, item
 
     def scan(self, start, tick):
-        seg = self.peek()
-        if seg is None:
-            raise ScriptExhausted("script exhausted")
-        if isinstance(seg, SingleSeg):
-            return seg.oracle, _PointwiseHits(self, tick)
-        if seg.from_query != start:
+        item = self._peek()
+        if not isinstance(item, RunEntry):
+            oracle = item.oracle if isinstance(item, SingleEntry) else SCRIPTED
+            return oracle, _PointwiseHits(self, tick)
+        if item.from_query != start:
             raise ScriptMismatch(
-                f"recorded scan starts at {render(seg.from_query)}, not {render(start)}")
+                f"recorded scan starts at {render(item.from_query)}, not {render(start)}")
         self.cursor += 1
-        if seg.pattern == PATTERN_ORACLE_HITS:
-            return seg.oracle, seg.hits
-        if seg.pattern == PATTERN_FINAL_ONE:
-            return seg.oracle, FiniteOrdinalSet((seg.to_query,))
-        return seg.oracle, _NoHitsUpTo(seg.to_query)
-
-    def answer_value(self, query: Any) -> Any:
-        return self._next_single().value
+        if item.pattern == PATTERN_ORACLE_HITS:
+            return item.oracle, item.hits
+        if item.pattern == PATTERN_FINAL_ONE:
+            return item.oracle, FiniteOrdinalSet((item.to_query,))
+        return item.oracle, _NoHitsUpTo(item.to_query)
 
     def call(self, query, ledger, time):
-        seg = self._next_single()
+        oracle, value = self._next_answer()
         if ledger is not None:
-            ledger.append(SingleEntry(time=time, oracle=seg.oracle,
+            ledger.append(SingleEntry(time=time, oracle=oracle,
                                       query=summarize_query(query),
-                                      response=summarize_query(seg.value),
-                                      response_value=seg.value))
-        return seg.value, ONE
+                                      response=summarize_query(value),
+                                      response_value=value))
+        return value, ONE
 
 
 class _NoHitsUpTo(FiniteOrdinalSet):
@@ -622,7 +584,7 @@ class _PointwiseHits(OrdinalSet):
     def _hit(self, probe: Ordinal) -> bool:
         if probe not in self.bits:
             self.tick()
-            self.bits[probe] = self.script.answer_value(probe)
+            self.bits[probe] = self.script._next_answer()[1]
         return self.bits[probe] == 1
 
     def least_above(self, a):

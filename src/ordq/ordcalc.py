@@ -19,6 +19,14 @@ and every other exponent parenthesized.  Examples: "w^2*3+w+4", "w^(w)+5".
 
 render() inverts parse_ordinal() exactly on canonical strings.
 
+evaluate() reads calc's infix arithmetic over the same tokens, computing
+each value as it is read; its naturals may have leading zeros:
+
+    expr    := product ("+" product)*
+    product := power ("*" power)*
+    power   := operand ("^" power)?
+    operand := nat | "w" | "(" expr ")" | "leftsub(" expr "," expr ")"
+
 Values are hash-consed: Ordinal(terms) returns the value the module intern
 table holds for an equal term tuple, if any.  Each value keeps its rendered
 text, filled on the first render(), and a precomputed finiteness flag.
@@ -37,7 +45,7 @@ a fast path and equality falls back to the hash and the terms.
 opow refuses a finite power whose result would be a natural of more than
 _NAT_BITS_CAP bits or have more than _POW_TERM_CAP terms, and mul a product
 whose coefficient would pass _NAT_BITS_CAP bits, before building it.  The
-parsers refuse natural literals of more than _DIGITS_CAP digits.  Together
+parser refuses natural literals of more than _DIGITS_CAP digits.  Together
 these keep every natural far enough below the interpreter's int/str
 conversion limit (4,300 digits) that its text can be rendered.
 """
@@ -466,7 +474,7 @@ class _Parser:
             return True
         return False
 
-    def nat(self) -> int:
+    def nat(self, canonical: bool = True) -> int:
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
@@ -474,7 +482,7 @@ class _Parser:
         if self.pos == start:
             self.error("expected a number")
         digits = self.text[start:self.pos]
-        if digits[0] == "0" and len(digits) > 1:
+        if canonical and digits[0] == "0" and len(digits) > 1:
             self.error("numbers may not start with 0")
         return _nat_literal(digits, start)
 
@@ -529,15 +537,68 @@ class _Parser:
             return Ordinal.from_int(n)
         self.error("expected an exponent")
 
+    # calc's grammar: infix arithmetic, evaluated as it is read
 
-def parse_ordinal(text: str) -> Ordinal:
-    """Parse the concrete ordinal syntax; rejects non-canonical term order."""
+    def expect(self, ch: str):
+        if not self.eat(ch):
+            self.error(f"expected {ch!r}")
+
+    def expr(self) -> Ordinal:
+        value = self.product()
+        while self.eat("+"):
+            value = _add(value, self.product())
+        return value
+
+    def product(self) -> Ordinal:
+        value = self.power()
+        while self.eat("*"):
+            value = _mul(value, self.power())
+        return value
+
+    def power(self) -> Ordinal:
+        base = self.operand()
+        return _pow(base, self.power()) if self.eat("^") else base
+
+    def operand(self) -> Ordinal:
+        ch = self.peek()
+        if ch == "w":
+            self.pos += 1
+            return OMEGA
+        if ch.isdigit():
+            return Ordinal.from_int(self.nat(canonical=False))
+        if ch == "(":
+            self.pos += 1
+            value = self.expr()
+            self.expect(")")
+            return value
+        if self.text.startswith("leftsub", self.pos):
+            self.pos += len("leftsub")
+            self.expect("(")
+            a = self.expr()
+            self.expect(",")
+            b = self.expr()
+            self.expect(")")
+            return _left_sub(a, b)
+        self.error("expected an operand")
+
+
+def _parse_all(text: str, rule) -> Ordinal:
     parser = _Parser(text)
-    value = parser.ordinal()
+    value = rule(parser)
     parser.skip_ws()
     if parser.pos != len(text):
         parser.error("trailing input")
     return value
+
+
+def parse_ordinal(text: str) -> Ordinal:
+    """Parse the concrete ordinal syntax; rejects non-canonical term order."""
+    return _parse_all(text, _Parser.ordinal)
+
+
+def evaluate(text: str) -> Ordinal:
+    """Evaluate calc's infix syntax (see the module docstring)."""
+    return _parse_all(text, _Parser.expr)
 
 
 def render(a: OrdinalLike) -> str:

@@ -35,13 +35,13 @@ from .ordcalc import (
     successor,
 )
 from . import universe as u
-from .universe import CardinalStructure, HFSet, SetCode
+from .universe import CardinalStructure, SetCode
 from .oracles import (
     DEC_CARD,
     POT,
     TRUTH,
     Effectivizer,
-    _logic,
+    _sep_fn,
     make_effectivizer,
     summarize_query,
 )
@@ -268,17 +268,9 @@ def _ref_powercard(_structure, code):
     return Ordinal.from_int(2 ** u.hf_card(u.decode_set(code)))
 
 
-def _brute_separation(rank: int, level: int):
-    logic = _logic()
-
-    def ref(_structure, triple):
-        code, k, param_codes = triple
-        params = tuple(u.decode_set(c) for c in param_codes)
-        f = logic.formula_from_index(k)
-        return u.encode_hf(HFSet(x for x in u.decode_set(code)
-                                 if logic._sigma_truth(f, level, rank, (x,) + params)))
-
-    return ref
+def _ref_separation(level: int, rank: int):
+    sep = _sep_fn(level, rank)          # the SepSigma oracle's filter
+    return lambda _structure, triple: sep(triple)
 
 
 # -- catalog -----------------------------------------------------------------
@@ -371,7 +363,7 @@ _CATALOG = {
         "Separation", TRUTH, BoundForm("set-size"), "separation",
         lambda o: Program("sep_via_truth", (
             SeparationScan(slot="truth", register="r"), _HALT_R)),
-        lambda o: _brute_separation(o.rank, o.level)),
+        lambda o: _ref_separation(o.level, o.rank)),
 }
 
 CATALOG_NAMES = tuple(_CATALOG)
@@ -533,7 +525,9 @@ def verify(spec: ReductionSpec, structure: Optional[CardinalStructure],
 
 class CompositeEffectivizer(Effectivizer):
     """Answers each pointwise call by running an inner reduction program,
-    splicing the inner oracle traffic, re-timed, into the caller's ledger."""
+    splicing the inner oracle traffic, re-timed, into the caller's ledger.
+    An inner run that does not halt stops the caller's run with its status,
+    after its traffic is spliced."""
 
     def __init__(self, name: str, inner_program_factory, inner_bindings,
                  budget: int = tam.DEFAULT_BUDGET):
@@ -542,21 +536,13 @@ class CompositeEffectivizer(Effectivizer):
         self._bindings = inner_bindings
         self._budget = budget
 
-    def _run_inner(self, query) -> tam.RunResult:
-        res = tam.run(self._factory(), query, self._bindings, self._budget)
-        if not res.halted:
-            raise RuntimeError(
-                f"inner reduction {self.name} did not halt ({res.status})")
-        return res
-
-    def answer_value(self, query):
-        return self._run_inner(query).output
-
     def call(self, query, ledger, time):
-        res = self._run_inner(query)
+        res = tam.run(self._factory(), query, self._bindings, self._budget)
         if ledger is not None:
             for entry in res.ledger:
                 ledger.append(entry._replace(time=add(time, entry.time)))
+        if not res.halted:
+            raise tam.Stopped(res.status)
         return res.output, res.ledger.total_order_type()
 
 

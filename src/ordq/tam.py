@@ -30,12 +30,16 @@ reported as divergent.
 Budgets cap interpreter events (statement executions plus per-guess and
 per-probe micro-steps), not ordinal time: a scan of length w^2 is one event.
 
+A run that stops without halting raises Stopped, which carries its status
+(diverged or budget-exceeded) out of the statement that stopped it; a
+composed oracle raises it for an inner run that did not halt.
+
 run_scripted replays a program against recorded responses instead of live
-oracles.  Replay runs the same scan code as a live run: a scripted oracle's
-scan() turns each recorded scan into a hit set, and a plain pointwise
-script into a view that reads one recorded bit per probe.  Replaying a
-halting run's own extracted script reproduces the run exactly, ledger
-included.
+oracles: a previous run's ledger entries, or bare pointwise values.  Replay
+runs the same scan code as a live run: a scripted oracle's scan() turns
+each recorded run entry into a hit set, and pointwise answers into a view
+that reads one recorded bit per probe.  Replaying a halting run's own
+ledger reproduces the run exactly, ledger included.
 """
 
 from __future__ import annotations
@@ -52,10 +56,8 @@ from .oracles import (
     Effectivizer,
     QueryLedger,
     RunEntry,
-    RunSeg,
     ScriptExhausted,
     ScriptedEffectivizer,
-    SingleSeg,
     _logic,
     extract_script,
     flag_value_after,
@@ -63,7 +65,7 @@ from .oracles import (
 
 __all__ = [
     "HALTED", "DIVERGED", "BUDGET_EXCEEDED", "SCRIPT_EXHAUSTED",
-    "DEFAULT_BUDGET", "ProgramError", "ApproximatorContractError",
+    "DEFAULT_BUDGET", "ProgramError", "Stopped", "ApproximatorContractError",
     "const", "INPUT", "PARAM", "reg", "succ", "Flag",
     "Assign", "OracleCall", "ScanFirstHit", "ScanLastHitAtMost",
     "ScanFlagToggleUntil", "GuessCheckLoop", "ComputableSubroutine",
@@ -259,12 +261,11 @@ class _Halted(Exception):
         self.output = output
 
 
-class _Diverged(Exception):
-    pass
+class Stopped(Exception):
+    """The run stopped without halting, with this status."""
 
-
-class _BudgetExceeded(Exception):
-    pass
+    def __init__(self, status: str):
+        self.status = status
 
 
 class _Machine:
@@ -288,7 +289,7 @@ class _Machine:
     def _tick(self):
         self.events += 1
         if self.events > self.budget:
-            raise _BudgetExceeded
+            raise Stopped(BUDGET_EXCEEDED)
 
     def _eval(self, expr: tuple):
         tag = expr[0]
@@ -339,7 +340,7 @@ class _Machine:
                              pattern,
                              hits=hits if pattern == PATTERN_ORACLE_HITS else None)
         if end is None:
-            raise _Diverged
+            raise Stopped(DIVERGED)
         return end
 
     # -- statements ----------------------------------------------------------
@@ -386,7 +387,7 @@ class _Machine:
         self._append_run(name, ZERO, bound, charged, PATTERN_ORACLE_HITS,
                          hits=hits)
         if result is None:
-            raise _Diverged
+            raise Stopped(DIVERGED)
         self.registers[st.register] = result
 
     def _do_flag_scan(self, st: ScanFlagToggleUntil):
@@ -422,7 +423,7 @@ class _Machine:
             if self._call(oracle, value) == 1:
                 self.registers[st.register] = value
                 return
-        raise _Diverged
+        raise Stopped(DIVERGED)
 
     def _do_separation(self, st: SeparationScan):
         shape = self.input
@@ -463,10 +464,8 @@ def _run_machine(m: _Machine) -> RunResult:
         m._execute(m.program.body)
     except _Halted as h:
         return RunResult(HALTED, h.output, m.time, m.ledger)
-    except _Diverged:
-        return RunResult(DIVERGED, None, None, m.ledger)
-    except _BudgetExceeded:
-        return RunResult(BUDGET_EXCEEDED, None, None, m.ledger)
+    except Stopped as s:
+        return RunResult(s.status, None, None, m.ledger)
     except ScriptExhausted:
         return RunResult(SCRIPT_EXHAUSTED, None, None, m.ledger)
     raise ProgramError(f"program {m.program.name} ended without halting")
@@ -480,17 +479,12 @@ def run(program: Program, input_value, bindings: Dict[str, Effectivizer],
 
 def run_scripted(program: Program, input_value,
                  script: Sequence, budget: int = DEFAULT_BUDGET) -> RunResult:
-    """Evaluate with every oracle slot answered from one recorded script.
-
-    The script is either a plain sequence of response values (consumed one
-    per pointwise call and one per scan probe, each probe charged one
-    event) or a sequence of recorded segments as extracted from a previous
-    run's ledger.  Either way the scans run their live code, over the hit
-    sets ScriptedEffectivizer.scan() makes of the script."""
-    if script and isinstance(script[0], (SingleSeg, RunSeg)):
-        oracle = ScriptedEffectivizer(tuple(script))
-    else:
-        oracle = ScriptedEffectivizer.from_pointwise(tuple(script))
+    """Evaluate with every oracle slot answered from one recorded script:
+    ledger entries as extract_script() returns them, or bare response
+    values, each consumed by one pointwise call or one scan probe (charged
+    one event).  The scans run their live code, over the hit sets
+    ScriptedEffectivizer.scan() makes of the script."""
+    oracle = ScriptedEffectivizer(script)
     bindings = {slot: oracle for slot in program.slots()}
     return _run_machine(_Machine(program, input_value, bindings, budget))
 

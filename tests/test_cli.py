@@ -325,6 +325,24 @@ class TestRunScenario:
         assert len(blob["instances"]) == 2
         assert blob["instances"][1]["order_type"] == "w*2+2"
 
+    def test_a_reader_that_closes_the_pipe_gets_no_traceback(self, tmp_path):
+        # 2,000 rows overfill the pipe, so a write after the reader has gone
+        # must fail, however the output is buffered
+        instances = [f"w^3*{n}+{n}" for n in range(1, 2001)]
+        path = self.scenario(tmp_path, reduction="nextcard_via_deccard",
+                             structure={"kind": "omega-powers", "bound": "w^5"},
+                             instances=instances)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.Popen([sys.executable, "-m", "ordq.cli", "run", path],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout.readline().startswith(b"input")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in err and err == ""
+
     def test_report_bytes_are_stable(self, capsys, tmp_path):
         outs = [tmp_path / "r1.json", tmp_path / "r2.json"]
         path = self.scenario(tmp_path)

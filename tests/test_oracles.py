@@ -25,12 +25,10 @@ from ordq.oracles import (
     OracleTypeError,
     QueryLedger,
     RunEntry,
-    RunSeg,
     ScriptExhausted,
     ScriptMismatch,
     ScriptedEffectivizer,
     SingleEntry,
-    SingleSeg,
     answer,
     extract_script,
     flag_value_after,
@@ -38,7 +36,7 @@ from ordq.oracles import (
     NotRankedError,
     summarize_query,
 )
-from ordq.ordcalc import OMEGA, ZERO, Ordinal, omega_power, parse_ordinal as P, render
+from ordq.ordcalc import OMEGA, ONE, ZERO, Ordinal, omega_power, parse_ordinal as P, render
 
 import tuple_model as tm
 from gen import random_ordinal
@@ -459,7 +457,7 @@ class TestScripted:
         answer(nxt, P("w"), led, 1)
         answer(dec, P("w^2+1"), led, 2)
         script = extract_script(led)
-        assert [type(s) for s in script] == [SingleSeg, SingleSeg, SingleSeg]
+        assert script == tuple(led.entries)
         rep = ScriptedEffectivizer(script)
         replay = QueryLedger()
         assert answer(rep, P("w"), replay, 0) == 1
@@ -468,7 +466,7 @@ class TestScripted:
         assert replay.to_json() == led.to_json()
 
     def test_replayed_entries_keep_original_oracle_names(self):
-        rep = ScriptedEffectivizer((SingleSeg(oracle="DecCard", value=1),))
+        rep = ScriptedEffectivizer((SingleEntry(ZERO, "DecCard", "w", "1", 1),))
         led = QueryLedger()
         answer(rep, P("w"), led, 0)
         assert led.entries[0].oracle == "DecCard"
@@ -484,8 +482,8 @@ class TestScripted:
             ScriptedEffectivizer(()).scan(ZERO, lambda: None)
 
     def test_scan_probes_a_pointwise_script_one_event_per_probe(self):
-        rep = ScriptedEffectivizer((SingleSeg(oracle="DecCard", value=0),
-                                    SingleSeg(oracle="DecCard", value=1)))
+        rep = ScriptedEffectivizer((SingleEntry(ZERO, "DecCard", "4", "0", 0),
+                                    SingleEntry(ONE, "DecCard", "5", "1", 1)))
         ticks = []
         name, hits = rep.scan(P("3"), lambda: ticks.append(1))
         assert name == "DecCard"
@@ -494,8 +492,9 @@ class TestScripted:
 
     def test_scan_maps_each_run_pattern_to_a_hit_set(self):
         def seg(pattern, hits=None):
-            return RunSeg(oracle="DecCard", from_query=P("3"), to_query=OMEGA,
-                          pattern=pattern, hits=hits)
+            return RunEntry(time=ZERO, oracle="DecCard", from_query=P("3"),
+                            to_query=OMEGA, order_type=OMEGA, pattern=pattern,
+                            hits=hits)
 
         bits = OmegaMultiplesSet()
         rep = ScriptedEffectivizer((seg(PATTERN_FINAL_ONE), seg(PATTERN_ALL_ZERO),

@@ -9,7 +9,7 @@ from ordq import ordcalc
 from ordq.ordcalc import (
     OMEGA, ONE, ZERO, Ordinal, OrdinalDomainError, OrdinalParseError,
     _cmp, add, classify, compare, finite_part, leading_exponent, left_sub,
-    mul, omega_power, opow, parse_ordinal, render, successor,
+    evaluate, mul, omega_power, opow, parse_ordinal, render, successor,
 )
 
 import tuple_model as tm
@@ -69,6 +69,52 @@ class TestParseRender:
     def test_round_trip_property(self, seed):
         value = random_ordinal(random.Random(seed), depth=3)
         assert parse_ordinal(render(value)) == value
+
+
+class TestCalcGrammar:
+    """evaluate() reads every canonical string as parse_ordinal() does."""
+
+    TOKENS = ["w", "w^", "*", "+", "(", ")", "0", "1", "2", "3", "12", " "]
+
+    def test_accepted_strings_mean_the_same(self):
+        rng = random.Random(7)
+        accepted = 0
+        for _ in range(20000):
+            text = "".join(rng.choice(self.TOKENS) for _ in range(rng.randint(1, 9)))
+            try:
+                value = parse_ordinal(text)
+            except OrdinalParseError:
+                continue
+            accepted += 1
+            assert evaluate(text) == value, text
+        assert accepted > 2000
+
+    def test_render_round_trips(self):
+        rng = random.Random(9002)
+        for _ in range(1000):
+            value = random_ordinal(rng, depth=3)
+            assert evaluate(render(value)) == value
+
+    @pytest.mark.parametrize("text,value", [
+        ("007", Ordinal.from_int(7)),
+        ("2^3^2", Ordinal.from_int(512)),
+        ("w^w^2", opow(W, opow(W, 2))),
+        ("leftsub (w, w*2) * 3", mul(W, 3)),
+    ])
+    def test_infix_pins(self, text, value):
+        assert evaluate(text) == value
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "expected an operand (at position 0)"),
+        ("w +", "expected an operand (at position 3)"),
+        ("leftsub(w)", "expected ',' (at position 9)"),
+        ("(w", "expected ')' (at position 2)"),
+        ("w 2", "trailing input (at position 2)"),
+    ])
+    def test_errors_carry_a_position(self, text, message):
+        with pytest.raises(OrdinalParseError) as caught:
+            evaluate(text)
+        assert str(caught.value) == message
 
 
 class TestCompare:

@@ -608,6 +608,20 @@ class TestComposition:
         report = verify(comp, POWERS, [P("w*2+1"), 5])
         assert report.passed
 
+    def test_an_inner_run_that_diverges_gives_its_row_a_verdict(self):
+        outer = delegate_spec(NEXT_CARD, NEXT_CARD,
+                              lambda cs: make_effectivizer(NEXT_CARD, structure=cs),
+                              lambda cs, a: u.next_card_of(cs, a))
+        comp = compose(outer, catalog("nextcard_via_deccard"))
+        structure = u.explicit_list([P("w^3")], P("w^(w*2)"))
+        report = verify(comp, structure, [P("w^3+1"), P("w+1")])
+        assert report.passed
+        stuck, fine = report.rows
+        assert (stuck.status, stuck.output_text, stuck.expected_text) == \
+            ("diverged", None, None)
+        assert stuck.order_type == "w^(w*2)"     # the inner sweep, spliced
+        assert (fine.status, fine.output_text) == ("halted", "w^3")
+
     def test_composed_bound_multiplies(self):
         outer = delegate_spec("Probe", DEC_CARD,
                               lambda cs: make_effectivizer(DEC_CARD, structure=cs),
