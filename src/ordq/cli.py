@@ -29,8 +29,6 @@ from typing import List, Optional
 from .ordcalc import (
     OMEGA,
     InputError,
-    Ordinal,
-    OrdinalParseError,
     _echo,
     add,
     evaluate,
@@ -67,7 +65,7 @@ def _cmd_calc(args) -> int:
 
 def _build_structure(kind: str, bound_text: str, cardinal_texts: Optional[List[str]]):
     from . import universe as u
-    bound = _parse_ordinal_arg(bound_text, "bound")
+    bound = _parse_arg(parse_ordinal, bound_text, "bound")
     if kind == u.OMEGA_POWERS:
         return u.omega_powers(bound)
     if kind == u.MULTIPLES_OF_OMEGA:
@@ -75,62 +73,52 @@ def _build_structure(kind: str, bound_text: str, cardinal_texts: Optional[List[s
     if kind == u.EXPLICIT_LIST:
         if not cardinal_texts:
             raise CliError("an explicit-list structure needs --cardinals")
-        cards = [_parse_ordinal_arg(c, "cardinal") for c in cardinal_texts]
+        cards = [_parse_arg(parse_ordinal, c, "cardinal") for c in cardinal_texts]
         return u.explicit_list(cards, bound)
     raise CliError(f"unknown structure kind {_echo(kind)}; pick one of {', '.join(u.KINDS)}")
 
 
-def _parse_ordinal_arg(text: str, what: str) -> Ordinal:
+def _parse_arg(parse, text: str, what: str):
+    """parse(text), for an ordinal, set or formula parser; its ValueError
+    becomes a usage error that names what and quotes text."""
     try:
-        return parse_ordinal(text)
-    except OrdinalParseError as e:
+        return parse(text)
+    except ValueError as e:
         raise CliError(f"bad {what} {_echo(text)}: {e}")
 
 
-def _parse_set_arg(text: str, what: str):
+def _parse_instance(spec, raw, where: str, structure):
+    """One instance of spec, named `where` in errors: an ordinal, which must
+    lie below the bound of `structure`, a set literal, or an object with
+    set/formula/params for a separation."""
+    if spec.shape == "ordinal":
+        if not isinstance(raw, str):
+            raise CliError(f"{where} should be an ordinal string")
+        a = _parse_arg(parse_ordinal, raw, where)
+        if a >= structure.bound:
+            raise CliError(f"{where} {_echo(render(a))} is not below the "
+                           f"structure bound {render(structure.bound)}")
+        return a
     from . import universe as u
-    try:
-        return u.encode_hf(u.parse_hf(text))
-    except ValueError as e:
-        raise CliError(f"bad {what} {_echo(text)}: {e}")
-
-
-def _parse_formula_arg(text: str) -> int:
+    if spec.shape == "set":
+        if not isinstance(raw, str):
+            raise CliError(f"{where} should be a set literal string")
+        return u.encode_hf(_parse_arg(u.parse_hf, raw, where))
     from .logic import formula_index, free_variables, parse_formula
-    try:
-        f = parse_formula(text)
-    except ValueError as e:
-        raise CliError(f"bad formula {_echo(text)}: {e}")
+    if not isinstance(raw, dict):
+        raise CliError(f"{where} should be an object with set/formula/params")
+    text = _scenario_field(raw, "set", str, required=True)
+    code = u.encode_hf(_parse_arg(u.parse_hf, text, f"{where} set"))
+    text = _scenario_field(raw, "formula", str, required=True)
+    f = _parse_arg(parse_formula, text, "formula")
     free = free_variables(f)
     if free:
         raise CliError(f"bad formula {_echo(text)}: free variable "
                        f"{', '.join(f'v{i}' for i in free)}")
-    return formula_index(f)
-
-
-def _parse_instance(spec, raw, where: str, structure):
-    """One instance of spec, named `where` in errors: a set literal, an
-    object with set/formula/params for a separation, otherwise an ordinal,
-    which must lie below the bound of `structure`."""
-    if spec.shape == "set":
-        if not isinstance(raw, str):
-            raise CliError(f"{where} should be a set literal string")
-        return _parse_set_arg(raw, where)
-    if spec.shape == "separation":
-        if not isinstance(raw, dict):
-            raise CliError(f"{where} should be an object with set/formula/params")
-        code = _parse_set_arg(_scenario_field(raw, "set", str, required=True), f"{where} set")
-        k = _parse_formula_arg(_scenario_field(raw, "formula", str, required=True))
-        params = tuple(_parse_set_arg(p, f"{where} parameter")
-                       for p in _scenario_field(raw, "params", list, default=[], items=str))
-        return (code, k, params)
-    if not isinstance(raw, str):
-        raise CliError(f"{where} should be an ordinal string")
-    a = _parse_ordinal_arg(raw, where)
-    if a >= structure.bound:
-        raise CliError(f"{where} {render(a)} is not below the "
-                       f"structure bound {render(structure.bound)}")
-    return a
+    k = formula_index(f)
+    params = tuple(u.encode_hf(_parse_arg(u.parse_hf, p, f"{where} parameter"))
+                   for p in _scenario_field(raw, "params", list, default=[], items=str))
+    return (code, k, params)
 
 
 def _check_budget(budget: int):
@@ -287,7 +275,7 @@ def _cmd_run(args) -> int:
             raise CliError(f"bound_override.kind {kind!r} reads {reads} instances, "
                            f"but {name} takes {spec.shape} instances")
         value = _scenario_field(desc, "value", str, default="0")
-        override = BoundForm(kind, value=_parse_ordinal_arg(value, "bound_override value")
+        override = BoundForm(kind, value=_parse_arg(parse_ordinal, value, "bound_override value")
                              if kind == "const" else None)
 
     report = verify(spec, structure, instances, budget,

@@ -4,7 +4,9 @@ Formulas are a quantifier prefix over a boolean matrix of atoms "x in y"
 and "x = y"; terms are bound variables, or parameter slots "#i" filled at
 evaluation time.  The constructor enforces prenex shape, canonical binder
 names (v0, v1, ... in prefix order) and contiguous parameter numbering, so
-structural equality is equality up to renaming.
+structural equality is equality up to renaming.  parse_formula reads text
+on ordcalc's scanner, with the rules of every text format (NESTING_CAP, ASCII
+digits, errors that name their position), and raises FormulaError.
 
 Numeric indices use one fixed scheme.  pair is the diagonal polynomial on
 naturals (see universe.cantor_pair); terms encode as
@@ -24,7 +26,9 @@ and formula nodes as pair(tag, payload):
 
 Every natural decodes to something; naturals that decode to an ill-formed
 tree (unknown tag, quantifier under a connective, bad parameter layout)
-map to the canonical false formula instead of erroring.
+map to the canonical false formula instead of erroring.  Each node about
+squares the index, so formula_index refuses one of more than _DIGITS_CAP
+digits (InputError): ledgers and reports print it.
 
 Evaluation is bit-parallel over the innermost quantified variable, on
 Ackermann's numbering (Ackermann 1937): a set is numbered by the sum of
@@ -44,10 +48,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ._record import Record, _set
-from .ordcalc import InputError, _echo
+from .ordcalc import _DIGITS, _DIGITS_CAP, InputError, _echo, _Scanner
 from .universe import HFSet, cantor_pair, cantor_unpair
 
 EXISTS = "E"
@@ -133,15 +137,11 @@ def free_variables(f: Formula) -> List[int]:
     out = set()
 
     def walk(node):
-        if node[0] in ("in", "eq"):
-            for term in node[1:]:
-                if term[0] == "var" and term[1] >= len(f.prefix):
-                    out.add(term[1])
-        elif node[0] == "not":
-            walk(node[1])
-        else:
-            walk(node[1])
-            walk(node[2])
+        for child in node[1:]:
+            if node[0] not in ("in", "eq"):
+                walk(child)
+            elif child[0] == "var" and child[1] >= len(f.prefix):
+                out.add(child[1])
 
     walk(f.matrix)
     return sorted(out)
@@ -153,34 +153,88 @@ FALSE_FORMULA = Formula((EXISTS,), ("not", ("eq", ("var", 0), ("var", 0))))
 # -- concrete syntax ---------------------------------------------------------
 
 
-def _tokenize(text: str) -> List[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()&|!=#":
-            tokens.append(ch)
-            i += 1
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+class _FormulaParser(_Scanner):
+    """The formula grammar on the shared scanner.  A bracket or '!' opens a
+    nesting level, and so does each '&' or '|' of a chain, which deepens the
+    formula's tree by one; the bracket after a binder does not nest."""
+
+    def formula(self) -> Formula:
+        self.scope: Dict[str, int] = {}     # binder name -> prefix position
+        prefix: List[str] = []
+        parens = 0
+        q = self.word()
+        while q in (EXISTS, FORALL):
+            prefix.append(q)
+            name = self.word()
+            if not name or name in (EXISTS, FORALL, "in") or name in self.scope:
+                self.pos -= len(name)
+                self.error(f"binder {_echo(name)} used twice" if name in self.scope
+                           else "expected a binder name")
+            self.scope[name] = len(self.scope)
+            if self.eat("("):
+                parens += 1
+            q = self.word()
+        self.pos -= len(q)          # the matrix starts with it
+        matrix = self.disjunction()
+        for _ in range(parens):
+            self.expect(")")
+        return Formula(tuple(prefix), matrix)
+
+    def disjunction(self) -> tuple:
+        node = self.conjunction()
+        depth = self.depth
+        while self.eat("|"):
+            self.enter()
+            node = ("or", node, self.conjunction())
+        self.depth = depth
+        return node
+
+    def conjunction(self) -> tuple:
+        node = self.atom()
+        depth = self.depth
+        while self.eat("&"):
+            self.enter()
+            node = ("and", node, self.atom())
+        self.depth = depth
+        return node
+
+    def atom(self) -> tuple:
+        if self.eat("!"):
+            self.enter()
+            node = ("not", self.atom())
+        elif self.eat("("):
+            self.enter()
+            node = self.disjunction()
+            self.expect(")")
         else:
-            raise FormulaError(f"stray character {ch!r} at position {i}")
-    return tokens
+            left = self.term()
+            if self.eat("="):
+                return ("eq", left, self.term())
+            op = self.word()
+            if op != "in":
+                self.pos -= len(op)
+                self.error("expected 'in' or '='")
+            return ("in", left, self.term())
+        self.depth -= 1
+        return node
 
-
-_KEYWORDS = {"E", "A", "in"}
+    def term(self) -> tuple:
+        if self.eat("#"):
+            return ("param", self.nat(canonical=False))
+        name = self.word()
+        if name in self.scope:
+            return ("var", self.scope[name])
+        start = self.pos - len(name)
+        # a free variable must already have its canonical name vK
+        if name[:1] == "v" and len(name) > 1 and _DIGITS.issuperset(name[1:]):
+            self.pos = start + 1
+            k = self.nat(canonical=False)
+            if k >= len(self.scope):
+                return ("var", k)
+        self.pos = start
+        if name in (EXISTS, FORALL):
+            self.error("quantifier inside the matrix: input is not prenex")
+        self.error(f"unbound variable {_echo(name)}" if name else "expected a term")
 
 
 def parse_formula(text: str) -> Formula:
@@ -191,100 +245,7 @@ def parse_formula(text: str) -> Formula:
     not bound by the prefix is only accepted if it is already a canonical
     name vK with K at or above the binder count.
     """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek() -> Optional[str]:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take_any(description: str) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise FormulaError(f"unexpected end of input, wanted {description}")
-        token = tokens[pos]
-        pos += 1
-        return token
-
-    def take(expected: str) -> str:
-        token = take_any(repr(expected))
-        if token != expected:
-            raise FormulaError(f"expected {expected!r}, found {_echo(token)}")
-        return token
-
-    prefix: List[str] = []
-    scope: Dict[str, int] = {}
-    parens = 0
-
-    while peek() in (EXISTS, FORALL):
-        prefix.append(take_any("a quantifier"))
-        name = take_any("a binder name")
-        if name in _KEYWORDS or not (name[0].isalpha() or name[0] == "_"):
-            raise FormulaError(f"bad binder name {_echo(name)}")
-        if name in scope:
-            raise FormulaError(f"binder {_echo(name)} used twice")
-        scope[name] = len(scope)
-        if peek() == "(":
-            take("(")
-            parens += 1
-
-    binders = len(prefix)
-
-    def term() -> tuple:
-        token = take_any("a term")
-        if token == "#":
-            index = take_any("a parameter number")
-            if not index.isdigit():
-                raise FormulaError(f"bad parameter number {_echo(index)}")
-            return ("param", int(index))
-        if token in ("E", "A"):
-            raise FormulaError("quantifier inside the matrix: input is not prenex")
-        if not (token[0].isalpha() or token[0] == "_"):
-            raise FormulaError(f"expected a term, found {_echo(token)}")
-        if token in scope:
-            return ("var", scope[token])
-        if token[0] == "v" and token[1:].isdigit() and int(token[1:]) >= binders:
-            return ("var", int(token[1:]))
-        raise FormulaError(f"unbound variable {_echo(token)}")
-
-    def atom_or_group() -> tuple:
-        if peek() == "!":
-            take("!")
-            return ("not", atom_or_group())
-        if peek() == "(":
-            take("(")
-            inner = disjunction()
-            take(")")
-            return inner
-        if peek() in (EXISTS, FORALL):
-            raise FormulaError("quantifier inside the matrix: input is not prenex")
-        left = term()
-        op = take_any("'in' or '='")
-        if op == "in":
-            return ("in", left, term())
-        if op == "=":
-            return ("eq", left, term())
-        raise FormulaError(f"expected 'in' or '=', found {_echo(op)}")
-
-    def conjunction() -> tuple:
-        node = atom_or_group()
-        while peek() == "&":
-            take("&")
-            node = ("and", node, atom_or_group())
-        return node
-
-    def disjunction() -> tuple:
-        node = conjunction()
-        while peek() == "|":
-            take("|")
-            node = ("or", node, conjunction())
-        return node
-
-    matrix = disjunction()
-    for _ in range(parens):
-        take(")")
-    if pos != len(tokens):
-        raise FormulaError(f"trailing input from token {_echo(tokens[pos])}")
-    return Formula(tuple(prefix), matrix)
+    return _FormulaParser(text, FormulaError).read_all(_FormulaParser.formula)
 
 
 def _render_term(t: tuple) -> str:
@@ -339,6 +300,17 @@ def classify_level(f: Formula) -> int:
 # -- numeric indexing --------------------------------------------------------
 
 
+_INDEX_LIMIT = 10 ** _DIGITS_CAP       # indices have at most _DIGITS_CAP digits
+
+
+def _pair(x: int, y: int) -> int:
+    """cantor_pair for an index, checked at each pairing to stop early."""
+    k = cantor_pair(x, y)
+    if k >= _INDEX_LIMIT:
+        raise InputError(f"the formula's index would have more than {_DIGITS_CAP} digits")
+    return k
+
+
 def _index_term(t: tuple) -> int:
     return 2 * t[1] if t[0] == "var" else 2 * t[1] + 1
 
@@ -346,19 +318,21 @@ def _index_term(t: tuple) -> int:
 def _index_node(node: tuple) -> int:
     kind = node[0]
     if kind == "in":
-        return cantor_pair(TAG_IN, cantor_pair(_index_term(node[1]), _index_term(node[2])))
+        return _pair(TAG_IN, _pair(_index_term(node[1]), _index_term(node[2])))
     if kind == "eq":
-        return cantor_pair(TAG_EQ, cantor_pair(_index_term(node[1]), _index_term(node[2])))
+        return _pair(TAG_EQ, _pair(_index_term(node[1]), _index_term(node[2])))
     if kind == "not":
-        return cantor_pair(TAG_NOT, _index_node(node[1]))
+        return _pair(TAG_NOT, _index_node(node[1]))
     tag = TAG_AND if kind == "and" else TAG_OR
-    return cantor_pair(tag, cantor_pair(_index_node(node[1]), _index_node(node[2])))
+    return _pair(tag, _pair(_index_node(node[1]), _index_node(node[2])))
 
 
 def formula_index(f: Formula) -> int:
+    """f's index (see the module docstring); InputError when it would have
+    more than _DIGITS_CAP digits."""
     k = _index_node(f.matrix)
     for q in reversed(f.prefix):
-        k = cantor_pair(TAG_EXISTS if q == EXISTS else TAG_FORALL, k)
+        k = _pair(TAG_EXISTS if q == EXISTS else TAG_FORALL, k)
     return k
 
 

@@ -510,8 +510,10 @@ class ScriptedEffectivizer(Effectivizer):
     pattern becomes the hit set: "oracle-hits" the recorded hits,
     "all-0-then-final-1" the one recorded endpoint, "all-0" no hits up to
     the recorded endpoint.  A pointwise answer at a scan gives a view that
-    reads one recorded bit per probe.  Exhaustion raises ScriptExhausted; a
-    run entry at a pointwise call raises ScriptMismatch.
+    reads one recorded bit per probe.  A scan past the script's end gets no
+    hits and no horizon, as a live scan that ledgered nothing had; other
+    exhaustion raises ScriptExhausted.  A run entry at a pointwise call
+    raises ScriptMismatch.
     """
 
     def __init__(self, script: Sequence):
@@ -519,14 +521,11 @@ class ScriptedEffectivizer(Effectivizer):
         self.script = tuple(script)
         self.cursor = 0
 
-    def _peek(self) -> Any:
-        if self.cursor == len(self.script):
-            raise ScriptExhausted("script exhausted")
-        return self.script[self.cursor]
-
     def _next_answer(self) -> Tuple[str, Any]:
         """Consume the next pointwise answer: (oracle name, value)."""
-        item = self._peek()
+        if self.cursor == len(self.script):
+            raise ScriptExhausted("script exhausted")
+        item = self.script[self.cursor]
         if isinstance(item, RunEntry):
             raise ScriptMismatch("pointwise call hit a recorded scan")
         self.cursor += 1
@@ -535,7 +534,9 @@ class ScriptedEffectivizer(Effectivizer):
         return SCRIPTED, item
 
     def scan(self, start, tick):
-        item = self._peek()
+        if self.cursor == len(self.script):
+            return SCRIPTED, FiniteOrdinalSet(())
+        item = self.script[self.cursor]
         if not isinstance(item, RunEntry):
             oracle = item.oracle if isinstance(item, SingleEntry) else SCRIPTED
             return oracle, _PointwiseHits(self, tick)

@@ -27,6 +27,13 @@ each value as it is read; its naturals may have leading zeros:
     power   := operand ("^" power)?
     operand := nat | "w" | "(" expr ")" | "leftsub(" expr "," expr ")"
 
+_Scanner is the lexer of these grammars, of universe.parse_hf and of
+logic.parse_formula: whitespace between tokens, ASCII digits only, at most
+_DIGITS_CAP per natural, identifiers, errors that name their position and
+the one nesting guard.  The grammars recurse, so a text nests at most
+NESTING_CAP levels: one per open bracket, '^' or '!', and per '&' or '|'
+of a formula chain, which deepens the formula's tree.
+
 Values are hash-consed: Ordinal(terms) returns the value the module intern
 table holds for an equal term tuple, if any.  Each value keeps its rendered
 text, filled on the first render(), and a precomputed finiteness flag.
@@ -45,7 +52,7 @@ a fast path and equality falls back to the hash and the terms.
 opow refuses a finite power whose result would be a natural of more than
 _NAT_BITS_CAP bits or have more than _POW_TERM_CAP terms, and mul a product
 whose coefficient would pass _NAT_BITS_CAP bits, before building it.  The
-parser refuses natural literals of more than _DIGITS_CAP digits.  Together
+scanner refuses natural literals of more than _DIGITS_CAP digits.  Together
 these keep every natural far enough below the interpreter's int/str
 conversion limit (4,300 digits) that its text can be rendered.
 """
@@ -62,10 +69,6 @@ class InputError(ValueError):
 
 class OrdinalParseError(InputError):
     """Raised on malformed ordinal syntax; carries the offending position."""
-
-    def __init__(self, message: str, pos: int):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
 
 
 class OrdinalDomainError(InputError):
@@ -84,6 +87,11 @@ _POW_TERM_CAP = 1024
 # Longest natural literal, in digits; sums of such literals stay below the
 # interpreter's default int/str conversion limit of 4,300 digits.
 _DIGITS_CAP = 4000
+# The digits of every text format: ASCII only, whatever str.isdigit says.
+_DIGITS = frozenset("0123456789")
+# Deepest nesting of a text; a level costs a grammar at most four frames, so
+# a read at the cap stays well inside the default recursion limit of 1,000.
+NESTING_CAP = 200
 
 
 class Ordinal:
@@ -444,29 +452,29 @@ def _echo(text: str) -> str:
     return f"{text[:_ECHO_CAP]!r}... ({len(text)} characters)"
 
 
-def _nat_literal(digits: str, pos: int) -> int:
-    """The natural a run of decimal digits names; OrdinalParseError, at pos,
-    when it has more than _DIGITS_CAP digits."""
-    if len(digits) > _DIGITS_CAP:
-        raise OrdinalParseError(f"numbers may have at most {_DIGITS_CAP} digits", pos)
-    return int(digits)
+class _Scanner:
+    """A position in one text and the lexical rules every text format shares
+    (see the module docstring).  fail is the format's exception class: each
+    error names the position and carries it as .pos."""
 
-
-class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, fail=OrdinalParseError):
         self.text = text
         self.pos = 0
+        self.depth = 0
+        self.fail = fail
 
     def error(self, message: str):
-        raise OrdinalParseError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        exc = self.fail(f"{message} (at position {self.pos})")
+        exc.pos = self.pos
+        raise exc
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        """The next character, "" at the end; whitespace before it is skipped."""
+        text, pos = self.text, self.pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        self.pos = pos
+        return text[pos] if pos < len(text) else ""
 
     def eat(self, ch: str) -> bool:
         if self.peek() == ch:
@@ -474,23 +482,58 @@ class _Parser:
             return True
         return False
 
+    def expect(self, ch: str):
+        if not self.eat(ch):
+            self.error(f"expected {ch!r}")
+
+    def enter(self):
+        """Open one nesting level; the grammar lowers depth when it closes."""
+        self.depth += 1
+        if self.depth > NESTING_CAP:
+            self.error(f"nested deeper than {NESTING_CAP} levels")
+
     def nat(self, canonical: bool = True) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        """A run of ASCII digits: a canonical one is positive, with no leading 0."""
+        self.peek()
+        text = self.text
+        start = end = self.pos
+        while end < len(text) and text[end] in _DIGITS:
+            end += 1
+        if end == start:
             self.error("expected a number")
-        digits = self.text[start:self.pos]
-        if canonical and digits[0] == "0" and len(digits) > 1:
-            self.error("numbers may not start with 0")
-        return _nat_literal(digits, start)
+        if end - start > _DIGITS_CAP:
+            self.error(f"numbers may have at most {_DIGITS_CAP} digits")
+        self.pos = end
+        if canonical and text[start] == "0":
+            self.error("expected a positive number without leading zeros")
+        return int(text[start:end])
+
+    def word(self) -> str:
+        """The identifier here, consumed: a letter or '_', then letters,
+        ASCII digits and '_'; "" when none starts here."""
+        self.peek()
+        text = self.text
+        start = end = self.pos
+        while end < len(text) and (text[end].isalpha() or text[end] == "_"
+                                   or end > start and text[end] in _DIGITS):
+            end += 1
+        self.pos = end
+        return text[start:end]
+
+    def read_all(self, rule):
+        """rule's value, which must use up the whole text."""
+        value = rule(self)
+        if self.peek():
+            self.error("trailing input")
+        return value
+
+
+class _Parser(_Scanner):
+    """The ordinal grammar and calc's grammar on the scanner."""
 
     def ordinal(self) -> Ordinal:
         if self.peek() == "0":
             self.pos += 1
-            if self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.error("numbers may not start with 0")
             return ZERO
         terms = [self.term()]
         while self.eat("+"):
@@ -501,22 +544,17 @@ class _Parser:
         return Ordinal(tuple(terms))
 
     def term(self) -> Tuple[Ordinal, int]:
-        if self.peek() == "w":
+        ch = self.peek()
+        if ch == "w":
             self.pos += 1
             exponent = ONE
             if self.eat("^"):
+                self.enter()
                 exponent = self.factor()
-            coefficient = 1
-            if self.eat("*"):
-                coefficient = self.nat()
-                if coefficient == 0:
-                    self.error("coefficient must be >= 1")
-            return (exponent, coefficient)
-        if self.peek().isdigit():
-            n = self.nat()
-            if n == 0:
-                self.error("0 is not a term")
-            return (ZERO, n)
+                self.depth -= 1
+            return (exponent, self.nat() if self.eat("*") else 1)
+        if ch in _DIGITS:
+            return (ZERO, self.nat())
         self.error("expected a term")
 
     def factor(self) -> Ordinal:
@@ -526,22 +564,16 @@ class _Parser:
             return OMEGA
         if ch == "(":
             self.pos += 1
+            self.enter()
             inner = self.ordinal()
-            if not self.eat(")"):
-                self.error("expected ')'")
+            self.expect(")")
+            self.depth -= 1
             return inner
-        if ch.isdigit():
-            n = self.nat()
-            if n == 0:
-                self.error("exponent 0 is not written explicitly")
-            return Ordinal.from_int(n)
+        if ch in _DIGITS:
+            return Ordinal.from_int(self.nat())
         self.error("expected an exponent")
 
     # calc's grammar: infix arithmetic, evaluated as it is read
-
-    def expect(self, ch: str):
-        if not self.eat(ch):
-            self.error(f"expected {ch!r}")
 
     def expr(self) -> Ordinal:
         value = self.product()
@@ -557,48 +589,48 @@ class _Parser:
 
     def power(self) -> Ordinal:
         base = self.operand()
-        return _pow(base, self.power()) if self.eat("^") else base
+        if not self.eat("^"):
+            return base
+        self.enter()
+        exponent = self.power()
+        self.depth -= 1
+        return _pow(base, exponent)
 
     def operand(self) -> Ordinal:
         ch = self.peek()
         if ch == "w":
             self.pos += 1
             return OMEGA
-        if ch.isdigit():
+        if ch in _DIGITS:
             return Ordinal.from_int(self.nat(canonical=False))
         if ch == "(":
             self.pos += 1
+            self.enter()
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         if self.text.startswith("leftsub", self.pos):
             self.pos += len("leftsub")
             self.expect("(")
+            self.enter()
             a = self.expr()
             self.expect(",")
             b = self.expr()
             self.expect(")")
+            self.depth -= 1
             return _left_sub(a, b)
         self.error("expected an operand")
 
 
-def _parse_all(text: str, rule) -> Ordinal:
-    parser = _Parser(text)
-    value = rule(parser)
-    parser.skip_ws()
-    if parser.pos != len(text):
-        parser.error("trailing input")
-    return value
-
-
 def parse_ordinal(text: str) -> Ordinal:
     """Parse the concrete ordinal syntax; rejects non-canonical term order."""
-    return _parse_all(text, _Parser.ordinal)
+    return _Parser(text).read_all(_Parser.ordinal)
 
 
 def evaluate(text: str) -> Ordinal:
     """Evaluate calc's infix syntax (see the module docstring)."""
-    return _parse_all(text, _Parser.expr)
+    return _Parser(text).read_all(_Parser.expr)
 
 
 def render(a: OrdinalLike) -> str:

@@ -23,7 +23,8 @@ callers pass None on rather than catch an error.
 The second half of the module is the hereditarily finite set side: HFSet
 values and their membership codes (SetCode: a finite extensional
 well-founded edge set over node ids, edges packed with the Cantor pairing
-function).
+function).  parse_hf reads brace literals on ordcalc's scanner, with the
+rules of every text format; NESTING_CAP is ordcalc's, re-exported here.
 
 HFSet values are hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", 2006): a weak intern table keyed by the member set makes
@@ -51,6 +52,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ._record import Record, _set
 from .ordcalc import (
+    NESTING_CAP,
     OMEGA,
     ONE,
     InputError,
@@ -65,6 +67,7 @@ from .ordcalc import (
     limit_part,
     mul,
     omega_power,
+    _Scanner,
 )
 
 OMEGA_POWERS = "omega-powers"
@@ -350,44 +353,43 @@ def render_hf(s: HFSet) -> str:
 
 
 POWERSET_CAP = 16
-# Deepest brace nesting parse_hf accepts ("{}" is 1): deeper literals would
-# exhaust the interpreter stack in the recursive parse, decode and render.
-NESTING_CAP = 256
+
+
+def _set_literal(p: _Scanner) -> HFSet:
+    """The set rule, reading the text through local names (faster than a
+    scanner call per token); its open braces are its depth ("{}" is 1)."""
+    text, end, pos = p.text, len(p.text), p.pos
+    open_sets: List[list] = []      # the member lists of the unclosed braces
+    allowed = "{"
+    while True:
+        while pos < end and text[pos].isspace():
+            pos += 1
+        if pos == end or text[pos] not in allowed:
+            p.pos = pos
+            p.error("expected " + " or ".join(map(repr, allowed)))
+        ch = text[pos]
+        pos += 1
+        if ch == "{":
+            if len(open_sets) == NESTING_CAP:       # the scanner's guard refuses it
+                p.pos, p.depth = pos - 1, NESTING_CAP
+                p.enter()
+            open_sets.append([])
+            allowed = "{}"
+        elif ch == "}":
+            s = HFSet(open_sets.pop())
+            if not open_sets:
+                p.pos = pos
+                return s
+            open_sets[-1].append(s)
+            allowed = ",}"
+        else:
+            allowed = "{"
 
 
 def parse_hf(text: str) -> HFSet:
     """Parse nested braces such as "{{},{{}}}" into an HFSet; ValueError on
     bad syntax or nesting deeper than NESTING_CAP."""
-    pos = 0
-
-    def node(depth: int) -> HFSet:
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos >= len(text) or text[pos] != "{":
-            raise ValueError(f"expected '{{' at position {pos}")
-        if depth > NESTING_CAP:
-            raise ValueError(f"set literal nested deeper than {NESTING_CAP} levels")
-        pos += 1
-        members = []
-        while True:
-            while pos < len(text) and text[pos].isspace():
-                pos += 1
-            if pos < len(text) and text[pos] == "}":
-                pos += 1
-                return HFSet(members)
-            if members:
-                if pos >= len(text) or text[pos] != ",":
-                    raise ValueError(f"expected ',' or '}}' at position {pos}")
-                pos += 1
-            members.append(node(depth + 1))
-
-    result = node(1)
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    if pos != len(text):
-        raise ValueError(f"trailing input at position {pos}")
-    return result
+    return _Scanner(text, ValueError).read_all(_set_literal)
 
 
 def hf_card(s: HFSet) -> int:

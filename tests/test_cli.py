@@ -97,6 +97,100 @@ class TestLongNaturals:
         assert out == str(3 * (10 ** 4000 - 1))
 
 
+CAP = ordq.ordcalc.NESTING_CAP
+
+
+def nested(depth: int, inner: str = "w") -> str:
+    return "(" * depth + inner + ")" * depth
+
+
+def tower(depth: int) -> str:
+    """w^(w^(...)) with depth exponents: two nesting levels each."""
+    return "w^(" * depth + "w" + ")" * depth
+
+
+def separation(formula: str) -> list:
+    return ["reduce", "sep_via_truth", "--input", "{{}}", "--formula", formula]
+
+
+def conjuncts(n: int) -> str:
+    return "E v0 (" + " & ".join(["v0 in #0"] * n) + ")"
+
+
+class TestTextFormats:
+    """Every text format shares the scanner's rules: NESTING_CAP levels,
+    ASCII digits only, and errors that exit 2 with one line."""
+
+    # (at the cap, one level past it) for each grammar; the first bracket
+    # after a binder does not nest
+    @pytest.mark.parametrize("at_cap,past_cap", [
+        (["calc", nested(CAP)], ["calc", nested(CAP + 1)]),
+        (["calc", "^".join(["w"] * (CAP + 1))], ["calc", "^".join(["w"] * (CAP + 2))]),
+        (["reduce", "nextcard_via_deccard", "--bound", "w^(" + tower(CAP // 2 - 1) + "+2)",
+          "--input", tower(CAP // 2)],
+         ["reduce", "nextcard_via_deccard", "--input", "w^(" + tower(CAP // 2) + ")"]),
+        (["reduce", "powercard_via_pot", "--count-only", "--input", "{" * CAP + "}" * CAP],
+         ["reduce", "powercard_via_pot", "--count-only",
+          "--input", "{" * (CAP + 1) + "}" * (CAP + 1)]),
+        (separation("E v0 " + nested(CAP + 1, "v0 in #0")),
+         separation("E v0 " + nested(CAP + 2, "v0 in #0"))),
+    ], ids=["calc-parens", "calc-powers", "ordinal-tower", "set", "formula-parens"])
+    def test_nesting_cap(self, capsys, at_cap, past_cap):
+        assert run_cli(*at_cap) == 0
+        capsys.readouterr()
+        assert run_cli(*past_cap) == 2
+        line = one_line_error(capsys)
+        assert line.startswith("error: ") and f"nested deeper than {CAP} levels" in line
+
+    def test_negations_chains_and_deep_parens_past_the_cap_exit_2(self, capsys):
+        for argv in (["calc", nested(1000)], separation("E v0 (" + "!" * 1000 + "v0 in #0)"),
+                     separation("E v0 (" + "!" * CAP + "(v0 in #0))"),
+                     separation(" & ".join(["v0 = v0"] * 1500))):
+            assert run_cli(*argv) == 2
+            assert f"nested deeper than {CAP} levels" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["calc", "²"], ["calc", "٣"], ["calc", "１"], ["calc", "w^²"],
+        ["reduce", "nextcard_via_deccard", "--input", "²"],
+        ["reduce", "nextcard_via_deccard", "--input", "w*٣"],
+        ["reduce", "nextcard_via_deccard", "--input", "１"],
+        separation("E v0 (v0 in #²)"), separation("E v0 (v0 in #٣)"),
+        separation("E v0 (v0 in v²)"), separation("E v0 (v0 = #１)"),
+    ])
+    def test_digits_are_ascii_only(self, capsys, argv):
+        assert run_cli(*argv) == 2
+        assert one_line_error(capsys).startswith("error: ")
+
+    def test_seven_conjuncts_exceed_the_index_cap(self, capsys, tmp_path):
+        assert run_cli(*separation(conjuncts(7))) == 2
+        message = "error: the formula's index would have more than 4000 digits"
+        assert one_line_error(capsys) == message
+        path = write_scenario(tmp_path, {
+            "reduction": "sep_via_truth",
+            "instances": [{"set": "{{}}", "formula": conjuncts(7)}]})
+        assert run_cli("run", path) == 2
+        assert one_line_error(capsys) == message
+
+    def test_six_conjuncts_still_run(self, capsys):
+        # their index has 1,546 digits
+        assert len(str(ordq.formula_index(ordq.parse_formula(conjuncts(6))))) == 1546
+        assert run_cli(*separation(conjuncts(6))) == 0
+        assert "status: halted" in capsys.readouterr().out
+
+    def test_many_negations_stop_at_the_index_cap_quickly(self, capsys):
+        started = time.perf_counter()
+        assert run_cli(*separation("E v0 (" + "!" * 24 + "v0 in #0)")) == 2
+        assert time.perf_counter() - started < 1.0
+        assert "index would have more than 4000 digits" in one_line_error(capsys)
+
+    def test_out_of_bound_instance_is_quoted_in_part(self, capsys):
+        text = "w^(w*2)*" + "9" * 60
+        assert run_cli("reduce", "nextcard_via_deccard", "--input", text) == 2
+        assert one_line_error(capsys) == (
+            f"error: input {text[:40]!r}... (68 characters) is not below the "
+            "structure bound w^(w*2)")
+
+
 class TestReduce:
     def test_nextcard_pin(self, capsys):
         code = run_cli("reduce", "nextcard_via_deccard", "--input", "w*2+1",
@@ -184,7 +278,8 @@ class TestReduce:
         assert code == 2
         line = one_line_error(capsys)
         assert len(line) < 200, line
-        assert line.endswith(f"unbound variable {name[:40]!r}... (3000 characters)")
+        assert line.endswith(f"unbound variable {name[:40]!r}... (3000 characters) "
+                             "(at position 12)")
 
     def test_separation_without_formula_exits_2(self, capsys):
         code = run_cli("reduce", "sep_via_truth", "--input", "{{}}")
@@ -210,7 +305,7 @@ class TestReduce:
                        "--input", "{" * depth + "}" * depth)
         assert code == 2
         assert one_line_error(capsys).endswith(
-            f"set literal nested deeper than {u.NESTING_CAP} levels")
+            f"nested deeper than {u.NESTING_CAP} levels (at position {u.NESTING_CAP})")
 
     def test_set_literal_at_the_nesting_cap_runs(self, capsys):
         depth = u.NESTING_CAP

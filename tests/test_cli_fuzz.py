@@ -1,6 +1,7 @@
 """A fuzz of cli.main: calc expressions, reduce argv, set literals and
-scenario JSON, well-formed or not.  Whatever the input, main returns an exit
-code from 0 to 4, raises nothing, and prints at most one error line."""
+scenario JSON, well-formed or not, with texts nested around NESTING_CAP and
+digits outside ASCII.  Whatever the input, main returns an exit code from 0
+to 4, raises nothing, and prints at most one error line."""
 
 import contextlib
 import io
@@ -14,17 +15,34 @@ from ordq.reductions import BOUND_KINDS, CATALOG_NAMES
 
 FUZZ = settings(max_examples=200, deadline=None)
 
+CAP = u.NESTING_CAP
+# digits that str.isdigit() accepts but the text formats do not
+NON_ASCII_DIGITS = "²٣１"
+
+
+def around_the_cap(opening: str, inner: str, closing: str = ""):
+    """inner nested in opening..closing from just below NESTING_CAP to just
+    past it, or far past it."""
+    return st.sampled_from([CAP - 1, CAP, CAP + 1, 1000]).map(
+        lambda depth: opening * depth + inner + closing * depth)
+
+
 NAMES = st.sampled_from(CATALOG_NAMES + ("bogus",))
 ORDINALS = st.one_of(
     st.sampled_from(["0", "5", "9", "w", "w+1", "w*3", "w^2+1", "w^2*2", "w^3",
                      "w^(w)", "w^(w*2)", "w^(w*3)", "1" * 4001]),
-    st.text(alphabet="w0123456789+*^() ", max_size=10))
+    st.text(alphabet="w0123456789+*^() " + NON_ASCII_DIGITS, max_size=10),
+    around_the_cap("w^(", "w", ")"))
 SETS = st.one_of(st.sampled_from(["{}", "{{}}", "{{{}}}", "{{},{{}}}", "{{},{{{}}}}"]),
-                 st.text(alphabet="{}, ", max_size=10))
+                 st.text(alphabet="{}, ", max_size=10),
+                 around_the_cap("{", "", "}"))
 FORMULAS = st.one_of(
     st.sampled_from(["E v0 (v0 = #0)", "A v0 (v0 in #0)", "E v0 (v0 in #1)",
-                     "E v0 A v1 (v1 in v0 | v0 = #0)", "v0 = v0", "E v0 ("]),
-    st.text(alphabet="EAv01#() =in&|!", max_size=16))
+                     "E v0 A v1 (v1 in v0 | v0 = #0)", "v0 = v0", "E v0 (",
+                     "E v0 (" + " & ".join(["v0 in #0"] * 7) + ")"]),
+    st.text(alphabet="EAv01#() =in&|!" + NON_ASCII_DIGITS, max_size=16),
+    around_the_cap("(", "E v0 (v0 in #0)", ")"),
+    around_the_cap("!", "E v0 (v0 in #0)"))
 SEPARATIONS = st.fixed_dictionaries(
     {"set": SETS, "formula": FORMULAS},
     optional={"params": st.lists(SETS, max_size=2)})
@@ -137,7 +155,10 @@ def scenarios(draw):
 
 
 @FUZZ
-@given(st.text(alphabet="w0123456789+*^(), leftsub", max_size=20))
+@given(st.one_of(st.text(alphabet="w0123456789+*^(), leftsub" + NON_ASCII_DIGITS,
+                         max_size=20),
+                 around_the_cap("(", "w", ")"), around_the_cap("w^", "w"),
+                 around_the_cap("leftsub(0,", "w", ")")))
 def test_calc(expression):
     check(["calc", expression])
 

@@ -95,6 +95,38 @@ class TestParseRender:
         assert f.num_params == 2
 
 
+class TestScanner:
+    """Formulas share the scanner's rules with the other text formats."""
+
+    def test_nesting_cap(self):
+        from ordq.ordcalc import NESTING_CAP as cap
+        # the bracket after a binder does not nest; "!(" opens two levels
+        assert parse_formula("E v0 " + "(" * (cap + 1) + "v0 = v0" + ")" * (cap + 1))
+        assert parse_formula("!" * cap + "v0 = v0").matrix[0] == "not"
+        assert parse_formula(" & ".join(["v0 = v0"] * (cap + 1))).matrix[0] == "and"
+        for text in ("E v0 " + "(" * (cap + 2) + "v0 = v0" + ")" * (cap + 2),
+                     "!" * (cap + 1) + "v0 = v0",
+                     " | ".join(["v0 = v0"] * (cap + 2))):
+            with pytest.raises(FormulaError, match=f"nested deeper than {cap} levels"):
+                parse_formula(text)
+
+    @pytest.mark.parametrize("text", ["E v0 (v0 in #²)", "E v0 (v0 in #٣)",
+                                      "E v0 (v0 in v²)", "v٣ = v0", "#１ = #0"])
+    def test_digits_are_ascii_only(self, text):
+        with pytest.raises(FormulaError):
+            parse_formula(text)
+
+    def test_errors_carry_their_position(self):
+        with pytest.raises(FormulaError) as caught:
+            parse_formula("E x (x in y)")
+        assert caught.value.pos == 10
+        assert str(caught.value) == "unbound variable 'y' (at position 10)"
+
+    def test_long_free_variable_numbers_are_capped(self):
+        with pytest.raises(FormulaError, match="at most 4000 digits"):
+            parse_formula("v" + "1" * 4001 + " = v0")
+
+
 class TestClassify:
     def test_levels(self):
         assert classify_level(parse_formula("v0 in v1")) == 0
@@ -140,6 +172,15 @@ class TestIndexing:
         assert formula_from_index(diag(2, diag(5, 20))) == FALSE_FORMULA
         # parameter slots {1} skip 0
         assert formula_from_index(diag(0, diag(0, 3))) == FALSE_FORMULA
+
+    def test_index_cap(self):
+        # each conjunct about squares the index: six give 1,546 digits
+        conjuncts = lambda n: "E v0 (" + " & ".join(["v0 in #0"] * n) + ")"
+        assert len(str(formula_index(parse_formula(conjuncts(6))))) == 1546
+        with pytest.raises(InputError, match="more than 4000 digits"):
+            formula_index(parse_formula(conjuncts(7)))
+        with pytest.raises(InputError, match="more than 4000 digits"):
+            formula_index(parse_formula("!" * 150 + "v0 = v0"))
 
     def test_false_formula_is_false(self):
         assert render_formula(FALSE_FORMULA) == "E v0 (!(v0 = v0))"

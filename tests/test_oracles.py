@@ -478,8 +478,10 @@ class TestScripted:
             answer(rep, P("0"))
 
     def test_scan_on_an_exhausted_script(self):
-        with pytest.raises(ScriptExhausted):
-            ScriptedEffectivizer(()).scan(ZERO, lambda: None)
+        # a live scan with no hit and no horizon ledgers nothing, so a scan
+        # at the end of the script sees no hits and no horizon
+        name, hits = ScriptedEffectivizer(()).scan(ZERO, lambda: None)
+        assert hits.least_above(ZERO) is None and hits.scan_horizon() is None
 
     def test_scan_probes_a_pointwise_script_one_event_per_probe(self):
         rep = ScriptedEffectivizer((SingleEntry(ZERO, "DecCard", "4", "0", 0),

@@ -117,6 +117,41 @@ class TestCalcGrammar:
         assert str(caught.value) == message
 
 
+class TestScanner:
+    """The lexical rules every text format shares, seen through the two
+    ordinal grammars."""
+
+    CAP = ordcalc.NESTING_CAP
+
+    @pytest.mark.parametrize("parse", [parse_ordinal, evaluate])
+    def test_nesting_cap(self, parse):
+        # "w^(" opens two levels, one for '^' and one for the bracket
+        at_cap = "w^(" * (self.CAP // 2) + "w" + ")" * (self.CAP // 2)
+        assert render(parse(at_cap)) == at_cap
+        with pytest.raises(OrdinalParseError, match=f"nested deeper than {self.CAP} levels"):
+            parse("w^(" + at_cap + ")")
+
+    def test_calc_counts_powers_and_leftsub(self):
+        assert evaluate("^".join(["1"] * (self.CAP + 1))) == ONE
+        with pytest.raises(OrdinalParseError, match="nested deeper"):
+            evaluate("^".join(["1"] * (self.CAP + 2)))
+        assert evaluate("leftsub(0," * self.CAP + "w" + ")" * self.CAP) == W
+        with pytest.raises(OrdinalParseError, match="nested deeper"):
+            evaluate("leftsub(0," * (self.CAP + 1) + "w" + ")" * (self.CAP + 1))
+
+    @pytest.mark.parametrize("text", ["²", "٣", "１", "w*٣", "w^²", "1٣"])
+    def test_digits_are_ascii_only(self, text):
+        for parse in (parse_ordinal, evaluate):
+            with pytest.raises(OrdinalParseError):
+                parse(text)
+
+    def test_errors_carry_their_position(self):
+        with pytest.raises(OrdinalParseError) as caught:
+            parse_ordinal("w+ x")
+        assert caught.value.pos == 3
+        assert str(caught.value) == "expected a term (at position 3)"
+
+
 class TestCompare:
     def test_examples(self):
         assert compare(add(W, 1), mul(W, 2)) == -1

@@ -321,9 +321,19 @@ class TestScripted:
         assert render(res.output) == "8"
         assert render(res.ledger.total_order_type()) == "3"
 
-    def test_empty_script_reports_exhaustion(self):
+    def test_empty_script_at_a_scan_diverges(self):
+        # the ledger of a scan that found no hit and had no horizon is empty
         res = run_scripted(FIRST_HIT, P("5"), [])
+        assert res.status == "diverged" and res.output is None
+        res = run_scripted(FIRST_HIT, P("5"), [0, 0])
         assert res.status == "script-exhausted" and res.output is None
+
+    @pytest.mark.parametrize("prog", [FIRST_HIT, FLAG_SCAN], ids=lambda p: p.name)
+    def test_replay_of_a_scan_that_diverges_without_a_sweep(self, prog):
+        hits = make_effectivizer(SCRIPTED, hit_set=FiniteOrdinalSet([OMEGA]))
+        res = run(prog, P("w+1"), {"check": hits})
+        assert res.status == "diverged" and len(res.ledger) == 0
+        assert replay(prog, P("w+1"), res).same_as(res)
 
     def test_pointwise_last_hit_on_a_finite_bound(self):
         res = run_scripted(LAST_HIT, P("3"), [1, 0, 0, 1])

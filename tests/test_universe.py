@@ -301,6 +301,18 @@ class TestHFSet:
         with pytest.raises(ValueError, match="nested deeper"):
             parse_hf("{" + at_cap + "}")
 
+    @pytest.mark.parametrize("text,message", [
+        ("{{},{}", "expected ',' or '}' (at position 6)"),
+        (" {{} {}}", "expected ',' or '}' (at position 5)"),
+        ("{,}", "expected '{' or '}' (at position 1)"),
+        ("{{}}x", "trailing input (at position 4)"),
+    ])
+    def test_parse_errors_carry_their_position(self, text, message):
+        with pytest.raises(ValueError) as caught:
+            parse_hf(text)
+        assert str(caught.value) == message
+        assert caught.value.pos == int(message.split()[-1][:-1])
+
 
 def nest(depth: int) -> HFSet:
     out = EMPTY_SET
