@@ -258,7 +258,9 @@ def _square_code(power_code: SetCode) -> SetCode:
 
 
 def _count_power(power_code: SetCode, _unused) -> Ordinal:
-    return Ordinal.from_int(u.hf_card(u.decode_set(power_code)))
+    # counts the root's members without decoding them; the code is still
+    # validated, so a bad one raises InvalidCodeError
+    return Ordinal.from_int(len(u.code_elements(power_code)))
 
 
 # -- references --------------------------------------------------------------

@@ -37,9 +37,12 @@ verdict is still worked out on first decode.  Every decode asks for it.
 
 The Pot oracle answers on codes: powerset_code builds the canonical code of
 a power set from the argument's child map, one int mask per subset and no
-HFSet per subset.  encode_hf and powerset_code number their nodes through
-one shared helper (_canonical_ids: rank, then member count, then sorted
-member ids), so the canonical order is written once.
+HFSet per subset.  encode_hf and powerset_code number their nodes one rank
+at a time, lowest first, through one shared step (_number_rank: member
+count, then sorted member ids), so the canonical order is written once.
+powerset_code hands out the argument's member bits in the order of their
+new ids, so each subset's member tuple comes out ascending and no subset is
+sorted.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ import math
 import threading
 import weakref
 from functools import cached_property, wraps
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ._record import Record, _set
@@ -313,7 +317,10 @@ class HFSet:
         return len(self.members)
 
     def __iter__(self):
-        return iter(sorted(self.members, key=_hf_sort_key))
+        """Members in (rank, size, text) order, from one rendering of self,
+        so the texts of nodes that members share are built once."""
+        text = _texts(self)
+        return iter(sorted(self.members, key=lambda m: (m.rank, len(m.members), text[id(m)])))
 
     def __str__(self):
         return render_hf(self)
@@ -328,28 +335,36 @@ _intern_lock = threading.Lock()
 EMPTY_SET = HFSet()
 
 
-def _hf_sort_key(s: HFSet):
-    return (s.rank, len(s.members), render_hf(s))
-
-
 def hf(*members: HFSet) -> HFSet:
     return HFSet(members)
 
 
+def _texts(s: HFSet) -> Dict[int, str]:
+    """id(node) -> nested-brace text, for s and every set hereditarily in
+    it, members in (rank, size, text) order.  Nodes are rendered in rank
+    order, so members come first and deep sets do not recurse; each node's
+    text is built once per call and reused for both the sort and the join,
+    so the work does not double with every level of nesting."""
+    # keyed by id(node): the list holds every node for the whole call, and
+    # the set itself as key would call the Python-level HFSet.__hash__
+    nodes = [s]
+    seen = {id(s)}
+    for n in nodes:                     # the list grows as it is walked
+        for m in n.members:
+            if id(m) not in seen:
+                seen.add(id(m))
+                nodes.append(m)
+    nodes.sort(key=attrgetter("rank"))
+    text: Dict[int, str] = {}
+    for n in nodes:
+        keyed = sorted([(m.rank, len(m.members), text[id(m)]) for m in n.members])
+        text[id(n)] = "{" + ",".join([k[2] for k in keyed]) + "}"
+    return text
+
+
 def render_hf(s: HFSet) -> str:
-    """Nested-brace text of s, members in (rank, size, text) order.  Each
-    node's text is built once per call and reused for both the sort and the
-    join, so the work no longer doubles with every level of nesting."""
-    memo: Dict[HFSet, str] = {}
-
-    def text(n: HFSet) -> str:
-        t = memo.get(n)
-        if t is None:
-            keyed = sorted((m.rank, len(m.members), text(m)) for m in n.members)
-            t = memo[n] = "{" + ",".join(k[2] for k in keyed) + "}"
-        return t
-
-    return text(s)
+    """Nested-brace text of s, members in (rank, size, text) order."""
+    return _texts(s)[id(s)]
 
 
 POWERSET_CAP = 16
@@ -495,31 +510,24 @@ def cantor_unpair(z: int) -> Tuple[int, int]:
     return (w - y, y)
 
 
-def _canonical_ids(by_rank: List[list]) -> Tuple[dict, Dict[int, Tuple[int, ...]]]:
-    """Number the nodes of a transitive closure in canonical order: by rank,
-    then by member count, then by sorted member-id tuple.
+def _number_rank(group: dict, ids: dict, children: Dict[int, Tuple[int, ...]]) -> None:
+    """Give one rank's nodes the next ids in canonical order: by member
+    count, then by member-id tuple.
 
-    by_rank lists each rank's nodes, lowest rank first, as (key, member
-    keys) pairs; the members all have lower rank, so they already have ids
-    when their rank is numbered.  Returns key -> id and the child map (id ->
-    ascending tuple of member ids; nodes without members absent).  encode_hf
-    and powerset_code both number through here, so the canonical order is
+    group maps each node's ascending member-id tuple to its key (the tuples
+    of distinct sets differ); ids maps keys to ids, and its length is the
+    next id.  Each node with members gets its tuple in the child map.
+    encode_hf and powerset_code number every rank through here, lowest
+    first, so the canonical order (rank, member count, member ids) is
     written once."""
-    ids: dict = {}
-    children: Dict[int, Tuple[int, ...]] = {}
-    for group in by_rank:
-        # the member-id tuples of distinct sets differ
-        node_of = {tuple(sorted(map(ids.__getitem__, members))): key
-                   for key, members in group}
-        # member count, then member ids: two stable sorts with no key tuple
-        # per node (such tuples, freed amid the kept ones, raised peak RSS)
-        order = sorted(node_of)
-        order.sort(key=len)
-        for kids in order:
-            i = ids[node_of[kids]] = len(ids)
-            if kids:
-                children[i] = kids
-    return ids, children
+    # member count, then member ids: two stable sorts with no key tuple per
+    # node (such tuples, freed amid the kept ones, raised peak RSS)
+    order = sorted(group)
+    order.sort(key=len)
+    for kids in order:
+        i = ids[group[kids]] = len(ids)
+        if kids:
+            children[i] = kids
 
 
 def _built_code(domain: int, root: int, children: Dict[int, Tuple[int, ...]],
@@ -544,10 +552,15 @@ def encode_hf(s: HFSet) -> SetCode:
     # nodes are keyed by id(node); keying by the set itself would call the
     # Python-level HFSet.__hash__ once per edge
     closure = transitive_closure(s)
-    by_rank: List[list] = [[] for _ in range(s.rank + 1)]
+    by_rank: List[List[HFSet]] = [[] for _ in range(s.rank + 1)]
     for node in closure:
-        by_rank[node.rank].append((id(node), map(id, node.members)))
-    ids, children = _canonical_ids(by_rank)
+        by_rank[node.rank].append(node)
+    ids: Dict[int, int] = {}
+    children: Dict[int, Tuple[int, ...]] = {}
+    for group in by_rank:
+        # members have lower rank, so they already have ids
+        _number_rank({tuple(sorted(map(ids.__getitem__, map(id, node.members)))): id(node)
+                      for node in group}, ids, children)
     decoded = {ids[id(node)]: node for node in closure}
     return _built_code(len(ids), ids[id(s)], children, decoded)
 
@@ -568,9 +581,14 @@ def powerset_code(code: SetCode) -> SetCode:
     POWERSET_CAP members, both before anything is built.  No HFSet is
     built per subset, and the code stores only its child map.
 
-    Each subset is an int mask over x's members (bit k for the k-th member
-    id).  A subset that is already a node below x is matched by its mask
-    and keeps its old id as key; the others are keyed ~mask."""
+    The nodes are numbered one rank at a time, through the same step as
+    encode_hf's.  Each subset is an int mask over x's members, and a member
+    takes the next bit once its rank is numbered, so bit order is id order.
+    The masks that a member of rank r tops are then the subsets of rank
+    r + 1, and each one's ascending member-id tuple is the tuple of the mask
+    without its top bit plus that bit's id: no subset is sorted.  A node
+    below x whose members all lie in x is a subset, and takes its mask's
+    id."""
     elements = _capped_elements(code)
     children = code._children
     rank: Dict[int, int] = {}           # old id -> rank, for the nodes below x
@@ -583,33 +601,34 @@ def powerset_code(code: SetCode) -> SetCode:
                 stack += todo
             elif stack.pop() not in rank:      # m may be on the stack twice
                 rank[m] = 1 + max(map(rank.__getitem__, children.get(m, ())), default=-1)
-    bit = {n: 1 << k for k, n in enumerate(elements)}
-    node_of_mask = {}
-    for n in rank:
-        kids = children.get(n, ())
-        if all(c in bit for c in kids):
-            node_of_mask[sum(map(bit.__getitem__, kids))] = n
-    # rank(m) = max(rank(m without its low bit), 1 + rank of the low bit's
-    # member); the member keys of m grow the same way
-    size = 1 << len(elements)
-    mask_rank = [0] * size
-    mask_members: List[Tuple[int, ...]] = [()] * size
-    for m in range(1, size):
-        low = m & -m
-        rest = m ^ low
-        e = elements[low.bit_length() - 1]
-        mask_rank[m] = max(mask_rank[rest], 1 + rank[e])
-        mask_members[m] = mask_members[rest] + (e,)
-    subsets = [node_of_mask.get(m, ~m) for m in range(size)]
-    by_rank: List[list] = [[] for _ in range(mask_rank[-1] + 2)]
+    x_rank = 1 + max(map(rank.__getitem__, elements), default=-1)
+    below: List[List[int]] = [[] for _ in range(x_rank + 1)]
     for n, r in rank.items():
-        by_rank[r].append((n, children.get(n, ())))
-    for m, key in enumerate(subsets):
-        if key < 0:
-            by_rank[mask_rank[m]].append((key, mask_members[m]))
-    by_rank[-1].append((~size, subsets))
-    ids, new_children = _canonical_ids(by_rank)
-    # the power set is the one node of the top rank, so it is numbered last
+        below[r].append(n)
+    in_x = set(elements)
+    # a node's key is ~mask for a subset, and its old id for any other node
+    ids: Dict[int, int] = {}
+    key: Dict[int, int] = {}            # old id of a subset -> ~mask
+    bit: Dict[int, int] = {}            # member of x -> its bit
+    subset_kids: List[Tuple[int, ...]] = [()]      # mask -> its member ids
+    first = 0                           # the first mask of the rank
+    new_children: Dict[int, Tuple[int, ...]] = {}
+    for r in range(x_rank + 1):
+        group = {subset_kids[m]: ~m for m in range(first, len(subset_kids))}
+        for n in below[r]:
+            kids = children.get(n, ())
+            if all(c in bit for c in kids):
+                key[n] = ~sum(map(bit.__getitem__, kids))
+            else:
+                group[tuple(sorted(ids[key.get(c, c)] for c in kids))] = n
+        _number_rank(group, ids, new_children)
+        first = len(subset_kids)
+        for i, e in sorted((ids[key.get(e, e)], e) for e in below[r] if e in in_x):
+            bit[e] = len(subset_kids)
+            subset_kids += [t + (i,) for t in subset_kids]
+    # the power set, the one node of the top rank, has every subset as a member
+    size = len(subset_kids)
+    _number_rank({tuple(sorted(ids[~m] for m in range(size))): ~size}, ids, new_children)
     return _built_code(len(ids), len(ids) - 1, new_children, {})
 
 

@@ -50,7 +50,7 @@ POWERS = u.omega_powers(W3)
 MULTIPLES = u.multiples_of_omega(W3)
 WIDE_POWERS = u.omega_powers(omega_power(P("w*2")))
 
-V3 = sorted(universe_of(3), key=u._hf_sort_key)
+V3 = list(u.HFSet(universe_of(3)))   # in iteration order
 
 RECORDED = []
 

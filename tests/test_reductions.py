@@ -21,6 +21,7 @@ from ordq.ordcalc import (
     successor,
 )
 from ordq.reductions import (
+    _count_power,
     _minimal_well_order_length,
     Approximator,
     BoundForm,
@@ -40,8 +41,9 @@ from test_universe import W3, permuted
 POWERS = u.omega_powers(W3)
 MULTIPLES = u.multiples_of_omega(W3)
 WIDE_POWERS = u.omega_powers(omega_power(P("w*2")))
+EXPLICIT = u.explicit_list([P("w*2"), P("w^2")], W3)
 
-V3 = sorted(universe_of(3), key=u._hf_sort_key)
+V3 = list(u.HFSet(universe_of(3)))   # in iteration order
 
 
 def code_of(*members):
@@ -204,6 +206,21 @@ class TestOrdCard:
         assert report.passed
 
 
+class TestExactBounds:
+    """The README calls these two bounds exact: a halted row spends all of
+    its bound, so its order type reads the same as its bound."""
+
+    @pytest.mark.parametrize("name", ["ordcard_scan_naive", "flagtrick"])
+    @pytest.mark.parametrize("structure", [POWERS, MULTIPLES, EXPLICIT],
+                             ids=["powers", "multiples", "explicit"])
+    def test_halted_rows_have_zero_slack(self, name, structure):
+        rows = verify(catalog(name), structure, grid_ordinals()).rows
+        halted = [row for row in rows if row.status == "halted"]
+        assert halted
+        for row in halted:
+            assert row.order_type == row.bound_text, row.input_text
+
+
 class TestGuessCheck:
     def test_mechanical_stop_at_first_cardinal(self):
         # the chain's one cardinal is not the input's cardinality, so the
@@ -291,6 +308,14 @@ class TestPowerCard:
         res = run_once(catalog("powercard_via_pot", count_only=True), None, code)
         assert res.output == Ordinal.from_int(8)
         assert len(res.ledger) == 2
+
+    def test_count_power_checks_the_code(self):
+        # a two-cycle: counting the root's members still validates the code
+        cycle = u.SetCode(2, [u.cantor_pair(0, 1), u.cantor_pair(1, 0)], 0)
+        with pytest.raises(u.InvalidCodeError):
+            _count_power(cycle, None)
+        power = u.powerset_code(code_of(*V3[:3]))
+        assert _count_power(power, None) == Ordinal.from_int(8)
 
     def test_full_search_overflows_past_two(self):
         # the square of an 8-element power set breaks the powerset cap,

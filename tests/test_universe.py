@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from ordq import universe
 from ordq.logic import universe_of
+from ordq.oracles import summarize_query
 from ordq.ordcalc import OMEGA, Ordinal, omega_power, parse_ordinal as parse
 from ordq.universe import (
     EMPTY_SET,
@@ -294,6 +295,16 @@ class TestHFSet:
                                       "{{},{{}},{{},{{}}},{{},{{}},{{},{{}}}}},"
                                       "{{},{{}},{{},{{}}},{{},{{}},{{},{{}}}},"
                                       "{{},{{}},{{},{{}}},{{},{{}},{{},{{}}}}}}}")
+
+    def test_a_3000_deep_chain_renders_without_recursion(self):
+        # text input stops at NESTING_CAP, but a code can name a deeper set:
+        # its text, str, repr, query summary and iteration's sort key all
+        # render it without recursing
+        chain = decode_set(encode_hf(nest(3000)))
+        text = "{" * 3001 + "}" * 3001
+        assert render_hf(chain) == str(chain) == summarize_query(chain) == text
+        assert repr(chain) == f"HFSet({text})"
+        assert list(HFSet([chain, EMPTY_SET, hf(chain)])) == [EMPTY_SET, chain, hf(chain)]
 
     def test_parse_nesting_cap(self):
         at_cap = "{" * NESTING_CAP + "}" * NESTING_CAP
@@ -618,6 +629,13 @@ class TestHashConsing:
         assert all(p is results[0] for p in results)
 
 
+def von_neumann(k: int) -> HFSet:
+    out = EMPTY_SET
+    for _ in range(k):
+        out = HFSet(out.members | {out})
+    return out
+
+
 def reference_powerset_code(code: SetCode) -> SetCode:
     """The power set through HFSet values, as Pot answered before it worked
     on codes."""
@@ -635,6 +653,7 @@ def permuted(code: SetCode, rng: random.Random, extra: int = 0) -> SetCode:
 
 def assert_same_code(got: SetCode, want: SetCode):
     assert (got.domain, got.root, got.edges) == (want.domain, want.root, want.edges)
+    assert got._children == want._children      # member tuples ascend too
 
 
 # {0, 1}, V_3 = {0, 1, {1}, 2} and 3 have members that are also subsets of
@@ -660,6 +679,26 @@ class TestPowersetCode:
         want = reference_powerset_code(code)
         assert_same_code(powerset_code(code), want)
         assert_same_code(powerset_code(permuted(code, random.Random(text), 2)), want)
+
+    @pytest.mark.parametrize("members", [(0, 3), (1, 4), (0, 2, 5)])
+    def test_member_ranks_that_skip_values(self, members):
+        # the ordinals {0, 3} have members of rank 0 and 3 only, so no
+        # subset has rank 2 or 3
+        code = encode_hf(HFSet(von_neumann(k) for k in members))
+        want = reference_powerset_code(code)
+        assert_same_code(powerset_code(code), want)
+        assert_same_code(powerset_code(permuted(code, random.Random(len(members)), 1)), want)
+
+    @pytest.mark.parametrize("text", SUBSET_MEMBERS + ["{{{{}}},{},{{}}}"])
+    def test_old_ids_in_reverse_canonical_order(self, text):
+        code = encode_hf(parse_hf(text))
+        last = code.domain - 1
+        reverse = SetCode(code.domain, [cantor_pair(last - x, last - y)
+                                        for x, y in map(cantor_unpair, code.edges)],
+                          last - code.root)
+        assert code_elements(reverse) == sorted(last - e for e in code_elements(code))
+        want = reference_powerset_code(reverse)
+        assert_same_code(powerset_code(reverse), want)
 
     def test_twelve_members_of_mixed_rank(self):
         s = HFSet(list(universe_of(4))[:10] + [nest(5), nest(7)])
