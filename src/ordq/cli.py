@@ -143,7 +143,7 @@ def _atomic_write(path: str, text: str):
         except FileExistsError:
             pass
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -221,7 +221,7 @@ def _scenario_field(blob: dict, key: str, kind, required=False, default=None,
 
 def _load_scenario(path: str) -> dict:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             blob = json.load(handle)
     except (OSError, UnicodeDecodeError) as e:
         raise CliError(f"cannot read scenario {path!r}: {e}")

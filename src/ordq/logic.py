@@ -380,6 +380,11 @@ def formula_from_index(k: int) -> Formula:
 # -- evaluation --------------------------------------------------------------
 
 
+def _check_rank(rank: int) -> None:
+    if not (0 <= rank <= MAX_RANK):
+        raise RankError(f"rank must be between 0 and {MAX_RANK}")
+
+
 class TruthEnv(Record):
     """A rank cap and the parameter tuple filling #0, #1, ..."""
 
@@ -387,8 +392,7 @@ class TruthEnv(Record):
 
     def __init__(self, rank: int, params: Tuple[HFSet, ...] = ()):
         params = tuple(params)
-        if not (0 <= rank <= MAX_RANK):
-            raise RankError(f"rank must be between 0 and {MAX_RANK}")
+        _check_rank(rank)
         for p in params:
             if not isinstance(p, HFSet):
                 raise TypeError(f"parameter {p!r} is not an HFSet")
@@ -403,8 +407,7 @@ class TruthEnv(Record):
 def universe_of(rank: int) -> Tuple[HFSet, ...]:
     """Every set of rank < rank, in Ackermann's order: position i holds the
     set of the sets at the one bits of i."""
-    if not (0 <= rank <= MAX_RANK):
-        raise RankError(f"rank must be between 0 and {MAX_RANK}")
+    _check_rank(rank)
     sets: List[HFSet] = []
     for i in range(_SIZES[rank]):
         sets.append(HFSet(sets[j] for j in range(i.bit_length()) if i >> j & 1))
@@ -415,7 +418,7 @@ def universe_of(rank: int) -> Tuple[HFSet, ...]:
 @functools.lru_cache(maxsize=None)
 def _position(s: HFSet) -> int:
     """s's Ackermann number: the sum of 2^m over the numbers m of its members."""
-    return sum(1 << _position(m) for m in s.members)
+    return sum(1 << _position(m) for m in s)
 
 
 @functools.lru_cache(maxsize=None)

@@ -464,8 +464,19 @@ def _logic():
     return logic
 
 
-def _truth_fn(level: int, rank: int):
+def _checked_logic(level: int, rank: int):
+    """ordq.logic, once a truth or separation oracle's environment passes:
+    RankError for a rank outside 0..MAX_RANK, InputError for a negative
+    level, before any call is made."""
     logic = _logic()
+    logic._check_rank(rank)
+    if level < 0:
+        raise InputError(f"level must be at least 0, got {level}")
+    return logic
+
+
+def _truth_fn(level: int, rank: int):
+    logic = _checked_logic(level, rank)
 
     def truth(q):
         if not (isinstance(q, tuple) and len(q) == 2 and isinstance(q[0], int)
@@ -478,7 +489,7 @@ def _truth_fn(level: int, rank: int):
 
 
 def _sep_fn(level: int, rank: int):
-    logic = _logic()
+    logic = _checked_logic(level, rank)
 
     def sep(q):
         if not (isinstance(q, tuple) and len(q) == 3 and isinstance(q[1], int)):

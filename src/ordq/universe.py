@@ -26,10 +26,10 @@ well-founded edge set over node ids, edges packed with the Cantor pairing
 function).  parse_hf reads brace literals on ordcalc's scanner, with the
 rules of every text format; NESTING_CAP is ordcalc's, re-exported here.
 
-HFSet values are hash-consed (Filliatre & Conchon, "Type-safe modular
-hash-consing", 2006): a weak intern table keyed by the member set makes
-equal sets the same object, so equality is identity and membership tests
-never recurse.  A SetCode is validated once per object: its child map,
+An HFSet is a frozenset of HFSets with a rank, so equality, hashing and
+membership are frozenset's, by value, in C.  Equal sets built apart are
+distinct objects; the empty set that parse_hf and the decoders build is
+always EMPTY_SET.  A SetCode is validated once per object: its child map,
 validity verdict and decoded nodes are worked out on first use and kept on
 the code.  A code built by encode_hf keeps the child map and decoded nodes
 the encoder has in hand and no edge set, which is derived on demand; its
@@ -48,8 +48,6 @@ sorted.
 from __future__ import annotations
 
 import math
-import threading
-import weakref
 from functools import cached_property, wraps
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -269,58 +267,34 @@ def sup_of_cardinals_below(structure: CardinalStructure,
 # -- hereditarily finite sets -----------------------------------------------
 
 
-class HFSet:
-    """An immutable extensional finite set of HFSets, hash-consed: equal sets
-    are the same object, so equality is identity.
+class HFSet(frozenset):
+    """An immutable extensional finite set of HFSets: the frozenset of its
+    members, plus its rank.
 
-    Construction looks the member set up in a weak intern table: __new__
-    returns the live object with those members if there is one, and __init__
-    fills rank and hash only on a fresh object.  An entry goes away with the
-    last reference to its set.
+    Equality, hashing, membership and len are frozenset's and run in C, so
+    an HFSet equals a frozenset with the same members and hashes like it.
+    Equal sets may be distinct objects.  Iteration is in frozenset order;
+    render_hf writes members in the canonical (rank, size, text) order.
     """
 
-    __slots__ = ("members", "rank", "_hash", "__weakref__")
+    __slots__ = ("rank",)
 
-    def __new__(cls, members: Iterable["HFSet"] = ()):
-        members = frozenset(members)
-        self = _interned.get(members)
-        if self is None:
-            with _intern_lock:      # look again: two threads must not both create it
-                self = _interned.get(members)
-                if self is None:
-                    self = object.__new__(cls)
-                    object.__setattr__(self, "members", members)
-                    _interned[members] = self
-        return self
+    # Named so that the class dict holds __eq__, which perfbench's layer
+    # trace wraps from there to count calls; a class that names __eq__
+    # without __hash__ gets no hash.  Both stay frozenset's C slots.
+    __eq__ = frozenset.__eq__
+    __hash__ = frozenset.__hash__
 
     def __init__(self, members: Iterable["HFSet"] = ()):
-        if not hasattr(self, "_hash"):
-            members = self.members
-            object.__setattr__(self, "rank", 1 + max((m.rank for m in members), default=-1))
-            # hash by value, not by address, so that iteration orders of sets
-            # of HFSets stay the same from run to run
-            object.__setattr__(self, "_hash", hash(members))
+        _set_rank(self, 1 + max((m.rank for m in self), default=-1))
 
     def __setattr__(self, name, value):
         raise AttributeError("HFSet is immutable")
 
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other
-
-    def __contains__(self, element: "HFSet") -> bool:
-        return element in self.members
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        """Members in (rank, size, text) order, from one rendering of self,
-        so the texts of nodes that members share are built once."""
-        text = _texts(self)
-        return iter(sorted(self.members, key=lambda m: (m.rank, len(m.members), text[id(m)])))
+    @property
+    def members(self) -> "HFSet":
+        """The set itself, which is the frozenset of its members."""
+        return self
 
     def __str__(self):
         return render_hf(self)
@@ -329,9 +303,7 @@ class HFSet:
         return f"HFSet({render_hf(self)})"
 
 
-# member set -> the one live HFSet with those members
-_interned: "weakref.WeakValueDictionary[FrozenSet[HFSet], HFSet]" = weakref.WeakValueDictionary()
-_intern_lock = threading.Lock()
+_set_rank = HFSet.rank.__set__
 EMPTY_SET = HFSet()
 
 
@@ -339,32 +311,17 @@ def hf(*members: HFSet) -> HFSet:
     return HFSet(members)
 
 
-def _texts(s: HFSet) -> Dict[int, str]:
-    """id(node) -> nested-brace text, for s and every set hereditarily in
-    it, members in (rank, size, text) order.  Nodes are rendered in rank
-    order, so members come first and deep sets do not recurse; each node's
-    text is built once per call and reused for both the sort and the join,
-    so the work does not double with every level of nesting."""
-    # keyed by id(node): the list holds every node for the whole call, and
-    # the set itself as key would call the Python-level HFSet.__hash__
-    nodes = [s]
-    seen = {id(s)}
-    for n in nodes:                     # the list grows as it is walked
-        for m in n.members:
-            if id(m) not in seen:
-                seen.add(id(m))
-                nodes.append(m)
-    nodes.sort(key=attrgetter("rank"))
-    text: Dict[int, str] = {}
-    for n in nodes:
-        keyed = sorted([(m.rank, len(m.members), text[id(m)]) for m in n.members])
-        text[id(n)] = "{" + ",".join([k[2] for k in keyed]) + "}"
-    return text
-
-
 def render_hf(s: HFSet) -> str:
-    """Nested-brace text of s, members in (rank, size, text) order."""
-    return _texts(s)[id(s)]
+    """Nested-brace text of s, members in (rank, size, text) order.  Nodes
+    are rendered in rank order, so members come first and deep sets do not
+    recurse; each node's text is built once per call and reused for both
+    the sort and the join, so the work does not double with every level of
+    nesting."""
+    text: Dict[HFSet, str] = {}
+    for n in sorted(transitive_closure(s), key=attrgetter("rank")):
+        keyed = sorted([(m.rank, len(m), text[m]) for m in n])
+        text[n] = "{" + ",".join([k[2] for k in keyed]) + "}"
+    return text[s]
 
 
 POWERSET_CAP = 16
@@ -391,7 +348,8 @@ def _set_literal(p: _Scanner) -> HFSet:
             open_sets.append([])
             allowed = "{}"
         elif ch == "}":
-            s = HFSet(open_sets.pop())
+            members = open_sets.pop()
+            s = HFSet(members) if members else EMPTY_SET
             if not open_sets:
                 p.pos = pos
                 return s
@@ -408,15 +366,15 @@ def parse_hf(text: str) -> HFSet:
 
 
 def hf_card(s: HFSet) -> int:
-    return len(s.members)
+    return len(s)
 
 
 def hf_powerset(s: HFSet) -> HFSet:
-    if len(s.members) > POWERSET_CAP:
+    if len(s) > POWERSET_CAP:
         raise PowersetCapError(f"powerset argument exceeds the size cap of {POWERSET_CAP}")
     subsets = [EMPTY_SET]
-    for e in s.members:
-        subsets += [HFSet(sub.members | {e}) for sub in subsets]
+    for e in s:
+        subsets += [HFSet(sub | {e}) for sub in subsets]
     return HFSet(subsets)
 
 
@@ -426,7 +384,7 @@ def kuratowski(a: HFSet, b: HFSet) -> HFSet:
 
 def hf_product(a: HFSet, b: HFSet) -> HFSet:
     """Cartesian product as a set of Kuratowski pairs."""
-    return HFSet(kuratowski(x, y) for x in a.members for y in b.members)
+    return HFSet(kuratowski(x, y) for x in a for y in b)
 
 
 def transitive_closure(s: HFSet) -> FrozenSet[HFSet]:
@@ -434,8 +392,9 @@ def transitive_closure(s: HFSet) -> FrozenSet[HFSet]:
     seen = {s}
     frontier = seen
     while frontier:
-        # set operations reuse the hashes the member sets already store
-        frontier = set().union(*(n.members for n in frontier))
+        # a node is the set of its members; set operations reuse the hashes
+        # they already store
+        frontier = set().union(*frontier)
         frontier -= seen
         seen |= frontier
     return frozenset(seen)
@@ -549,20 +508,20 @@ def encode_hf(s: HFSet) -> SetCode:
     The returned code stores the child map and decoded nodes the numbering
     pass has in hand, and no edge set; its verdict is still worked out on
     first decode."""
-    # nodes are keyed by id(node); keying by the set itself would call the
-    # Python-level HFSet.__hash__ once per edge
     closure = transitive_closure(s)
     by_rank: List[List[HFSet]] = [[] for _ in range(s.rank + 1)]
     for node in closure:
         by_rank[node.rank].append(node)
-    ids: Dict[int, int] = {}
+    # keyed by node: the closure holds one node per value, and a member
+    # may be another object equal to it
+    ids: Dict[HFSet, int] = {}
     children: Dict[int, Tuple[int, ...]] = {}
     for group in by_rank:
         # members have lower rank, so they already have ids
-        _number_rank({tuple(sorted(map(ids.__getitem__, map(id, node.members)))): id(node)
-                      for node in group}, ids, children)
-    decoded = {ids[id(node)]: node for node in closure}
-    return _built_code(len(ids), ids[id(s)], children, decoded)
+        _number_rank({tuple(sorted(map(ids.__getitem__, node))): node for node in group},
+                     ids, children)
+    decoded = {i: node for node, i in ids.items()}
+    return _built_code(len(ids), ids[s], children, decoded)
 
 
 def _capped_elements(code: SetCode) -> List[int]:
@@ -579,7 +538,10 @@ def powerset_code(code: SetCode) -> SetCode:
     equal to encode_hf(hf_powerset(decode_set(code))) but built from x's
     child map: InvalidCodeError on a bad code, then PowersetCapError above
     POWERSET_CAP members, both before anything is built.  No HFSet is
-    built per subset, and the code stores only its child map.
+    built per subset.  The code stores its child map and, as decoded nodes,
+    the sets below x that the argument has decoded, so a set decoded from
+    the answer shares them and compares with sets decoded from the argument
+    without walking down equal copies.
 
     The nodes are numbered one rank at a time, through the same step as
     encode_hf's.  Each subset is an int mask over x's members, and a member
@@ -629,7 +591,9 @@ def powerset_code(code: SetCode) -> SetCode:
     # the power set, the one node of the top rank, has every subset as a member
     size = len(subset_kids)
     _number_rank({tuple(sorted(ids[~m] for m in range(size))): ~size}, ids, new_children)
-    return _built_code(len(ids), len(ids) - 1, new_children, {})
+    old = code._decoded
+    decoded = {ids[key.get(n, n)]: old[n] for n in rank if n in old}
+    return _built_code(len(ids), len(ids) - 1, new_children, decoded)
 
 
 def validate_code(code: SetCode) -> int:
@@ -683,7 +647,8 @@ def _decode_node(code: SetCode, node: int) -> HFSet:
         if todo:
             stack += reversed(todo)
         elif stack.pop() not in memo:      # n may be on the stack twice
-            memo[n] = HFSet([memo[c] for c in children.get(n, ())])
+            kids = children.get(n)
+            memo[n] = HFSet([memo[c] for c in kids]) if kids else EMPTY_SET
     return memo[node]
 
 

@@ -393,6 +393,17 @@ class TestReduce:
         assert blob["entries"][-1]["to"] == "w^3"
 
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--input", "{}", "--rank", "9"], "error: rank must be between 0 and 5"),
+        (["--input", "{{}}", "--level", "-1"], "error: level must be at least 0, got -1"),
+    ])
+    def test_bad_rank_or_level_exits_2_before_any_row(self, capsys, argv, message):
+        # {} makes no truth call, so only the oracle's set-up can refuse it
+        assert run_cli("reduce", "sep_via_truth", "--formula", "E v0 (v0 in #0)", *argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == message + "\n"
+
+
 def write_scenario(tmp_path, blob, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(blob))
@@ -473,6 +484,19 @@ class TestRunScenario:
         assert run_cli("run", path) == 2
         assert one_line_error(capsys) == \
             f"error: scenario {path!r} should hold a JSON object, got {kind}"
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("rank", 6, "error: rank must be between 0 and 5"),
+        ("level", -1, "error: level must be at least 0, got -1"),
+    ])
+    def test_bad_rank_or_level_exits_2_before_any_row(self, capsys, tmp_path,
+                                                      field, value, message):
+        path = write_scenario(tmp_path, {
+            "reduction": "sep_via_truth", field: value,
+            "instances": [{"set": "{}", "formula": "E v0 (v0 in #0)"}]})
+        assert run_cli("run", path) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == message + "\n"
 
     def test_undecodable_file_exits_2(self, capsys, tmp_path):
         path = tmp_path / "scenario.json"
@@ -657,6 +681,43 @@ def test_library_input_errors_share_the_base_main_catches(module, name):
     error = getattr(getattr(ordq, module), name)
     assert issubclass(error, InputError)
     assert issubclass(error, TypeError) == (name == "OracleTypeError")
+
+
+def run_subprocess(*argv, env=None, interpreter_flags=()):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return subprocess.run([sys.executable, *interpreter_flags, "-m", "ordq.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src, **(env or {})),
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestFileEncoding:
+    """Scenarios are read, and reports and ledgers written, as UTF-8 in any
+    locale."""
+
+    def test_utf8_scenario_reads_in_the_c_locale(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        blob = {"reduction": "powercard_via_pot", "instances": ["{{}}"],
+                "note": "\u03c9 \u2192 2^\u03c9"}     # a field nothing reads
+        path.write_bytes(json.dumps(blob, ensure_ascii=False).encode("utf-8"))
+        proc = run_subprocess("run", str(path), env={
+            "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"})
+        assert proc.returncode == 0, proc.stderr
+        assert "all checks passed" in proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["run", os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "src", "ordq", "scenarios", "nextcard_suite.json"), "--output"],
+        ["reduce", "powercard_via_pot", "--input", "{{}}", "--ledger"],
+    ], ids=["run-output", "reduce-ledger"])
+    def test_files_name_their_encoding(self, tmp_path, argv):
+        # an open() without an encoding warns under -X warn_default_encoding,
+        # and -W error turns the warning into an exit 1 with a traceback
+        out = tmp_path / "out.json"
+        proc = run_subprocess(*argv, str(out), interpreter_flags=(
+            "-X", "warn_default_encoding", "-W", "error::EncodingWarning"))
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        json.loads(out.read_text(encoding="utf-8"))
 
 
 class TestSelftest:

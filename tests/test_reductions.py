@@ -328,6 +328,14 @@ class TestPowerCard:
         codes = [code_of(*V3[:k]) for k in range(3)]
         report = verify(catalog("powercard_via_pot"), None, codes)
         assert report.passed
+
+    def test_full_search_on_a_3000_deep_member(self):
+        # the well-order search looks up pairs decoded from Pot's second
+        # answer among pairs of the first answer's members: equal sets, which
+        # must not be compared down a 3,000-deep chain
+        code = u.SetCode(3002, [u.cantor_pair(i, i + 1) for i in range(3001)], 3001)
+        report = verify(catalog("powercard_via_pot"), None, [code])
+        assert report.passed and report.rows[0].output_text == "2"
         assert all(row.order_type == "2" for row in report.rows)
 
 

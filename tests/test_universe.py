@@ -6,12 +6,9 @@ on triples, and card/next/limit answers are found by scanning capped
 grids.  Caps are chosen so the true answer provably lies inside the grid.
 """
 
-import gc
 import itertools
 import math
 import random
-import sys
-import threading
 import time
 
 import pytest
@@ -298,17 +295,19 @@ class TestHFSet:
 
     def test_a_3000_deep_chain_renders_without_recursion(self):
         # text input stops at NESTING_CAP, but a code can name a deeper set:
-        # its text, str, repr, query summary and iteration's sort key all
-        # render it without recursing
+        # its text, str, repr and query summary all render it without
+        # recursing
         chain = decode_set(encode_hf(nest(3000)))
         text = "{" * 3001 + "}" * 3001
         assert render_hf(chain) == str(chain) == summarize_query(chain) == text
         assert repr(chain) == f"HFSet({text})"
-        assert list(HFSet([chain, EMPTY_SET, hf(chain)])) == [EMPTY_SET, chain, hf(chain)]
+        assert render_hf(HFSet([hf(chain), chain, EMPTY_SET])) == "{{}," + text + ",{" + text + "}}"
 
     def test_parse_nesting_cap(self):
         at_cap = "{" * NESTING_CAP + "}" * NESTING_CAP
-        assert parse_hf(at_cap) is nest(NESTING_CAP - 1)
+        deepest = parse_hf(at_cap)
+        assert deepest == nest(NESTING_CAP - 1)
+        assert hash(deepest) == hash(nest(NESTING_CAP - 1))
         with pytest.raises(ValueError, match="nested deeper"):
             parse_hf("{" + at_cap + "}")
 
@@ -505,7 +504,8 @@ class TestOnePassEncoder:
             children, decoded = code.__dict__["_children"], code.__dict__["_decoded"]
             fresh = SetCode(code.domain, code.edges, code.root)
             assert "_children" not in fresh.__dict__
-            assert decode_set(fresh) is decode_set(code) is s
+            assert decode_set(fresh) == decode_set(code) == s
+            assert hash(decode_set(fresh)) == hash(s)
             assert fresh._children == children
             assert all(type(kids) is tuple for kids in fresh._children.values())
             assert fresh._decoded == decoded
@@ -543,23 +543,65 @@ class TestOnePassEncoder:
         assert len(calls) == 1 and calls[0] is outside
         assert type(outside.edges) is frozenset
         assert outside == code and hash(outside) == hash(code)
-        assert decode_set(outside) is decode_set(code)
+        assert decode_set(outside) == decode_set(code)
+        assert hash(decode_set(outside)) == hash(decode_set(code))
+
+
+def assert_same_value(a: HFSet, b) -> None:
+    assert a == b and b == a
+    assert hash(a) == hash(b) == hash(frozenset(b))
 
 
 class TestHashConsing:
-    def test_equal_sets_are_identical_however_built(self):
+    """Sets compare by value; a code works its verdict and decoded nodes out
+    once."""
+
+    def test_equal_sets_are_equal_however_built(self):
         zero, one = EMPTY_SET, hf(EMPTY_SET)
         two = parse_hf("{{},{{}}}")
-        assert two is hf(one, zero)
-        assert two is HFSet([one, zero, one])
-        assert two is decode_set(SetCode(3, {cantor_pair(0, 1), cantor_pair(0, 2),
-                                             cantor_pair(1, 2)}, 2))
-        assert two in hf_powerset(two).members
-        assert hf_powerset(two) is parse_hf("{{},{{}},{{{}}},{{},{{}}}}")
-        assert kuratowski(zero, one) is parse_hf("{{{}},{{},{{}}}}")
-        assert kuratowski(zero, zero) is hf(hf(zero))
+        assert_same_value(two, hf(one, zero))
+        assert_same_value(two, HFSet([one, zero, one]))
+        assert_same_value(two, decode_set(SetCode(3, {cantor_pair(0, 1), cantor_pair(0, 2),
+                                                      cantor_pair(1, 2)}, 2)))
+        assert two in hf_powerset(two)
+        assert_same_value(hf_powerset(two), parse_hf("{{},{{}},{{{}}},{{},{{}}}}"))
+        assert_same_value(kuratowski(zero, one), parse_hf("{{{}},{{},{{}}}}"))
+        assert_same_value(kuratowski(zero, zero), hf(hf(zero)))
         # V_3 is the power set of two = {0, 1}
-        assert sorted(map(id, universe_of(3))) == sorted(map(id, hf_powerset(two)))
+        assert_same_value(HFSet(universe_of(3)), hf_powerset(two))
+        # an HFSet is the frozenset of its members
+        assert_same_value(two, frozenset([zero, one]))
+        assert two.members is two
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=4, unique=True),
+           st.randoms(use_true_random=False))
+    def test_copies_built_apart_are_one_value(self, picks, rng):
+        v4 = universe_of(4)
+        # s is the power set of x = {V_3's members at picks}: the members of
+        # V_4 whose Ackermann numbers are sums of picked bits
+        x = HFSet(v4[i] for i in picks)
+        members = [v4[sum(1 << p for j, p in enumerate(picks) if mask >> j & 1)]
+                   for mask in range(1 << len(picks))]
+        s = hf_powerset(x)
+        code = encode_hf(s)
+        copies = [
+            HFSet(members),
+            HFSet(rng.sample(members, len(members))),
+            HFSet(parse_hf(render_hf(m)) for m in reversed(members)),
+            parse_hf(render_hf(s)),
+            hf_powerset(parse_hf(render_hf(x))),
+            decode_set(SetCode(code.domain, code.edges, code.root)),
+            decode_set(permuted(code, rng, 2)),
+        ]
+        if len(picks) == 4:
+            copies.append(HFSet(v4))        # the power set of V_3 is V_4
+        table = {}
+        for i, copy in enumerate(copies):
+            assert_same_value(copy, s)
+            assert_same_value(copy, frozenset(members))
+            table[copy] = i
+            assert list(table) == [copies[0]] and table[s] == i
 
     def test_decode_of_encode_is_the_same_object(self):
         rng = random.Random(5)
@@ -597,36 +639,25 @@ class TestHashConsing:
         assert decode_set(code) is s
         assert [decode_element(code, n) for n in code_elements(code)] == elements
 
-    def test_intern_table_drops_dead_sets(self):
-        gc.collect()
-        before = len(universe._interned)
-        s = hf_powerset(HFSet(nest(i) for i in range(6)))
-        code = encode_hf(s)
-        assert decode_set(code) is s
-        assert len(universe._interned) > before
-        del s, code
-        gc.collect()
-        assert len(universe._interned) == before
+    def test_encode_keys_equal_copies_by_value(self):
+        # the chains below are equal but distinct objects, so an encoder that
+        # looked members up by object would miss them
+        s = HFSet([nest(3), hf(parse_hf("{{{}}}")), hf(hf(hf(EMPTY_SET)), EMPTY_SET),
+                   HFSet([parse_hf("{{{}}}"), nest(1)])])
+        assert hf(nest(2)) is not hf(nest(2))
+        assert encode_hf(s) == reference_encode_hf(s) == encode_hf(parse_hf(render_hf(s)))
 
+    def test_leaves_are_the_empty_set_itself(self):
+        def leaves(s):
+            return [n for n in transitive_closure(s) if not n]
 
-    def test_threads_building_the_same_sets_share_them(self):
-        source = HFSet(nest(i) for i in range(20, 30))     # sets no other test builds
-        results = []
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=lambda: results.append(hf_powerset(source)))
-                       for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in threads)
-        assert len(results) == 4
-        assert len({id(sub) for p in results for sub in p.members}) == 2 ** 10
-        assert all(p is results[0] for p in results)
+        assert leaves(parse_hf("{{},{{}}}")) == [EMPTY_SET]
+        assert leaves(parse_hf("{{},{{}}}"))[0] is EMPTY_SET
+        code = SetCode(3, [cantor_pair(2, 1), cantor_pair(2, 0), cantor_pair(1, 0)], 0)
+        assert decode_set(code) == parse_hf("{{},{{}}}")
+        assert decode_element(code, 2) is EMPTY_SET
+        assert all(leaf is EMPTY_SET for leaf in leaves(decode_set(code)))
+        assert all(leaf is EMPTY_SET for leaf in leaves(decode_set(encode_hf(nest(5)))))
 
 
 def von_neumann(k: int) -> HFSet:
@@ -718,7 +749,21 @@ class TestPowersetCode:
         fresh = SetCode(code.domain, code.edges, code.root)
         assert fresh._children == code._children
         assert validate_code(code) == 1
-        assert decode_set(code) is decode_set(fresh) is hf_powerset(x)
+        assert decode_set(code) == decode_set(fresh) == hf_powerset(x)
+        assert hash(decode_set(code)) == hash(hf_powerset(x))
+
+    def test_the_answer_shares_the_sets_the_argument_decoded(self):
+        # the answer decodes x's members to the argument's own objects, so it
+        # compares with sets built from them without walking down equal
+        # copies, however deep they are
+        code = encode_hf(HFSet([nest(3000), hf(EMPTY_SET)]))
+        argument = SetCode(code.domain, code.edges, code.root)
+        assert powerset_code(argument)._decoded == {}
+        x = decode_set(argument)
+        answer = powerset_code(argument)
+        for subset in decode_set(answer):
+            assert all(any(m is e for e in x) for m in subset)
+        assert decode_set(answer) == hf_powerset(x)
 
     @pytest.mark.parametrize("code", [
         SetCode(2, [cantor_pair(0, 1), cantor_pair(1, 0)], 0),
