@@ -328,6 +328,7 @@ class TestPowerCard:
         codes = [code_of(*V3[:k]) for k in range(3)]
         report = verify(catalog("powercard_via_pot"), None, codes)
         assert report.passed
+        assert all(row.order_type == "2" for row in report.rows)
 
     def test_full_search_on_a_3000_deep_member(self):
         # the well-order search looks up pairs decoded from Pot's second

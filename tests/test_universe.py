@@ -9,6 +9,7 @@ grids.  Caps are chosen so the true answer provably lies inside the grid.
 import itertools
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -302,6 +303,20 @@ class TestHFSet:
         assert render_hf(chain) == str(chain) == summarize_query(chain) == text
         assert repr(chain) == f"HFSet({text})"
         assert render_hf(HFSet([hf(chain), chain, EMPTY_SET])) == "{{}," + text + ",{" + text + "}}"
+
+    def test_equal_chains_that_share_no_node_compare(self):
+        # equality is frozenset's, which recurses in C one level per frame
+        # down equal members that are distinct objects; 500 levels compare
+        # on every supported Python
+        chain = SetCode(501, [cantor_pair(i, i + 1) for i in range(500)], 500)
+        assert nest(500) == decode_set(chain)
+
+    @pytest.mark.xfail(sys.version_info < (3, 13), raises=RecursionError, strict=True,
+                       reason="before 3.13 frozenset comparison recurses within "
+                              "about 1,000 (3.10, 3.11) or 1,500 (3.12) levels")
+    def test_equal_3000_deep_chains_that_share_no_node_compare(self):
+        chain = SetCode(3001, [cantor_pair(i, i + 1) for i in range(3000)], 3000)
+        assert nest(3000) == decode_set(chain)
 
     def test_parse_nesting_cap(self):
         at_cap = "{" * NESTING_CAP + "}" * NESTING_CAP
