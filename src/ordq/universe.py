@@ -36,19 +36,22 @@ the encoder has in hand and no edge set, which is derived on demand; its
 verdict is still worked out on first decode.  Every decode asks for it.
 
 The Pot oracle answers on codes: powerset_code builds the canonical code of
-a power set from the argument's child map, one int mask per subset and no
-HFSet per subset.  encode_hf and powerset_code number their nodes one rank
-at a time, lowest first, through one shared step (_number_rank: member
-count, then sorted member ids), so the canonical order is written once.
-powerset_code hands out the argument's member bits in the order of their
-new ids, so each subset's member tuple comes out ascending and no subset is
-sorted.
+a power set from the argument's child map, with no HFSet and no sort per
+subset.  encode_hf and powerset_code both number their nodes one rank at a
+time, lowest first, in the canonical order (member count, then member ids),
+written two ways: encode_hf sorts each rank's member-id tuples, and
+powerset_code lists each rank's subsets with itertools.combinations over the
+new ids of the argument's members, which come out in that order already.
+The reference_powerset_code tests in tests/test_universe.py keep the two in
+agreement.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import cached_property, wraps
+from itertools import combinations, filterfalse
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -469,26 +472,6 @@ def cantor_unpair(z: int) -> Tuple[int, int]:
     return (w - y, y)
 
 
-def _number_rank(group: dict, ids: dict, children: Dict[int, Tuple[int, ...]]) -> None:
-    """Give one rank's nodes the next ids in canonical order: by member
-    count, then by member-id tuple.
-
-    group maps each node's ascending member-id tuple to its key (the tuples
-    of distinct sets differ); ids maps keys to ids, and its length is the
-    next id.  Each node with members gets its tuple in the child map.
-    encode_hf and powerset_code number every rank through here, lowest
-    first, so the canonical order (rank, member count, member ids) is
-    written once."""
-    # member count, then member ids: two stable sorts with no key tuple per
-    # node (such tuples, freed amid the kept ones, raised peak RSS)
-    order = sorted(group)
-    order.sort(key=len)
-    for kids in order:
-        i = ids[group[kids]] = len(ids)
-        if kids:
-            children[i] = kids
-
-
 def _built_code(domain: int, root: int, children: Dict[int, Tuple[int, ...]],
                 decoded: Dict[int, HFSet]) -> SetCode:
     """A SetCode that starts out with its child map and decoded nodes and no
@@ -507,7 +490,11 @@ def encode_hf(s: HFSet) -> SetCode:
 
     The returned code stores the child map and decoded nodes the numbering
     pass has in hand, and no edge set; its verdict is still worked out on
-    first decode."""
+    first decode.
+
+    powerset_code writes the same order a second way, as the order in which
+    itertools.combinations lists subsets; the reference_powerset_code tests
+    in tests/test_universe.py keep the two in agreement."""
     closure = transitive_closure(s)
     by_rank: List[List[HFSet]] = [[] for _ in range(s.rank + 1)]
     for node in closure:
@@ -517,11 +504,25 @@ def encode_hf(s: HFSet) -> SetCode:
     ids: Dict[HFSet, int] = {}
     children: Dict[int, Tuple[int, ...]] = {}
     for group in by_rank:
-        # members have lower rank, so they already have ids
-        _number_rank({tuple(sorted(map(ids.__getitem__, node))): node for node in group},
-                     ids, children)
+        # members have lower rank, so they already have ids; the member-id
+        # tuples of distinct sets differ
+        nodes = {tuple(sorted(map(ids.__getitem__, node))): node for node in group}
+        # member count, then member ids: two stable sorts with no key tuple
+        # per node (such tuples, freed amid the kept ones, raised peak RSS)
+        order = sorted(nodes)
+        order.sort(key=len)
+        for kids in order:
+            i = ids[nodes[kids]] = len(ids)
+            if kids:
+                children[i] = kids
     decoded = {i: node for node, i in ids.items()}
     return _built_code(len(ids), ids[s], children, decoded)
+
+
+def _size_and_ids(kids: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
+    """The canonical order of one rank's nodes: member count, then member
+    ids."""
+    return len(kids), kids
 
 
 def _capped_elements(code: SetCode) -> List[int]:
@@ -543,14 +544,14 @@ def powerset_code(code: SetCode) -> SetCode:
     the answer shares them and compares with sets decoded from the argument
     without walking down equal copies.
 
-    The nodes are numbered one rank at a time, through the same step as
-    encode_hf's.  Each subset is an int mask over x's members, and a member
-    takes the next bit once its rank is numbered, so bit order is id order.
-    The masks that a member of rank r tops are then the subsets of rank
-    r + 1, and each one's ascending member-id tuple is the tuple of the mask
-    without its top bit plus that bit's id: no subset is sorted.  A node
-    below x whose members all lie in x is a subset, and takes its mask's
-    id."""
+    The nodes are numbered one rank at a time, lowest first, so the new ids
+    of x's members numbered so far (the pool, ascending) end with the block
+    of the rank just numbered.  The subsets of the next rank are the
+    combinations of the pool whose last id lies in that block, and
+    itertools.combinations lists them, member count by member count, in
+    canonical order: no rank is sorted.  The nodes below x that are not subsets (each has a member
+    outside x) are merged in by bisection, and a node below x whose members
+    all lie in x is found among the subsets the same way."""
     elements = _capped_elements(code)
     children = code._children
     rank: Dict[int, int] = {}           # old id -> rank, for the nodes below x
@@ -568,32 +569,47 @@ def powerset_code(code: SetCode) -> SetCode:
     for n, r in rank.items():
         below[r].append(n)
     in_x = set(elements)
-    # a node's key is ~mask for a subset, and its old id for any other node
-    ids: Dict[int, int] = {}
-    key: Dict[int, int] = {}            # old id of a subset -> ~mask
-    bit: Dict[int, int] = {}            # member of x -> its bit
-    subset_kids: List[Tuple[int, ...]] = [()]      # mask -> its member ids
-    first = 0                           # the first mask of the rank
+    new: Dict[int, int] = {}            # old id -> new id, for the nodes below x
+    others: List[int] = []              # new ids of the nodes below x that are not subsets
+    pool: List[int] = []                # new ids of x's members numbered so far
+    subsets: List[Tuple[int, ...]] = [()]       # the rank's subsets, in canonical order
     new_children: Dict[int, Tuple[int, ...]] = {}
+    base = 0                            # the first id of the rank
     for r in range(x_rank + 1):
-        group = {subset_kids[m]: ~m for m in range(first, len(subset_kids))}
+        inside, outside = [], []
         for n in below[r]:
             kids = children.get(n, ())
-            if all(c in bit for c in kids):
-                key[n] = ~sum(map(bit.__getitem__, kids))
-            else:
-                group[tuple(sorted(ids[key.get(c, c)] for c in kids))] = n
-        _number_rank(group, ids, new_children)
-        first = len(subset_kids)
-        for i, e in sorted((ids[key.get(e, e)], e) for e in below[r] if e in in_x):
-            bit[e] = len(subset_kids)
-            subset_kids += [t + (i,) for t in subset_kids]
+            t = tuple(sorted(map(new.__getitem__, kids)))
+            (inside if in_x.issuperset(kids) else outside).append((len(t), t, n))
+        order = subsets
+        if outside:
+            order, done = [], 0
+            for k, t, n in sorted(outside):
+                at = bisect_left(subsets, (k, t), key=_size_and_ids)
+                order += subsets[done:at]
+                order.append(t)
+                done = at
+            order += subsets[done:]
+        for k, t, n in inside + outside:
+            new[n] = base + bisect_left(order, (k, t), key=_size_and_ids)
+        others += [new[n] for _, _, n in outside]
+        if r:                           # rank 0 is the empty set, which has no members
+            new_children.update(zip(range(base, base + len(order)), order))
+        base += len(order)
+        block = sorted(new[e] for e in below[r] if e in in_x)
+        earlier = len(pool)
+        pool += block
+        subsets = []
+        if block:
+            for k in range(1, len(pool) + 1):
+                # a combination of more members than the earlier pool has ends in the block
+                combos = combinations(pool, k)
+                subsets += [t for t in combos if t[-1] >= block[0]] if k <= earlier else combos
     # the power set, the one node of the top rank, has every subset as a member
-    size = len(subset_kids)
-    _number_rank({tuple(sorted(ids[~m] for m in range(size))): ~size}, ids, new_children)
+    new_children[base] = tuple(filterfalse(set(others).__contains__, range(base)))
     old = code._decoded
-    decoded = {ids[key.get(n, n)]: old[n] for n in rank if n in old}
-    return _built_code(len(ids), len(ids) - 1, new_children, decoded)
+    decoded = {new[n]: old[n] for n in rank if n in old}
+    return _built_code(base + 1, base, new_children, decoded)
 
 
 def validate_code(code: SetCode) -> int:
@@ -605,6 +621,10 @@ def validate_code(code: SetCode) -> int:
 
 def _check_code(code: SetCode) -> int:
     if not (0 <= code.root < code.domain):
+        return 0
+    # a negative edge packs no pair; a code built by encode_hf or
+    # powerset_code starts out with its child map, so its edge set is not read
+    if "_children" not in code.__dict__ and min(code.edges, default=0) < 0:
         return 0
     children = code._children
     touched = set(children).union(*children.values())

@@ -409,6 +409,14 @@ class TestSetCode:
         code = SetCode(3, [cantor_pair(1, 0), cantor_pair(2, 0)], 0)
         assert validate_code(code) == 0
 
+    def test_validate_rejects_a_negative_edge(self):
+        # -1 packs no pair, so it is a verdict of 0, not an error of isqrt's
+        code = SetCode(3, [-1], 0)
+        assert validate_code(code) == 0
+        for read in (decode_set, code_elements, lambda c: decode_element(c, 0)):
+            with pytest.raises(InvalidCodeError):
+                read(code)
+
     def test_validate_allows_absent_nodes(self):
         assert validate_code(SetCode(domain=9, edges=[], root=4)) == 1
 
@@ -710,7 +718,7 @@ SUBSET_MEMBERS = ["{{},{{}}}", "{{},{{}},{{{}}},{{},{{}}}}",
 
 class TestPowersetCode:
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.integers(0, 15), max_size=4, unique=True),
+    @given(st.lists(st.integers(0, 15), max_size=8, unique=True),
            st.randoms(use_true_random=False), st.integers(0, 3))
     def test_matches_the_reference_on_sets_from_v4(self, picks, rng, extra):
         v4 = universe_of(4)
@@ -752,6 +760,32 @@ class TestPowersetCode:
         code = permuted(encode_hf(s), random.Random(12), 3)
         assert_same_code(powerset_code(code), reference_powerset_code(code))
 
+    def test_sixteen_members_at_the_cap(self):
+        # the argument of the count-only large instance's second Pot call
+        code = powerset_code(powerset_code(encode_hf(parse_hf("{{},{{}}}"))))
+        assert len(code_elements(code)) == POWERSET_CAP
+        want = reference_powerset_code(code)
+        assert_same_code(powerset_code(code), want)
+        assert_same_code(powerset_code(permuted(code, random.Random(16), 3)), want)
+
+    def test_nodes_that_are_not_subsets_merge_into_a_rank_of_2047_subsets(self):
+        # eleven of the twelve rank-3 sets of V_4 give 2,047 subsets of rank
+        # 4; the twelfth member holds rank-4 sets with a member outside x,
+        # of every member count, and some rank-4 subsets of x
+        rank3 = [v for v in universe_of(4) if v.rank == 3]
+        members, outside = rank3[:11], rank3[11]
+        holder = HFSet([hf(m, EMPTY_SET) for m in members]
+                       + [HFSet(members[:i] + [outside]) for i in range(1, 12)]
+                       + [HFSet(members[i::3] + [nest(2)]) for i in range(3)]
+                       + [HFSet(members[:i]) for i in (1, 4, 11)])
+        x = HFSet(members + [holder])
+        assert hf_card(x) == 12
+        assert sum(1 for n in transitive_closure(x) if n.rank == 4 and not n <= x) == 25
+        code = encode_hf(x)
+        want = reference_powerset_code(code)
+        assert_same_code(powerset_code(code), want)
+        assert_same_code(powerset_code(permuted(code, random.Random(12), 2)), want)
+
     def test_long_chain_ranks_without_recursion(self):
         # node i is the only member of node i+1: a 3,001-node chain
         code = SetCode(3001, [cantor_pair(i, i + 1) for i in range(3000)], 3000)
@@ -784,6 +818,7 @@ class TestPowersetCode:
         SetCode(2, [cantor_pair(0, 1), cantor_pair(1, 0)], 0),
         SetCode(3, [cantor_pair(1, 0), cantor_pair(2, 0)], 0),
         SetCode(2, [], 2),
+        SetCode(3, [-1], 0),
         # an invalid code over the cap: the code is checked first
         SetCode(19, [cantor_pair(i, 17) for i in range(17)] + [cantor_pair(17, 18),
                                                                 cantor_pair(18, 17)], 17),
