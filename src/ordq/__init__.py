@@ -21,9 +21,9 @@ _EXPORTS = {
     "universe": (
         "CardinalStructure", "HFSet", "OutOfStructureError", "SetCode",
         "card_of", "decode_set", "encode_hf", "explicit_list", "hf", "hf_card",
-        "hf_powerset", "is_cardinal", "multiples_of_omega", "next_card_of",
+        "is_cardinal", "multiples_of_omega", "next_card_of",
         "next_limit_of_cardinals_above", "omega_powers", "parse_hf",
-        "render_hf", "sup_of_cardinals_below",
+        "render_hf",
     ),
     "logic": (
         "Formula", "TruthEnv", "classify_level", "eval_formula",
@@ -35,7 +35,7 @@ _EXPORTS = {
         "NotRankedError", "OmegaMultiplesSet", "OracleTypeError", "OrdinalSet",
         "QueryLedger", "RunEntry", "ScriptedEffectivizer", "ScriptExhausted",
         "ScriptMismatch", "SingleEntry", "answer", "extract_script",
-        "flag_value_after", "make_effectivizer",
+        "make_effectivizer",
     ),
     "tam": ("Program", "RunResult", "replay", "run", "run_scripted"),
     "reductions": (

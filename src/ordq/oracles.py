@@ -39,7 +39,6 @@ from .ordcalc import (
     OrdinalLike,
     _coerce,
     add,
-    finite_part,
     limit_part,
     omega_power,
     render,
@@ -86,8 +85,6 @@ class OrdinalSet:
     least_above is strict; greatest_at_most is inclusive and answers only
     when the members at most the argument have a maximum; next_limit_above
     is the least ordinal above the argument in which members are cofinal.
-    sup_below reports the supremum of members strictly below the argument
-    plus an attained bit (True iff that supremum is itself a member).
     None always means "no such point"; CardinalClassSet passes on the None
     of the universe queries as it comes (see ordq.universe).
     """
@@ -102,9 +99,6 @@ class OrdinalSet:
         raise NotImplementedError
 
     def next_limit_above(self, a: OrdinalLike) -> Optional[Ordinal]:
-        raise NotImplementedError
-
-    def sup_below(self, a: OrdinalLike) -> Optional[Tuple[Ordinal, bool]]:
         raise NotImplementedError
 
     def scan_horizon(self) -> Optional[Ordinal]:
@@ -130,9 +124,6 @@ class CardinalClassSet(OrdinalSet):
 
     def next_limit_above(self, a):
         return _u.next_limit_of_cardinals_above(self.structure, a)
-
-    def sup_below(self, a):
-        return _u.sup_of_cardinals_below(self.structure, a)
 
     def scan_horizon(self):
         return self.structure.bound
@@ -165,11 +156,6 @@ class FiniteOrdinalSet(OrdinalSet):
     def next_limit_above(self, a):
         return None
 
-    def sup_below(self, a):
-        a = _coerce(a)
-        below = [m for m in self.members if m < a]
-        return (below[-1], True) if below else None
-
 
 class OmegaMultiplesSet(OrdinalSet):
     """{w*n : n >= 1}; its single limit point is w^2."""
@@ -200,52 +186,8 @@ class OmegaMultiplesSet(OrdinalSet):
         a = _coerce(a)
         return self.W2 if a < self.W2 else None
 
-    def sup_below(self, a):
-        a = _coerce(a)
-        if a <= OMEGA:
-            return None
-        if a > self.W2:
-            return (self.W2, False)
-        if a == self.W2:
-            return (a, False)
-        if finite_part(a) > 0:
-            return (limit_part(a), True)
-        # a is itself w*n: the greatest member below is w*(n-1)
-        n = a.terms[0][1]
-        return (omega_power(1, n - 1), True) if n > 1 else None
-
     def scan_horizon(self):
         return self.W2
-
-
-# -- flag limit behavior -----------------------------------------------------
-
-
-def flag_value_after(initial: int, toggles: OrdinalSet, position: OrdinalLike) -> int:
-    """Flag value right after stage `position`, toggling at every member of
-    `toggles` at or below it, with the lim-inf rule at limits of toggles.
-
-    Walking the toggles at or below the position backwards must reach, in
-    finitely many steps (strict descent), either the bottom (no earlier
-    toggle: apply parity to the initial bit) or a limit of toggles (where
-    the value is 0 regardless of history: both states recur below it).
-    """
-    position = _coerce(position)
-    state = toggles.sup_below(successor(position))
-    if state is None:
-        return initial
-    current, attained = state
-    if not attained:
-        return 0
-    parity = 0
-    while True:
-        parity ^= 1
-        earlier = toggles.sup_below(current)
-        if earlier is None:
-            return initial ^ parity
-        current, attained = earlier
-        if not attained:
-            return 0 ^ parity
 
 
 # -- query ledger ------------------------------------------------------------
@@ -362,13 +304,17 @@ class Effectivizer:
     def call(self, query: Any, ledger: Optional[QueryLedger],
              time: Ordinal) -> Tuple[Any, Ordinal]:
         """Answer one pointwise call; returns (value, elapsed order type)."""
-        value = self._answer(query)
+        oracle, value = self._next_answer(query)
         if ledger is not None:
-            ledger.append(SingleEntry(time=time, oracle=self.name,
+            ledger.append(SingleEntry(time=time, oracle=oracle,
                                       query=summarize_query(query),
                                       response=summarize_query(value),
                                       response_value=value))
         return value, ONE
+
+    def _next_answer(self, query: Any) -> Tuple[str, Any]:
+        """One pointwise answer: (oracle name the ledger records, value)."""
+        return self.name, self._answer(query)
 
     def ranked(self) -> OrdinalSet:
         if self.hit_set is None:
@@ -532,8 +478,9 @@ class ScriptedEffectivizer(Effectivizer):
         self.script = tuple(script)
         self.cursor = 0
 
-    def _next_answer(self) -> Tuple[str, Any]:
-        """Consume the next pointwise answer: (oracle name, value)."""
+    def _next_answer(self, query: Any) -> Tuple[str, Any]:
+        """Consume the next pointwise answer, whatever the query: (oracle
+        name, value)."""
         if self.cursor == len(self.script):
             raise ScriptExhausted("script exhausted")
         item = self.script[self.cursor]
@@ -561,15 +508,6 @@ class ScriptedEffectivizer(Effectivizer):
             return item.oracle, FiniteOrdinalSet((item.to_query,))
         return item.oracle, _NoHitsUpTo(item.to_query)
 
-    def call(self, query, ledger, time):
-        oracle, value = self._next_answer()
-        if ledger is not None:
-            ledger.append(SingleEntry(time=time, oracle=oracle,
-                                      query=summarize_query(query),
-                                      response=summarize_query(value),
-                                      response_value=value))
-        return value, ONE
-
 
 class _NoHitsUpTo(FiniteOrdinalSet):
     """A recorded fruitless sweep: no hits up to the recorded endpoint."""
@@ -596,7 +534,7 @@ class _PointwiseHits(OrdinalSet):
     def _hit(self, probe: Ordinal) -> bool:
         if probe not in self.bits:
             self.tick()
-            self.bits[probe] = self.script._next_answer()[1]
+            self.bits[probe] = self.script._next_answer(None)[1]
         return self.bits[probe] == 1
 
     def least_above(self, a):

@@ -60,7 +60,6 @@ from .oracles import (
     ScriptedEffectivizer,
     _logic,
     extract_script,
-    flag_value_after,
 )
 
 __all__ = [
@@ -70,7 +69,7 @@ __all__ = [
     "Assign", "OracleCall", "ScanFirstHit", "ScanLastHitAtMost",
     "ScanFlagToggleUntil", "GuessCheckLoop", "ComputableSubroutine",
     "SeparationScan", "If", "Halt", "Program", "RunResult",
-    "run", "run_scripted", "replay", "flag_value_after",
+    "run", "run_scripted", "replay",
 ]
 
 HALTED = "halted"

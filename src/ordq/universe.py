@@ -13,12 +13,12 @@ so "greatest cardinal at most a" and friends are total where they promise
 to be.  All queries are answered in closed form on the normal form of the
 argument; nothing is enumerated.
 
-The five cardinal queries (is_cardinal, card_of, next_card_of,
-next_limit_of_cardinals_above, sup_of_cardinals_below) answer None for
-"no such point": for an argument at or past the working bound, and when the
-point they look for does not exist below it.  This module is the one place
-that decides it (_within_bound wraps each query for the first case), and
-callers pass None on rather than catch an error.
+The four cardinal queries (is_cardinal, card_of, next_card_of,
+next_limit_of_cardinals_above) answer None for "no such point": for an
+argument at or past the working bound, and when the point they look for
+does not exist below it.  This module is the one place that decides it
+(_within_bound wraps each query for the first case), and callers pass None
+on rather than catch an error.
 
 The second half of the module is the hereditarily finite set side: HFSet
 values and their membership codes (SetCode: a finite extensional
@@ -59,18 +59,14 @@ from ._record import Record, _set
 from .ordcalc import (
     NESTING_CAP,
     OMEGA,
-    ONE,
     InputError,
     Ordinal,
     OrdinalLike,
     _coerce,
     add,
-    classify,
     finite_part,
     leading_exponent,
-    left_sub,
     limit_part,
-    mul,
     omega_power,
     _Scanner,
 )
@@ -226,47 +222,6 @@ def next_limit_of_cardinals_above(structure: CardinalStructure,
     return result if result < structure.bound else None
 
 
-@_within_bound
-def sup_of_cardinals_below(structure: CardinalStructure,
-                           a: Ordinal) -> Optional[Tuple[Ordinal, bool]]:
-    """(sup of cardinals < a, attained?); None when a == 0 or a is past
-    the bound.
-
-    attained is False exactly when the cardinals are cofinal in a, in which
-    case the supremum equals a itself.
-    """
-    if a.is_zero():
-        return None
-    if a.is_finite():
-        return (left_sub(ONE, a), True)
-    if a == OMEGA:
-        return (OMEGA, False)
-    if structure.kind == OMEGA_POWERS:
-        e = leading_exponent(a)
-        if len(a.terms) == 1 and a.terms[0][1] == 1:
-            if classify(e) == "limit":
-                return (a, False)
-            predecessor_exponent = left_sub(ONE, e)
-            if predecessor_exponent.is_zero():
-                return (OMEGA, False)
-            return (omega_power(predecessor_exponent), True)
-        return (omega_power(e), True)
-    if structure.kind == MULTIPLES_OF_OMEGA:
-        if finite_part(a) > 0:
-            return (limit_part(a), True)
-        last_exponent = a.terms[-1][0]
-        if last_exponent > ONE:
-            return (a, False)
-        head, c = Ordinal(a.terms[:-1]), a.terms[-1][1]
-        if c >= 2:
-            return (add(head, mul(OMEGA, c - 1)), True)
-        if head.is_zero():
-            return (OMEGA, False)
-        return (head, True)
-    members = [c for c in (OMEGA,) + structure.cardinals if c < a]
-    return (max(members), True)
-
-
 # -- hereditarily finite sets -----------------------------------------------
 
 
@@ -293,11 +248,6 @@ class HFSet(frozenset):
 
     def __setattr__(self, name, value):
         raise AttributeError("HFSet is immutable")
-
-    @property
-    def members(self) -> "HFSet":
-        """The set itself, which is the frozenset of its members."""
-        return self
 
     def __str__(self):
         return render_hf(self)
@@ -372,15 +322,6 @@ def hf_card(s: HFSet) -> int:
     return len(s)
 
 
-def hf_powerset(s: HFSet) -> HFSet:
-    if len(s) > POWERSET_CAP:
-        raise PowersetCapError(f"powerset argument exceeds the size cap of {POWERSET_CAP}")
-    subsets = [EMPTY_SET]
-    for e in s:
-        subsets += [HFSet(sub | {e}) for sub in subsets]
-    return HFSet(subsets)
-
-
 def kuratowski(a: HFSet, b: HFSet) -> HFSet:
     return HFSet((HFSet((a,)), HFSet((a, b))))
 
@@ -406,19 +347,25 @@ def transitive_closure(s: HFSet) -> FrozenSet[HFSet]:
 # -- membership codes --------------------------------------------------------
 
 
-def _as_nat(value) -> int:
-    if isinstance(value, Ordinal):
+def _as_nat(value, field: str) -> int:
+    """A SetCode field value as an int: an int that is not a bool, or a
+    finite Ordinal; InvalidCodeError naming the field for anything else."""
+    if isinstance(value, Ordinal) and value.is_finite():
         return value.to_int()
-    return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    raise InvalidCodeError(f"SetCode {field} takes ints or finite ordinals, not {value!r}")
 
 
 class SetCode(Record):
     """A finite membership graph: node ids 0..domain-1, root, and the edge
     set {pair(x, y) : x is a member of y} packed with cantor_pair.
 
-    Node ids are plain ints; everything here stays at desk scale.  Finite
-    Ordinal values are accepted and converted on construction; encode_hf,
-    which builds its fields from ints, skips that check.
+    Node ids are plain ints; everything here stays at desk scale.  The
+    domain, each edge and the root take an int that is not a bool, or a
+    finite Ordinal, which is converted on construction; anything else
+    raises InvalidCodeError naming the field.  encode_hf, which builds its
+    fields from ints, skips that check.
 
     A code is immutable, so it works out its child map, its validity verdict
     and its decoded nodes once, on first use, and keeps them.  A code built
@@ -430,11 +377,11 @@ class SetCode(Record):
     _fields = ("domain", "edges", "root")
 
     def __init__(self, domain: int, edges: FrozenSet[int], root: int):
-        _set(self, "domain", domain if type(domain) is int else _as_nat(domain))
+        _set(self, "domain", domain if type(domain) is int else _as_nat(domain, "domain"))
         if not (isinstance(edges, frozenset) and all(type(e) is int for e in edges)):
-            edges = frozenset(_as_nat(e) for e in edges)
+            edges = frozenset(_as_nat(e, "edges") for e in edges)
         _set(self, "edges", edges)
-        _set(self, "root", root if type(root) is int else _as_nat(root))
+        _set(self, "root", root if type(root) is int else _as_nat(root, "root"))
 
     @cached_property
     def edges(self) -> FrozenSet[int]:
@@ -536,22 +483,22 @@ def _capped_elements(code: SetCode) -> List[int]:
 
 def powerset_code(code: SetCode) -> SetCode:
     """The canonical code of the power set of the set x that code names,
-    equal to encode_hf(hf_powerset(decode_set(code))) but built from x's
-    child map: InvalidCodeError on a bad code, then PowersetCapError above
-    POWERSET_CAP members, both before anything is built.  No HFSet is
-    built per subset.  The code stores its child map and, as decoded nodes,
-    the sets below x that the argument has decoded, so a set decoded from
-    the answer shares them and compares with sets decoded from the argument
-    without walking down equal copies.
+    built from x's child map: InvalidCodeError on a bad code, then
+    PowersetCapError above POWERSET_CAP members, both before anything is
+    built.  No HFSet is built per subset.  The code stores its child map
+    and, as decoded nodes, the sets below x that the argument has decoded,
+    so a set decoded from the answer shares them and compares with sets
+    decoded from the argument without walking down equal copies.
 
     The nodes are numbered one rank at a time, lowest first, so the new ids
     of x's members numbered so far (the pool, ascending) end with the block
     of the rank just numbered.  The subsets of the next rank are the
     combinations of the pool whose last id lies in that block, and
     itertools.combinations lists them, member count by member count, in
-    canonical order: no rank is sorted.  The nodes below x that are not subsets (each has a member
-    outside x) are merged in by bisection, and a node below x whose members
-    all lie in x is found among the subsets the same way."""
+    canonical order: no rank is sorted.  The nodes below x that are not
+    subsets (each has a member outside x) are merged in by bisection, and
+    a node below x whose members all lie in x is found among the subsets
+    the same way."""
     elements = _capped_elements(code)
     children = code._children
     rank: Dict[int, int] = {}           # old id -> rank, for the nodes below x

@@ -1,0 +1,187 @@
+"""Test-side references over ranked ordinal sets and finite sets.
+
+The flag scan (tam.ScanFlagToggleUntil) finds the stage where its whole
+bank reads 0 in closed form, from least_above and next_limit_above.  The
+lim-inf flag reference here evaluates the flag rule pointwise instead:
+flag_value_after walks the toggles at or below a stage backwards through
+sup_below and reads 0 at every limit of toggles.  sup_below answers for the
+package's three ranked sets and for HitsBetween views of them; register it
+for another class to feed that class to the reference.
+
+hf_powerset is the power set built from HFSet values, the reference that
+universe.powerset_code is checked against.
+"""
+
+from __future__ import annotations
+
+from functools import singledispatch
+from typing import Optional, Tuple
+
+from ordq.oracles import CardinalClassSet, FiniteOrdinalSet, OmegaMultiplesSet
+from ordq.ordcalc import (
+    OMEGA,
+    ONE,
+    Ordinal,
+    OrdinalLike,
+    _coerce,
+    add,
+    classify,
+    finite_part,
+    leading_exponent,
+    left_sub,
+    limit_part,
+    mul,
+    omega_power,
+    successor,
+)
+from ordq.universe import (
+    EMPTY_SET,
+    MULTIPLES_OF_OMEGA,
+    OMEGA_POWERS,
+    POWERSET_CAP,
+    CardinalStructure,
+    HFSet,
+    PowersetCapError,
+)
+
+
+# -- sup_below ---------------------------------------------------------------
+
+
+@singledispatch
+def sup_below(hits, a: OrdinalLike) -> Optional[Tuple[Ordinal, bool]]:
+    """The supremum of the members strictly below a, plus an attained bit
+    (True iff the members below a have a maximum, which is then the
+    supremum); None when no member lies below a."""
+    raise NotImplementedError(f"no sup_below for {type(hits).__name__}")
+
+
+@sup_below.register(CardinalClassSet)
+def _(hits, a):
+    return sup_of_cardinals_below(hits.structure, a)
+
+
+@sup_below.register(FiniteOrdinalSet)
+def _(hits, a):
+    a = _coerce(a)
+    below = [m for m in hits.members if m < a]
+    return (below[-1], True) if below else None
+
+
+@sup_below.register(OmegaMultiplesSet)
+def _(hits, a):
+    a = _coerce(a)
+    if a <= OMEGA:
+        return None
+    if a > hits.W2:
+        return (hits.W2, False)
+    if a == hits.W2:
+        return (a, False)
+    if finite_part(a) > 0:
+        return (limit_part(a), True)
+    # a is itself w*n: the greatest member below is w*(n-1)
+    n = a.terms[0][1]
+    return (omega_power(1, n - 1), True) if n > 1 else None
+
+
+def sup_of_cardinals_below(structure: CardinalStructure,
+                           a: OrdinalLike) -> Optional[Tuple[Ordinal, bool]]:
+    """(sup of cardinals < a, attained?); None when a == 0 or a is past
+    the bound.
+
+    attained is False exactly when the cardinals are cofinal in a, in which
+    case the supremum equals a itself.
+    """
+    a = _coerce(a)
+    if a.is_zero() or a >= structure.bound:
+        return None
+    if a.is_finite():
+        return (left_sub(ONE, a), True)
+    if a == OMEGA:
+        return (OMEGA, False)
+    if structure.kind == OMEGA_POWERS:
+        e = leading_exponent(a)
+        if len(a.terms) == 1 and a.terms[0][1] == 1:
+            if classify(e) == "limit":
+                return (a, False)
+            predecessor_exponent = left_sub(ONE, e)
+            if predecessor_exponent.is_zero():
+                return (OMEGA, False)
+            return (omega_power(predecessor_exponent), True)
+        return (omega_power(e), True)
+    if structure.kind == MULTIPLES_OF_OMEGA:
+        if finite_part(a) > 0:
+            return (limit_part(a), True)
+        last_exponent = a.terms[-1][0]
+        if last_exponent > ONE:
+            return (a, False)
+        head, c = Ordinal(a.terms[:-1]), a.terms[-1][1]
+        if c >= 2:
+            return (add(head, mul(OMEGA, c - 1)), True)
+        if head.is_zero():
+            return (OMEGA, False)
+        return (head, True)
+    members = [c for c in (OMEGA,) + structure.cardinals if c < a]
+    return (max(members), True)
+
+
+class HitsBetween:
+    """The members of `hits` strictly above `low` and, when `high` is given,
+    strictly below it."""
+
+    def __init__(self, hits, low: OrdinalLike, high: Optional[OrdinalLike] = None):
+        self.hits = hits
+        self.low = _coerce(low)
+        self.high = None if high is None else _coerce(high)
+
+
+@sup_below.register(HitsBetween)
+def _(view, a):
+    a = _coerce(a)
+    if view.high is not None and a > view.high:
+        a = view.high
+    # dropping the members at most low leaves the supremum and whether it
+    # is attained as they were, unless nothing is left
+    got = sup_below(view.hits, a)
+    return got if got is not None and got[0] > view.low else None
+
+
+# -- the flag rule -----------------------------------------------------------
+
+
+def flag_value_after(initial: int, toggles, position: OrdinalLike) -> int:
+    """Flag value right after stage `position`, toggling at every member of
+    `toggles` at or below it, with the lim-inf rule at limits of toggles.
+
+    Walking the toggles at or below the position backwards must reach, in
+    finitely many steps (strict descent), either the bottom (no earlier
+    toggle: apply parity to the initial bit) or a limit of toggles (where
+    the value is 0 regardless of history: both states recur below it).
+    """
+    state = sup_below(toggles, successor(_coerce(position)))
+    if state is None:
+        return initial
+    current, attained = state
+    if not attained:
+        return 0
+    parity = 0
+    while True:
+        parity ^= 1
+        earlier = sup_below(toggles, current)
+        if earlier is None:
+            return initial ^ parity
+        current, attained = earlier
+        if not attained:
+            return 0 ^ parity
+
+
+# -- hereditarily finite sets ------------------------------------------------
+
+
+def hf_powerset(s: HFSet) -> HFSet:
+    if len(s) > POWERSET_CAP:
+        raise PowersetCapError(f"powerset argument exceeds the size cap of {POWERSET_CAP}")
+    subsets = [EMPTY_SET]
+    for e in s:
+        subsets += [HFSet(sub | {e}) for sub in subsets]
+    return HFSet(subsets)

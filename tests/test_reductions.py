@@ -363,9 +363,9 @@ def reference_minimal_well_order_length(power_code, relations_code):
                for i, a in enumerate(elements)
                for j, b in enumerate(elements)}
     best = None
-    for relation in u.decode_set(relations_code).members:
+    for relation in u.decode_set(relations_code):
         edges = set()
-        for member in relation.members:
+        for member in relation:
             edge = pair_of.get(member)
             if edge is None:
                 break

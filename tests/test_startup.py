@@ -12,28 +12,30 @@ import pytest
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 SCENARIO = os.path.join(SRC, "ordq", "scenarios", "nextcard_suite.json")
 
-# every name ordq/__init__.py exported when it imported all of its modules
+# every name ordq/__init__.py exported when it imported all of its modules,
+# less the test-only helpers that moved to tests/reference_sets.py
 EXPORTS = (
     "OMEGA", "ONE", "ZERO", "Ordinal", "OrdinalDomainError", "OrdinalParseError",
     "add", "classify", "compare", "finite_part", "leading_exponent", "left_sub",
     "mul", "omega_power", "opow", "parse_ordinal", "render", "successor",
     "CardinalStructure", "HFSet", "OutOfStructureError",
     "SetCode", "card_of", "decode_set", "encode_hf", "explicit_list", "hf",
-    "hf_card", "hf_powerset", "is_cardinal", "multiples_of_omega", "next_card_of",
+    "hf_card", "is_cardinal", "multiples_of_omega", "next_card_of",
     "next_limit_of_cardinals_above", "omega_powers", "parse_hf", "render_hf",
-    "sup_of_cardinals_below",
     "Formula", "TruthEnv", "classify_level", "eval_formula", "formula_from_index",
     "formula_index", "parse_formula", "render_formula", "universe_of",
     "CardinalClassSet", "Effectivizer", "FiniteOrdinalSet", "NotRankedError",
     "OmegaMultiplesSet", "OracleTypeError", "OrdinalSet", "QueryLedger", "RunEntry",
     "ScriptedEffectivizer", "ScriptExhausted", "ScriptMismatch", "SingleEntry",
-    "answer", "extract_script", "flag_value_after", "make_effectivizer",
+    "answer", "extract_script", "make_effectivizer",
     "Program", "RunResult", "replay", "run", "run_scripted",
     "Approximator", "BoundForm", "CATALOG_NAMES", "CompositeEffectivizer",
     "ReductionSpec", "ReductionTypeError", "Report", "catalog", "compose",
     "delegate_spec", "verify",
 )
 SUBMODULES = ("cli", "logic", "oracles", "ordcalc", "reductions", "tam", "universe")
+# the names that moved to tests/reference_sets.py, which no module exports
+MOVED_TO_TESTS = ("flag_value_after", "sup_of_cardinals_below", "hf_powerset")
 
 
 def modules_after(statements: str) -> set:
@@ -82,6 +84,16 @@ def test_every_export_and_submodule_resolves():
     assert set(ordq.__all__) == set(EXPORTS)
     with pytest.raises(AttributeError):
         ordq.no_such_name
+
+
+@pytest.mark.parametrize("name", MOVED_TO_TESTS)
+def test_test_only_helpers_are_not_exported(name):
+    import ordq
+    assert name not in ordq.__all__ and name not in dir(ordq)
+    with pytest.raises(AttributeError):
+        getattr(ordq, name)
+    for module in SUBMODULES:
+        assert not hasattr(getattr(ordq, module), name), module
 
 
 def test_exports_resolve_in_a_fresh_interpreter():

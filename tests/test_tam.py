@@ -35,7 +35,6 @@ from ordq.tam import (
     ScanLastHitAtMost,
     SeparationScan,
     const,
-    flag_value_after,
     reg,
     replay,
     run,
@@ -45,6 +44,7 @@ from ordq.tam import (
 
 import tuple_model as tm
 from reference_machine import ref_first_hit, ref_flag_scan, ref_last_hit
+from reference_sets import HitsBetween, flag_value_after
 from test_universe import STRUCTURES, W3, multiples_card, powers_card
 
 WIDE = omega_power(P("w*2"))
@@ -142,6 +142,28 @@ class TestLastHitScan:
         assert render(res.ledger.total_order_type()) == "6"
 
 
+# hit sets for the flag scan: the cardinals of each structure kind, and two
+# declared hit sets behind a scripted oracle
+FLAG_ORACLES = [(name, make_effectivizer(DEC_CARD, structure=cs))
+                for name, cs, _, _ in STRUCTURES] + [
+    ("omega-powers-wide", make_effectivizer(DEC_CARD, structure=u.omega_powers(WIDE))),
+    ("omega-multiples", make_effectivizer(SCRIPTED, hit_set=OmegaMultiplesSet())),
+    ("finite", make_effectivizer(SCRIPTED, hit_set=FiniteOrdinalSet(
+        [P(a) for a in ("3", "w+2", "w*2", "w^2+w", "w^2*3+4")]))),
+]
+FLAG_STAGES = [(t, tm.to_ordinal(t)) for t in tm.grid(4)]
+
+
+def bank_reads_zero(bank, hits, start, stage) -> bool:
+    """Every flag of the bank reads 0 at the stage by the lim-inf reference,
+    fed only the hits strictly above the start: either at the stage's
+    lim-inf, before its own toggle (the hits below the stage), or after it.
+    A limit of hits that is itself a hit reads 0 before its toggle."""
+    views = (HitsBetween(hits, start, stage), HitsBetween(hits, start))
+    return any(all(flag_value_after(b, view, stage) == 0 for b in set(bank))
+               for view in views)
+
+
 class TestFlagScan:
     def test_multiples_pin(self):
         res = run(FLAG_SCAN, OMEGA, dec(u.multiples_of_omega(WIDE)))
@@ -202,6 +224,30 @@ class TestFlagScan:
                 exit_point, charged = want
                 assert res.output == tm.to_ordinal(exit_point), t
                 assert res.ledger.total_order_type() == tm.to_ordinal(charged), t
+
+    @pytest.mark.parametrize("bank", [(1,), (1, 1), (0, 1)], ids=str)
+    @pytest.mark.parametrize("oracle", [o for _, o in FLAG_ORACLES],
+                             ids=[name for name, _ in FLAG_ORACLES])
+    def test_stops_where_the_lim_inf_reference_zeroes_the_bank(self, oracle, bank):
+        prog = Program("flag-bank", (
+            ScanFlagToggleUntil(slot="check", start=INPUT, register="r",
+                                flags=tuple(Flag(f"f{i}", b) for i, b in enumerate(bank))),
+            Halt(reg("r")),
+        ))
+        hits = oracle.ranked()
+        horizon = hits.scan_horizon() or W3      # every grid stage lies below w^3
+        for t in anchors():
+            start = tm.to_ordinal(t)
+            res = run(prog, start, {"check": oracle})
+            first = next((a for s, a in FLAG_STAGES if s > t and a <= horizon
+                          and bank_reads_zero(bank, hits, start, a)), None)
+            if res.halted and res.output < W3:
+                assert res.output == first, (t, res.output, first)
+            else:
+                # diverged, or halted past the w^3 grid: no stage of the grid
+                # up to the horizon zeroes the bank
+                assert res.status in ("diverged", "halted"), t
+                assert first is None, (t, first)
 
 
 class TestGuessCheck:

@@ -37,7 +37,6 @@ from ordq.universe import (
     explicit_list,
     hf,
     hf_card,
-    hf_powerset,
     hf_product,
     is_cardinal,
     kuratowski,
@@ -48,11 +47,11 @@ from ordq.universe import (
     parse_hf,
     powerset_code,
     render_hf,
-    sup_of_cardinals_below,
     transitive_closure,
     validate_code,
 )
 
+from reference_sets import hf_powerset, sup_of_cardinals_below
 from tuple_model import Trip, grid, to_ordinal
 
 W3 = omega_power(3)
@@ -288,7 +287,7 @@ class TestHFSet:
         assert render_hf(parse_hf("{{{},{{}}},{{{}}}}")) == "{{{{}}},{{},{{}}}}"
         ordinal = EMPTY_SET
         for _ in range(6):
-            ordinal = HFSet(ordinal.members | {ordinal})
+            ordinal = HFSet(ordinal | {ordinal})
         assert render_hf(ordinal) == ("{{},{{}},{{},{{}}},{{},{{}},{{},{{}}}},"
                                       "{{},{{}},{{},{{}}},{{},{{}},{{},{{}}}}},"
                                       "{{},{{}},{{},{{}}},{{},{{}},{{},{{}}}},"
@@ -454,6 +453,33 @@ class TestSetCode:
         with pytest.raises(InvalidCodeError):
             decode_element(code, 2)
 
+    @pytest.mark.parametrize("fields,bad", [
+        # int() would truncate these to domain 2, edges {2}, root 1: a valid
+        # code of {{}}
+        ((2.9, [cantor_pair(0, 1) + 0.9], 1.2), "domain"),
+        ((2, [cantor_pair(0, 1) + 0.9], 1), "edges"),
+        ((2, [cantor_pair(0, 1)], 1.2), "root"),
+        # bools are ints to Python, but no node id: this decoded to {}
+        ((True, [], False), "domain"),
+        ((1, [True], 0), "edges"),
+        ((1, [], False), "root"),
+        ((OMEGA, [], 0), "domain"),
+        ((3, [parse("w+1")], 0), "edges"),
+        ((1, [], "0"), "root"),
+    ])
+    def test_fields_take_only_ints_and_finite_ordinals(self, fields, bad):
+        with pytest.raises(InvalidCodeError, match=f"SetCode {bad} "):
+            SetCode(*fields)
+
+    def test_finite_ordinal_and_int_subclass_fields_convert(self):
+        class Id(int):
+            pass
+
+        code = SetCode(Ordinal.from_int(2), [Id(cantor_pair(0, 1))], Id(1))
+        assert code == SetCode(2, [cantor_pair(0, 1)], 1)
+        assert type(code.root) is int and all(type(e) is int for e in code.edges)
+        assert decode_set(code) == parse_hf("{{}}")
+
 
 def packed(children) -> frozenset:
     return frozenset(cantor_pair(x, y) for y, kids in children.items() for x in kids)
@@ -498,15 +524,14 @@ def reference_encode_hf(s: HFSet) -> SetCode:
         node = stack.pop()
         if node not in seen:
             seen.add(node)
-            stack.extend(node.members)
+            stack.extend(node)
     nodes = sorted(seen, key=lambda n: n.rank)
     ids = {}
     for rank, group in itertools.groupby(nodes, key=lambda n: n.rank):
-        keyed = sorted(group, key=lambda n: (len(n.members),
-                                             sorted(ids[m] for m in n.members)))
+        keyed = sorted(group, key=lambda n: (len(n), sorted(ids[m] for m in n)))
         for node in keyed:
             ids[node] = len(ids)
-    edges = frozenset(cantor_pair(ids[m], ids[n]) for n in ids for m in n.members)
+    edges = frozenset(cantor_pair(ids[m], ids[n]) for n in ids for m in n)
     return SetCode(domain=len(ids), edges=edges, root=ids[s])
 
 
@@ -594,7 +619,7 @@ class TestHashConsing:
         assert_same_value(HFSet(universe_of(3)), hf_powerset(two))
         # an HFSet is the frozenset of its members
         assert_same_value(two, frozenset([zero, one]))
-        assert two.members is two
+        assert isinstance(two, frozenset)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 3), max_size=4, unique=True),
@@ -686,7 +711,7 @@ class TestHashConsing:
 def von_neumann(k: int) -> HFSet:
     out = EMPTY_SET
     for _ in range(k):
-        out = HFSet(out.members | {out})
+        out = HFSet(out | {out})
     return out
 
 
