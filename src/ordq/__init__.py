@@ -37,7 +37,7 @@ _EXPORTS = {
         "ScriptMismatch", "SingleEntry", "answer", "extract_script",
         "make_effectivizer",
     ),
-    "tam": ("Program", "RunResult", "replay", "run", "run_scripted"),
+    "tam": ("Program", "RunResult", "replay", "run"),
     "reductions": (
         "Approximator", "BoundForm", "CATALOG_NAMES", "CompositeEffectivizer",
         "ReductionSpec", "ReductionTypeError", "Report", "catalog", "compose",

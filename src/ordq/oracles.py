@@ -19,9 +19,10 @@ exactly.
 
 ScriptedEffectivizer replaces an oracle with recorded responses.  Its
 script is a previous run's ledger entries, as extract_script() returns
-them, or bare values, each of which answers one pointwise call; the two
-can mix.  A single entry answers with its response value under its oracle
-name, and a run entry hands a scan the hit set its pattern records.
+them.  A single entry answers one pointwise call with its response value
+under its oracle name, and a run entry hands a scan the hit set its
+pattern records, whole: a replayed scan costs the machine the same events
+as the live one, none per probe.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .ordcalc import (
     limit_part,
     omega_power,
     render,
-    successor,
 )
 from . import universe as _u
 from .universe import (
@@ -321,10 +321,9 @@ class Effectivizer:
             raise NotRankedError(f"{self.name} does not expose a hit set")
         return self.hit_set
 
-    def scan(self, start: Ordinal, tick: Callable[[], None]) -> Tuple[str, OrdinalSet]:
+    def scan(self, start: Ordinal) -> Tuple[str, OrdinalSet]:
         """The hit set a scan from `start` runs over, with the oracle name
-        its ledger run carries.  `tick` charges one interpreter event; a
-        live oracle answers in closed form and never calls it."""
+        its ledger run carries."""
         return self.name, self.ranked()
 
 
@@ -347,7 +346,6 @@ _CARD_QUERIES = {DEC_CARD: "is_cardinal", NEXT_CARD: "next_card_of", ORD_CARD: "
 
 def make_effectivizer(name: str, structure: CardinalStructure = None,
                       level: int = None, rank: int = None,
-                      script: Sequence = None,
                       hit_set: OrdinalSet = None) -> Effectivizer:
     """Build one of the catalog oracles over the given environment."""
     if name in _CARD_QUERIES:
@@ -380,10 +378,7 @@ def make_effectivizer(name: str, structure: CardinalStructure = None,
                  "SepSigma needs a level and a rank")
         return Effectivizer(f"{SEP}{level}", _sep_fn(level, rank))
     if name == SCRIPTED:
-        _require(script is not None or hit_set is not None,
-                 "Scripted needs a response script or a declared hit set")
-        if script is not None:
-            return ScriptedEffectivizer(script)
+        _require(hit_set is not None, "Scripted needs a declared hit set")
         return Effectivizer(SCRIPTED, lambda q: int(hit_set.contains(_expect_ordinal(q))),
                             hit_set=hit_set)
     raise OracleTypeError(f"unknown effectivizer name {name!r}")
@@ -461,43 +456,37 @@ def extract_script(ledger: QueryLedger) -> Tuple[LedgerEntry, ...]:
 class ScriptedEffectivizer(Effectivizer):
     """Answers from a recorded script instead of computing.
 
-    Pointwise calls consume single entries and bare values in order.  A
-    scan takes its hit set from scan(), so replay runs the same scan code
-    as a live run.  A run entry must start at the scan's window start; its
-    pattern becomes the hit set: "oracle-hits" the recorded hits,
-    "all-0-then-final-1" the one recorded endpoint, "all-0" no hits up to
-    the recorded endpoint.  A pointwise answer at a scan gives a view that
-    reads one recorded bit per probe.  A scan past the script's end gets no
-    hits and no horizon, as a live scan that ledgered nothing had; other
-    exhaustion raises ScriptExhausted.  A run entry at a pointwise call
-    raises ScriptMismatch.
+    Pointwise calls consume single entries in order.  A scan takes its hit
+    set from scan(), so replay runs the same scan code as a live run.  A
+    run entry must start at the scan's window start; its pattern becomes
+    the hit set: "oracle-hits" the recorded hits, "all-0-then-final-1" the
+    one recorded endpoint, "all-0" no hits up to the recorded endpoint.  A
+    scan whose next item is not a run entry, or that is past the script's
+    end, gets no hits and no horizon and consumes nothing, as a live scan
+    that ledgered nothing had; a pointwise call past the end raises
+    ScriptExhausted, and one at a run entry raises ScriptMismatch.
     """
 
-    def __init__(self, script: Sequence):
+    def __init__(self, script: Sequence[LedgerEntry]):
         super().__init__(SCRIPTED, answer_fn=None, hit_set=None)
         self.script = tuple(script)
         self.cursor = 0
 
     def _next_answer(self, query: Any) -> Tuple[str, Any]:
-        """Consume the next pointwise answer, whatever the query: (oracle
-        name, value)."""
+        """Consume the next single entry, whatever the query: (oracle name,
+        value)."""
         if self.cursor == len(self.script):
             raise ScriptExhausted("script exhausted")
         item = self.script[self.cursor]
         if isinstance(item, RunEntry):
             raise ScriptMismatch("pointwise call hit a recorded scan")
         self.cursor += 1
-        if isinstance(item, SingleEntry):
-            return item.oracle, item.response_value
-        return SCRIPTED, item
+        return item.oracle, item.response_value
 
-    def scan(self, start, tick):
-        if self.cursor == len(self.script):
-            return SCRIPTED, FiniteOrdinalSet(())
-        item = self.script[self.cursor]
+    def scan(self, start):
+        item = self.script[self.cursor] if self.cursor < len(self.script) else None
         if not isinstance(item, RunEntry):
-            oracle = item.oracle if isinstance(item, SingleEntry) else SCRIPTED
-            return oracle, _PointwiseHits(self, tick)
+            return SCRIPTED, FiniteOrdinalSet(())
         if item.from_query != start:
             raise ScriptMismatch(
                 f"recorded scan starts at {render(item.from_query)}, not {render(start)}")
@@ -518,40 +507,3 @@ class _NoHitsUpTo(FiniteOrdinalSet):
 
     def scan_horizon(self):
         return self.horizon
-
-
-class _PointwiseHits(OrdinalSet):
-    """Hit-set view of a pointwise script.  Each ordinal a rank query
-    probes, in increasing order, reads the next recorded bit and charges
-    one event; bits already read are kept, so the view also serves as the
-    recorded hits of the scan it fed."""
-
-    def __init__(self, script: ScriptedEffectivizer, tick: Callable[[], None]):
-        self.script = script
-        self.tick = tick
-        self.bits = {}
-
-    def _hit(self, probe: Ordinal) -> bool:
-        if probe not in self.bits:
-            self.tick()
-            self.bits[probe] = self.script._next_answer(None)[1]
-        return self.bits[probe] == 1
-
-    def least_above(self, a):
-        probe = successor(_coerce(a))
-        while not self._hit(probe):
-            probe = successor(probe)
-        return probe
-
-    def greatest_at_most(self, a):
-        a = _coerce(a)
-        if not a.is_finite():
-            raise ScriptExhausted("a pointwise script cannot feed a limit sweep")
-        hits = [n for n in range(a.to_int() + 1) if self._hit(Ordinal.from_int(n))]
-        return Ordinal.from_int(hits[-1]) if hits else None
-
-    def next_limit_above(self, a):
-        # finitely many recorded bits never show a limit: read on until the
-        # script or the budget runs out
-        while True:
-            a = self.least_above(a)

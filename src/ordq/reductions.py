@@ -26,6 +26,7 @@ from ._record import Record, _set, same_class_eq
 from .ordcalc import (
     OMEGA,
     ZERO,
+    InputError,
     Ordinal,
     _coerce,
     add,
@@ -197,7 +198,7 @@ class ReductionSpec:
     make_program: Callable[[], Program]
     make_bindings: Callable[[Optional[CardinalStructure]], Dict[str, Effectivizer]]
     reference: Callable[[Optional[CardinalStructure], Any], Any]
-    composite: bool = False   # composed runs cannot be replayed pointwise
+    composite: bool = False   # composed runs are not replayed
     shape: str = "ordinal"    # the instances it takes: ordinal, set or separation
 
 
@@ -426,9 +427,9 @@ class Row(NamedTuple):
     output_text: Optional[str]
     expected_text: Optional[str]
     correct: bool
-    order_type: str
+    order_type: Optional[str]
     bound_text: str
-    within: bool
+    within: Optional[bool]
     replay_ok: Optional[bool]
     product_note: str = ""
 
@@ -469,7 +470,7 @@ class Report(Record):
         headers = ("input", "status", "output", "expected", "order type",
                    "bound", "ok")
         body = [(r.input_text, r.status, r.output_text or "-",
-                 r.expected_text or "-", r.order_type, r.bound_text,
+                 r.expected_text or "-", r.order_type or "-", r.bound_text,
                  "pass" if r.ok else "FAIL") for r in self.rows]
         widths = [max(len(h), *(len(row[i]) for row in body)) if body else len(h)
                   for i, h in enumerate(headers)]
@@ -489,7 +490,9 @@ def _text(value) -> Optional[str]:
 def verify(spec: ReductionSpec, structure: Optional[CardinalStructure],
            instances: Sequence, budget: int = tam.DEFAULT_BUDGET,
            bound_override: Optional[BoundForm] = None) -> Report:
-    """Run every instance, check output, bound, and replayability."""
+    """Run every instance, check output, bound, and replayability.  An
+    instance whose run or reference raises an input or program error gets
+    a failing row whose status names the error."""
     bound = bound_override if bound_override is not None else spec.bound
     report = Report(reduction=spec.name,
                     structure=structure.kind if structure else "-",
@@ -497,13 +500,20 @@ def verify(spec: ReductionSpec, structure: Optional[CardinalStructure],
     for instance in instances:
         program = spec.make_program()
         bindings = spec.make_bindings(structure)
-        res = tam.run(program, instance, bindings, budget)
-        expected = spec.reference(structure, instance)
+        try:
+            res = tam.run(program, instance, bindings, budget)
+            expected = spec.reference(structure, instance)
+        except (InputError, tam.ProgramError) as e:
+            # this instance fails its own row; the batch goes on
+            report.rows.append(Row(summarize_query(instance),
+                                   f"error: {type(e).__name__}: {e}", None, None,
+                                   False, None, bound.describe(), None, None))
+            continue
         correct = (res.halted and res.output == expected) or \
                   (not res.halted and expected is None)
         total = res.ledger.total_order_type()
         checked = bound.check(total, structure, instance)
-        if spec.composite or not res.halted:
+        if spec.composite:
             replay_ok = None
         else:
             replay_ok = tam.replay(program, instance, res, budget).same_as(res)

@@ -27,24 +27,24 @@ A scan with no satisfying point diverges; if the oracle declares a world
 boundary, the fruitless sweep up to it is still ledgered before the run is
 reported as divergent.
 
-Budgets cap interpreter events (statement executions plus per-guess and
-per-probe micro-steps), not ordinal time: a scan of length w^2 is one event.
+Budgets cap interpreter events (statement executions plus one per guess
+and one per separated element), not ordinal time: a scan of length w^2 is
+one event, live or replayed.
 
 A run that stops without halting raises Stopped, which carries its status
 (diverged or budget-exceeded) out of the statement that stopped it; a
 composed oracle raises it for an inner run that did not halt.
 
-run_scripted replays a program against recorded responses instead of live
-oracles: a previous run's ledger entries, or bare pointwise values.  Replay
-runs the same scan code as a live run: a scripted oracle's scan() turns
-each recorded run entry into a hit set, and pointwise answers into a view
-that reads one recorded bit per probe.  Replaying a halting run's own
-ledger reproduces the run exactly, ledger included.
+replay re-runs a program against a previous run's ledger entries instead
+of live oracles.  It runs the same scan code as a live run: a scripted
+oracle's scan() turns each recorded run entry into a hit set.  Replaying a
+run's own ledger reproduces the run exactly, ledger included, whether or
+not it halted.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from ._record import Record, _set, same_class_eq
 from .ordcalc import ZERO, Ordinal, _coerce, add, left_sub, successor
@@ -65,11 +65,10 @@ from .oracles import (
 __all__ = [
     "HALTED", "DIVERGED", "BUDGET_EXCEEDED", "SCRIPT_EXHAUSTED",
     "DEFAULT_BUDGET", "ProgramError", "Stopped", "ApproximatorContractError",
-    "const", "INPUT", "PARAM", "reg", "succ", "Flag",
-    "Assign", "OracleCall", "ScanFirstHit", "ScanLastHitAtMost",
+    "INPUT", "PARAM", "reg", "Flag", "OracleCall", "ScanFirstHit", "ScanLastHitAtMost",
     "ScanFlagToggleUntil", "GuessCheckLoop", "ComputableSubroutine",
     "SeparationScan", "If", "Halt", "Program", "RunResult",
-    "run", "run_scripted", "replay",
+    "run", "replay",
 ]
 
 HALTED = "halted"
@@ -91,13 +90,7 @@ class ApproximatorContractError(RuntimeError):
 
 # -- expressions -------------------------------------------------------------
 #
-# Expressions are tagged tuples:
-#   ("const", value) ("input",) ("param",) ("reg", name) ("succ", expr)
-
-
-def const(value) -> tuple:
-    return ("const", value)
-
+# Expressions are tagged tuples: ("input",) ("param",) ("reg", name)
 
 INPUT = ("input",)
 PARAM = ("param",)
@@ -105,10 +98,6 @@ PARAM = ("param",)
 
 def reg(name: str) -> tuple:
     return ("reg", name)
-
-
-def succ(expr: tuple) -> tuple:
-    return ("succ", expr)
 
 
 # -- statements --------------------------------------------------------------
@@ -122,12 +111,6 @@ class Flag(Record):
             raise ProgramError("flags are bits")
         _set(self, "name", name)
         _set(self, "initial", initial)
-
-
-@same_class_eq
-class Assign(NamedTuple):
-    register: str
-    expr: tuple
 
 
 @same_class_eq
@@ -209,7 +192,7 @@ class Halt(NamedTuple):
     output: tuple
 
 
-Statement = Union[Assign, OracleCall, ScanFirstHit, ScanLastHitAtMost,
+Statement = Union[OracleCall, ScanFirstHit, ScanLastHitAtMost,
                   ScanFlagToggleUntil, GuessCheckLoop, ComputableSubroutine,
                   SeparationScan, If, Halt]
 
@@ -292,8 +275,6 @@ class _Machine:
 
     def _eval(self, expr: tuple):
         tag = expr[0]
-        if tag == "const":
-            return expr[1]
         if tag == "input":
             return self.input
         if tag == "param":
@@ -302,8 +283,6 @@ class _Machine:
             if expr[1] not in self.registers:
                 raise ProgramError(f"register {expr[1]!r} read before assignment")
             return self.registers[expr[1]]
-        if tag == "succ":
-            return successor(self._ord(self._eval(expr[1])))
         raise ProgramError(f"unknown expression tag {tag!r}")
 
     def _ord(self, value) -> Ordinal:
@@ -350,9 +329,6 @@ class _Machine:
             handler = self._HANDLERS[type(st)]
             handler(self, st)
 
-    def _do_assign(self, st: Assign):
-        self.registers[st.register] = self._eval(st.expr)
-
     def _do_halt(self, st: Halt):
         raise _Halted(self._eval(st.output))
 
@@ -374,13 +350,13 @@ class _Machine:
 
     def _do_first_hit(self, st: ScanFirstHit):
         anchor = self._ord(self._eval(st.above))
-        name, hits = self.bindings[st.slot].scan(anchor, self._tick)
+        name, hits = self.bindings[st.slot].scan(anchor)
         self.registers[st.register] = self._scan_run(
             name, hits, anchor, hits.least_above(anchor), PATTERN_FINAL_ONE)
 
     def _do_last_hit(self, st: ScanLastHitAtMost):
         bound = self._ord(self._eval(st.bound))
-        name, hits = self.bindings[st.slot].scan(ZERO, self._tick)
+        name, hits = self.bindings[st.slot].scan(ZERO)
         result = hits.greatest_at_most(bound)
         charged = successor(bound) if st.charge_closed else bound
         self._append_run(name, ZERO, bound, charged, PATTERN_ORACLE_HITS,
@@ -396,7 +372,7 @@ class _Machine:
         if all(f.initial == 0 for f in st.flags):
             self.registers[st.register] = start      # nothing to wait for
             return
-        name, hits = self.bindings[st.slot].scan(start, self._tick)
+        name, hits = self.bindings[st.slot].scan(start)
         if all(f.initial == 1 for f in st.flags):    # one toggle zeroes all
             end, pattern = hits.least_above(start), PATTERN_FINAL_ONE
         else:
@@ -445,7 +421,6 @@ class _Machine:
         self.registers[st.register] = encode_hf(HFSet(kept))
 
     _HANDLERS = {
-        Assign: _do_assign,
         Halt: _do_halt,
         If: _do_if,
         ComputableSubroutine: _do_subroutine,
@@ -476,20 +451,11 @@ def run(program: Program, input_value, bindings: Dict[str, Effectivizer],
     return _run_machine(_Machine(program, input_value, bindings, budget))
 
 
-def run_scripted(program: Program, input_value,
-                 script: Sequence, budget: int = DEFAULT_BUDGET) -> RunResult:
-    """Evaluate with every oracle slot answered from one recorded script:
-    ledger entries as extract_script() returns them, or bare response
-    values, each consumed by one pointwise call or one scan probe (charged
-    one event).  The scans run their live code, over the hit sets
-    ScriptedEffectivizer.scan() makes of the script."""
-    oracle = ScriptedEffectivizer(script)
-    bindings = {slot: oracle for slot in program.slots()}
-    return _run_machine(_Machine(program, input_value, bindings, budget))
-
-
 def replay(program: Program, input_value, result: RunResult,
            budget: int = DEFAULT_BUDGET) -> RunResult:
-    """Re-run a program against the response script of a previous result."""
-    return run_scripted(program, input_value, extract_script(result.ledger),
-                        budget)
+    """Re-run a program with every oracle slot answered from the ledger of
+    a previous result; the scans run their live code, over the hit sets
+    ScriptedEffectivizer.scan() makes of the recorded run entries."""
+    oracle = ScriptedEffectivizer(extract_script(result.ledger))
+    bindings = {slot: oracle for slot in program.slots()}
+    return _run_machine(_Machine(program, input_value, bindings, budget))

@@ -449,6 +449,23 @@ class TestRunScenario:
         assert proc.wait(timeout=120) == 1
         assert "Traceback" not in err and err == ""
 
+    def test_an_instance_over_the_walk_cap_fails_its_own_row(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        path = write_scenario(tmp_path, {
+            "reduction": "sep_via_truth", "rank": 5, "level": 3, "output": str(out_path),
+            "instances": [{"set": "{{},{{}}}", "formula": "E v0 (v0 in #0)"},
+                          {"set": "{{},{{}}}",
+                           "formula": "A v0 A v1 E v2 (v2 = v2 & #0 = #0)"}]})
+        assert run_cli("run", path) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        first, second = out.splitlines()[2:4]
+        assert first.split()[-1] == "pass" and second.split()[-1] == "FAIL"
+        assert "error: RankError: 3 quantifiers over V_5" in second
+        rows = json.loads(out_path.read_text())["instances"]
+        assert rows[0]["correct"] and rows[0]["replay_ok"] is True
+        assert rows[1]["status"].startswith("error: RankError: ")
+
     def test_report_bytes_are_stable(self, capsys, tmp_path):
         outs = [tmp_path / "r1.json", tmp_path / "r2.json"]
         path = self.scenario(tmp_path)

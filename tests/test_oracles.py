@@ -436,7 +436,8 @@ class TestTruthAndSeparation:
 
 class TestScripted:
     def test_pointwise_consumption_and_exhaustion(self):
-        sc = make_effectivizer(SCRIPTED, script=[1, 0])
+        sc = ScriptedEffectivizer((SingleEntry(ZERO, "DecCard", "5", "1", 1),
+                                   SingleEntry(ONE, "DecCard", "99", "0", 0)))
         assert answer(sc, P("5")) == 1
         assert answer(sc, P("99")) == 0
         with pytest.raises(ScriptExhausted):
@@ -480,17 +481,16 @@ class TestScripted:
     def test_scan_on_an_exhausted_script(self):
         # a live scan with no hit and no horizon ledgers nothing, so a scan
         # at the end of the script sees no hits and no horizon
-        name, hits = ScriptedEffectivizer(()).scan(ZERO, lambda: None)
+        name, hits = ScriptedEffectivizer(()).scan(ZERO)
         assert hits.least_above(ZERO) is None and hits.scan_horizon() is None
 
-    def test_scan_probes_a_pointwise_script_one_event_per_probe(self):
-        rep = ScriptedEffectivizer((SingleEntry(ZERO, "DecCard", "4", "0", 0),
-                                    SingleEntry(ONE, "DecCard", "5", "1", 1)))
-        ticks = []
-        name, hits = rep.scan(P("3"), lambda: ticks.append(1))
-        assert name == "DecCard"
-        assert render(hits.least_above(P("3"))) == "5" and len(ticks) == 2
-        assert render(hits.least_above(P("3"))) == "5" and len(ticks) == 2
+    def test_scan_at_a_single_entry_sees_no_hits_and_consumes_nothing(self):
+        rep = ScriptedEffectivizer((SingleEntry(ZERO, "DecCard", "5", "1", 1),))
+        name, hits = rep.scan(P("3"))
+        assert hits.least_above(P("3")) is None and hits.scan_horizon() is None
+        assert hits.greatest_at_most(P("5")) is None
+        assert hits.next_limit_above(P("3")) is None
+        assert rep.cursor == 0 and answer(rep, P("5")) == 1
 
     def test_scan_maps_each_run_pattern_to_a_hit_set(self):
         def seg(pattern, hits=None):
@@ -501,12 +501,12 @@ class TestScripted:
         bits = OmegaMultiplesSet()
         rep = ScriptedEffectivizer((seg(PATTERN_FINAL_ONE), seg(PATTERN_ALL_ZERO),
                                     seg(PATTERN_ORACLE_HITS, bits)))
-        name, final = rep.scan(P("3"), None)
+        name, final = rep.scan(P("3"))
         assert name == "DecCard" and final.least_above(P("3")) == OMEGA
-        _, fruitless = rep.scan(P("3"), None)
+        _, fruitless = rep.scan(P("3"))
         assert fruitless.least_above(P("3")) is None
         assert fruitless.scan_horizon() == OMEGA
-        assert rep.scan(P("3"), None) == ("DecCard", bits)
+        assert rep.scan(P("3")) == ("DecCard", bits)
 
     def _run_ledger(self):
         led = QueryLedger()

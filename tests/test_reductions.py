@@ -162,7 +162,7 @@ class TestNextCard:
         report = verify(spec, cs, [P("w*3")])
         row = report.rows[0]
         assert row.status == "diverged"
-        assert row.correct and row.replay_ok is None
+        assert row.correct and row.replay_ok is True
         assert report.passed
 
 
@@ -547,6 +547,40 @@ class TestVerifyReports:
     def test_replay_bit_is_checked_on_halting_rows(self):
         report = verify(catalog("nextcard_via_deccard"), POWERS, [P("w+1"), 4])
         assert all(row.replay_ok is True for row in report.rows)
+
+    def test_replay_bit_is_checked_on_rows_that_do_not_halt(self):
+        wide = u.explicit_list([P("w^3")], omega_power(P("w*2")))
+        diverged = verify(catalog("flagtrick"), wide, [OMEGA, P("w^3+1")])
+        over_budget = verify(catalog("ordcard_guesscheck"), POWERS,
+                             [P("w^2+5"), P("w*3+2")], budget=2)
+        rows = diverged.rows + over_budget.rows
+        assert [row.status for row in rows] == ["diverged"] * 2 + ["budget-exceeded"] * 2
+        assert all(row.replay_ok is True for row in rows)
+
+    def test_an_instance_that_raises_fails_its_own_row(self):
+        # three quantifiers over V_5 are over the walk cap: that row fails,
+        # and the row before it keeps the bytes it has on its own
+        spec = catalog("sep_via_truth", level=3, rank=5)
+        code = code_of(u.hf(), u.hf(u.hf()))
+        fits = (code, formula_index(parse_formula("E v0 (v0 in #0)")), ())
+        over = (code, formula_index(parse_formula("A v0 A v1 E v2 (v2 = v2 & #0 = #0)")), ())
+        report = verify(spec, None, [fits, over])
+        alone = verify(spec, None, [fits])
+        assert report.to_json()["instances"][0] == alone.to_json()["instances"][0]
+        assert report.rows[0].ok and not report.passed
+        row = report.rows[1]
+        assert row.status == ("error: RankError: 3 quantifiers over V_5 take "
+                              "65536^2 mask walks, over the cap of 65536")
+        assert not row.ok and row.order_type is None and row.replay_ok is None
+        assert set(report.to_json()["instances"][1]) == set(alone.to_json()["instances"][0])
+        assert "FAIL" in report.render_table()
+
+    def test_a_program_error_fails_its_own_row(self):
+        # an ordinal is not a separation triple
+        report = verify(catalog("sep_via_truth"), None, [P("3")])
+        (row,) = report.rows
+        assert row.status.startswith("error: ProgramError: input must be")
+        assert "\n" not in row.status and not report.passed
 
     def test_json_shape(self):
         report = verify(catalog("flagtrick"), MULTIPLES, [3])

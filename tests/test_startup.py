@@ -28,7 +28,7 @@ EXPORTS = (
     "OmegaMultiplesSet", "OracleTypeError", "OrdinalSet", "QueryLedger", "RunEntry",
     "ScriptedEffectivizer", "ScriptExhausted", "ScriptMismatch", "SingleEntry",
     "answer", "extract_script", "make_effectivizer",
-    "Program", "RunResult", "replay", "run", "run_scripted",
+    "Program", "RunResult", "replay", "run",
     "Approximator", "BoundForm", "CATALOG_NAMES", "CompositeEffectivizer",
     "ReductionSpec", "ReductionTypeError", "Report", "catalog", "compose",
     "delegate_spec", "verify",

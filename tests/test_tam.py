@@ -13,15 +13,14 @@ from ordq.oracles import (
     OmegaMultiplesSet,
     QueryLedger,
     ScriptMismatch,
-    extract_script,
+    SingleEntry,
     make_effectivizer,
 )
-from ordq.ordcalc import OMEGA, left_sub, omega_power, parse_ordinal as P, render
+from ordq.ordcalc import OMEGA, ZERO, left_sub, omega_power, parse_ordinal as P, render, successor
 from ordq.tam import (
     INPUT,
     PARAM,
     ApproximatorContractError,
-    Assign,
     ComputableSubroutine,
     Flag,
     GuessCheckLoop,
@@ -30,16 +29,14 @@ from ordq.tam import (
     OracleCall,
     Program,
     ProgramError,
+    RunResult,
     ScanFirstHit,
     ScanFlagToggleUntil,
     ScanLastHitAtMost,
     SeparationScan,
-    const,
     reg,
     replay,
     run,
-    run_scripted,
-    succ,
 )
 
 import tuple_model as tm
@@ -68,6 +65,19 @@ FLAG_SCAN = Program("flag-scan-two-bank", (
 
 def dec(structure):
     return {"check": make_effectivizer(DEC_CARD, structure=structure)}
+
+
+def hits(*members):
+    """A scripted oracle over the given hit set, bound to the slot "check"."""
+    return {"check": make_effectivizer(SCRIPTED, hit_set=FiniteOrdinalSet(members))}
+
+
+def recorded(*entries):
+    """A diverged result whose ledger holds the given entries, for replay."""
+    ledger = QueryLedger()
+    for entry in entries:
+        ledger.append(entry)
+    return RunResult("diverged", None, None, ledger)
 
 
 def anchors():
@@ -329,7 +339,8 @@ class TestControlFlow:
         prog = Program("finite-shortcut", (
             If(("is-finite", INPUT),
                then_branch=(Halt(INPUT),),
-               else_branch=(Assign("r", succ(INPUT)), Halt(reg("r")))),
+               else_branch=(ComputableSubroutine("succ", successor, (INPUT,), "r"),
+                            Halt(reg("r")))),
         ))
         assert render(run(prog, P("7"), {}).output) == "7"
         assert render(run(prog, P("w"), {}).output) == "w+1"
@@ -351,7 +362,7 @@ class TestControlFlow:
             run(prog, P("0"), {})
 
     def test_missing_halt(self):
-        prog = Program("no-halt", (Assign("r", const(P("1"))),))
+        prog = Program("no-halt", (ComputableSubroutine("one", lambda: P("1"), (), "r"),))
         with pytest.raises(ProgramError):
             run(prog, P("0"), {})
 
@@ -362,33 +373,29 @@ class TestControlFlow:
 
 class TestScripted:
     def test_pointwise_first_hit(self):
-        assert render(run_scripted(FIRST_HIT, P("5"), [1]).output) == "6"
-        res = run_scripted(FIRST_HIT, P("5"), [0, 0, 1])
+        assert render(run(FIRST_HIT, P("5"), hits(6)).output) == "6"
+        res = run(FIRST_HIT, P("5"), hits(8))
         assert render(res.output) == "8"
         assert render(res.ledger.total_order_type()) == "3"
 
     def test_empty_script_at_a_scan_diverges(self):
-        # the ledger of a scan that found no hit and had no horizon is empty
-        res = run_scripted(FIRST_HIT, P("5"), [])
-        assert res.status == "diverged" and res.output is None
-        res = run_scripted(FIRST_HIT, P("5"), [0, 0])
-        assert res.status == "script-exhausted" and res.output is None
+        # the ledger of a scan that found no hit and had no horizon is empty;
+        # a scan whose next script item is a single entry reads it the same way
+        for script in [(), (SingleEntry(ZERO, "DecCard", "6", "1", 1),)]:
+            res = replay(FIRST_HIT, P("5"), recorded(*script))
+            assert res.status == "diverged" and res.output is None
+            assert len(res.ledger) == 0
 
     @pytest.mark.parametrize("prog", [FIRST_HIT, FLAG_SCAN], ids=lambda p: p.name)
     def test_replay_of_a_scan_that_diverges_without_a_sweep(self, prog):
-        hits = make_effectivizer(SCRIPTED, hit_set=FiniteOrdinalSet([OMEGA]))
-        res = run(prog, P("w+1"), {"check": hits})
+        res = run(prog, P("w+1"), hits(OMEGA))
         assert res.status == "diverged" and len(res.ledger) == 0
         assert replay(prog, P("w+1"), res).same_as(res)
 
     def test_pointwise_last_hit_on_a_finite_bound(self):
-        res = run_scripted(LAST_HIT, P("3"), [1, 0, 0, 1])
+        res = run(LAST_HIT, P("3"), hits(0, 3))
         assert render(res.output) == "3"
         assert render(res.ledger.total_order_type()) == "4"
-
-    def test_pointwise_script_cannot_feed_a_transfinite_sweep(self):
-        res = run_scripted(LAST_HIT, OMEGA, [1, 0, 1])
-        assert res.status == "script-exhausted"
 
     def test_pointwise_flag_scan_all_ones(self):
         prog = Program("flag-all-ones", (
@@ -396,7 +403,7 @@ class TestScripted:
                                 flags=(Flag("a", 1),), register="r"),
             Halt(reg("r")),
         ))
-        res = run_scripted(prog, P("4"), [0, 1])
+        res = run(prog, P("4"), hits(6))
         assert render(res.output) == "6"
         assert render(res.ledger.total_order_type()) == "2"
 
@@ -405,17 +412,9 @@ class TestScripted:
             OracleCall(slot="check", arg=INPUT, register="r"),
             Halt(reg("r")),
         ))
-        res = run_scripted(prog, P("w"), [P("w^2")])
+        res = replay(prog, P("w"), recorded(SingleEntry(ZERO, "NextCard", "w", "w^2", P("w^2"))))
         assert render(res.output) == "w^2" and len(res.ledger) == 1
-
-    def test_each_probe_charges_one_event(self):
-        res = run_scripted(FIRST_HIT, P("5"), [0, 0, 0, 1], budget=2)
-        assert res.status == "budget-exceeded"
-
-    def test_pointwise_mixed_flag_bank_never_exits(self):
-        assert run_scripted(FLAG_SCAN, P("4"), [0, 1, 1]).status == "script-exhausted"
-        res = run_scripted(FLAG_SCAN, P("4"), [0, 1] * 20, budget=5)
-        assert res.status == "budget-exceeded"
+        assert replay(prog, P("w"), recorded()).status == "script-exhausted"
 
     def test_recorded_scan_rejected_at_another_window_start(self):
         source = run(FIRST_HIT, P("5"), dec(u.omega_powers(WIDE)))
@@ -429,7 +428,7 @@ class TestScripted:
         ))
         source = run(FIRST_HIT, P("w*2+1"), dec(u.omega_powers(WIDE)))
         with pytest.raises(ScriptMismatch):
-            run_scripted(prog, P("w"), extract_script(source.ledger))
+            replay(prog, P("w"), source)
 
 
 class TestReplay:
@@ -453,7 +452,7 @@ class TestReplay:
         inp = sep_input(s, "A v0 (!(v0 in #0))")
         yield SEP_PROG, inp, run(SEP_PROG, inp,
                                  {"truth": make_effectivizer(TRUTH, level=2, rank=3)})
-        yield LAST_HIT, P("3"), run_scripted(LAST_HIT, P("3"), [1, 0, 0, 1])
+        yield LAST_HIT, P("3"), run(LAST_HIT, P("3"), hits(0, 3))
 
     def test_replaying_the_recorded_script_reproduces_the_run(self):
         for prog, inp, res in self.runs():
