@@ -14,15 +14,21 @@ response pattern.  Two patterns cover hit-terminated scans ("all-0",
 "all-0-then-final-1"); scans that sweep across many positive answers, such
 as a last-hit search, use the pattern "oracle-hits", whose pointwise
 responses are the oracle's hit set restricted to the window.  Run entries
-keep that restriction as a descriptor so a recorded run can be replayed
-exactly.
+also keep the scan's exit, the ordinal where it stopped, so that a
+recorded run can be replayed exactly; the JSON does not show it.
+
+A ledger keeps two running sums as entries arrive: its end, where the last
+entry ends and the next may start, and its total order type.  While every
+entry starts where the one before ended, the first at 0, the two are one
+value and an append costs one addition; after a gap the total is summed
+apart.  total_order_type() reads the total, re-summing nothing.
 
 ScriptedEffectivizer replaces an oracle with recorded responses.  Its
 script is a previous run's ledger entries, as extract_script() returns
 them.  A single entry answers one pointwise call with its response value
-under its oracle name, and a run entry hands a scan the hit set its
-pattern records, whole: a replayed scan costs the machine the same events
-as the live one, none per probe.
+under its oracle name, and a run entry hands a scan a view of its
+recorded exit, whole: a replayed scan costs the machine the same events as
+the live one, none per probe, and asks no oracle or structure.
 """
 
 from __future__ import annotations
@@ -204,6 +210,10 @@ class SingleEntry(NamedTuple):
     def length(self) -> Ordinal:
         return ONE
 
+    def shown(self) -> tuple:
+        """What to_json shows of the entry, with its class."""
+        return (SingleEntry, self.oracle, self.query, self.response)
+
     def to_json(self) -> dict:
         return {"kind": "single", "oracle": self.oracle, "from": self.query,
                 "to": self.query, "order_type": "1", "response": self.response}
@@ -217,10 +227,15 @@ class RunEntry(NamedTuple):
     to_query: Ordinal
     order_type: Ordinal
     pattern: str
-    hits: Optional[OrdinalSet] = None
+    exit: Optional[Ordinal] = None     # where the scan stopped; None if nowhere
 
     def length(self) -> Ordinal:
         return self.order_type
+
+    def shown(self) -> tuple:
+        """What to_json shows of the entry, with its class."""
+        return (RunEntry, self.oracle, self.from_query, self.to_query,
+                self.order_type, self.pattern)
 
     def to_json(self) -> dict:
         return {"kind": "run", "oracle": self.oracle,
@@ -232,27 +247,30 @@ LedgerEntry = Union[SingleEntry, RunEntry]
 
 
 class QueryLedger:
-    """Single-writer sequence of call records with ordinal accounting."""
+    """Single-writer sequence of call records with ordinal accounting.  end
+    and the total are running sums (see the module docstring)."""
 
     def __init__(self):
         self.entries: List[LedgerEntry] = []
+        self.end: Ordinal = ZERO
+        self._total: Optional[Ordinal] = None     # None while it equals end
 
     def append(self, entry: LedgerEntry):
-        if entry.length().is_zero() and isinstance(entry, RunEntry):
+        length = entry.length()
+        if not length and isinstance(entry, RunEntry):
             raise ValueError("run intervals must be nonempty")
-        if self.entries and entry.time < self._next_time():
-            raise ValueError("ledger entries must advance in time")
+        if entry.time != self.end:
+            if entry.time < self.end:
+                raise ValueError("ledger entries must advance in time")
+            if self._total is None:
+                self._total = self.end
+        if self._total is not None:
+            self._total = add(self._total, length)
+        self.end = add(entry.time, length)
         self.entries.append(entry)
 
-    def _next_time(self) -> Ordinal:
-        last = self.entries[-1]
-        return add(last.time, last.length())
-
     def total_order_type(self) -> Ordinal:
-        total = ZERO
-        for e in self.entries:
-            total = add(total, e.length())
-        return total
+        return self.end if self._total is None else self._total
 
     def to_json(self) -> List[dict]:
         return [e.to_json() for e in self.entries]
@@ -301,16 +319,16 @@ class Effectivizer:
         self._answer = answer_fn
         self.hit_set = hit_set
 
-    def call(self, query: Any, ledger: Optional[QueryLedger],
-             time: Ordinal) -> Tuple[Any, Ordinal]:
-        """Answer one pointwise call; returns (value, elapsed order type)."""
+    def call(self, query: Any, ledger: Optional[QueryLedger], time: Ordinal) -> Any:
+        """Answer one pointwise call, ledgered at `time` when a ledger is
+        given."""
         oracle, value = self._next_answer(query)
         if ledger is not None:
             ledger.append(SingleEntry(time=time, oracle=oracle,
                                       query=summarize_query(query),
                                       response=summarize_query(value),
                                       response_value=value))
-        return value, ONE
+        return value
 
     def _next_answer(self, query: Any) -> Tuple[str, Any]:
         """One pointwise answer: (oracle name the ledger records, value)."""
@@ -330,8 +348,7 @@ class Effectivizer:
 def answer(e: Effectivizer, query: Any, ledger: Optional[QueryLedger] = None,
            time: OrdinalLike = 0) -> Any:
     """One oracle call, optionally ledgered at the given time."""
-    value, _ = e.call(query, ledger, _coerce(time))
-    return value
+    return e.call(query, ledger, _coerce(time))
 
 
 def _require(condition: bool, message: str):
@@ -458,10 +475,9 @@ class ScriptedEffectivizer(Effectivizer):
 
     Pointwise calls consume single entries in order.  A scan takes its hit
     set from scan(), so replay runs the same scan code as a live run.  A
-    run entry must start at the scan's window start; its pattern becomes
-    the hit set: "oracle-hits" the recorded hits, "all-0-then-final-1" the
-    one recorded endpoint, "all-0" no hits up to the recorded endpoint.  A
-    scan whose next item is not a run entry, or that is past the script's
+    run entry must start at the scan's window start; the scan gets a view
+    of its recorded exit, with the recorded end of its window as horizon.
+    A scan whose next item is not a run entry, or that is past the script's
     end, gets no hits and no horizon and consumes nothing, as a live scan
     that ledgered nothing had; a pointwise call past the end raises
     ScriptExhausted, and one at a run entry raises ScriptMismatch.
@@ -486,24 +502,27 @@ class ScriptedEffectivizer(Effectivizer):
     def scan(self, start):
         item = self.script[self.cursor] if self.cursor < len(self.script) else None
         if not isinstance(item, RunEntry):
-            return SCRIPTED, FiniteOrdinalSet(())
+            return SCRIPTED, _RecordedScan(None, None)
         if item.from_query != start:
             raise ScriptMismatch(
                 f"recorded scan starts at {render(item.from_query)}, not {render(start)}")
         self.cursor += 1
-        if item.pattern == PATTERN_ORACLE_HITS:
-            return item.oracle, item.hits
-        if item.pattern == PATTERN_FINAL_ONE:
-            return item.oracle, FiniteOrdinalSet((item.to_query,))
-        return item.oracle, _NoHitsUpTo(item.to_query)
+        return item.oracle, _RecordedScan(item.exit, item.to_query)
 
 
-class _NoHitsUpTo(FiniteOrdinalSet):
-    """A recorded fruitless sweep: no hits up to the recorded endpoint."""
+class _RecordedScan(OrdinalSet):
+    """A recorded scan as its replay sees it, made of recorded ordinals
+    only.  A scan asks its hit set one rank query, so each rank query
+    answers the recorded exit; the horizon is the recorded end."""
 
-    def __init__(self, horizon: Ordinal):
-        super().__init__(())
+    def __init__(self, exit: Optional[Ordinal], horizon: Optional[Ordinal]):
+        self.exit = exit
         self.horizon = horizon
+
+    def least_above(self, a):
+        return self.exit
+
+    greatest_at_most = next_limit_above = least_above
 
     def scan_horizon(self):
         return self.horizon

@@ -37,9 +37,16 @@ of a formula chain, which deepens the formula's tree.
 Values are hash-consed: Ordinal(terms) returns the value the module intern
 table holds for an equal term tuple, if any.  Each value keeps its rendered
 text, filled on the first render(), and a precomputed finiteness flag.
-Equality and comparison return at once on identical operands and skip
-exponents that are the same object.  The hash stays hash(terms), so set and
-dict orders, and the bytes of reports and ledgers, do not depend on the table.
+
+Each value also keeps an order key, built with it from its exponents' keys:
+the flat tuple (key(e1), c1, key(e2), c2, ...), and () for 0.  Python's
+tuple order on keys is the CNF order: the first term in which two normal
+forms differ decides, by its exponent and then by its coefficient, and a
+normal form that continues where the other ends is the larger.  So equality,
+compare() and the comparison operators run in C, with no Python frame per
+nesting level, and skip exponents whose keys are the same object.  The hash
+stays hash(terms), so set and dict orders, and the bytes of reports and
+ledgers, do not depend on the key or the table.
 
 The table is a plain dict of at most _INTERN_CAP (1,024) values, emptied when
 full; 0, 1 and w are put back after each clear.  It is not weak, because a
@@ -47,7 +54,7 @@ weakref and a removal callback for every short-lived value nearly doubled the
 time of arithmetic-heavy loops, and it is capped, because an unbounded table
 keeps every value and its text alive, naturals thousands of digits long
 included.  After a clear an equal value can exist twice, so identity is only
-a fast path and equality falls back to the hash and the terms.
+a fast path and equality falls back to the hash and the order key.
 
 opow refuses a finite power whose result would be a natural of more than
 _NAT_BITS_CAP bits or have more than _POW_TERM_CAP terms, and mul a product
@@ -103,7 +110,7 @@ class Ordinal:
     same object while the intern table holds it.
     """
 
-    __slots__ = ("terms", "_hash", "_text", "_finite")
+    __slots__ = ("terms", "_key", "_hash", "_text", "_finite")
 
     def __new__(cls, terms: TermTuple = ()):
         h = hash(terms)
@@ -114,7 +121,11 @@ class Ordinal:
             _interned.clear()
             _interned.update(_PINNED)
         self = object.__new__(cls)
+        key = ()
+        for e, c in terms:
+            key += (e._key, c)
         _set_terms(self, terms)
+        _set_key(self, key)
         _set_hash(self, h)
         _set_text(self, None)               # filled by the first render()
         _set_finite(self, not terms or (len(terms) == 1 and not terms[0][0].terms))
@@ -159,22 +170,30 @@ class Ordinal:
             other = _coerce_opt(other)
             if other is None:
                 return False
-        return self._hash == other._hash and self.terms == other.terms
+        return self._hash == other._hash and self._key == other._key
 
     def __ne__(self, other):
         return not self.__eq__(other)
 
     def __lt__(self, other):
-        return _cmp(self, _coerce(other)) < 0
+        if type(other) is not Ordinal:
+            other = _coerce(other)
+        return self._key < other._key
 
     def __le__(self, other):
-        return _cmp(self, _coerce(other)) <= 0
+        if type(other) is not Ordinal:
+            other = _coerce(other)
+        return self._key <= other._key
 
     def __gt__(self, other):
-        return _cmp(self, _coerce(other)) > 0
+        if type(other) is not Ordinal:
+            other = _coerce(other)
+        return self._key > other._key
 
     def __ge__(self, other):
-        return _cmp(self, _coerce(other)) >= 0
+        if type(other) is not Ordinal:
+            other = _coerce(other)
+        return self._key >= other._key
 
     def __add__(self, other):
         return _add(self, _coerce(other))
@@ -203,6 +222,7 @@ class Ordinal:
 
 # The slots' own setters: the class's __setattr__ refuses every write.
 _set_terms = Ordinal.terms.__set__
+_set_key = Ordinal._key.__set__
 _set_hash = Ordinal._hash.__set__
 _set_text = Ordinal._text.__set__
 _set_finite = Ordinal._finite.__set__
@@ -216,7 +236,7 @@ _PINNED = {o._hash: o for o in (ZERO, ONE, OMEGA)}
 
 
 def _coerce(value: OrdinalLike) -> Ordinal:
-    if isinstance(value, Ordinal):
+    if type(value) is Ordinal or isinstance(value, Ordinal):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Ordinal.from_int(value)
@@ -247,18 +267,8 @@ def omega_power(exponent: OrdinalLike, coefficient: int = 1) -> Ordinal:
 
 
 def _cmp(a: Ordinal, b: Ordinal) -> int:
-    if a is b:
-        return 0
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        if ea is not eb:
-            c = _cmp(ea, eb)
-            if c:
-                return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    la, lb = len(a.terms), len(b.terms)
-    # the longer normal form continues with strictly smaller, positive terms
-    return 0 if la == lb else (-1 if la < lb else 1)
+    ka, kb = a._key, b._key
+    return (ka > kb) - (ka < kb)
 
 
 def compare(a: OrdinalLike, b: OrdinalLike) -> int:
@@ -274,13 +284,18 @@ def _add(a: Ordinal, b: Ordinal) -> Ordinal:
     if not bt:
         return a
     at = a.terms
-    e0 = bt[0][0]
+    if b._finite and at:
+        if at[-1][0].terms:
+            return Ordinal(at + bt)
+        # a finite tail and a finite addend: sum the coefficients
+        return Ordinal(at[:-1] + ((ZERO, at[-1][1] + bt[0][1]),))
+    e0, k0 = bt[0][0], bt[0][0]._key
     # a's terms above b's leading exponent survive, the rest is absorbed
     for i, (e, c) in enumerate(at):
-        cmp = _cmp(e, e0)
-        if cmp < 0:
+        k = e._key
+        if k < k0:
             break
-        if cmp == 0:
+        if k == k0:
             return Ordinal(at[:i] + ((e0, c + bt[0][1]),) + bt[1:])
     else:
         i = len(at)

@@ -29,7 +29,6 @@ from .ordcalc import (
     InputError,
     Ordinal,
     _coerce,
-    add,
     left_sub,
     mul,
     render,
@@ -405,14 +404,14 @@ def delegate_spec(source: str, oracle_name: str,
                   reference: Callable, calls: int = 1) -> ReductionSpec:
     """A straight-line entry that answers by making `calls` pointwise calls
     and returning the last response; the one-call case is the unit reduction."""
-    body = [OracleCall(slot="o", arg=INPUT, register="r")
-            for _ in range(calls)]
-    body.append(Halt(reg("r")))
+    program = Program(f"{source.lower()}-delegate",
+                      (OracleCall(slot="o", arg=INPUT, register="r"),) * calls
+                      + (Halt(reg("r")),))
     return ReductionSpec(
         name=f"{source.lower()}_delegate_{calls}call",
         source=source, oracle=oracle_name,
         bound=BoundForm.const(calls),
-        make_program=lambda: Program(f"{source.lower()}-delegate", tuple(body)),
+        make_program=lambda: program,
         make_bindings=lambda cs: {"o": make_oracle(cs)},
         reference=reference)
 
@@ -538,8 +537,10 @@ def verify(spec: ReductionSpec, structure: Optional[CardinalStructure],
 class CompositeEffectivizer(Effectivizer):
     """Answers each pointwise call by running an inner reduction program,
     splicing the inner oracle traffic, re-timed, into the caller's ledger.
-    An inner run that does not halt stops the caller's run with its status,
-    after its traffic is spliced."""
+    The inner ledger has no gaps, so its first entry goes at the call's
+    time and each later one at the caller's ledger's end.  An inner run
+    that does not halt stops the caller's run with its status, after its
+    traffic is spliced."""
 
     def __init__(self, name: str, inner_program_factory, inner_bindings,
                  budget: int = tam.DEFAULT_BUDGET):
@@ -552,10 +553,11 @@ class CompositeEffectivizer(Effectivizer):
         res = tam.run(self._factory(), query, self._bindings, self._budget)
         if ledger is not None:
             for entry in res.ledger:
-                ledger.append(entry._replace(time=add(time, entry.time)))
+                ledger.append(entry._replace(time=time))
+                time = ledger.end
         if not res.halted:
             raise tam.Stopped(res.status)
-        return res.output, res.ledger.total_order_type()
+        return res.output
 
 
 def compose(outer: ReductionSpec, inner: ReductionSpec,

@@ -3,7 +3,10 @@
 Programs are flat statement lists over named registers.  Plain computation
 between oracle calls is free: it costs no time and leaves no ledger trace.
 The clock advances only when an oracle is consulted, one step per answered
-call, so a halting run's clock reading equals its ledger's total order type.
+call.  The clock is the ledger's end, which the ledger keeps as a running
+sum (see ordq.oracles), and a machine's ledger has no gaps, so a halting
+run's clock reading is its ledger's total order type, and neither is
+re-summed.
 
 The scan statements are where the transfinite content lives.  Instead of
 stepping through limit stages, each scan is resolved against the hit set
@@ -37,9 +40,9 @@ composed oracle raises it for an inner run that did not halt.
 
 replay re-runs a program against a previous run's ledger entries instead
 of live oracles.  It runs the same scan code as a live run: a scripted
-oracle's scan() turns each recorded run entry into a hit set.  Replaying a
-run's own ledger reproduces the run exactly, ledger included, whether or
-not it halted.
+oracle's scan() turns each recorded run entry into a view of the exit the
+entry records.  Replaying a run's own ledger reproduces the run exactly,
+ledger included, whether or not it halted, and asks no oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from ._record import Record, _set, same_class_eq
-from .ordcalc import ZERO, Ordinal, _coerce, add, left_sub, successor
+from .ordcalc import ZERO, Ordinal, _coerce, left_sub, successor
 from .universe import EMPTY_SET, HFSet, SetCode, code_elements, decode_element, decode_set, encode_hf
 from .oracles import (
     PATTERN_ALL_ZERO,
@@ -197,13 +200,15 @@ Statement = Union[OracleCall, ScanFirstHit, ScanLastHitAtMost,
                   SeparationScan, If, Halt]
 
 
-@same_class_eq
-class Program(NamedTuple):
-    name: str
-    body: Tuple[Statement, ...]
-    parameter: Ordinal = ZERO
+class Program(Record):
+    __slots__ = ("name", "body", "parameter", "_slot_names")
+    _fields = ("name", "body", "parameter")
 
-    def slots(self) -> Tuple[str, ...]:
+    def __init__(self, name: str, body: Tuple[Statement, ...],
+                 parameter: Ordinal = ZERO):
+        _set(self, "name", name)
+        _set(self, "body", body)
+        _set(self, "parameter", parameter)
         found: Dict[str, None] = {}
 
         def walk(statements):
@@ -214,8 +219,13 @@ class Program(NamedTuple):
                 elif hasattr(st, "slot"):
                     found.setdefault(st.slot)
 
-        walk(self.body)
-        return tuple(found)
+        walk(body)
+        _set(self, "_slot_names", tuple(found))
+
+    def slots(self) -> Tuple[str, ...]:
+        """The oracle slots the body names, in order of first use; the body
+        is walked once, when the program is built."""
+        return self._slot_names
 
 
 @same_class_eq
@@ -230,9 +240,12 @@ class RunResult(NamedTuple):
         return self.status == HALTED
 
     def same_as(self, other: "RunResult") -> bool:
+        """Whether other has this status, output and halt time, and ledger
+        entries that agree in every field their JSON shows: the class,
+        oracle, query or window, order type, and response or pattern."""
         return (self.status == other.status and self.output == other.output
                 and self.halt_time == other.halt_time
-                and self.ledger.to_json() == other.ledger.to_json())
+                and [e.shown() for e in self.ledger] == [e.shown() for e in other.ledger])
 
 
 # -- interpreter -------------------------------------------------------------
@@ -262,7 +275,6 @@ class _Machine:
         self.bindings = bindings
         self.budget = budget
         self.events = 0
-        self.time: Ordinal = ZERO
         self.registers: Dict[str, Any] = {}
         self.ledger = QueryLedger()
 
@@ -291,19 +303,16 @@ class _Machine:
         raise ProgramError(f"expected an ordinal, got {value!r}")
 
     def _call(self, oracle: Effectivizer, query) -> Any:
-        value, elapsed = oracle.call(query, self.ledger, self.time)
-        self.time = add(self.time, elapsed)
-        return value
+        return oracle.call(query, self.ledger, self.ledger.end)
 
     def _append_run(self, oracle_name: str, from_q: Ordinal, to_q: Ordinal,
-                    order_type: Ordinal, pattern: str, hits=None):
+                    order_type: Ordinal, pattern: str, exit: Optional[Ordinal]):
         if order_type.is_zero():
             return
-        self.ledger.append(RunEntry(time=self.time, oracle=oracle_name,
+        self.ledger.append(RunEntry(time=self.ledger.end, oracle=oracle_name,
                                     from_query=from_q, to_query=to_q,
                                     order_type=order_type, pattern=pattern,
-                                    hits=hits))
-        self.time = add(self.time, order_type)
+                                    exit=exit))
 
     def _scan_run(self, oracle_name: str, hits, start: Ordinal,
                   end: Optional[Ordinal], pattern: str) -> Ordinal:
@@ -315,8 +324,7 @@ class _Machine:
             pattern = PATTERN_ALL_ZERO                  # the sweep found no hit
         if stop is not None and stop > start:
             self._append_run(oracle_name, start, stop, left_sub(start, stop),
-                             pattern,
-                             hits=hits if pattern == PATTERN_ORACLE_HITS else None)
+                             pattern, end)
         if end is None:
             raise Stopped(DIVERGED)
         return end
@@ -359,8 +367,7 @@ class _Machine:
         name, hits = self.bindings[st.slot].scan(ZERO)
         result = hits.greatest_at_most(bound)
         charged = successor(bound) if st.charge_closed else bound
-        self._append_run(name, ZERO, bound, charged, PATTERN_ORACLE_HITS,
-                         hits=hits)
+        self._append_run(name, ZERO, bound, charged, PATTERN_ORACLE_HITS, result)
         if result is None:
             raise Stopped(DIVERGED)
         self.registers[st.register] = result
@@ -437,7 +444,7 @@ def _run_machine(m: _Machine) -> RunResult:
     try:
         m._execute(m.program.body)
     except _Halted as h:
-        return RunResult(HALTED, h.output, m.time, m.ledger)
+        return RunResult(HALTED, h.output, m.ledger.end, m.ledger)
     except Stopped as s:
         return RunResult(s.status, None, None, m.ledger)
     except ScriptExhausted:
@@ -454,8 +461,8 @@ def run(program: Program, input_value, bindings: Dict[str, Effectivizer],
 def replay(program: Program, input_value, result: RunResult,
            budget: int = DEFAULT_BUDGET) -> RunResult:
     """Re-run a program with every oracle slot answered from the ledger of
-    a previous result; the scans run their live code, over the hit sets
-    ScriptedEffectivizer.scan() makes of the recorded run entries."""
+    a previous result; the scans run their live code, over the views of
+    the recorded exits ScriptedEffectivizer.scan() makes."""
     oracle = ScriptedEffectivizer(extract_script(result.ledger))
     bindings = {slot: oracle for slot in program.slots()}
     return _run_machine(_Machine(program, input_value, bindings, budget))

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ordq import universe as u
 from ordq.logic import formula_index, parse_formula, universe_of
@@ -35,7 +36,7 @@ from ordq.oracles import (
     NotRankedError,
     summarize_query,
 )
-from ordq.ordcalc import OMEGA, ONE, ZERO, Ordinal, omega_power, parse_ordinal as P, render
+from ordq.ordcalc import OMEGA, ONE, ZERO, Ordinal, add, omega_power, parse_ordinal as P, render
 
 import tuple_model as tm
 from gen import random_ordinal
@@ -216,6 +217,14 @@ class TestFlagValue:
         assert flag_value_after(1, S, P("w")) == 0
 
 
+def resum(ledger: QueryLedger) -> Ordinal:
+    """The ledger's total order type, added up entry by entry."""
+    total = ZERO
+    for entry in ledger:
+        total = add(total, entry.length())
+    return total
+
+
 class TestLedger:
     def run_entry(self, time, from_t, to_t, ot):
         return RunEntry(time=P(time), oracle="DecCard", from_query=P(from_t),
@@ -266,6 +275,39 @@ class TestLedger:
         led = QueryLedger()
         with pytest.raises(ValueError):
             led.append(self.run_entry("0", "w", "w", "0"))
+
+    def test_the_checks_hold_after_a_gap(self):
+        led = QueryLedger()
+        led.append(self.single("w"))
+        led.append(self.run_entry("w*2", "0", "w", "w"))
+        with pytest.raises(ValueError, match="advance"):
+            led.append(self.single("w*2+5"))
+        with pytest.raises(ValueError, match="nonempty"):
+            led.append(self.run_entry("w*3", "w", "w", "0"))
+        assert len(led) == 2 and led.end == P("w*3")
+        assert led.total_order_type() == add(ONE, OMEGA) == OMEGA
+
+    @given(st.integers(0, 2**32))
+    def test_running_sums_match_a_re_summing_of_the_entries(self, seed):
+        # calls and runs at random times, with and without gaps, through
+        # answer(..., time=...) and append: end is where the last entry
+        # ends, and the total re-sums the entries' order types
+        rng = random.Random(seed)
+        oracle = make_effectivizer(SCRIPTED, hit_set=FiniteOrdinalSet([P("5")]))
+        led, time = QueryLedger(), ZERO
+        for _ in range(rng.randint(0, 6)):
+            if rng.random() < 0.5:
+                time = add(time, random_ordinal(rng, depth=2))     # a gap, maybe 0
+            if rng.random() < 0.5:
+                answer(oracle, P("5"), led, time)
+                time = add(time, ONE)
+            else:
+                length = add(random_ordinal(rng, depth=2), ONE)
+                led.append(RunEntry(time, "DecCard", ZERO, length, length,
+                                    PATTERN_ALL_ZERO))
+                time = add(time, length)
+            assert led.end == time
+            assert led.total_order_type() == resum(led)
 
     def test_json_shapes(self):
         led = QueryLedger()
@@ -493,20 +535,26 @@ class TestScripted:
         assert rep.cursor == 0 and answer(rep, P("5")) == 1
 
     def test_scan_maps_each_run_pattern_to_a_hit_set(self):
-        def seg(pattern, hits=None):
+        # every view is made of the entry's recorded ordinals alone: its exit
+        # answers the one rank query a scan asks, its end is the horizon
+        def seg(pattern, exit):
             return RunEntry(time=ZERO, oracle="DecCard", from_query=P("3"),
                             to_query=OMEGA, order_type=OMEGA, pattern=pattern,
-                            hits=hits)
+                            exit=exit)
 
-        bits = OmegaMultiplesSet()
-        rep = ScriptedEffectivizer((seg(PATTERN_FINAL_ONE), seg(PATTERN_ALL_ZERO),
-                                    seg(PATTERN_ORACLE_HITS, bits)))
+        rep = ScriptedEffectivizer((seg(PATTERN_FINAL_ONE, OMEGA),
+                                    seg(PATTERN_ALL_ZERO, None),
+                                    seg(PATTERN_ORACLE_HITS, P("5")),
+                                    seg(PATTERN_ORACLE_HITS, OMEGA)))
         name, final = rep.scan(P("3"))
         assert name == "DecCard" and final.least_above(P("3")) == OMEGA
         _, fruitless = rep.scan(P("3"))
         assert fruitless.least_above(P("3")) is None
         assert fruitless.scan_horizon() == OMEGA
-        assert rep.scan(P("3")) == ("DecCard", bits)
+        _, last_hit = rep.scan(P("3"))
+        assert last_hit.greatest_at_most(OMEGA) == P("5")
+        _, flags = rep.scan(P("3"))
+        assert flags.next_limit_above(P("3")) == OMEGA
 
     def _run_ledger(self):
         led = QueryLedger()

@@ -14,6 +14,7 @@ from ordq.ordcalc import (
 
 import tuple_model as tm
 from gen import random_ordinal
+from reference_order import terms_cmp
 
 W = OMEGA
 
@@ -371,17 +372,47 @@ class TestOrdinalType:
             assert all(c >= 1 for _, c in value.terms)
 
 
-def reference_compare(a: Ordinal, b: Ordinal) -> int:
-    """The structural comparison the identity fast paths must agree with."""
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        c = reference_compare(ea, eb)
-        if c != 0:
-            return c
-        if ca != cb:
-            return -1 if ca < cb else 1
-    if len(a.terms) == len(b.terms):
-        return 0
-    return -1 if len(a.terms) < len(b.terms) else 1
+def assert_order_agrees(a: Ordinal, b: Ordinal, want: int):
+    """compare(), _cmp, == and the four order operators all read `want`."""
+    assert compare(a, b) == _cmp(a, b) == want and compare(b, a) == -want
+    assert (a == b, a != b) == (want == 0, want != 0)
+    assert (a < b, a <= b, a > b, a >= b) == (want < 0, want <= 0, want > 0, want >= 0)
+
+
+def tower(levels: int) -> Ordinal:
+    """w^w^...^w with `levels` exponents nested above 1."""
+    a = ONE
+    for _ in range(levels):
+        a = omega_power(a)
+    return a
+
+
+class TestOrderKey:
+    def test_key_is_the_flat_term_tuple(self):
+        # (key(e1), c1, key(e2), c2, ...): w^2*3+w+4
+        assert parse_ordinal("w^2*3+w+4")._key == (((), 2), 3, ((), 1), 1, (), 4)
+        assert ZERO._key == () and ONE._key == ((), 1)
+        assert parse_ordinal("w^(w)")._key == ((((), 1), 1), 1)
+
+    @given(st.tuples(*[st.integers(0, 40)] * 3), st.tuples(*[st.integers(0, 40)] * 3))
+    def test_against_tuple_model(self, t, u):
+        assert_order_agrees(tm.to_ordinal(t), tm.to_ordinal(u), tm.t_compare(t, u))
+
+    # at 3 * NESTING_CAP levels a comparison that recursed in Python would
+    # pass the recursion limit under pytest; the keys compare in C
+    @pytest.mark.parametrize("levels", [ordcalc.NESTING_CAP, 3 * ordcalc.NESTING_CAP])
+    def test_equal_values_nested_deep_built_apart(self, levels):
+        a = tower(levels)
+        clear_intern_table()
+        b = tower(levels)
+        x, y = a, b
+        while x is not y:                   # no node is shared above OMEGA
+            assert x != OMEGA
+            (x, _), = x.terms
+            (y, _), = y.terms
+        assert x is OMEGA
+        assert_order_agrees(a, b, 0)
+        assert hash(a) == hash(b) and {a: 1}[b] == 1
 
 
 def clear_intern_table():
@@ -425,10 +456,10 @@ class TestInterning:
 
     @given(st.integers(0, 2**32), st.integers(0, 2**32))
     def test_cmp_agrees_with_the_reference(self, s1, s2):
-        a = random_ordinal(random.Random(s1), depth=3)
-        b = random_ordinal(random.Random(s2), depth=3)
+        a = random_ordinal(random.Random(s1), depth=4)
+        b = random_ordinal(random.Random(s2), depth=4)
         for x, y in ((a, b), (b, a), (a, add(a, b)), (add(b, a), b), (a, a)):
-            assert _cmp(x, y) == reference_compare(x, y) == compare(x, y)
+            assert_order_agrees(x, y, terms_cmp(x, y))
 
     def test_cmp_agrees_with_the_reference_on_rebuilt_copies(self):
         rng = random.Random(77)
@@ -437,7 +468,7 @@ class TestInterning:
         rebuilt = [parse_ordinal(render(v)) for v in values]
         for x in values:
             for y in rebuilt:
-                assert _cmp(x, y) == reference_compare(x, y)
+                assert_order_agrees(x, y, terms_cmp(x, y))
 
     def test_text_is_cached_on_the_value(self):
         a = parse_ordinal("w^(w^2+1)*3+w+1")

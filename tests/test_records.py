@@ -41,7 +41,7 @@ RECORDS = [
      "response_value=1)"),
     (oracles.RunEntry, (ZERO, "DecCard", ZERO, OMEGA, OMEGA, "all-0"),
      "RunEntry(time=Ordinal('0'), oracle='DecCard', from_query=Ordinal('0'), "
-     "to_query=Ordinal('w'), order_type=Ordinal('w'), pattern='all-0', hits=None)"),
+     "to_query=Ordinal('w'), order_type=Ordinal('w'), pattern='all-0', exit=None)"),
     (reductions.BoundForm, ("const", OMEGA),
      "BoundForm(kind='const', value=Ordinal('w'), left=None, right=None)"),
     (reductions.Approximator, ("direct-descent", len),

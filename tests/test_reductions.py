@@ -9,10 +9,21 @@ from hypothesis import given, settings, strategies as st
 from ordq import tam
 from ordq import universe as u
 from ordq.logic import TruthEnv, eval_formula, formula_from_index, formula_index, parse_formula, universe_of
-from ordq.oracles import DEC_CARD, NEXT_CARD, TRUTH, make_effectivizer, summarize_query
+from ordq.oracles import (
+    DEC_CARD,
+    NEXT_CARD,
+    TRUTH,
+    OrdinalSet,
+    QueryLedger,
+    answer,
+    make_effectivizer,
+    summarize_query,
+)
 from ordq.ordcalc import (
     OMEGA,
+    ZERO,
     Ordinal,
+    add,
     left_sub,
     mul,
     omega_power,
@@ -557,6 +568,36 @@ class TestVerifyReports:
         assert [row.status for row in rows] == ["diverged"] * 2 + ["budget-exceeded"] * 2
         assert all(row.replay_ok is True for row in rows)
 
+    def test_a_replay_over_an_edited_exit_fails_the_row(self, monkeypatch):
+        # the replay reads the exit the ledger records, so a run whose
+        # recorded exit is not the one it took fails its replay bit
+        live_run = tam.run
+
+        def run_and_edit_the_exit(program, instance, bindings, budget):
+            res = live_run(program, instance, bindings, budget)
+            entries = res.ledger.entries
+            entries[0] = entries[0]._replace(exit=successor(entries[0].exit))
+            return res
+
+        monkeypatch.setattr(tam, "run", run_and_edit_the_exit)
+        rows = [verify(catalog(name), structure, [a]).rows[0] for name, structure, a in (
+            ("nextcard_via_deccard", POWERS, P("w+1")),
+            ("ordcard_scan_naive", POWERS, P("w*2+1")),
+            ("ordcard_scan_improved", MULTIPLES, P("w*2+1")),
+            ("flagtrick", MULTIPLES, OMEGA))]
+        assert [(row.correct, row.replay_ok) for row in rows] == [(True, False)] * 4
+
+    def test_no_ledger_entry_holds_a_structure_or_a_hit_set(self):
+        for name in ("nextcard_via_deccard", "ordcard_scan_naive",
+                     "ordcard_scan_improved", "ordcard_guesscheck", "flagtrick"):
+            spec = catalog(name)
+            for structure in (POWERS, MULTIPLES, EXPLICIT):
+                for a in grid_ordinals():
+                    for entry in run_once(spec, structure, a).ledger:
+                        for value in entry:
+                            assert not isinstance(value, (u.CardinalStructure, OrdinalSet)), \
+                                (name, entry)
+
     def test_an_instance_that_raises_fails_its_own_row(self):
         # three quantifiers over V_5 are over the walk cap: that row fails,
         # and the row before it keeps the bytes it has on its own
@@ -689,6 +730,29 @@ class TestComposition:
             ("diverged", None, None)
         assert stuck.order_type == "w^(w*2)"     # the inner sweep, spliced
         assert (fine.status, fine.output_text) == ("halted", "w^3")
+
+    def test_composed_ledgers_keep_their_running_sums(self):
+        outer = delegate_spec(NEXT_CARD, NEXT_CARD,
+                              lambda cs: make_effectivizer(NEXT_CARD, structure=cs),
+                              lambda cs, a: u.next_card_of(cs, a), calls=2)
+        comp = compose(outer, catalog("nextcard_via_deccard"))
+        for structure, a in ((POWERS, P("w*2+1")), (MULTIPLES, P("w+3")), (EXPLICIT, 5)):
+            res = run_once(comp, structure, a)
+            time = ZERO
+            for entry in res.ledger:
+                assert entry.time == time
+                time = add(time, entry.length())
+            assert res.ledger.total_order_type() == res.halt_time == time
+        # called past a ledger's end, the inner entries follow the call's time
+        probe = compose(delegate_spec("Probe", DEC_CARD, None, None),
+                        deccard_delegate(3)).make_bindings(POWERS)["o"]
+        led = QueryLedger()
+        answer(probe, P("w"), led, 0)
+        assert answer(probe, P("w"), led, P("w^2")) == 1
+        assert [e.time for e in led] == [Ordinal.from_int(n) for n in range(3)] + \
+            [add(P("w^2"), n) for n in range(3)]
+        assert led.total_order_type() == Ordinal.from_int(6)
+        assert led.end == P("w^2+3")
 
     def test_composed_bound_multiplies(self):
         outer = delegate_spec("Probe", DEC_CARD,

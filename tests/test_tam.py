@@ -11,12 +11,15 @@ from ordq.oracles import (
     TRUTH,
     FiniteOrdinalSet,
     OmegaMultiplesSet,
+    PATTERN_ALL_ZERO,
+    PATTERN_ORACLE_HITS,
     QueryLedger,
+    RunEntry,
     ScriptMismatch,
     SingleEntry,
     make_effectivizer,
 )
-from ordq.ordcalc import OMEGA, ZERO, left_sub, omega_power, parse_ordinal as P, render, successor
+from ordq.ordcalc import OMEGA, ONE, ZERO, left_sub, omega_power, parse_ordinal as P, render, successor
 from ordq.tam import (
     INPUT,
     PARAM,
@@ -469,6 +472,59 @@ class TestReplay:
         for prog, inp, res in self.runs():
             if res.halted:
                 assert res.ledger.total_order_type() <= res.halt_time
+
+    def test_replay_asks_no_structure(self, monkeypatch):
+        recorded = list(self.runs())
+
+        def refuse(*args):
+            raise AssertionError("a replay asked the cardinal structure")
+
+        for query in ("is_cardinal", "card_of", "next_card_of",
+                      "next_limit_of_cardinals_above"):
+            monkeypatch.setattr(u, query, refuse)
+        for prog, inp, res in recorded:
+            assert replay(prog, inp, res).same_as(res), prog.name
+
+    def test_an_edited_exit_fails_the_replay(self):
+        edited = 0
+        for prog, inp, res in self.runs():
+            entries = res.ledger.entries
+            for i, e in enumerate(entries):
+                if isinstance(e, RunEntry):
+                    exit = e.to_query if e.exit is None else successor(e.exit)
+                    entries[i] = e._replace(exit=exit)
+                    assert not replay(prog, inp, res).same_as(res), prog.name
+                    entries[i] = e
+                    assert replay(prog, inp, res).same_as(res), prog.name
+                    edited += 1
+        assert edited == 7
+
+    def test_same_as_compares_what_the_json_shows(self):
+        single = SingleEntry(ZERO, "DecCard", "w", "1", 1)
+        scan = RunEntry(ONE, "DecCard", OMEGA, P("w*2"), OMEGA, PATTERN_ORACLE_HITS, P("w+3"))
+        base = recorded(single, scan)
+        seen = [
+            (single._replace(oracle="NextCard"), scan),
+            (single._replace(query="w+1"), scan),
+            (single._replace(response="0"), scan),
+            (RunEntry(ZERO, "DecCard", OMEGA, OMEGA, ONE, "1"), scan),  # the class
+            (single, scan._replace(oracle="NextCard")),
+            (single, scan._replace(from_query=P("w+1"))),
+            (single, scan._replace(to_query=P("w*3"))),
+            (single, scan._replace(order_type=P("w*2"))),
+            (single, scan._replace(pattern=PATTERN_ALL_ZERO)),
+            (single,),
+        ]
+        for entries in seen:
+            assert not base.same_as(recorded(*entries)), entries
+            assert not recorded(*entries).same_as(base), entries
+        unseen = [
+            (single._replace(response_value=0), scan),
+            (single, scan._replace(exit=None)),
+            (single, scan._replace(time=P("5"))),
+        ]
+        for entries in unseen:
+            assert base.same_as(recorded(*entries)), entries
 
 
 class TestFlagValueAfter:
