@@ -34,8 +34,7 @@ _EXPORTS = {
         "CardinalClassSet", "Effectivizer", "FiniteOrdinalSet",
         "NotRankedError", "OmegaMultiplesSet", "OracleTypeError", "OrdinalSet",
         "QueryLedger", "RunEntry", "ScriptedEffectivizer", "ScriptExhausted",
-        "ScriptMismatch", "SingleEntry", "answer", "extract_script",
-        "make_effectivizer",
+        "ScriptMismatch", "SingleEntry", "make_effectivizer",
     ),
     "tam": ("Program", "RunResult", "replay", "run"),
     "reductions": (

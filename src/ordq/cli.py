@@ -326,11 +326,11 @@ def _suite_oracles():
 
 
 def _suite_ledger():
-    from .oracles import QueryLedger, ScriptedEffectivizer, SingleEntry, answer, extract_script
+    from .oracles import QueryLedger, ScriptedEffectivizer, SingleEntry
     ledger = QueryLedger()
-    ledger.append(SingleEntry(parse_ordinal("0"), "X", "q", "1", 1))
+    ledger.append(SingleEntry("X", "q", "1", 1))
     _check(render(ledger.total_order_type()) == "1", "total order type of one entry")
-    _check(answer(ScriptedEffectivizer(extract_script(ledger)), 0) == 1,
+    _check(ScriptedEffectivizer(ledger).call(0) == 1,
            "a replayed entry's answer")
 
 

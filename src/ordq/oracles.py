@@ -7,34 +7,33 @@ lets the machine evaluate transfinite scans in closed form.  Those ranked
 calls are interpreter machinery and are never ledgered; the ledger records
 the order type of the pointwise calls they stand for.
 
-A QueryLedger mixes two entry shapes.  Single entries log one call at one
-time.  Run entries compress a whole scan: the window of queries it swept,
-the order type of that window (which is what the ledger totals), and a
-response pattern.  Two patterns cover hit-terminated scans ("all-0",
+A QueryLedger mixes two entry shapes.  Single entries log one call.  Run
+entries compress a whole scan: the window of queries it swept, the order
+type of that window (which is what the ledger totals), and a response
+pattern.  Two patterns cover hit-terminated scans ("all-0",
 "all-0-then-final-1"); scans that sweep across many positive answers, such
 as a last-hit search, use the pattern "oracle-hits", whose pointwise
 responses are the oracle's hit set restricted to the window.  Run entries
 also keep the scan's exit, the ordinal where it stopped, so that a
 recorded run can be replayed exactly; the JSON does not show it.
 
-A ledger keeps two running sums as entries arrive: its end, where the last
-entry ends and the next may start, and its total order type.  While every
-entry starts where the one before ended, the first at 0, the two are one
-value and an append costs one addition; after a gap the total is summed
-apart.  total_order_type() reads the total, re-summing nothing.
+Entries carry no time: each call happens at the stage equal to the order
+type of the calls before it, so the ledger's order is its only record of
+time.  A ledger keeps its total order type as a running sum, one addition
+per append, and total_order_type() reads it, re-summing nothing.
 
 ScriptedEffectivizer replaces an oracle with recorded responses.  Its
-script is a previous run's ledger entries, as extract_script() returns
-them.  A single entry answers one pointwise call with its response value
-under its oracle name, and a run entry hands a scan a view of its
-recorded exit, whole: a replayed scan costs the machine the same events as
-the live one, none per probe, and asks no oracle or structure.
+script is a previous run's ledger.  A single entry answers one pointwise
+call with its response value under its oracle name, and a run entry hands
+a scan a view of its recorded exit, whole: a replayed scan costs the
+machine the same events as the live one, none per probe, and asks no
+oracle or structure.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple, Union
 
 from ._record import same_class_eq
 from .ordcalc import (
@@ -201,7 +200,6 @@ class OmegaMultiplesSet(OrdinalSet):
 
 @same_class_eq
 class SingleEntry(NamedTuple):
-    time: Ordinal
     oracle: str
     query: str
     response: str
@@ -221,7 +219,6 @@ class SingleEntry(NamedTuple):
 
 @same_class_eq
 class RunEntry(NamedTuple):
-    time: Ordinal
     oracle: str
     from_query: Ordinal
     to_query: Ordinal
@@ -247,30 +244,22 @@ LedgerEntry = Union[SingleEntry, RunEntry]
 
 
 class QueryLedger:
-    """Single-writer sequence of call records with ordinal accounting.  end
-    and the total are running sums (see the module docstring)."""
+    """Single-writer sequence of call records; its total order type is a
+    running sum (see the module docstring)."""
 
     def __init__(self):
         self.entries: List[LedgerEntry] = []
-        self.end: Ordinal = ZERO
-        self._total: Optional[Ordinal] = None     # None while it equals end
+        self._total: Ordinal = ZERO
 
     def append(self, entry: LedgerEntry):
         length = entry.length()
         if not length and isinstance(entry, RunEntry):
             raise ValueError("run intervals must be nonempty")
-        if entry.time != self.end:
-            if entry.time < self.end:
-                raise ValueError("ledger entries must advance in time")
-            if self._total is None:
-                self._total = self.end
-        if self._total is not None:
-            self._total = add(self._total, length)
-        self.end = add(entry.time, length)
+        self._total = add(self._total, length)
         self.entries.append(entry)
 
     def total_order_type(self) -> Ordinal:
-        return self.end if self._total is None else self._total
+        return self._total
 
     def to_json(self) -> List[dict]:
         return [e.to_json() for e in self.entries]
@@ -298,7 +287,7 @@ SCRIPTED = "Scripted"
 def summarize_query(q: Any) -> str:
     if isinstance(q, Ordinal):
         return render(q)
-    if isinstance(q, int):
+    if isinstance(q, int) and not isinstance(q, bool):
         return render(Ordinal.from_int(q))
     if isinstance(q, SetCode):
         edges = sum(map(len, q._children.values()))  # builds no edge set
@@ -319,13 +308,12 @@ class Effectivizer:
         self._answer = answer_fn
         self.hit_set = hit_set
 
-    def call(self, query: Any, ledger: Optional[QueryLedger], time: Ordinal) -> Any:
-        """Answer one pointwise call, ledgered at `time` when a ledger is
+    def call(self, query: Any, ledger: Optional[QueryLedger] = None) -> Any:
+        """Answer one pointwise call, appended to the ledger when one is
         given."""
         oracle, value = self._next_answer(query)
         if ledger is not None:
-            ledger.append(SingleEntry(time=time, oracle=oracle,
-                                      query=summarize_query(query),
+            ledger.append(SingleEntry(oracle=oracle, query=summarize_query(query),
                                       response=summarize_query(value),
                                       response_value=value))
         return value
@@ -343,12 +331,6 @@ class Effectivizer:
         """The hit set a scan from `start` runs over, with the oracle name
         its ledger run carries."""
         return self.name, self.ranked()
-
-
-def answer(e: Effectivizer, query: Any, ledger: Optional[QueryLedger] = None,
-           time: OrdinalLike = 0) -> Any:
-    """One oracle call, optionally ledgered at the given time."""
-    return e.call(query, ledger, _coerce(time))
 
 
 def _require(condition: bool, message: str):
@@ -402,7 +384,7 @@ def make_effectivizer(name: str, structure: CardinalStructure = None,
 
 
 def _expect_ordinal(q) -> Ordinal:
-    if isinstance(q, (Ordinal, int)):
+    if isinstance(q, (Ordinal, int)) and not isinstance(q, bool):
         return _coerce(q)
     raise OracleTypeError(f"expected an ordinal query, got {q!r}")
 
@@ -465,13 +447,8 @@ def _sep_fn(level: int, rank: int):
 # -- scripted oracles and replay ---------------------------------------------
 
 
-def extract_script(ledger: QueryLedger) -> Tuple[LedgerEntry, ...]:
-    """The recorded response sequence of a run: its ledger's entries."""
-    return tuple(ledger.entries)
-
-
 class ScriptedEffectivizer(Effectivizer):
-    """Answers from a recorded script instead of computing.
+    """Answers from a recorded ledger instead of computing.
 
     Pointwise calls consume single entries in order.  A scan takes its hit
     set from scan(), so replay runs the same scan code as a live run.  A
@@ -483,9 +460,9 @@ class ScriptedEffectivizer(Effectivizer):
     ScriptExhausted, and one at a run entry raises ScriptMismatch.
     """
 
-    def __init__(self, script: Sequence[LedgerEntry]):
+    def __init__(self, ledger: QueryLedger):
         super().__init__(SCRIPTED, answer_fn=None, hit_set=None)
-        self.script = tuple(script)
+        self.script = ledger.entries
         self.cursor = 0
 
     def _next_answer(self, query: Any) -> Tuple[str, Any]:

@@ -6,7 +6,8 @@ ledger's total order type as a function of the input, the shape of its
 instances, its program, and an independent reference for the expected
 output.  verify() runs a batch of instances and reports, per instance:
 correctness against the reference, the charged order type, the evaluated
-bound, and whether replaying the recorded responses reproduces the run.
+bound, and whether replaying the run's ledger reproduces the run (composed
+rows and error rows are not replayed).
 
 compose() chains two entries when the outer's oracle is the inner's source:
 every pointwise call the outer program makes is expanded into a full run of
@@ -170,7 +171,7 @@ class Approximator(NamedTuple):
     name: str
     chain_for: Callable[[Ordinal], Sequence[Ordinal]]
 
-    def __call__(self, input_value, parameter):
+    def __call__(self, input_value):
         return iter(self.chain_for(input_value))
 
 
@@ -536,11 +537,9 @@ def verify(spec: ReductionSpec, structure: Optional[CardinalStructure],
 
 class CompositeEffectivizer(Effectivizer):
     """Answers each pointwise call by running an inner reduction program,
-    splicing the inner oracle traffic, re-timed, into the caller's ledger.
-    The inner ledger has no gaps, so its first entry goes at the call's
-    time and each later one at the caller's ledger's end.  An inner run
-    that does not halt stops the caller's run with its status, after its
-    traffic is spliced."""
+    appending the inner oracle traffic, entry by entry, to the caller's
+    ledger.  An inner run that does not halt stops the caller's run with
+    its status, after its traffic is appended."""
 
     def __init__(self, name: str, inner_program_factory, inner_bindings,
                  budget: int = tam.DEFAULT_BUDGET):
@@ -549,12 +548,11 @@ class CompositeEffectivizer(Effectivizer):
         self._bindings = inner_bindings
         self._budget = budget
 
-    def call(self, query, ledger, time):
+    def call(self, query, ledger=None):
         res = tam.run(self._factory(), query, self._bindings, self._budget)
         if ledger is not None:
             for entry in res.ledger:
-                ledger.append(entry._replace(time=time))
-                time = ledger.end
+                ledger.append(entry)
         if not res.halted:
             raise tam.Stopped(res.status)
         return res.output

@@ -3,10 +3,10 @@
 Programs are flat statement lists over named registers.  Plain computation
 between oracle calls is free: it costs no time and leaves no ledger trace.
 The clock advances only when an oracle is consulted, one step per answered
-call.  The clock is the ledger's end, which the ledger keeps as a running
-sum (see ordq.oracles), and a machine's ledger has no gaps, so a halting
-run's clock reading is its ledger's total order type, and neither is
-re-summed.
+call.  The clock is the ledger's total order type, which the ledger keeps
+as a running sum (see ordq.oracles): each entry is appended at the stage
+the entries before it add up to, and a halting run's halt time is the
+ledger's total, re-summed nowhere.
 
 The scan statements are where the transfinite content lives.  Instead of
 stepping through limit stages, each scan is resolved against the hit set
@@ -38,8 +38,8 @@ A run that stops without halting raises Stopped, which carries its status
 (diverged or budget-exceeded) out of the statement that stopped it; a
 composed oracle raises it for an inner run that did not halt.
 
-replay re-runs a program against a previous run's ledger entries instead
-of live oracles.  It runs the same scan code as a live run: a scripted
+replay re-runs a program against a previous run's ledger instead of live
+oracles.  It runs the same scan code as a live run: a scripted
 oracle's scan() turns each recorded run entry into a view of the exit the
 entry records.  Replaying a run's own ledger reproduces the run exactly,
 ledger included, whether or not it halted, and asks no oracle.
@@ -62,13 +62,12 @@ from .oracles import (
     ScriptExhausted,
     ScriptedEffectivizer,
     _logic,
-    extract_script,
 )
 
 __all__ = [
     "HALTED", "DIVERGED", "BUDGET_EXCEEDED", "SCRIPT_EXHAUSTED",
     "DEFAULT_BUDGET", "ProgramError", "Stopped", "ApproximatorContractError",
-    "INPUT", "PARAM", "reg", "Flag", "OracleCall", "ScanFirstHit", "ScanLastHitAtMost",
+    "INPUT", "reg", "Flag", "OracleCall", "ScanFirstHit", "ScanLastHitAtMost",
     "ScanFlagToggleUntil", "GuessCheckLoop", "ComputableSubroutine",
     "SeparationScan", "If", "Halt", "Program", "RunResult",
     "run", "replay",
@@ -93,10 +92,9 @@ class ApproximatorContractError(RuntimeError):
 
 # -- expressions -------------------------------------------------------------
 #
-# Expressions are tagged tuples: ("input",) ("param",) ("reg", name)
+# Expressions are tagged tuples: ("input",) ("reg", name)
 
 INPUT = ("input",)
-PARAM = ("param",)
 
 
 def reg(name: str) -> tuple:
@@ -157,11 +155,11 @@ class ScanFlagToggleUntil(NamedTuple):
 
 @same_class_eq
 class GuessCheckLoop(NamedTuple):
-    """guesses(input, param) yields candidates; consecutive repeats collapse
-    and the distinct values must strictly decrease."""
+    """guesses(input) yields candidates; consecutive repeats collapse and
+    the distinct values must strictly decrease."""
 
     slot: str
-    guesses: Callable[[Ordinal, Ordinal], Any]
+    guesses: Callable[[Any], Any]
     register: str
 
 
@@ -201,14 +199,12 @@ Statement = Union[OracleCall, ScanFirstHit, ScanLastHitAtMost,
 
 
 class Program(Record):
-    __slots__ = ("name", "body", "parameter", "_slot_names")
-    _fields = ("name", "body", "parameter")
+    __slots__ = ("name", "body", "_slot_names")
+    _fields = ("name", "body")
 
-    def __init__(self, name: str, body: Tuple[Statement, ...],
-                 parameter: Ordinal = ZERO):
+    def __init__(self, name: str, body: Tuple[Statement, ...]):
         _set(self, "name", name)
         _set(self, "body", body)
-        _set(self, "parameter", parameter)
         found: Dict[str, None] = {}
 
         def walk(statements):
@@ -232,19 +228,23 @@ class Program(Record):
 class RunResult(NamedTuple):
     status: str
     output: Any
-    halt_time: Optional[Ordinal]
     ledger: QueryLedger
 
     @property
     def halted(self) -> bool:
         return self.status == HALTED
 
+    @property
+    def halt_time(self) -> Optional[Ordinal]:
+        """The clock reading at the halt, None if the run did not halt."""
+        return self.ledger.total_order_type() if self.status == HALTED else None
+
     def same_as(self, other: "RunResult") -> bool:
-        """Whether other has this status, output and halt time, and ledger
-        entries that agree in every field their JSON shows: the class,
-        oracle, query or window, order type, and response or pattern."""
+        """Whether other has this status and output, and ledger entries that
+        agree in every field their JSON shows: the class, oracle, query or
+        window, order type, and response or pattern.  Equal entries have
+        equal totals, so the halt times agree too."""
         return (self.status == other.status and self.output == other.output
-                and self.halt_time == other.halt_time
                 and [e.shown() for e in self.ledger] == [e.shown() for e in other.ledger])
 
 
@@ -289,8 +289,6 @@ class _Machine:
         tag = expr[0]
         if tag == "input":
             return self.input
-        if tag == "param":
-            return self.program.parameter
         if tag == "reg":
             if expr[1] not in self.registers:
                 raise ProgramError(f"register {expr[1]!r} read before assignment")
@@ -298,21 +296,17 @@ class _Machine:
         raise ProgramError(f"unknown expression tag {tag!r}")
 
     def _ord(self, value) -> Ordinal:
-        if isinstance(value, (Ordinal, int)):
+        if isinstance(value, (Ordinal, int)) and not isinstance(value, bool):
             return _coerce(value)
         raise ProgramError(f"expected an ordinal, got {value!r}")
-
-    def _call(self, oracle: Effectivizer, query) -> Any:
-        return oracle.call(query, self.ledger, self.ledger.end)
 
     def _append_run(self, oracle_name: str, from_q: Ordinal, to_q: Ordinal,
                     order_type: Ordinal, pattern: str, exit: Optional[Ordinal]):
         if order_type.is_zero():
             return
-        self.ledger.append(RunEntry(time=self.ledger.end, oracle=oracle_name,
-                                    from_query=from_q, to_query=to_q,
-                                    order_type=order_type, pattern=pattern,
-                                    exit=exit))
+        self.ledger.append(RunEntry(oracle=oracle_name, from_query=from_q,
+                                    to_query=to_q, order_type=order_type,
+                                    pattern=pattern, exit=exit))
 
     def _scan_run(self, oracle_name: str, hits, start: Ordinal,
                   end: Optional[Ordinal], pattern: str) -> Ordinal:
@@ -353,8 +347,8 @@ class _Machine:
         self.registers[st.register] = st.fn(*values)
 
     def _do_oracle_call(self, st: OracleCall):
-        self.registers[st.register] = self._call(self.bindings[st.slot],
-                                                 self._eval(st.arg))
+        self.registers[st.register] = self.bindings[st.slot].call(
+            self._eval(st.arg), self.ledger)
 
     def _do_first_hit(self, st: ScanFirstHit):
         anchor = self._ord(self._eval(st.above))
@@ -391,7 +385,7 @@ class _Machine:
 
     def _do_guess_check(self, st: GuessCheckLoop):
         oracle = self.bindings[st.slot]
-        source = st.guesses(self.input, self.program.parameter)
+        source = st.guesses(self.input)
         last = None
         for raw in source:
             value = self._ord(raw)
@@ -402,7 +396,7 @@ class _Machine:
                     f"guess {value} does not decrease below {last}")
             last = value
             self._tick()
-            if self._call(oracle, value) == 1:
+            if oracle.call(value, self.ledger) == 1:
                 self.registers[st.register] = value
                 return
         raise Stopped(DIVERGED)
@@ -423,7 +417,7 @@ class _Machine:
         for node in code_elements(code):
             self._tick()
             x = decode_element(code, node)
-            if self._call(oracle, (k, (x,) + params)) == 1:
+            if oracle.call((k, (x,) + params), self.ledger) == 1:
                 kept.append(x)
         self.registers[st.register] = encode_hf(HFSet(kept))
 
@@ -444,11 +438,11 @@ def _run_machine(m: _Machine) -> RunResult:
     try:
         m._execute(m.program.body)
     except _Halted as h:
-        return RunResult(HALTED, h.output, m.ledger.end, m.ledger)
+        return RunResult(HALTED, h.output, m.ledger)
     except Stopped as s:
-        return RunResult(s.status, None, None, m.ledger)
+        return RunResult(s.status, None, m.ledger)
     except ScriptExhausted:
-        return RunResult(SCRIPT_EXHAUSTED, None, None, m.ledger)
+        return RunResult(SCRIPT_EXHAUSTED, None, m.ledger)
     raise ProgramError(f"program {m.program.name} ended without halting")
 
 
@@ -463,6 +457,6 @@ def replay(program: Program, input_value, result: RunResult,
     """Re-run a program with every oracle slot answered from the ledger of
     a previous result; the scans run their live code, over the views of
     the recorded exits ScriptedEffectivizer.scan() makes."""
-    oracle = ScriptedEffectivizer(extract_script(result.ledger))
+    oracle = ScriptedEffectivizer(result.ledger)
     bindings = {slot: oracle for slot in program.slots()}
     return _run_machine(_Machine(program, input_value, bindings, budget))

@@ -1,14 +1,14 @@
 """The record classes keep the contract they had as frozen dataclasses: the
 hash is the hash of the field tuple, equality holds only within one class,
-fields cannot be reassigned, and the repr is unchanged."""
+fields cannot be reassigned, and the repr is the dataclass repr."""
 
 import pytest
 
 from ordq import logic, oracles, reductions, tam, universe
-from ordq.ordcalc import OMEGA, ONE, ZERO
+from ordq.ordcalc import OMEGA, ZERO
 from ordq.universe import EMPTY_SET
 
-# (class, constructor arguments, the repr the dataclass version printed)
+# (class, constructor arguments, the repr a dataclass with these fields prints)
 RECORDS = [
     (tam.Flag, ("armed", 1), "Flag(name='armed', initial=1)"),
     (tam.OracleCall, ("o", ("input",), "r"),
@@ -32,15 +32,13 @@ RECORDS = [
      "then_branch=(Halt(output=('input',)),), else_branch=())"),
     (tam.Halt, (("reg", "r"),), "Halt(output=('reg', 'r'))"),
     (tam.Program, ("p", (tam.Halt(("input",)),)),
-     "Program(name='p', body=(Halt(output=('input',)),), parameter=Ordinal('0'))"),
-    (tam.RunResult, ("halted", OMEGA, ONE, "ledger"),
-     "RunResult(status='halted', output=Ordinal('w'), halt_time=Ordinal('1'), "
-     "ledger='ledger')"),
-    (oracles.SingleEntry, (ZERO, "DecCard", "w", "1", 1),
-     "SingleEntry(time=Ordinal('0'), oracle='DecCard', query='w', response='1', "
-     "response_value=1)"),
-    (oracles.RunEntry, (ZERO, "DecCard", ZERO, OMEGA, OMEGA, "all-0"),
-     "RunEntry(time=Ordinal('0'), oracle='DecCard', from_query=Ordinal('0'), "
+     "Program(name='p', body=(Halt(output=('input',)),))"),
+    (tam.RunResult, ("halted", OMEGA, "ledger"),
+     "RunResult(status='halted', output=Ordinal('w'), ledger='ledger')"),
+    (oracles.SingleEntry, ("DecCard", "w", "1", 1),
+     "SingleEntry(oracle='DecCard', query='w', response='1', response_value=1)"),
+    (oracles.RunEntry, ("DecCard", ZERO, OMEGA, OMEGA, "all-0"),
+     "RunEntry(oracle='DecCard', from_query=Ordinal('0'), "
      "to_query=Ordinal('w'), order_type=Ordinal('w'), pattern='all-0', exit=None)"),
     (reductions.BoundForm, ("const", OMEGA),
      "BoundForm(kind='const', value=Ordinal('w'), left=None, right=None)"),
@@ -108,9 +106,9 @@ def test_records_of_two_classes_with_equal_fields_differ():
 
 
 def test_replace_gives_a_new_record():
-    entry = oracles.SingleEntry(ZERO, "DecCard", "w", "1", 1)
-    moved = entry._replace(time=OMEGA)
-    assert moved.time == OMEGA and entry.time == ZERO
+    entry = oracles.SingleEntry("DecCard", "w", "1", 1)
+    moved = entry._replace(query="w+1")
+    assert moved.query == "w+1" and entry.query == "w"
     assert type(moved) is oracles.SingleEntry
 
 

@@ -12,10 +12,11 @@ from ordq.logic import TruthEnv, eval_formula, formula_from_index, formula_index
 from ordq.oracles import (
     DEC_CARD,
     NEXT_CARD,
+    PATTERN_ALL_ZERO,
     TRUTH,
     OrdinalSet,
     QueryLedger,
-    answer,
+    RunEntry,
     make_effectivizer,
     summarize_query,
 )
@@ -623,6 +624,14 @@ class TestVerifyReports:
         assert row.status.startswith("error: ProgramError: input must be")
         assert "\n" not in row.status and not report.passed
 
+    @pytest.mark.parametrize("bad", [True, False, 1.5])
+    def test_a_bool_instance_fails_its_own_row_as_a_float_does(self, bad):
+        report = verify(catalog("nextcard_via_deccard"), POWERS, [bad, P("5")])
+        row, fine = report.rows
+        assert row.input_text == str(bad)
+        assert row.status == f"error: ProgramError: expected an ordinal, got {bad!r}"
+        assert not row.ok and fine.ok and not report.passed
+
     def test_json_shape(self):
         report = verify(catalog("flagtrick"), MULTIPLES, [3])
         blob = report.to_json()
@@ -738,21 +747,21 @@ class TestComposition:
         comp = compose(outer, catalog("nextcard_via_deccard"))
         for structure, a in ((POWERS, P("w*2+1")), (MULTIPLES, P("w+3")), (EXPLICIT, 5)):
             res = run_once(comp, structure, a)
-            time = ZERO
+            total = ZERO
             for entry in res.ledger:
-                assert entry.time == time
-                time = add(time, entry.length())
-            assert res.ledger.total_order_type() == res.halt_time == time
-        # called past a ledger's end, the inner entries follow the call's time
+                total = add(total, entry.length())
+            assert res.ledger.total_order_type() == res.halt_time == total
+        # called on a ledger that holds entries, the inner entries follow
+        # them as the inner run recorded them
         probe = compose(delegate_spec("Probe", DEC_CARD, None, None),
                         deccard_delegate(3)).make_bindings(POWERS)["o"]
         led = QueryLedger()
-        answer(probe, P("w"), led, 0)
-        assert answer(probe, P("w"), led, P("w^2")) == 1
-        assert [e.time for e in led] == [Ordinal.from_int(n) for n in range(3)] + \
-            [add(P("w^2"), n) for n in range(3)]
-        assert led.total_order_type() == Ordinal.from_int(6)
-        assert led.end == P("w^2+3")
+        led.append(RunEntry(DEC_CARD, ZERO, P("w^2"), P("w^2"), PATTERN_ALL_ZERO))
+        assert probe.call(P("w"), led) == 1
+        inner = tam.run(deccard_delegate(3).make_program(), P("w"),
+                        deccard_delegate(3).make_bindings(POWERS))
+        assert led.entries[1:] == inner.ledger.entries
+        assert led.total_order_type() == P("w^2+3")
 
     def test_composed_bound_multiplies(self):
         outer = delegate_spec("Probe", DEC_CARD,

@@ -19,10 +19,9 @@ from ordq.oracles import (
     SingleEntry,
     make_effectivizer,
 )
-from ordq.ordcalc import OMEGA, ONE, ZERO, left_sub, omega_power, parse_ordinal as P, render, successor
+from ordq.ordcalc import OMEGA, ONE, ZERO, add, left_sub, omega_power, parse_ordinal as P, render, successor
 from ordq.tam import (
     INPUT,
-    PARAM,
     ApproximatorContractError,
     ComputableSubroutine,
     Flag,
@@ -80,7 +79,7 @@ def recorded(*entries):
     ledger = QueryLedger()
     for entry in entries:
         ledger.append(entry)
-    return RunResult("diverged", None, None, ledger)
+    return RunResult("diverged", None, ledger)
 
 
 def anchors():
@@ -266,7 +265,7 @@ class TestFlagScan:
 class TestGuessCheck:
     def prog(self, chain):
         return Program("guess-check", (
-            GuessCheckLoop(slot="check", guesses=lambda i, p: iter(chain),
+            GuessCheckLoop(slot="check", guesses=lambda i: iter(chain),
                            register="r"),
             Halt(reg("r")),
         ))
@@ -348,11 +347,11 @@ class TestControlFlow:
         assert render(run(prog, P("7"), {}).output) == "7"
         assert render(run(prog, P("w"), {}).output) == "w+1"
 
-    def test_param_and_subroutine(self):
-        prog = Program("shift-by-param", (
-            ComputableSubroutine("add", lambda a, b: a + b, (PARAM, INPUT), "r"),
+    def test_subroutine_reads_the_input(self):
+        prog = Program("shift-by-w", (
+            ComputableSubroutine("add", lambda a: OMEGA + a, (INPUT,), "r"),
             Halt(reg("r")),
-        ), parameter=P("w"))
+        ))
         assert render(run(prog, P("3"), {}).output) == "w+3"
 
     def test_unbound_slot(self):
@@ -384,7 +383,7 @@ class TestScripted:
     def test_empty_script_at_a_scan_diverges(self):
         # the ledger of a scan that found no hit and had no horizon is empty;
         # a scan whose next script item is a single entry reads it the same way
-        for script in [(), (SingleEntry(ZERO, "DecCard", "6", "1", 1),)]:
+        for script in [(), (SingleEntry("DecCard", "6", "1", 1),)]:
             res = replay(FIRST_HIT, P("5"), recorded(*script))
             assert res.status == "diverged" and res.output is None
             assert len(res.ledger) == 0
@@ -415,7 +414,7 @@ class TestScripted:
             OracleCall(slot="check", arg=INPUT, register="r"),
             Halt(reg("r")),
         ))
-        res = replay(prog, P("w"), recorded(SingleEntry(ZERO, "NextCard", "w", "w^2", P("w^2"))))
+        res = replay(prog, P("w"), recorded(SingleEntry("NextCard", "w", "w^2", P("w^2"))))
         assert render(res.output) == "w^2" and len(res.ledger) == 1
         assert replay(prog, P("w"), recorded()).status == "script-exhausted"
 
@@ -446,7 +445,7 @@ class TestReplay:
         yield FLAG_SCAN, OMEGA, run(FLAG_SCAN, OMEGA, dec(ex))      # diverges
         gc = Program("guess-check", (
             GuessCheckLoop(slot="check",
-                           guesses=lambda i, p: iter([P("w^2+3"), P("w+7"), OMEGA]),
+                           guesses=lambda i: iter([P("w^2+3"), P("w+7"), OMEGA]),
                            register="r"),
             Halt(reg("r")),
         ))
@@ -469,9 +468,13 @@ class TestReplay:
         assert a.same_as(b)
 
     def test_ledger_time_coherence(self):
+        # the halt time is the clock at the halt: the entries' order types
+        # added up in ledger order
         for prog, inp, res in self.runs():
-            if res.halted:
-                assert res.ledger.total_order_type() <= res.halt_time
+            total = ZERO
+            for entry in res.ledger:
+                total = add(total, entry.length())
+            assert res.halt_time == (total if res.halted else None), prog.name
 
     def test_replay_asks_no_structure(self, monkeypatch):
         recorded = list(self.runs())
@@ -500,14 +503,14 @@ class TestReplay:
         assert edited == 7
 
     def test_same_as_compares_what_the_json_shows(self):
-        single = SingleEntry(ZERO, "DecCard", "w", "1", 1)
-        scan = RunEntry(ONE, "DecCard", OMEGA, P("w*2"), OMEGA, PATTERN_ORACLE_HITS, P("w+3"))
+        single = SingleEntry("DecCard", "w", "1", 1)
+        scan = RunEntry("DecCard", OMEGA, P("w*2"), OMEGA, PATTERN_ORACLE_HITS, P("w+3"))
         base = recorded(single, scan)
         seen = [
             (single._replace(oracle="NextCard"), scan),
             (single._replace(query="w+1"), scan),
             (single._replace(response="0"), scan),
-            (RunEntry(ZERO, "DecCard", OMEGA, OMEGA, ONE, "1"), scan),  # the class
+            (RunEntry("DecCard", OMEGA, OMEGA, ONE, "1"), scan),  # the class
             (single, scan._replace(oracle="NextCard")),
             (single, scan._replace(from_query=P("w+1"))),
             (single, scan._replace(to_query=P("w*3"))),
@@ -521,7 +524,6 @@ class TestReplay:
         unseen = [
             (single._replace(response_value=0), scan),
             (single, scan._replace(exit=None)),
-            (single, scan._replace(time=P("5"))),
         ]
         for entries in unseen:
             assert base.same_as(recorded(*entries)), entries

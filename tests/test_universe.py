@@ -133,6 +133,17 @@ class TestStructureExamples:
         for _, cs, _, _ in STRUCTURES:
             assert next_limit_of_cardinals_above(cs, 3) == OMEGA
 
+    @pytest.mark.parametrize("a,limit", [
+        ("w^(w+1)*2+5", "w^(w*2)"),        # leading exponent w+1: a successor
+        ("w^(w^2)", "w^(w^2+w)"),          # leading exponent w^2: a limit
+    ])
+    def test_next_limit_pins_at_an_infinite_leading_exponent(self, a, limit):
+        roomy = omega_powers(parse("w^(w^3)"))
+        assert next_limit_of_cardinals_above(roomy, parse(a)) == parse(limit)
+        # a bound at the answer leaves no limit of cardinals below it
+        tight = omega_powers(parse(limit))
+        assert next_limit_of_cardinals_above(tight, parse(a)) is None
+
     def test_out_of_structure(self):
         for _, cs, _, _ in STRUCTURES:
             assert is_cardinal(cs, W3) is None
