@@ -328,7 +328,7 @@ def _suite_oracles():
 def _suite_ledger():
     from .oracles import QueryLedger, ScriptedEffectivizer, SingleEntry
     ledger = QueryLedger()
-    ledger.append(SingleEntry("X", "q", "1", 1))
+    ledger.append(SingleEntry("X", 0, 1))
     _check(render(ledger.total_order_type()) == "1", "total order type of one entry")
     _check(ScriptedEffectivizer(ledger).call(0) == 1,
            "a replayed entry's answer")

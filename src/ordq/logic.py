@@ -498,13 +498,13 @@ def eval_formula(f: Formula, env: TruthEnv) -> int:
         if position >= last:
             mask = matrix(vals)
             return mask == full if last >= 0 and prefix[last] == FORALL else mask != 0
-
-        def values():
-            for x in range(size):
-                vals[position] = x
-                yield quantify(position + 1)
-
-        return any(values()) if prefix[position] == EXISTS else all(values())
+        # E stops at the first true value, A at the first false one
+        exists = prefix[position] == EXISTS
+        for x in range(size):
+            vals[position] = x
+            if quantify(position + 1) == exists:
+                return exists
+        return not exists
 
     return int(quantify(0))
 

@@ -22,9 +22,16 @@ type of the calls before it, so the ledger's order is its only record of
 time.  A ledger keeps its total order type as a running sum, one addition
 per append, and total_order_type() reads it, re-summing nothing.
 
+Single entries hold the raw query and answer values, and their text is
+made only when the ledger is written as JSON.  Two runs agree when their
+entries agree value by value (see entries_agree): a replay decodes from the
+same code objects, so most of its values are the live run's own, and a
+set code compares whole, edges included, which its JSON text does not
+show.
+
 ScriptedEffectivizer replaces an oracle with recorded responses.  Its
 script is a previous run's ledger.  A single entry answers one pointwise
-call with its response value under its oracle name, and a run entry hands
+call with its recorded answer under its oracle name, and a run entry hands
 a scan a view of its recorded exit, whole: a replayed scan costs the
 machine the same events as the live one, none per probe, and asks no
 oracle or structure.
@@ -200,21 +207,25 @@ class OmegaMultiplesSet(OrdinalSet):
 
 @same_class_eq
 class SingleEntry(NamedTuple):
+    """One pointwise call: the oracle's name and the raw query and answer
+    values; to_json renders them with summarize_query."""
+
     oracle: str
-    query: str
-    response: str
-    response_value: Any = None
+    query: Any
+    response: Any
 
     def length(self) -> Ordinal:
         return ONE
 
     def shown(self) -> tuple:
-        """What to_json shows of the entry, with its class."""
+        """The values to_json shows of the entry, with its class."""
         return (SingleEntry, self.oracle, self.query, self.response)
 
     def to_json(self) -> dict:
-        return {"kind": "single", "oracle": self.oracle, "from": self.query,
-                "to": self.query, "order_type": "1", "response": self.response}
+        query = summarize_query(self.query)
+        return {"kind": "single", "oracle": self.oracle, "from": query,
+                "to": query, "order_type": "1",
+                "response": summarize_query(self.response)}
 
 
 @same_class_eq
@@ -299,6 +310,37 @@ def summarize_query(q: Any) -> str:
     return str(q)
 
 
+# types whose equal values have equal summarize_query text
+_BY_VALUE = frozenset({Ordinal, int, bool, str, HFSet, SetCode, type(None)})
+
+
+def same_value(a: Any, b: Any) -> bool:
+    """Whether two ledgered values agree: the same object, or equal values
+    of one type whose equal values render alike, tuples member by member.
+    Other values, and values of two types (such as 5 and the Ordinal 5),
+    agree when their summarize_query text does.  So two values whose text
+    differs never agree, and two set codes agree only when equal as codes,
+    edges included."""
+    if a is b:
+        return True
+    kind = type(a)
+    if kind is type(b):
+        if kind is tuple:
+            return len(a) == len(b) and all(map(same_value, a, b))
+        if kind in _BY_VALUE:
+            return a == b
+    return summarize_query(a) == summarize_query(b)
+
+
+def entries_agree(a: LedgerEntry, b: LedgerEntry) -> bool:
+    """Whether two ledger entries agree in what their JSON shows.  A run
+    entry's fields are ordinals and text, whose equal values render alike,
+    so they compare as they are; a single entry's values by same_value."""
+    if type(a) is RunEntry:
+        return a.shown() == b.shown()
+    return same_value(a.shown(), b.shown())
+
+
 class Effectivizer:
     """A named deterministic oracle; ranked ones carry their hit set."""
 
@@ -313,9 +355,7 @@ class Effectivizer:
         given."""
         oracle, value = self._next_answer(query)
         if ledger is not None:
-            ledger.append(SingleEntry(oracle=oracle, query=summarize_query(query),
-                                      response=summarize_query(value),
-                                      response_value=value))
+            ledger.append(SingleEntry(oracle, query, value))
         return value
 
     def _next_answer(self, query: Any) -> Tuple[str, Any]:
@@ -474,7 +514,7 @@ class ScriptedEffectivizer(Effectivizer):
         if isinstance(item, RunEntry):
             raise ScriptMismatch("pointwise call hit a recorded scan")
         self.cursor += 1
-        return item.oracle, item.response_value
+        return item.oracle, item.response
 
     def scan(self, start):
         item = self.script[self.cursor] if self.cursor < len(self.script) else None

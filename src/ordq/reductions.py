@@ -30,6 +30,7 @@ from .ordcalc import (
     InputError,
     Ordinal,
     _coerce,
+    _coerce_opt,
     left_sub,
     mul,
     render,
@@ -176,12 +177,15 @@ class Approximator(NamedTuple):
 
 
 def direct_descent(structure: CardinalStructure) -> Approximator:
-    """Two-step default: the input itself, then its cardinality."""
+    """Two-step default: the input itself, then its cardinality.  An input
+    that is no ordinal is guessed as it is, for the machine to refuse."""
 
     def chain(a):
-        a = _coerce(a)
-        c = u.card_of(structure, a)
-        return (a,) if c == a else (a, c)
+        b = _coerce_opt(a)
+        if b is None:
+            return (a,)
+        c = u.card_of(structure, b)
+        return (b,) if c == b else (b, c)
 
     return Approximator("direct-descent", chain)
 

@@ -62,6 +62,7 @@ from .oracles import (
     ScriptExhausted,
     ScriptedEffectivizer,
     _logic,
+    entries_agree,
 )
 
 __all__ = [
@@ -241,11 +242,12 @@ class RunResult(NamedTuple):
 
     def same_as(self, other: "RunResult") -> bool:
         """Whether other has this status and output, and ledger entries that
-        agree in every field their JSON shows: the class, oracle, query or
-        window, order type, and response or pattern.  Equal entries have
-        equal totals, so the halt times agree too."""
+        agree in every field their JSON shows (oracles.entries_agree): the
+        class, oracle, query or window, order type, and response or pattern.
+        Equal entries have equal totals, so the halt times agree too."""
         return (self.status == other.status and self.output == other.output
-                and [e.shown() for e in self.ledger] == [e.shown() for e in other.ledger])
+                and len(self.ledger) == len(other.ledger)
+                and all(map(entries_agree, self.ledger, other.ledger)))
 
 
 # -- interpreter -------------------------------------------------------------

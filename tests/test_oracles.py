@@ -32,6 +32,7 @@ from ordq.oracles import (
     SingleEntry,
     make_effectivizer,
     NotRankedError,
+    same_value,
     summarize_query,
 )
 from ordq.ordcalc import OMEGA, ONE, ZERO, Ordinal, add, omega_power, parse_ordinal as P, render
@@ -236,7 +237,7 @@ class TestLedger:
                         order_type=P(ot), pattern=PATTERN_ALL_ZERO)
 
     def single(self, q="w", r="1"):
-        return SingleEntry(oracle="NextCard", query=q, response=r)
+        return SingleEntry(oracle="NextCard", query=P(q), response=P(r))
 
     def test_empty_total_is_zero(self):
         assert render(QueryLedger().total_order_type()) == "0"
@@ -286,6 +287,26 @@ class TestLedger:
              "order_type": "1", "response": "w^2"},
         ]
 
+    def test_single_entries_hold_values_and_json_renders_them(self):
+        x = u.hf()
+        query = (7, (x, u.hf(x)))
+        code = u.encode_hf(u.hf(x))
+        truth = Effectivizer("TruthSigma2", lambda q: 1)
+        pot = Effectivizer(POT, u.powerset_code)
+        led = QueryLedger()
+        truth.call(query, led)
+        answer = pot.call(code, led)
+        # the entries keep the very objects of the call
+        assert led.entries[0].query is query and led.entries[0].response == 1
+        assert led.entries[1].query is code and led.entries[1].response is answer
+        assert led.to_json() == [
+            {"kind": "single", "oracle": "TruthSigma2", "from": "(7,({},{{}}))",
+             "to": "(7,({},{{}}))", "order_type": "1", "response": "1"},
+            {"kind": "single", "oracle": "Pot", "from": "code(domain=2,root=1,edges=1)",
+             "to": "code(domain=2,root=1,edges=1)", "order_type": "1",
+             "response": "code(domain=3,root=2,edges=3)"},
+        ]
+
     @pytest.mark.parametrize("text,power", [
         ("{}", False), ("{{}}", False), ("{{},{{}}}", False), ("{{},{{}}}", True)])
     def test_code_summary_counts_edges_from_the_child_map(self, text, power):
@@ -298,6 +319,49 @@ class TestLedger:
                            f"edges={len(code.edges)})")
         rebuilt = u.SetCode(code.domain, code.edges, code.root)
         assert summarize_query(rebuilt) == summary
+
+
+def _codes():
+    """Two codes with one domain, root and edge count but other edges, and
+    two equal codes built apart."""
+    pair = u.cantor_pair
+    return [u.SetCode(3, [pair(0, 1), pair(1, 2)], 2),
+            u.SetCode(3, [pair(0, 2), pair(1, 2)], 2),
+            u.encode_hf(u.hf(u.hf())), u.encode_hf(u.hf(u.hf()))]
+
+
+# ordinals and their look-alikes: ints, bools, floats, text, sets,
+# frozensets, codes, lists
+LOOKALIKES = [0, 1, 5, True, False, 0.0, -0.0, 1.0, 1.5, ZERO, ONE, P("5"), OMEGA,
+              P("w+1"), None, "1", "w", "{}", u.hf(), frozenset(), u.hf(u.hf()),
+              frozenset({u.hf()}), [1], [ONE], *_codes()]
+
+
+class TestSameValue:
+    @given(st.data())
+    def test_never_agrees_where_the_text_differs(self, data):
+        values = st.recursive(st.sampled_from(LOOKALIKES),
+                              lambda inner: st.lists(inner, max_size=3).map(tuple),
+                              max_leaves=6)
+        a, b = data.draw(values), data.draw(values)
+        if same_value(a, b):
+            assert summarize_query(a) == summarize_query(b), (a, b)
+        assert same_value(a, a)
+
+    def test_values_that_agree(self):
+        x = u.hf(u.hf())
+        assert same_value(5, P("5")) and same_value(ONE, 1)
+        assert same_value((7, (x, u.hf())), (7, (u.hf(u.hf()), u.hf())))
+        a, b = _codes()[2:]
+        assert a is not b and same_value(a, b)
+
+    def test_values_that_do_not(self):
+        one, other = _codes()[:2]
+        assert summarize_query(one) == summarize_query(other)
+        assert not same_value(one, other)
+        for a, b in [(True, 1), (1.0, 1), (-0.0, 0.0), (u.hf(), frozenset()),
+                     ((1, 2), (1, (2,))), ((ONE,), (ONE, ONE)), (OMEGA, P("w+1"))]:
+            assert not same_value(a, b) and not same_value(b, a), (a, b)
 
 
 class TestEffectivizerCatalog:
@@ -451,8 +515,8 @@ class TestTruthAndSeparation:
 
 class TestScripted:
     def test_pointwise_consumption_and_exhaustion(self):
-        sc = ScriptedEffectivizer(ledger_of(SingleEntry("DecCard", "5", "1", 1),
-                                            SingleEntry("DecCard", "99", "0", 0)))
+        sc = ScriptedEffectivizer(ledger_of(SingleEntry("DecCard", P("5"), 1),
+                                            SingleEntry("DecCard", P("99"), 0)))
         assert sc.call(P("5")) == 1
         assert sc.call(P("99")) == 0
         with pytest.raises(ScriptExhausted):
@@ -481,7 +545,7 @@ class TestScripted:
         assert replay.total_order_type() == led.total_order_type() == P("3")
 
     def test_replayed_entries_keep_original_oracle_names(self):
-        rep = ScriptedEffectivizer(ledger_of(SingleEntry("DecCard", "w", "1", 1)))
+        rep = ScriptedEffectivizer(ledger_of(SingleEntry("DecCard", OMEGA, 1)))
         led = QueryLedger()
         rep.call(P("w"), led)
         assert led.entries[0].oracle == "DecCard"
@@ -498,7 +562,7 @@ class TestScripted:
         assert hits.least_above(ZERO) is None and hits.scan_horizon() is None
 
     def test_scan_at_a_single_entry_sees_no_hits_and_consumes_nothing(self):
-        rep = ScriptedEffectivizer(ledger_of(SingleEntry("DecCard", "5", "1", 1)))
+        rep = ScriptedEffectivizer(ledger_of(SingleEntry("DecCard", P("5"), 1)))
         name, hits = rep.scan(P("3"))
         assert hits.least_above(P("3")) is None and hits.scan_horizon() is None
         assert hits.greatest_at_most(P("5")) is None

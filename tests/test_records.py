@@ -35,8 +35,8 @@ RECORDS = [
      "Program(name='p', body=(Halt(output=('input',)),))"),
     (tam.RunResult, ("halted", OMEGA, "ledger"),
      "RunResult(status='halted', output=Ordinal('w'), ledger='ledger')"),
-    (oracles.SingleEntry, ("DecCard", "w", "1", 1),
-     "SingleEntry(oracle='DecCard', query='w', response='1', response_value=1)"),
+    (oracles.SingleEntry, ("DecCard", OMEGA, 1),
+     "SingleEntry(oracle='DecCard', query=Ordinal('w'), response=1)"),
     (oracles.RunEntry, ("DecCard", ZERO, OMEGA, OMEGA, "all-0"),
      "RunEntry(oracle='DecCard', from_query=Ordinal('0'), "
      "to_query=Ordinal('w'), order_type=Ordinal('w'), pattern='all-0', exit=None)"),
@@ -106,9 +106,9 @@ def test_records_of_two_classes_with_equal_fields_differ():
 
 
 def test_replace_gives_a_new_record():
-    entry = oracles.SingleEntry("DecCard", "w", "1", 1)
-    moved = entry._replace(query="w+1")
-    assert moved.query == "w+1" and entry.query == "w"
+    entry = oracles.SingleEntry("DecCard", OMEGA, 1)
+    moved = entry._replace(query=ZERO)
+    assert moved.query == ZERO and entry.query == OMEGA
     assert type(moved) is oracles.SingleEntry
 
 

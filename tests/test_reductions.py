@@ -632,6 +632,17 @@ class TestVerifyReports:
         assert row.status == f"error: ProgramError: expected an ordinal, got {bad!r}"
         assert not row.ok and fine.ok and not report.passed
 
+    @pytest.mark.parametrize("bad", [1.5, True])
+    @pytest.mark.parametrize("name", ["ordcard_scan_naive", "ordcard_guesscheck"])
+    def test_a_non_ordinal_fails_its_own_row_in_each_ordcard_entry(self, name, bad):
+        # the guess-check's default guess source hands the instance to the
+        # machine, which refuses it as the scan's machine does
+        report = verify(catalog(name), POWERS, [bad, P("5")])
+        row, fine = report.rows
+        assert row.status == f"error: ProgramError: expected an ordinal, got {bad!r}"
+        assert not row.ok and not report.passed
+        assert fine.ok and fine.status == "halted" and fine.output_text == "5"
+
     def test_json_shape(self):
         report = verify(catalog("flagtrick"), MULTIPLES, [3])
         blob = report.to_json()

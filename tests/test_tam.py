@@ -19,7 +19,7 @@ from ordq.oracles import (
     SingleEntry,
     make_effectivizer,
 )
-from ordq.ordcalc import OMEGA, ONE, ZERO, add, left_sub, omega_power, parse_ordinal as P, render, successor
+from ordq.ordcalc import OMEGA, ONE, ZERO, Ordinal, add, left_sub, omega_power, parse_ordinal as P, render, successor
 from ordq.tam import (
     INPUT,
     ApproximatorContractError,
@@ -383,7 +383,7 @@ class TestScripted:
     def test_empty_script_at_a_scan_diverges(self):
         # the ledger of a scan that found no hit and had no horizon is empty;
         # a scan whose next script item is a single entry reads it the same way
-        for script in [(), (SingleEntry("DecCard", "6", "1", 1),)]:
+        for script in [(), (SingleEntry("DecCard", P("6"), 1),)]:
             res = replay(FIRST_HIT, P("5"), recorded(*script))
             assert res.status == "diverged" and res.output is None
             assert len(res.ledger) == 0
@@ -414,7 +414,7 @@ class TestScripted:
             OracleCall(slot="check", arg=INPUT, register="r"),
             Halt(reg("r")),
         ))
-        res = replay(prog, P("w"), recorded(SingleEntry("NextCard", "w", "w^2", P("w^2"))))
+        res = replay(prog, P("w"), recorded(SingleEntry("NextCard", OMEGA, P("w^2"))))
         assert render(res.output) == "w^2" and len(res.ledger) == 1
         assert replay(prog, P("w"), recorded()).status == "script-exhausted"
 
@@ -503,13 +503,14 @@ class TestReplay:
         assert edited == 7
 
     def test_same_as_compares_what_the_json_shows(self):
-        single = SingleEntry("DecCard", "w", "1", 1)
+        single = SingleEntry("DecCard", OMEGA, 1)
         scan = RunEntry("DecCard", OMEGA, P("w*2"), OMEGA, PATTERN_ORACLE_HITS, P("w+3"))
         base = recorded(single, scan)
         seen = [
             (single._replace(oracle="NextCard"), scan),
-            (single._replace(query="w+1"), scan),
-            (single._replace(response="0"), scan),
+            (single._replace(query=P("w+1")), scan),
+            (single._replace(response=0), scan),
+            (single._replace(response=True), scan),     # shows "True", not "1"
             (RunEntry("DecCard", OMEGA, OMEGA, ONE, "1"), scan),  # the class
             (single, scan._replace(oracle="NextCard")),
             (single, scan._replace(from_query=P("w+1"))),
@@ -522,11 +523,66 @@ class TestReplay:
             assert not base.same_as(recorded(*entries)), entries
             assert not recorded(*entries).same_as(base), entries
         unseen = [
-            (single._replace(response_value=0), scan),
+            (single._replace(query=P("w")), scan),      # equal, built apart
+            (single._replace(response=ONE), scan),      # shows "1" too
             (single, scan._replace(exit=None)),
         ]
         for entries in unseen:
             assert base.same_as(recorded(*entries)), entries
+
+
+def edited(result, index, **fields):
+    """result with the fields of its ledger entry at index replaced."""
+    ledger = QueryLedger()
+    for i, entry in enumerate(result.ledger):
+        ledger.append(entry._replace(**fields) if i == index else entry)
+    return result._replace(ledger=ledger)
+
+
+class TestRawComparison:
+    """same_as compares the values ledger entries hold, not their text."""
+
+    def test_a_separation_query_with_another_element_fails(self):
+        s = u.hf(u.hf(), u.hf(u.hf()))
+        inp = sep_input(s, "A v0 (!(v0 in #0))")
+        res = run(SEP_PROG, inp, {"truth": make_effectivizer(TRUTH, level=2, rank=3)})
+        again = replay(SEP_PROG, inp, res)
+        # the replay decodes from the same code, so it queries the same objects
+        for live, replayed in zip(res.ledger, again.ledger):
+            assert replayed.query[1][0] is live.query[1][0]
+        k, (x,) = res.ledger.entries[0].query
+        other = next(m for m in (u.hf(), u.hf(u.hf()), u.hf(u.hf(u.hf()))) if m != x)
+        changed = edited(again, 0, query=(k, (other,)))
+        assert not changed.same_as(res) and not res.same_as(changed)
+        assert edited(again, 0, query=(k, (u.HFSet(x),))).same_as(res)
+
+    def test_an_edited_ordinal_query_fails(self):
+        count = 0
+        for prog, inp, res in TestReplay().runs():
+            for i, entry in enumerate(res.ledger):
+                if isinstance(entry, SingleEntry) and isinstance(entry.query, Ordinal):
+                    changed = edited(res, i, query=successor(entry.query))
+                    assert not changed.same_as(res), prog.name
+                    assert edited(res, i).same_as(res), prog.name
+                    count += 1
+        assert count == 3
+
+    def test_a_pot_query_with_other_edges_fails(self):
+        from ordq.reductions import catalog
+        spec = catalog("powercard_via_pot", count_only=True)
+        code = u.encode_hf(u.parse_hf("{{},{{{}}}}"))
+        # the same domain, root and edge count, other edges
+        lookalike = u.encode_hf(u.parse_hf("{{{},{{}}}}"))
+        assert (code.domain, code.root, len(code.edges)) == \
+            (lookalike.domain, lookalike.root, len(lookalike.edges))
+        assert code != lookalike
+        res = run(spec.make_program(), code, spec.make_bindings(None))
+        assert res.ledger.entries[0].query is code
+        changed = edited(res, 0, query=lookalike)
+        # the text comparison let this pair pass: the JSON is the same
+        assert changed.ledger.to_json() == res.ledger.to_json()
+        assert not changed.same_as(res) and not res.same_as(changed)
+        assert edited(res, 0, query=u.encode_hf(u.parse_hf("{{},{{{}}}}"))).same_as(res)
 
 
 class TestFlagValueAfter:
