@@ -459,7 +459,7 @@ def _truth_fn(level: int, rank: int):
     logic = _checked_logic(level, rank)
 
     def truth(q):
-        if not (isinstance(q, tuple) and len(q) == 2 and isinstance(q[0], int)
+        if not (isinstance(q, tuple) and len(q) == 2 and type(q[0]) is int
                 and isinstance(q[1], tuple)):
             raise OracleTypeError(f"expected (index, params) query, got {q!r}")
         k, params = q
@@ -472,7 +472,8 @@ def _sep_fn(level: int, rank: int):
     logic = _checked_logic(level, rank)
 
     def sep(q):
-        if not (isinstance(q, tuple) and len(q) == 3 and isinstance(q[1], int)):
+        if not (isinstance(q, tuple) and len(q) == 3 and type(q[1]) is int
+                and isinstance(q[2], tuple)):
             raise OracleTypeError(f"expected (code, index, param codes) query, got {q!r}")
         code_s, k, param_codes = q
         s = decode_set(_expect_code(code_s))

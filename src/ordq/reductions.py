@@ -223,11 +223,13 @@ def _minimal_well_order_length(power_code: SetCode, relations_code: SetCode) -> 
     """Scan every relation for well-orderings of the power set and return the
     shortest length found.
 
-    Only the small power set is decoded.  Each distinct member node of the
-    relations is decoded once and mapped to bit i*n+j when it is the pair
+    Only the small power set is decoded.  Every relation's member count is
+    read from the relations code's child map, and only the relations with
+    n(n-1)/2 members can be strict total orders.  Each distinct member node
+    of those is decoded once and mapped to bit i*n+j when it is the pair
     (i, j), or to the stray bit above all pairs when it is not a pair; a
-    relation is then the sum of its members' bits, read from the relations
-    code's child map, and its n rows are tested with int operations."""
+    relation is then the sum of its members' bits, and its n rows are tested
+    with int operations."""
     elements = list(u.decode_set(power_code))
     n = len(elements)
     stray = 1 << (n * n)
@@ -236,18 +238,21 @@ def _minimal_well_order_length(power_code: SetCode, relations_code: SetCode) -> 
               for j, b in enumerate(elements)}
     relations = u.code_elements(relations_code)
     children = relations_code._children
-    members = set().union(*(children.get(r, ()) for r in relations))
+    # an irreflexive transitive relation is asymmetric, so it is total
+    # exactly when it holds one pair of each of the n(n-1)/2 two-element
+    # sets; distinct member nodes are distinct sets, so a relation with that
+    # many members and no stray one holds that many pairs
+    total_pairs = n * (n - 1) // 2
+    sized = [kids for kids in (children.get(r, ()) for r in relations)
+             if len(kids) == total_pairs]
     bit = {node: bit_of.get(u.decode_element(relations_code, node), stray)
-           for node in members}
+           for node in set().union(*sized)}
     diagonal = sum(1 << (i * n + i) for i in range(n))
     full_row = (1 << n) - 1
-    # an irreflexive transitive relation is asymmetric, so it is total
-    # exactly when it holds one pair of each of the n(n-1)/2 two-element sets
-    total_pairs = n * (n - 1) // 2
     found = False
-    for relation in relations:
-        pairs = sum(map(bit.__getitem__, children.get(relation, ())))
-        if pairs >= stray or pairs & diagonal or pairs.bit_count() != total_pairs:
+    for kids in sized:
+        pairs = sum(map(bit.__getitem__, kids))
+        if pairs >= stray or pairs & diagonal:
             continue
         if _is_transitive([(pairs >> (i * n)) & full_row for i in range(n)]):
             # finite strict total orders are exactly the well-orderings

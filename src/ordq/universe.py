@@ -562,7 +562,9 @@ def powerset_code(code: SetCode) -> SetCode:
 def validate_code(code: SetCode) -> int:
     """1 if the code is a well-formed extensional well-founded membership
     graph in which every edge-touched node reaches the root, else 0.  The
-    verdict is worked out once per code object."""
+    verdict is worked out once per code object: in one sweep down the
+    owners when every member lies below its owner, else by a depth-first
+    search from the root."""
     return code._verdict
 
 
@@ -574,6 +576,8 @@ def _check_code(code: SetCode) -> int:
     if "_children" not in code.__dict__ and min(code.edges, default=0) < 0:
         return 0
     children = code._children
+    if all(kids[-1] < y for y, kids in children.items()):
+        return _sweep_code(code.root, children)
     touched = set(children).union(*children.values())
     if touched and not (0 <= min(touched) and max(touched) < code.domain):
         return 0
@@ -601,6 +605,27 @@ def _check_code(code: SetCode) -> int:
     # extensional: no two present nodes share the same member set
     member_sets = {children.get(node, ()) for node in state}
     return int(len(member_sets) == len(state))
+
+
+def _sweep_code(root: int, children: Dict[int, Tuple[int, ...]]) -> int:
+    """_check_code for a code whose members all lie below their owners, as
+    in every code encode_hf and powerset_code build.  Such a code has no
+    cycle, and an owner can be reached only from owners above it, so one
+    sweep down the owners marks the root's transitive closure: an owner not
+    marked when the sweep gets to it is touched and never reached."""
+    reached = {root}
+    for y in sorted(children, reverse=True):
+        if y not in reached:
+            return 0
+        reached.update(children[y])
+    # every touched node is now reached, and none lies above the root,
+    # which is in the domain; only a negative id can fall outside it
+    if min(reached) < 0:
+        return 0
+    # extensional: the owners' member sets differ, and at most one reached
+    # node (the empty set) has none
+    return int(len(set(children.values())) == len(children)
+               and len(reached) - len(children) <= 1)
 
 
 def _decode_node(code: SetCode, node: int) -> HFSet:
@@ -635,9 +660,12 @@ def code_elements(code: SetCode) -> List[int]:
 
 
 def decode_element(code: SetCode, node: int) -> HFSet:
-    """Decode a single node of a valid code; InvalidCodeError on bad codes."""
+    """Decode a single node of a valid code; InvalidCodeError on bad codes,
+    and on a node that is not an int or a finite Ordinal in the domain."""
     if not validate_code(code):
         raise InvalidCodeError("not a valid membership code")
+    if type(node) is not int:
+        node = _as_nat(node, "node")
     if not (0 <= node < code.domain):
         raise InvalidCodeError(f"node {node} outside domain {code.domain}")
     return _decode_node(code, node)

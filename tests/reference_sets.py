@@ -9,7 +9,8 @@ package's three ranked sets and for HitsBetween views of them; register it
 for another class to feed that class to the reference.
 
 hf_powerset is the power set built from HFSet values, the reference that
-universe.powerset_code is checked against.
+universe.powerset_code is checked against, and reference_validate_code is
+universe.validate_code read off its definition.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from ordq.universe import (
     CardinalStructure,
     HFSet,
     PowersetCapError,
+    SetCode,
 )
 
 
@@ -185,3 +187,30 @@ def hf_powerset(s: HFSet) -> HFSet:
     for e in s:
         subsets += [HFSet(sub | {e}) for sub in subsets]
     return HFSet(subsets)
+
+
+def reference_validate_code(code: SetCode) -> int:
+    """validate_code on the code's child map, by its definition: the root
+    and every node an edge touches lie in the domain; every touched node is
+    in the root's transitive closure; peeling off, round by round, the
+    closure's nodes whose members are all peeled peels the whole closure
+    (there is no cycle); and no two nodes of the closure have the same
+    members."""
+    members = code._children
+    touched = set(members).union(*members.values())
+    if not all(0 <= n < code.domain for n in touched | {code.root}):
+        return 0
+    closure = frontier = {code.root}
+    while frontier:
+        frontier = {x for y in frontier for x in members.get(y, ())} - closure
+        closure = closure | frontier
+    if not touched <= closure:
+        return 0
+    peeled = set()
+    ready = {n for n in closure if n not in members}
+    while ready:
+        peeled |= ready
+        ready = {n for n in closure - peeled if peeled.issuperset(members[n])}
+    if peeled != closure:
+        return 0
+    return int(len({frozenset(members.get(n, ())) for n in closure}) == len(closure))

@@ -414,6 +414,22 @@ class TestEffectivizerCatalog:
         with pytest.raises(OracleTypeError):
             make_effectivizer(DEC_CARD)
 
+    def test_a_bool_index_or_a_list_of_params_is_refused(self):
+        # either would be answered and ledgered as Python text, not as a
+        # query: a SetCode(...) repr in a list, or (True,(...))
+        code = u.encode_hf(u.hf(u.hf()))
+        sep = make_effectivizer(SEP, level=1, rank=3)
+        truth = make_effectivizer(TRUTH, level=1, rank=3)
+        led = QueryLedger()
+        for oracle, q in ((sep, (code, 0, [u.encode_hf(u.hf())])), (sep, (code, True, ())),
+                          (truth, (True, (u.hf(),))), (truth, (0, [u.hf()]))):
+            with pytest.raises(OracleTypeError, match="expected"):
+                oracle.call(q, led)
+        assert led.entries == []
+        sep.call((code, 0, (u.encode_hf(u.hf()),)), led)
+        truth.call((0, (u.hf(),)), led)
+        assert len(led.entries) == 2
+
     @pytest.mark.parametrize("name", [DEC_CARD, NEXT_CARD, ORD_CARD])
     def test_a_bool_query_is_refused_as_a_float_is(self, name):
         oracle = make_effectivizer(name, structure=self.CS)

@@ -474,6 +474,28 @@ class TestWellOrderSearch:
         whole = u.encode_hf(u.hf(u.HFSet(order | {u.EMPTY_SET}), u.HFSet(order)))
         assert _minimal_well_order_length(power, whole) == Ordinal.from_int(4)
 
+    @pytest.mark.parametrize("change", ["stray", "diagonal", "one-more", "one-fewer"])
+    def test_the_member_count_filter(self, change):
+        # only relations with n(n-1)/2 = 6 members are read past their count:
+        # a stray member or a diagonal pair can fill that count, and a
+        # relation of 7 or 5 members never reaches the bit rows
+        power = code_of(*V3)
+        pair = lambda i, j: u.kuratowski(V3[i], V3[j])
+        order = {pair(i, j) for i in range(4) for j in range(i + 1, 4)}
+        changed = {
+            "stray": order - {pair(0, 1)} | {u.EMPTY_SET},
+            "diagonal": order - {pair(0, 1)} | {pair(2, 2)},
+            "one-more": order | {pair(3, 0)},
+            "one-fewer": order - {pair(0, 1)},
+        }[change]
+        assert len(changed) - len(order) == {"one-more": 1, "one-fewer": -1}.get(change, 0)
+        for relations in (u.hf(u.HFSet(changed)), u.hf(u.HFSet(changed), u.HFSet(order))):
+            code = u.encode_hf(relations)
+            want = search_outcome(reference_minimal_well_order_length, power, code)
+            assert search_outcome(_minimal_well_order_length, power, code) == want
+            assert want == ("no well-ordering among the relations" if len(relations) == 1
+                            else Ordinal.from_int(4))
+
 
 def brute_separation(triple, rank=3):
     code, k, param_codes = triple
@@ -623,6 +645,16 @@ class TestVerifyReports:
         (row,) = report.rows
         assert row.status.startswith("error: ProgramError: input must be")
         assert "\n" not in row.status and not report.passed
+
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_a_bool_formula_index_fails_its_own_row(self, bad):
+        # the separation oracle of the reference refuses the query shape
+        code = code_of(u.hf(), u.hf(u.hf()))
+        fine = (code, formula_index(parse_formula("E v0 (v0 in #0)")), ())
+        report = verify(catalog("sep_via_truth"), None, [(code, bad, ()), fine])
+        row, kept = report.rows
+        assert row.status.startswith("error: OracleTypeError: expected (code, index, param codes)")
+        assert not row.ok and kept.ok and not report.passed
 
     @pytest.mark.parametrize("bad", [True, False, 1.5])
     def test_a_bool_instance_fails_its_own_row_as_a_float_does(self, bad):

@@ -51,7 +51,7 @@ from ordq.universe import (
     validate_code,
 )
 
-from reference_sets import hf_powerset, sup_of_cardinals_below
+from reference_sets import hf_powerset, reference_validate_code, sup_of_cardinals_below
 from tuple_model import Trip, grid, to_ordinal
 
 W3 = omega_power(3)
@@ -458,6 +458,14 @@ class TestSetCode:
         with pytest.raises(InvalidCodeError):
             decode_set(code)
 
+    @pytest.mark.parametrize("node", [True, False, 1.0, 0.5, "1", None])
+    def test_decode_element_takes_only_int_nodes(self, node):
+        # True and 1.0 decoded node 1, as if they were the int
+        code = encode_hf(parse_hf("{{},{{}}}"))
+        with pytest.raises(InvalidCodeError, match="SetCode node takes ints"):
+            decode_element(code, node)
+        assert decode_element(code, Ordinal.from_int(1)) == decode_element(code, 1)
+
     def test_decode_element_rejects_an_invalid_code(self):
         # node 2 sits on a cycle the root 0 does not reach
         code = SetCode(3, [cantor_pair(1, 2), cantor_pair(2, 1)], 0)
@@ -744,6 +752,89 @@ def permuted(code: SetCode, rng: random.Random, extra: int = 0) -> SetCode:
 def assert_same_code(got: SetCode, want: SetCode):
     assert (got.domain, got.root, got.edges) == (want.domain, want.root, want.edges)
     assert got._children == want._children      # member tuples ascend too
+
+
+def members_below_owners(code: SetCode) -> bool:
+    """Whether validate_code takes the code in one descending sweep, as it
+    does every code the encoders build, rather than by search."""
+    return all(kids[-1] < y for y, kids in code._children.items())
+
+
+def code_from_children(domain: int, root: int, children) -> SetCode:
+    """A code with the given child map, from packed edges; a child map with
+    a negative id packs no edge of it, so that code is built from the map."""
+    children = {y: tuple(sorted(set(kids))) for y, kids in children.items() if kids}
+    if any(x < 0 for kids in children.values() for x in kids):
+        return universe._built_code(domain, root, children, {})
+    return SetCode(domain, [cantor_pair(x, y) for y, kids in children.items() for x in kids],
+                   root)
+
+
+def shifted(children, by: int):
+    return {y + by: [x + by for x in kids] for y, kids in children.items()}
+
+
+# flaw -> (domain, root, child map) -> the flawed code's fields; the flaws
+# in SWEPT_FLAWS keep every member below its owner
+FLAWS = {
+    "none": lambda d, r, ch: (d, r, ch),
+    "self-loop": lambda d, r, ch: (d, r, {**ch, r: [*ch.get(r, ()), r]}),
+    "two-cycle": lambda d, r, ch: (d, r, {**ch, min(ch.get(r, [r])): [r]}),
+    "unreached-owner": lambda d, r, ch: (d + 1, r, {**ch, d: [0]}),
+    # a new root over a new empty node 0 and the old root, whose closure
+    # holds the old empty node
+    "two-empty-nodes": lambda d, r, ch: (d + 2, d + 1, {**shifted(ch, 1), d + 1: [0, r + 1]}),
+    # a new root over the old one and a new node with the old root's members
+    "duplicate-members": lambda d, r, ch: (d + 2, d + 1, {**ch, d: ch.get(r, ()),
+                                                          d + 1: [r, d]}),
+    "negative-member": lambda d, r, ch: (d, r, {**ch, r: [-1, *ch.get(r, ())]}),
+    "member-outside-domain": lambda d, r, ch: (d, r, {**ch, r: [*ch.get(r, ()), d]}),
+}
+SWEPT_FLAWS = {"none", "unreached-owner", "two-empty-nodes", "duplicate-members",
+               "negative-member"}
+
+
+class TestSweepAgreesWithSearch:
+    """validate_code sweeps a code whose members all lie below their owners
+    and searches any other; both must give reference_validate_code's
+    verdict."""
+
+    @staticmethod
+    def check_flawed(base: SetCode, flaw: str, seed: int, extra: int):
+        code = code_from_children(*FLAWS[flaw](base.domain, base.root,
+                                               dict(base._children)))
+        assert members_below_owners(code) == (flaw in SWEPT_FLAWS)
+        assert validate_code(code) == reference_validate_code(code) == (flaw == "none")
+        if flaw in ("negative-member", "member-outside-domain") or not code._children:
+            return      # permuted renames only the ids in the domain
+        # shuffle the ids until some edge points up, so that the search runs
+        rng = random.Random(seed)
+        for _ in range(50):
+            shuffled = permuted(code, rng, extra)
+            if not members_below_owners(shuffled):
+                break
+        assert not members_below_owners(shuffled)
+        assert validate_code(shuffled) == reference_validate_code(shuffled) == (flaw == "none")
+
+    @pytest.mark.parametrize("flaw", sorted(FLAWS))
+    @pytest.mark.parametrize("text", ["{}", "{{}}", "{{},{{}}}", "{{{}},{{},{{}}}}"])
+    def test_each_flaw_pin(self, text, flaw):
+        self.check_flawed(encode_hf(parse_hf(text)), flaw, seed=1, extra=1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 15), max_size=5, unique=True),
+           st.sampled_from(sorted(FLAWS)), st.integers(0, 2 ** 32), st.integers(0, 2))
+    def test_on_flawed_codes_and_their_shuffles(self, picks, flaw, seed, extra):
+        v4 = universe_of(4)
+        self.check_flawed(encode_hf(HFSet(v4[i] for i in picks)), flaw, seed, extra)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(-1, 6),
+           st.dictionaries(st.integers(0, 7), st.lists(st.integers(-1, 7), min_size=1,
+                                                       max_size=4), max_size=6))
+    def test_on_random_child_maps(self, domain, root, children):
+        code = code_from_children(domain, root, children)
+        assert validate_code(code) == reference_validate_code(code)
 
 
 # {0, 1}, V_3 = {0, 1, {1}, 2} and 3 have members that are also subsets of
