@@ -42,6 +42,10 @@ innermost E asks for a nonzero mask and the innermost A for a full one, so
 q quantifiers cost n^(q-1) mask walks instead of n^q walks down the
 matrix.  An evaluation needing more than 65,536 walks (rank 5 with three
 quantifiers, rank 4 with six) raises RankError before it starts.
+
+The truth oracles' answers (_sigma_truth) are memoized, 32 at a time.  The
+separation reference asks the very queries the run's truth oracle asked,
+so it re-reads the run's truth values instead of evaluating them again.
 """
 
 from __future__ import annotations
@@ -509,10 +513,19 @@ def eval_formula(f: Formula, env: TruthEnv) -> int:
     return int(quantify(0))
 
 
+# one rank-4 separation verdict asks at most |V_4| = 16 queries, so the
+# reference's lookups find what the run just computed
+@functools.lru_cache(maxsize=32)
 def _sigma_truth(f: Formula, level: int, rank: int, params: Tuple[HFSet, ...]) -> int:
     """The answer of a level-`level` truth oracle over V_rank: 0 for a
     formula above the level or taking another number of parameters, else
-    f's truth value.  The oracles and the separation reference share it."""
+    f's truth value.  The oracles and the separation reference share it.
+
+    A pure function of its arguments, so memoized: the separation reference
+    asks the run's own queries and re-reads the run's truth values.  That
+    checks no less than evaluating them again, which would run this same
+    code on the same arguments; the tests check the evaluator against an
+    independent one."""
     if classify_level(f) > level or f.num_params != len(params):
         return 0
     return eval_formula(f, TruthEnv(rank, params))

@@ -301,7 +301,10 @@ def summarize_query(q: Any) -> str:
     if isinstance(q, int) and not isinstance(q, bool):
         return render(Ordinal.from_int(q))
     if isinstance(q, SetCode):
-        edges = sum(map(len, q._children.values()))  # builds no edge set
+        # a built code's child map gives the count without an edge set; a
+        # code given by its edges is not unpacked, as its edges may be invalid
+        children = q.__dict__.get("_children")
+        edges = len(q.edges) if children is None else sum(map(len, children.values()))
         return f"code(domain={q.domain},root={q.root},edges={edges})"
     if isinstance(q, tuple):
         return "(" + ",".join(summarize_query(x) for x in q) + ")"
@@ -426,13 +429,13 @@ def make_effectivizer(name: str, structure: CardinalStructure = None,
 def _expect_ordinal(q) -> Ordinal:
     if isinstance(q, (Ordinal, int)) and not isinstance(q, bool):
         return _coerce(q)
-    raise OracleTypeError(f"expected an ordinal query, got {q!r}")
+    raise OracleTypeError(f"expected an ordinal query, got {summarize_query(q)}")
 
 
 def _expect_code(q) -> SetCode:
     if isinstance(q, SetCode):
         return q
-    raise OracleTypeError(f"expected a set code query, got {q!r}")
+    raise OracleTypeError(f"expected a set code query, got {summarize_query(q)}")
 
 
 @functools.cache
@@ -459,9 +462,12 @@ def _truth_fn(level: int, rank: int):
     logic = _checked_logic(level, rank)
 
     def truth(q):
+        # the parameters must be sets: they key the truth values' memo
         if not (isinstance(q, tuple) and len(q) == 2 and type(q[0]) is int
-                and isinstance(q[1], tuple)):
-            raise OracleTypeError(f"expected (index, params) query, got {q!r}")
+                and isinstance(q[1], tuple)
+                and all(isinstance(p, HFSet) for p in q[1])):
+            raise OracleTypeError(
+                f"expected (index, set params) query, got {summarize_query(q)}")
         k, params = q
         return logic._sigma_truth(logic.formula_from_index(k), level, rank, params)
 
@@ -474,7 +480,8 @@ def _sep_fn(level: int, rank: int):
     def sep(q):
         if not (isinstance(q, tuple) and len(q) == 3 and type(q[1]) is int
                 and isinstance(q[2], tuple)):
-            raise OracleTypeError(f"expected (code, index, param codes) query, got {q!r}")
+            raise OracleTypeError(
+                f"expected (code, index, param codes) query, got {summarize_query(q)}")
         code_s, k, param_codes = q
         s = decode_set(_expect_code(code_s))
         params = tuple(decode_set(_expect_code(c)) for c in param_codes)

@@ -406,7 +406,7 @@ class _Machine:
     def _do_separation(self, st: SeparationScan):
         shape = self.input
         if not (isinstance(shape, tuple) and len(shape) == 3
-                and isinstance(shape[0], SetCode) and isinstance(shape[1], int)
+                and isinstance(shape[0], SetCode) and type(shape[1]) is int
                 and isinstance(shape[2], tuple)):
             raise ProgramError("input must be (set code, formula index, parameter codes)")
         code, k, param_codes = shape

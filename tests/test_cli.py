@@ -666,6 +666,8 @@ class TestGoldenBytes:
         ("nextcard_suite_report.json",
          ["run", os.path.join(os.path.dirname(ordq.__file__), "scenarios",
                               "nextcard_suite.json"), "--output"]),
+        ("sep_via_truth_rank4_suite_report.json",
+         ["run", os.path.join(GOLDEN, "sep_via_truth_rank4_suite.json"), "--output"]),
         ("sep_via_truth_rank4_ledger.json",
          ["reduce", "sep_via_truth", "--rank", "4",
           "--input", "{{},{{}},{{{}}},{{},{{}}}}",

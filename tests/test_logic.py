@@ -373,6 +373,19 @@ class TestBitsetEval:
         env = TruthEnv(rank, tuple(parse_hf(p) for p in params))
         assert eval_formula(f, env) == reference_eval_formula(f, env) == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(closed_formulas())
+    def test_memoized_truth_answers_on_a_miss_and_a_hit(self, case):
+        f, env = case
+        assume(env.rank >= 1)
+        level = classify_level(f)
+        want = reference_eval_formula(f, env)
+        logic._sigma_truth.cache_clear()
+        assert logic._sigma_truth(f, level, env.rank, env.params) == want
+        assert logic._sigma_truth.cache_info()[:2] == (0, 1)      # (hits, misses)
+        assert logic._sigma_truth(f, level, env.rank, env.params) == want
+        assert logic._sigma_truth.cache_info()[:2] == (1, 1)
+
     def test_false_formula_at_every_rank(self):
         for rank in range(5):
             assert eval_formula(FALSE_FORMULA, TruthEnv(rank)) == 0

@@ -414,15 +414,32 @@ class TestEffectivizerCatalog:
         with pytest.raises(OracleTypeError):
             make_effectivizer(DEC_CARD)
 
+    def test_a_query_error_summarizes_a_code(self):
+        # the message counts the code's edges, as a ledger does, and does
+        # not print its packed edge set
+        code = u.SetCode(3, [u.cantor_pair(0, 1), u.cantor_pair(1, 2)], 2)
+        pot = make_effectivizer(POT)
+        sep = make_effectivizer(SEP, level=1, rank=3)
+        for oracle, q in ((pot, (code,)), (sep, (code, True, ()))):
+            with pytest.raises(OracleTypeError) as caught:
+                oracle.call(q)
+            assert "code(domain=3,root=2,edges=2)" in str(caught.value)
+            assert "SetCode" not in str(caught.value)
+
     def test_a_bool_index_or_a_list_of_params_is_refused(self):
         # either would be answered and ledgered as Python text, not as a
-        # query: a SetCode(...) repr in a list, or (True,(...))
+        # query: a SetCode(...) repr in a list, or (True,(...)); so would a
+        # truth parameter that is not a set, and as a key of the truth
+        # values' memo a list would raise a bare unhashable-type error
         code = u.encode_hf(u.hf(u.hf()))
         sep = make_effectivizer(SEP, level=1, rank=3)
         truth = make_effectivizer(TRUTH, level=1, rank=3)
+        one_param = formula_index(parse_formula("E v0 (v0 in #0)"))
         led = QueryLedger()
         for oracle, q in ((sep, (code, 0, [u.encode_hf(u.hf())])), (sep, (code, True, ())),
-                          (truth, (True, (u.hf(),))), (truth, (0, [u.hf()]))):
+                          (truth, (True, (u.hf(),))), (truth, (0, [u.hf()])),
+                          (truth, (0, ([],))), (truth, (one_param, ([],))),
+                          (truth, (one_param, (code,))), (truth, (0, (u.hf(), ONE)))):
             with pytest.raises(OracleTypeError, match="expected"):
                 oracle.call(q, led)
         assert led.entries == []

@@ -539,6 +539,24 @@ class TestSeparation:
             assert len(res.ledger) == len(members)
             assert res.ledger.total_order_type() == Ordinal.from_int(len(members))
 
+    def test_one_verdict_evaluates_each_truth_query_once(self, monkeypatch):
+        # the golden rank-4 instance: the run's truth oracle evaluates its 4
+        # queries and the reference re-reads them from the memo
+        from ordq import logic
+        calls = []
+
+        def counted(f, env):
+            calls.append(env)
+            return eval_formula(f, env)
+
+        monkeypatch.setattr(logic, "eval_formula", counted)
+        logic._sigma_truth.cache_clear()
+        k = formula_index(parse_formula("E y A z A w (y in #0 & (w in z | !(z in y)))"))
+        instance = (u.encode_hf(u.parse_hf("{{},{{}},{{{}}},{{},{{}}}}")), k, ())
+        report = verify(catalog("sep_via_truth", level=2, rank=4), None, [instance])
+        assert report.passed and report.rows[0].order_type == "4"
+        assert len(calls) == 4
+
     def test_arity_mismatch_costs_nothing(self):
         spec = catalog("sep_via_truth", level=2, rank=3)
         k = formula_index(parse_formula("E v0 (v0 in #0 & v0 in #1)"))
@@ -646,14 +664,27 @@ class TestVerifyReports:
         assert row.status.startswith("error: ProgramError: input must be")
         assert "\n" not in row.status and not report.passed
 
+    def test_a_code_with_a_negative_edge_fails_its_own_row(self):
+        # the row's input text counts the code's edges without unpacking them
+        bad = u.SetCode(1, frozenset({-5}), 0)
+        fine = code_of(u.hf())
+        for spec, instances in ((catalog("powercard_via_pot"), [bad, fine]),
+                                (catalog("sep_via_truth"), [(bad, 0, ()), (fine, 0, ())])):
+            report = verify(spec, None, instances)
+            row, kept = report.rows
+            assert row.status == "error: InvalidCodeError: not a valid membership code"
+            assert "code(domain=1,root=0,edges=1)" in row.input_text
+            assert not row.ok and kept.ok and not report.passed
+
     @pytest.mark.parametrize("bad", [True, False])
     def test_a_bool_formula_index_fails_its_own_row(self, bad):
-        # the separation oracle of the reference refuses the query shape
+        # the machine refuses the input shape before any oracle is asked
         code = code_of(u.hf(), u.hf(u.hf()))
         fine = (code, formula_index(parse_formula("E v0 (v0 in #0)")), ())
         report = verify(catalog("sep_via_truth"), None, [(code, bad, ()), fine])
         row, kept = report.rows
-        assert row.status.startswith("error: OracleTypeError: expected (code, index, param codes)")
+        assert row.status == ("error: ProgramError: input must be "
+                              "(set code, formula index, parameter codes)")
         assert not row.ok and kept.ok and not report.passed
 
     @pytest.mark.parametrize("bad", [True, False, 1.5])
