@@ -14,13 +14,13 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "ordcalc": (
         "OMEGA", "ONE", "ZERO", "Ordinal", "OrdinalDomainError",
-        "OrdinalParseError", "add", "classify", "compare", "finite_part",
+        "OrdinalParseError", "add", "compare", "finite_part",
         "leading_exponent", "left_sub", "mul", "omega_power", "opow",
         "parse_ordinal", "render", "successor",
     ),
     "universe": (
         "CardinalStructure", "HFSet", "OutOfStructureError", "SetCode",
-        "card_of", "decode_set", "encode_hf", "explicit_list", "hf", "hf_card",
+        "card_of", "decode_set", "encode_hf", "explicit_list", "hf",
         "is_cardinal", "multiples_of_omega", "next_card_of",
         "next_limit_of_cardinals_above", "omega_powers", "parse_hf",
         "render_hf",

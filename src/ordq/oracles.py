@@ -3,8 +3,10 @@
 An Effectivizer is a deterministic oracle: a name plus an answer function.
 Oracles whose queries are ordinals and whose answers are bits additionally
 expose their hit set through the OrdinalSet contract below, which is what
-lets the machine evaluate transfinite scans in closed form.  Those ranked
-calls are interpreter machinery and are never ledgered; the ledger records
+lets the machine evaluate transfinite scans in closed form: a scan is one
+effectivizer call, scan(), which answers the one rank query the scan
+statement asks of the hit set, with the hit set's horizon.  Those rank
+queries are interpreter machinery and are never ledgered; the ledger records
 the order type of the pointwise calls they stand for.
 
 A QueryLedger mixes two entry shapes.  Single entries log one call.  Run
@@ -31,10 +33,10 @@ show.
 
 ScriptedEffectivizer replaces an oracle with recorded responses.  Its
 script is a previous run's ledger.  A single entry answers one pointwise
-call with its recorded answer under its oracle name, and a run entry hands
-a scan a view of its recorded exit, whole: a replayed scan costs the
-machine the same events as the live one, none per probe, and asks no
-oracle or structure.
+call with its recorded answer under its oracle name, and a run entry
+answers a scan with its recorded exit and end, the scan's horizon: a
+replayed scan costs the machine the same events as the live one, none per
+probe, and asks no oracle or structure.
 """
 
 from __future__ import annotations
@@ -217,10 +219,6 @@ class SingleEntry(NamedTuple):
     def length(self) -> Ordinal:
         return ONE
 
-    def shown(self) -> tuple:
-        """The values to_json shows of the entry, with its class."""
-        return (SingleEntry, self.oracle, self.query, self.response)
-
     def to_json(self) -> dict:
         query = summarize_query(self.query)
         return {"kind": "single", "oracle": self.oracle, "from": query,
@@ -239,11 +237,6 @@ class RunEntry(NamedTuple):
 
     def length(self) -> Ordinal:
         return self.order_type
-
-    def shown(self) -> tuple:
-        """What to_json shows of the entry, with its class."""
-        return (RunEntry, self.oracle, self.from_query, self.to_query,
-                self.order_type, self.pattern)
 
     def to_json(self) -> dict:
         return {"kind": "run", "oracle": self.oracle,
@@ -307,7 +300,9 @@ def summarize_query(q: Any) -> str:
         edges = len(q.edges) if children is None else sum(map(len, children.values()))
         return f"code(domain={q.domain},root={q.root},edges={edges})"
     if isinstance(q, tuple):
-        return "(" + ",".join(summarize_query(x) for x in q) + ")"
+        return "(" + ",".join(map(summarize_query, q)) + ")"
+    if isinstance(q, list):
+        return "[" + ",".join(map(summarize_query, q)) + "]"
     if isinstance(q, HFSet):
         return render_hf(q)
     return str(q)
@@ -336,12 +331,14 @@ def same_value(a: Any, b: Any) -> bool:
 
 
 def entries_agree(a: LedgerEntry, b: LedgerEntry) -> bool:
-    """Whether two ledger entries agree in what their JSON shows.  A run
-    entry's fields are ordinals and text, whose equal values render alike,
-    so they compare as they are; a single entry's values by same_value."""
+    """Whether two ledger entries agree.  A run entry's fields are ordinals
+    and text, whose equal values render alike, so run entries compare whole,
+    exit included; single entries by oracle, and query and response by
+    same_value."""
     if type(a) is RunEntry:
-        return a.shown() == b.shown()
-    return same_value(a.shown(), b.shown())
+        return a == b
+    return (type(b) is SingleEntry and a.oracle == b.oracle
+            and same_value(a.query, b.query) and same_value(a.response, b.response))
 
 
 class Effectivizer:
@@ -356,24 +353,20 @@ class Effectivizer:
     def call(self, query: Any, ledger: Optional[QueryLedger] = None) -> Any:
         """Answer one pointwise call, appended to the ledger when one is
         given."""
-        oracle, value = self._next_answer(query)
+        value = self._answer(query)
         if ledger is not None:
-            ledger.append(SingleEntry(oracle, query, value))
+            ledger.append(SingleEntry(self.name, query, value))
         return value
 
-    def _next_answer(self, query: Any) -> Tuple[str, Any]:
-        """One pointwise answer: (oracle name the ledger records, value)."""
-        return self.name, self._answer(query)
-
-    def ranked(self) -> OrdinalSet:
-        if self.hit_set is None:
+    def scan(self, start: Ordinal, query: str,
+             point: Ordinal) -> Tuple[str, Optional[Ordinal], Optional[Ordinal]]:
+        """One scan from `start`: the oracle name its ledger run carries, its
+        exit (what the hit set's rank query `query` answers at `point`) and
+        the hit set's horizon."""
+        hits = self.hit_set
+        if hits is None:
             raise NotRankedError(f"{self.name} does not expose a hit set")
-        return self.hit_set
-
-    def scan(self, start: Ordinal) -> Tuple[str, OrdinalSet]:
-        """The hit set a scan from `start` runs over, with the oracle name
-        its ledger run carries."""
-        return self.name, self.ranked()
+        return self.name, getattr(hits, query)(point), hits.scan_horizon()
 
 
 def _require(condition: bool, message: str):
@@ -387,8 +380,7 @@ _CARD_QUERIES = {DEC_CARD: "is_cardinal", NEXT_CARD: "next_card_of", ORD_CARD: "
 
 
 def make_effectivizer(name: str, structure: CardinalStructure = None,
-                      level: int = None, rank: int = None,
-                      hit_set: OrdinalSet = None) -> Effectivizer:
+                      level: int = None, rank: int = None) -> Effectivizer:
     """Build one of the catalog oracles over the given environment."""
     if name in _CARD_QUERIES:
         _require(structure is not None, f"{name} needs a cardinal structure")
@@ -419,10 +411,6 @@ def make_effectivizer(name: str, structure: CardinalStructure = None,
         _require(level is not None and rank is not None,
                  "SepSigma needs a level and a rank")
         return Effectivizer(f"{SEP}{level}", _sep_fn(level, rank))
-    if name == SCRIPTED:
-        _require(hit_set is not None, "Scripted needs a declared hit set")
-        return Effectivizer(SCRIPTED, lambda q: int(hit_set.contains(_expect_ordinal(q))),
-                            hit_set=hit_set)
     raise OracleTypeError(f"unknown effectivizer name {name!r}")
 
 
@@ -498,14 +486,14 @@ def _sep_fn(level: int, rank: int):
 class ScriptedEffectivizer(Effectivizer):
     """Answers from a recorded ledger instead of computing.
 
-    Pointwise calls consume single entries in order.  A scan takes its hit
-    set from scan(), so replay runs the same scan code as a live run.  A
-    run entry must start at the scan's window start; the scan gets a view
-    of its recorded exit, with the recorded end of its window as horizon.
-    A scan whose next item is not a run entry, or that is past the script's
-    end, gets no hits and no horizon and consumes nothing, as a live scan
-    that ledgered nothing had; a pointwise call past the end raises
-    ScriptExhausted, and one at a run entry raises ScriptMismatch.
+    Pointwise calls consume single entries in order.  A scan consumes a run
+    entry, which must start at the scan's window start, and gets its
+    recorded exit, with the recorded end of its window as horizon; replay
+    runs the same scan code as a live run.  A scan whose next item is not a
+    run entry, or that is past the script's end, gets no exit and no
+    horizon and consumes nothing, as a live scan that ledgered nothing had;
+    a pointwise call past the end raises ScriptExhausted, and one at a run
+    entry raises ScriptMismatch.
     """
 
     def __init__(self, ledger: QueryLedger):
@@ -513,41 +501,25 @@ class ScriptedEffectivizer(Effectivizer):
         self.script = ledger.entries
         self.cursor = 0
 
-    def _next_answer(self, query: Any) -> Tuple[str, Any]:
-        """Consume the next single entry, whatever the query: (oracle name,
-        value)."""
+    def call(self, query, ledger=None):
+        """Consume the next single entry, whatever the query, and answer its
+        recorded response under its oracle name."""
         if self.cursor == len(self.script):
             raise ScriptExhausted("script exhausted")
         item = self.script[self.cursor]
         if isinstance(item, RunEntry):
             raise ScriptMismatch("pointwise call hit a recorded scan")
         self.cursor += 1
-        return item.oracle, item.response
+        if ledger is not None:
+            ledger.append(SingleEntry(item.oracle, query, item.response))
+        return item.response
 
-    def scan(self, start):
+    def scan(self, start, query, point):
         item = self.script[self.cursor] if self.cursor < len(self.script) else None
         if not isinstance(item, RunEntry):
-            return SCRIPTED, _RecordedScan(None, None)
+            return SCRIPTED, None, None
         if item.from_query != start:
             raise ScriptMismatch(
                 f"recorded scan starts at {render(item.from_query)}, not {render(start)}")
         self.cursor += 1
-        return item.oracle, _RecordedScan(item.exit, item.to_query)
-
-
-class _RecordedScan(OrdinalSet):
-    """A recorded scan as its replay sees it, made of recorded ordinals
-    only.  A scan asks its hit set one rank query, so each rank query
-    answers the recorded exit; the horizon is the recorded end."""
-
-    def __init__(self, exit: Optional[Ordinal], horizon: Optional[Ordinal]):
-        self.exit = exit
-        self.horizon = horizon
-
-    def least_above(self, a):
-        return self.exit
-
-    greatest_at_most = next_limit_above = least_above
-
-    def scan_horizon(self):
-        return self.horizon
+        return item.oracle, item.exit, item.to_query

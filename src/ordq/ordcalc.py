@@ -414,17 +414,6 @@ def left_sub(a: OrdinalLike, b: OrdinalLike) -> Ordinal:
     return _left_sub(_coerce(a), _coerce(b))
 
 
-# -- classification --------------------------------------------------------
-
-
-def classify(a: OrdinalLike) -> str:
-    """One of 'zero', 'successor', 'limit'."""
-    a = _coerce(a)
-    if not a.terms:
-        return "zero"
-    return "limit" if a.terms[-1][0].terms else "successor"
-
-
 def successor(a: OrdinalLike) -> Ordinal:
     return _add(_coerce(a), ONE)
 

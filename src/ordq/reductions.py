@@ -49,10 +49,9 @@ from .oracles import (
 )
 from . import tam
 from .tam import (
-    Flag,
     GuessCheckLoop,
     Halt,
-    If,
+    IfFinite,
     INPUT,
     OracleCall,
     Program,
@@ -277,7 +276,7 @@ def _count_power(power_code: SetCode, _unused) -> Ordinal:
 
 
 def _ref_powercard(_structure, code):
-    return Ordinal.from_int(2 ** u.hf_card(u.decode_set(code)))
+    return Ordinal.from_int(2 ** len(u.decode_set(code)))
 
 
 def _ref_separation(level: int, rank: int):
@@ -348,7 +347,7 @@ _CATALOG = {
     "ordcard_scan_improved": _Row(
         "OrdCard", DEC_CARD, BoundForm("input"), "ordinal",
         lambda o: Program("ordcard_scan_improved", (
-            If(("is-finite", INPUT), then_branch=(Halt(INPUT),), else_branch=(
+            IfFinite(INPUT, then_branch=(Halt(INPUT),), else_branch=(
                 ScanLastHitAtMost(slot="deccard", bound=INPUT, register="r",
                                   charge_closed=False),
                 _HALT_R)),)),
@@ -362,8 +361,7 @@ _CATALOG = {
     "flagtrick": _Row(
         "NextLimitOfCardinals", DEC_CARD, BoundForm("next-limit-interval"), "ordinal",
         lambda o: Program("flagtrick", (
-            ScanFlagToggleUntil(slot="deccard", start=INPUT,
-                                flags=(Flag("steady", 0), Flag("armed", 1)),
+            ScanFlagToggleUntil(slot="deccard", start=INPUT, flags=(0, 1),
                                 register="r"),
             _HALT_R)),
         lambda o: u.next_limit_of_cardinals_above),
@@ -438,13 +436,13 @@ class Row(NamedTuple):
     correct: bool
     order_type: Optional[str]
     bound_text: str
-    within: Optional[bool]
+    within: Optional[bool]      # None: no halt, and the bound has no value
     replay_ok: Optional[bool]
     product_note: str = ""
 
     @property
     def ok(self) -> bool:
-        return (self.correct and self.within
+        return (self.correct and self.within is not False
                 and self.replay_ok is not False)
 
     def to_json(self) -> dict:
@@ -535,7 +533,8 @@ def verify(spec: ReductionSpec, structure: Optional[CardinalStructure],
             order_type=render(total),
             bound_text=bound.describe() if checked.value is None
             else render(checked.value),
-            within=checked.within or not res.halted,
+            within=checked.within if res.halted or checked.value is not None
+            else None,
             replay_ok=replay_ok,
             product_note=checked.product_note))
     return report
@@ -550,15 +549,13 @@ class CompositeEffectivizer(Effectivizer):
     ledger.  An inner run that does not halt stops the caller's run with
     its status, after its traffic is appended."""
 
-    def __init__(self, name: str, inner_program_factory, inner_bindings,
-                 budget: int = tam.DEFAULT_BUDGET):
+    def __init__(self, name: str, inner_program_factory, inner_bindings):
         super().__init__(name, answer_fn=None, hit_set=None)
         self._factory = inner_program_factory
         self._bindings = inner_bindings
-        self._budget = budget
 
     def call(self, query, ledger=None):
-        res = tam.run(self._factory(), query, self._bindings, self._budget)
+        res = tam.run(self._factory(), query, self._bindings)
         if ledger is not None:
             for entry in res.ledger:
                 ledger.append(entry)
@@ -567,8 +564,7 @@ class CompositeEffectivizer(Effectivizer):
         return res.output
 
 
-def compose(outer: ReductionSpec, inner: ReductionSpec,
-            budget: int = tam.DEFAULT_BUDGET) -> ReductionSpec:
+def compose(outer: ReductionSpec, inner: ReductionSpec) -> ReductionSpec:
     """Chain two entries; the composed ledger carries only the inner oracle's
     calls and the composed bound is checked as a product in both orders."""
     if outer.oracle != inner.source:
@@ -578,7 +574,7 @@ def compose(outer: ReductionSpec, inner: ReductionSpec,
     def make_bindings(structure):
         inner_bindings = inner.make_bindings(structure)
         composite = CompositeEffectivizer(
-            inner.name, inner.make_program, inner_bindings, budget)
+            inner.name, inner.make_program, inner_bindings)
         program = outer.make_program()
         return {slot: composite for slot in program.slots()}
 

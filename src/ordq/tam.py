@@ -9,17 +9,19 @@ the entries before it add up to, and a halting run's halt time is the
 ledger's total, re-summed nowhere.
 
 The scan statements are where the transfinite content lives.  Instead of
-stepping through limit stages, each scan is resolved against the hit set
-the bound oracle's scan() hands back:
+stepping through limit stages, each scan is one call of the bound oracle's
+scan(), which answers the one rank query the statement asks of its hit set
+(the scan's exit) and the hit set's horizon:
 
   first-hit       probes every ordinal strictly above an anchor until the
                   first positive answer; charged the interval's order type.
   last-hit        sweeps all ordinals up to a bound and keeps the greatest
                   positive position.
-  flag-toggle     toggles a bank of flags at every positive answer and stops
-                  at the first stage where all flags read 0.  At limit
-                  stages a flag reads its lim-inf: 0 whenever toggles are
-                  cofinal, which is what ends the scan at a limit of hits.
+  flag-toggle     toggles a bank of flags (a tuple of bits) at every positive
+                  answer and stops at the first stage where all flags read
+                  0.  At limit stages a flag reads its lim-inf: 0 whenever
+                  toggles are cofinal, which is what ends the scan at a
+                  limit of hits.
   guess-check     pulls strictly decreasing guesses from a source and makes
                   one pointwise call per distinct guess until a positive
                   answer.
@@ -39,9 +41,9 @@ A run that stops without halting raises Stopped, which carries its status
 composed oracle raises it for an inner run that did not halt.
 
 replay re-runs a program against a previous run's ledger instead of live
-oracles.  It runs the same scan code as a live run: a scripted
-oracle's scan() turns each recorded run entry into a view of the exit the
-entry records.  Replaying a run's own ledger reproduces the run exactly,
+oracles.  It runs the same scan code as a live run: a scripted oracle's
+scan() answers each scan with the exit and the window end its recorded
+run entry holds.  Replaying a run's own ledger reproduces the run exactly,
 ledger included, whether or not it halted, and asks no oracle.
 """
 
@@ -68,9 +70,9 @@ from .oracles import (
 __all__ = [
     "HALTED", "DIVERGED", "BUDGET_EXCEEDED", "SCRIPT_EXHAUSTED",
     "DEFAULT_BUDGET", "ProgramError", "Stopped", "ApproximatorContractError",
-    "INPUT", "reg", "Flag", "OracleCall", "ScanFirstHit", "ScanLastHitAtMost",
+    "INPUT", "reg", "OracleCall", "ScanFirstHit", "ScanLastHitAtMost",
     "ScanFlagToggleUntil", "GuessCheckLoop", "ComputableSubroutine",
-    "SeparationScan", "If", "Halt", "Program", "RunResult",
+    "SeparationScan", "IfFinite", "Halt", "Program", "RunResult",
     "run", "replay",
 ]
 
@@ -105,16 +107,6 @@ def reg(name: str) -> tuple:
 # -- statements --------------------------------------------------------------
 
 
-class Flag(Record):
-    __slots__ = _fields = ("name", "initial")
-
-    def __init__(self, name: str, initial: int):
-        if initial not in (0, 1):
-            raise ProgramError("flags are bits")
-        _set(self, "name", name)
-        _set(self, "initial", initial)
-
-
 @same_class_eq
 class OracleCall(NamedTuple):
     slot: str
@@ -146,11 +138,11 @@ class ScanLastHitAtMost(NamedTuple):
 @same_class_eq
 class ScanFlagToggleUntil(NamedTuple):
     """Toggle all flags at every hit strictly above the start; stop at the
-    first stage where every flag reads 0."""
+    first stage where every flag reads 0.  flags holds their initial bits."""
 
     slot: str
     start: tuple
-    flags: Tuple[Flag, ...]
+    flags: Tuple[int, ...]
     register: str
 
 
@@ -183,8 +175,8 @@ class SeparationScan(NamedTuple):
 
 
 @same_class_eq
-class If(NamedTuple):
-    condition: tuple            # ("is-finite", expr)
+class IfFinite(NamedTuple):
+    value: tuple
     then_branch: Tuple[Any, ...]
     else_branch: Tuple[Any, ...] = ()
 
@@ -196,7 +188,7 @@ class Halt(NamedTuple):
 
 Statement = Union[OracleCall, ScanFirstHit, ScanLastHitAtMost,
                   ScanFlagToggleUntil, GuessCheckLoop, ComputableSubroutine,
-                  SeparationScan, If, Halt]
+                  SeparationScan, IfFinite, Halt]
 
 
 class Program(Record):
@@ -210,7 +202,7 @@ class Program(Record):
 
         def walk(statements):
             for st in statements:
-                if isinstance(st, If):
+                if isinstance(st, IfFinite):
                     walk(st.then_branch)
                     walk(st.else_branch)
                 elif hasattr(st, "slot"):
@@ -242,9 +234,9 @@ class RunResult(NamedTuple):
 
     def same_as(self, other: "RunResult") -> bool:
         """Whether other has this status and output, and ledger entries that
-        agree in every field their JSON shows (oracles.entries_agree): the
-        class, oracle, query or window, order type, and response or pattern.
-        Equal entries have equal totals, so the halt times agree too."""
+        agree (oracles.entries_agree): the class, oracle, query or window,
+        order type, response or pattern, and a scan's exit.  Equal entries
+        have equal totals, so the halt times agree too."""
         return (self.status == other.status and self.output == other.output
                 and len(self.ledger) == len(other.ledger)
                 and all(map(entries_agree, self.ledger, other.ledger)))
@@ -310,12 +302,12 @@ class _Machine:
                                     to_query=to_q, order_type=order_type,
                                     pattern=pattern, exit=exit))
 
-    def _scan_run(self, oracle_name: str, hits, start: Ordinal,
-                  end: Optional[Ordinal], pattern: str) -> Ordinal:
-        """Ledger a scan from start to its exit point `end` and return it.
-        With no exit point, ledger the fruitless sweep up to the hit set's
-        declared horizon, if it has one, and diverge."""
-        stop = end if end is not None else hits.scan_horizon()
+    def _scan_run(self, scan: tuple, start: Ordinal, pattern: str) -> Ordinal:
+        """Ledger a scan, the (oracle name, exit, horizon) of its call, from
+        start to its exit and return the exit.  With no exit, ledger the
+        fruitless sweep up to the horizon, if there is one, and diverge."""
+        oracle_name, end, horizon = scan
+        stop = end if end is not None else horizon
         if end is None and pattern == PATTERN_FINAL_ONE:
             pattern = PATTERN_ALL_ZERO                  # the sweep found no hit
         if stop is not None and stop > start:
@@ -336,13 +328,9 @@ class _Machine:
     def _do_halt(self, st: Halt):
         raise _Halted(self._eval(st.output))
 
-    def _do_if(self, st: If):
-        tag, expr = st.condition
-        if tag != "is-finite":
-            raise ProgramError(f"unknown condition {tag!r}")
-        value = self._ord(self._eval(expr))
-        branch = st.then_branch if value.is_finite() else st.else_branch
-        self._execute(branch)
+    def _do_if(self, st: IfFinite):
+        finite = self._ord(self._eval(st.value)).is_finite()
+        self._execute(st.then_branch if finite else st.else_branch)
 
     def _do_subroutine(self, st: ComputableSubroutine):
         values = [self._eval(a) for a in st.args]
@@ -354,14 +342,12 @@ class _Machine:
 
     def _do_first_hit(self, st: ScanFirstHit):
         anchor = self._ord(self._eval(st.above))
-        name, hits = self.bindings[st.slot].scan(anchor)
-        self.registers[st.register] = self._scan_run(
-            name, hits, anchor, hits.least_above(anchor), PATTERN_FINAL_ONE)
+        scan = self.bindings[st.slot].scan(anchor, "least_above", anchor)
+        self.registers[st.register] = self._scan_run(scan, anchor, PATTERN_FINAL_ONE)
 
     def _do_last_hit(self, st: ScanLastHitAtMost):
         bound = self._ord(self._eval(st.bound))
-        name, hits = self.bindings[st.slot].scan(ZERO)
-        result = hits.greatest_at_most(bound)
+        name, result, _ = self.bindings[st.slot].scan(ZERO, "greatest_at_most", bound)
         charged = successor(bound) if st.charge_closed else bound
         self._append_run(name, ZERO, bound, charged, PATTERN_ORACLE_HITS, result)
         if result is None:
@@ -370,20 +356,19 @@ class _Machine:
 
     def _do_flag_scan(self, st: ScanFlagToggleUntil):
         start = self._ord(self._eval(st.start))
-        if not st.flags:
-            raise ProgramError("flag scan needs at least one flag")
-        if all(f.initial == 0 for f in st.flags):
+        if not st.flags or any(f not in (0, 1) for f in st.flags):
+            raise ProgramError("a flag bank is a nonempty tuple of bits")
+        if 1 not in st.flags:
             self.registers[st.register] = start      # nothing to wait for
             return
-        name, hits = self.bindings[st.slot].scan(start)
-        if all(f.initial == 1 for f in st.flags):    # one toggle zeroes all
-            end, pattern = hits.least_above(start), PATTERN_FINAL_ONE
+        if 0 not in st.flags:                       # one toggle zeroes all
+            query, pattern = "least_above", PATTERN_FINAL_ONE
         else:
             # mixed bank: toggles alone never zero it; only a limit of hits,
             # where every flag reads its lim-inf 0, can end the scan
-            end, pattern = hits.next_limit_above(start), PATTERN_ORACLE_HITS
-        self.registers[st.register] = self._scan_run(name, hits, start, end,
-                                                     pattern)
+            query, pattern = "next_limit_above", PATTERN_ORACLE_HITS
+        scan = self.bindings[st.slot].scan(start, query, start)
+        self.registers[st.register] = self._scan_run(scan, start, pattern)
 
     def _do_guess_check(self, st: GuessCheckLoop):
         oracle = self.bindings[st.slot]
@@ -425,7 +410,7 @@ class _Machine:
 
     _HANDLERS = {
         Halt: _do_halt,
-        If: _do_if,
+        IfFinite: _do_if,
         ComputableSubroutine: _do_subroutine,
         OracleCall: _do_oracle_call,
         ScanFirstHit: _do_first_hit,
@@ -457,8 +442,8 @@ def run(program: Program, input_value, bindings: Dict[str, Effectivizer],
 def replay(program: Program, input_value, result: RunResult,
            budget: int = DEFAULT_BUDGET) -> RunResult:
     """Re-run a program with every oracle slot answered from the ledger of
-    a previous result; the scans run their live code, over the views of
-    the recorded exits ScriptedEffectivizer.scan() makes."""
+    a previous result; the scans run their live code, on the recorded
+    exits and horizons ScriptedEffectivizer.scan() answers."""
     oracle = ScriptedEffectivizer(result.ledger)
     bindings = {slot: oracle for slot in program.slots()}
     return _run_machine(_Machine(program, input_value, bindings, budget))

@@ -318,10 +318,6 @@ def parse_hf(text: str) -> HFSet:
     return _Scanner(text, ValueError).read_all(_set_literal)
 
 
-def hf_card(s: HFSet) -> int:
-    return len(s)
-
-
 def kuratowski(a: HFSet, b: HFSet) -> HFSet:
     return HFSet((HFSet((a,)), HFSet((a, b))))
 

@@ -8,6 +8,9 @@ sup_below and reads 0 at every limit of toggles.  sup_below answers for the
 package's three ranked sets and for HitsBetween views of them; register it
 for another class to feed that class to the reference.
 
+bit_oracle is the scriptable bit oracle the machine tests scan: it answers
+1 on the members of a declared hit set, and scans run over that set.
+
 hf_powerset is the power set built from HFSet values, the reference that
 universe.powerset_code is checked against, and reference_validate_code is
 universe.validate_code read off its definition.
@@ -18,7 +21,13 @@ from __future__ import annotations
 from functools import singledispatch
 from typing import Optional, Tuple
 
-from ordq.oracles import CardinalClassSet, FiniteOrdinalSet, OmegaMultiplesSet
+from ordq.oracles import (
+    SCRIPTED,
+    CardinalClassSet,
+    Effectivizer,
+    FiniteOrdinalSet,
+    OmegaMultiplesSet,
+)
 from ordq.ordcalc import (
     OMEGA,
     ONE,
@@ -26,7 +35,6 @@ from ordq.ordcalc import (
     OrdinalLike,
     _coerce,
     add,
-    classify,
     finite_part,
     leading_exponent,
     left_sub,
@@ -104,7 +112,7 @@ def sup_of_cardinals_below(structure: CardinalStructure,
     if structure.kind == OMEGA_POWERS:
         e = leading_exponent(a)
         if len(a.terms) == 1 and a.terms[0][1] == 1:
-            if classify(e) == "limit":
+            if e.terms[-1][0]:          # the exponent is a limit
                 return (a, False)
             predecessor_exponent = left_sub(ONE, e)
             if predecessor_exponent.is_zero():
@@ -146,6 +154,11 @@ def _(view, a):
     # is attained as they were, unless nothing is left
     got = sup_below(view.hits, a)
     return got if got is not None and got[0] > view.low else None
+
+
+def bit_oracle(hit_set) -> Effectivizer:
+    """A ranked oracle whose pointwise answer is 1 exactly on hit_set."""
+    return Effectivizer(SCRIPTED, lambda q: int(hit_set.contains(q)), hit_set=hit_set)
 
 
 # -- the flag rule -----------------------------------------------------------

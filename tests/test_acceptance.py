@@ -26,7 +26,6 @@ from ordq.ordcalc import (
     OMEGA,
     Ordinal,
     add,
-    classify,
     compare,
     left_sub,
     mul,
@@ -329,7 +328,6 @@ def test_criterion_9_tuple_model_cross_check():
     pairs = 0
     for s in points:
         a = tm.to_ordinal(s)
-        assert tm.t_classify(s) == classify(a)
         assert tm.from_ordinal(a) == s
         for t in points:
             b = tm.to_ordinal(t)

@@ -16,7 +16,6 @@ from ordq.oracles import (
     PATTERN_ORACLE_HITS,
     POT,
     POWER_CARD,
-    SCRIPTED,
     SEP,
     TRUTH,
     CardinalClassSet,
@@ -39,7 +38,13 @@ from ordq.ordcalc import OMEGA, ONE, ZERO, Ordinal, add, omega_power, parse_ordi
 
 import tuple_model as tm
 from gen import random_ordinal
-from reference_sets import flag_value_after, hf_powerset, sup_below, sup_of_cardinals_below
+from reference_sets import (
+    bit_oracle,
+    flag_value_after,
+    hf_powerset,
+    sup_below,
+    sup_of_cardinals_below,
+)
 from test_universe import nest
 
 W2 = (1, 0, 0)
@@ -268,7 +273,7 @@ class TestLedger:
         # calls and runs through Effectivizer.call and append: the running
         # total re-sums the entries' order types
         rng = random.Random(seed)
-        oracle = make_effectivizer(SCRIPTED, hit_set=FiniteOrdinalSet([P("5")]))
+        oracle = bit_oracle(FiniteOrdinalSet([P("5")]))
         led = QueryLedger()
         for _ in range(rng.randint(0, 6)):
             if rng.random() < 0.5:
@@ -372,9 +377,16 @@ class TestEffectivizerCatalog:
         assert dec.call(P("w^2")) == 1
         assert dec.call(P("w^2+1")) == 0
         assert dec.call(5) == 1
-        assert render(dec.ranked().least_above(P("w"))) == "w^2"
-        assert render(dec.ranked().greatest_at_most(P("w+3"))) == "w"
-        assert render(dec.ranked().next_limit_above(0)) == "w"
+        assert render(dec.hit_set.least_above(P("w"))) == "w^2"
+        assert render(dec.hit_set.greatest_at_most(P("w+3"))) == "w"
+        assert render(dec.hit_set.next_limit_above(0)) == "w"
+
+    def test_a_scan_is_one_call_of_a_rank_query(self):
+        dec = make_effectivizer(DEC_CARD, structure=self.CS)
+        bound = self.CS.bound
+        assert dec.scan(P("w"), "least_above", P("w")) == (DEC_CARD, P("w^2"), bound)
+        assert dec.scan(ZERO, "greatest_at_most", P("w+3")) == (DEC_CARD, OMEGA, bound)
+        assert dec.scan(ZERO, "next_limit_above", ZERO) == (DEC_CARD, OMEGA, bound)
 
     def test_deccard_accepts_the_whole_declared_window(self):
         wide = u.omega_powers(omega_power(P("w*2")))
@@ -399,8 +411,9 @@ class TestEffectivizerCatalog:
 
     def test_only_ranked_oracles_serve_scans(self):
         nxt = make_effectivizer(NEXT_CARD, structure=self.CS)
+        assert nxt.hit_set is None
         with pytest.raises(NotRankedError):
-            nxt.ranked()
+            nxt.scan(ZERO, "least_above", ZERO)
 
     def test_query_shape_is_checked(self):
         dec = make_effectivizer(DEC_CARD, structure=self.CS)
@@ -425,6 +438,16 @@ class TestEffectivizerCatalog:
                 oracle.call(q)
             assert "code(domain=3,root=2,edges=2)" in str(caught.value)
             assert "SetCode" not in str(caught.value)
+
+    def test_a_list_in_a_query_error_is_summarized_item_by_item(self):
+        code = u.encode_hf(u.parse_hf("{{},{{}},{{{}}}}"))
+        sep = make_effectivizer(SEP, level=1, rank=3)
+        with pytest.raises(OracleTypeError) as caught:
+            sep.call((code, 0, [code]))
+        text = summarize_query(code)
+        assert f"({text},0,[{text}])" in str(caught.value)
+        assert "SetCode" not in str(caught.value)
+        assert summarize_query([ONE, (OMEGA, [])]) == "[1,(w,[])]"
 
     def test_a_bool_index_or_a_list_of_params_is_refused(self):
         # either would be answered and ledgered as Python text, not as a
@@ -466,8 +489,8 @@ class TestEffectivizerCatalog:
         for s in universe_of(3):
             code = u.encode_hf(s)
             n = pc.call(code).to_int()
-            assert n == 2 ** u.hf_card(s)
-            assert n == u.hf_card(u.decode_set(pot.call(code)))
+            assert n == 2 ** len(s)
+            assert n == len(u.decode_set(pot.call(code)))
 
 
 class TestPowerCardWithoutAPowerSet:
@@ -476,7 +499,7 @@ class TestPowerCardWithoutAPowerSet:
         for k in range(5):
             for s in (u.HFSet(universe_of(4)[:k]), u.HFSet(nest(i) for i in range(k))):
                 code = u.encode_hf(s)
-                old = u.hf_card(hf_powerset(u.decode_set(code)))
+                old = len(hf_powerset(u.decode_set(code)))
                 assert pc.call(code) == Ordinal.from_int(old) == Ordinal.from_int(2 ** k)
 
     def test_sixteen_members(self):
@@ -556,10 +579,11 @@ class TestScripted:
             sc.call(P("0"))
 
     def test_scripted_by_hit_set_is_a_bit_oracle(self):
-        sc = make_effectivizer(SCRIPTED, hit_set=FiniteOrdinalSet([P("w")]))
+        sc = bit_oracle(FiniteOrdinalSet([P("w")]))
         assert sc.call(P("w")) == 1
         assert sc.call(4) == 0
-        assert render(sc.ranked().least_above(0)) == "w"
+        assert render(sc.hit_set.least_above(0)) == "w"
+        assert sc.scan(ZERO, "least_above", ZERO) == ("Scripted", OMEGA, None)
 
     def test_replay_reproduces_a_ledger(self):
         cs = u.omega_powers(omega_power(P("w*2")))
@@ -590,21 +614,20 @@ class TestScripted:
 
     def test_scan_on_an_exhausted_script(self):
         # a live scan with no hit and no horizon ledgers nothing, so a scan
-        # at the end of the script sees no hits and no horizon
-        name, hits = ScriptedEffectivizer(QueryLedger()).scan(ZERO)
-        assert hits.least_above(ZERO) is None and hits.scan_horizon() is None
+        # at the end of the script gets no exit and no horizon
+        rep = ScriptedEffectivizer(QueryLedger())
+        assert rep.scan(ZERO, "least_above", ZERO) == ("Scripted", None, None)
 
-    def test_scan_at_a_single_entry_sees_no_hits_and_consumes_nothing(self):
+    def test_scan_at_a_single_entry_gets_no_exit_and_consumes_nothing(self):
         rep = ScriptedEffectivizer(ledger_of(SingleEntry("DecCard", P("5"), 1)))
-        name, hits = rep.scan(P("3"))
-        assert hits.least_above(P("3")) is None and hits.scan_horizon() is None
-        assert hits.greatest_at_most(P("5")) is None
-        assert hits.next_limit_above(P("3")) is None
+        for query, point in (("least_above", P("3")), ("greatest_at_most", P("5")),
+                             ("next_limit_above", P("3"))):
+            assert rep.scan(P("3"), query, point) == ("Scripted", None, None)
         assert rep.cursor == 0 and rep.call(P("5")) == 1
 
-    def test_scan_maps_each_run_pattern_to_a_hit_set(self):
-        # every view is made of the entry's recorded ordinals alone: its exit
-        # answers the one rank query a scan asks, its end is the horizon
+    def test_scan_answers_each_run_pattern_from_the_entry(self):
+        # every answer is made of the entry's recorded ordinals alone: its
+        # exit answers the one rank query a scan asks, its end is the horizon
         def seg(pattern, exit):
             return RunEntry(oracle="DecCard", from_query=P("3"), to_query=OMEGA,
                             order_type=OMEGA, pattern=pattern, exit=exit)
@@ -613,15 +636,11 @@ class TestScripted:
                                              seg(PATTERN_ALL_ZERO, None),
                                              seg(PATTERN_ORACLE_HITS, P("5")),
                                              seg(PATTERN_ORACLE_HITS, OMEGA)))
-        name, final = rep.scan(P("3"))
-        assert name == "DecCard" and final.least_above(P("3")) == OMEGA
-        _, fruitless = rep.scan(P("3"))
-        assert fruitless.least_above(P("3")) is None
-        assert fruitless.scan_horizon() == OMEGA
-        _, last_hit = rep.scan(P("3"))
-        assert last_hit.greatest_at_most(OMEGA) == P("5")
-        _, flags = rep.scan(P("3"))
-        assert flags.next_limit_above(P("3")) == OMEGA
+        assert rep.scan(P("3"), "least_above", P("3")) == ("DecCard", OMEGA, OMEGA)
+        assert rep.scan(P("3"), "least_above", P("3")) == ("DecCard", None, OMEGA)
+        assert rep.scan(P("3"), "greatest_at_most", OMEGA) == ("DecCard", P("5"), OMEGA)
+        assert rep.scan(P("3"), "next_limit_above", P("3")) == ("DecCard", OMEGA, OMEGA)
+        assert rep.cursor == 4
 
     def _run_ledger(self):
         return ledger_of(RunEntry(oracle="DecCard", from_query=P("0"), to_query=OMEGA,

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from ordq import ordcalc
 from ordq.ordcalc import (
     OMEGA, ONE, ZERO, Ordinal, OrdinalDomainError, OrdinalParseError,
-    _cmp, add, classify, compare, finite_part, leading_exponent, left_sub,
+    _cmp, add, compare, finite_part, leading_exponent, left_sub,
     evaluate, mul, omega_power, opow, parse_ordinal, render, successor,
 )
 
@@ -320,16 +320,6 @@ class TestPow:
 
 
 class TestClassification:
-    def test_against_tuple_model(self):
-        for t in tm.grid(3):
-            assert classify(tm.to_ordinal(t)) == tm.t_classify(t)
-
-    def test_examples(self):
-        assert classify(ZERO) == "zero"
-        assert classify(Ordinal.from_int(9)) == "successor"
-        assert classify(W) == "limit"
-        assert classify(add(opow(W, 2), 1)) == "successor"
-
     def test_successor(self):
         assert successor(ZERO) == ONE
         assert successor(W) == add(W, 1)

@@ -10,7 +10,6 @@ from ordq.universe import EMPTY_SET
 
 # (class, constructor arguments, the repr a dataclass with these fields prints)
 RECORDS = [
-    (tam.Flag, ("armed", 1), "Flag(name='armed', initial=1)"),
     (tam.OracleCall, ("o", ("input",), "r"),
      "OracleCall(slot='o', arg=('input',), register='r')"),
     (tam.ScanFirstHit, ("deccard", ("input",), "r"),
@@ -18,17 +17,17 @@ RECORDS = [
     (tam.ScanLastHitAtMost, ("deccard", ("input",), "r"),
      "ScanLastHitAtMost(slot='deccard', bound=('input',), register='r', "
      "charge_closed=True)"),
-    (tam.ScanFlagToggleUntil, ("deccard", ("input",), (tam.Flag("a", 0),), "r"),
+    (tam.ScanFlagToggleUntil, ("deccard", ("input",), (0, 1), "r"),
      "ScanFlagToggleUntil(slot='deccard', start=('input',), "
-     "flags=(Flag(name='a', initial=0),), register='r')"),
+     "flags=(0, 1), register='r')"),
     (tam.GuessCheckLoop, ("deccard", len, "r"),
      "GuessCheckLoop(slot='deccard', guesses=<built-in function len>, register='r')"),
     (tam.ComputableSubroutine, ("sq", len, (("reg", "x"),), "r"),
      "ComputableSubroutine(name='sq', fn=<built-in function len>, "
      "args=(('reg', 'x'),), register='r')"),
     (tam.SeparationScan, ("truth", "r"), "SeparationScan(slot='truth', register='r')"),
-    (tam.If, (("is-finite", ("input",)), (tam.Halt(("input",)),)),
-     "If(condition=('is-finite', ('input',)), "
+    (tam.IfFinite, (("input",), (tam.Halt(("input",)),)),
+     "IfFinite(value=('input',), "
      "then_branch=(Halt(output=('input',)),), else_branch=())"),
     (tam.Halt, (("reg", "r"),), "Halt(output=('reg', 'r'))"),
     (tam.Program, ("p", (tam.Halt(("input",)),)),
@@ -98,7 +97,7 @@ def test_records_of_two_classes_with_equal_fields_differ():
         (tam.OracleCall("s", ("input",), "r"), tam.ScanFirstHit("s", ("input",), "r")),
         (tam.ComputableSubroutine("const", ZERO, OMEGA, "all-0"),
          reductions.BoundForm("const", ZERO, OMEGA, "all-0")),
-        (tam.Flag("x", 1), tam.SeparationScan("x", 1)),
+        (tam.IfFinite("s", ("input",), "r"), tam.OracleCall("s", ("input",), "r")),
     ]
     for a, b in pairs:
         assert fields(a) == fields(b)

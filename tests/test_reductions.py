@@ -596,6 +596,31 @@ class TestVerifyReports:
         assert not report.passed
         assert "FAIL" in report.render_table()
 
+    def test_a_diverged_row_is_judged_against_a_bound_with_a_value(self):
+        # the fruitless sweep from w^2+1 to the world boundary is charged w^3
+        spec = catalog("nextcard_via_deccard")
+        for bound, within in (("w", False), ("w^3", True)):
+            report = verify(spec, POWERS, [P("w^2+1")],
+                            bound_override=BoundForm.const(P(bound)))
+            (row,) = report.rows
+            assert row.status == "diverged" and row.correct
+            assert (row.order_type, row.bound_text) == ("w^3", bound)
+            assert row.within is within and row.ok is within
+            assert report.to_json()["instances"][0]["within_bound"] is within
+
+    @pytest.mark.parametrize("name,instance", [("nextcard_via_deccard", P("w^2+1")),
+                                               ("ordcard_guesscheck", P("w^2+5"))])
+    def test_a_row_that_did_not_halt_reads_null_against_a_bound_without_a_value(
+            self, name, instance):
+        # nextcard(a)+1 has no value past the last cardinal, nor has the
+        # bare finiteness promise
+        report = verify(catalog(name), POWERS, [instance], budget=2)
+        (row,) = report.rows
+        assert row.status != "halted" and row.within is None
+        assert report.to_json()["instances"][0]["within_bound"] is None
+        # a null within fails no row: the verdict is the other checks'
+        assert row.replay_ok and row.ok is row.correct is (name == "nextcard_via_deccard")
+
     def test_replay_bit_is_checked_on_halting_rows(self):
         report = verify(catalog("nextcard_via_deccard"), POWERS, [P("w+1"), 4])
         assert all(row.replay_ok is True for row in report.rows)

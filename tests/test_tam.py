@@ -7,7 +7,6 @@ from ordq import universe as u
 from ordq.logic import formula_index, parse_formula
 from ordq.oracles import (
     DEC_CARD,
-    SCRIPTED,
     TRUTH,
     FiniteOrdinalSet,
     OmegaMultiplesSet,
@@ -24,10 +23,9 @@ from ordq.tam import (
     INPUT,
     ApproximatorContractError,
     ComputableSubroutine,
-    Flag,
     GuessCheckLoop,
     Halt,
-    If,
+    IfFinite,
     OracleCall,
     Program,
     ProgramError,
@@ -43,7 +41,7 @@ from ordq.tam import (
 
 import tuple_model as tm
 from reference_machine import ref_first_hit, ref_flag_scan, ref_last_hit
-from reference_sets import HitsBetween, flag_value_after
+from reference_sets import HitsBetween, bit_oracle, flag_value_after
 from test_universe import STRUCTURES, W3, multiples_card, powers_card
 
 WIDE = omega_power(P("w*2"))
@@ -60,7 +58,7 @@ LAST_HIT = Program("last-hit-at-most-input", (
 
 FLAG_SCAN = Program("flag-scan-two-bank", (
     ScanFlagToggleUntil(slot="check", start=INPUT,
-                        flags=(Flag("a", 0), Flag("b", 1)), register="r"),
+                        flags=(0, 1), register="r"),
     Halt(reg("r")),
 ))
 
@@ -71,7 +69,7 @@ def dec(structure):
 
 def hits(*members):
     """A scripted oracle over the given hit set, bound to the slot "check"."""
-    return {"check": make_effectivizer(SCRIPTED, hit_set=FiniteOrdinalSet(members))}
+    return {"check": bit_oracle(FiniteOrdinalSet(members))}
 
 
 def recorded(*entries):
@@ -148,7 +146,7 @@ class TestLastHitScan:
             assert res.ledger.total_order_type() == tm.to_ordinal(charged), t
 
     def test_no_hit_in_window_diverges_after_the_sweep(self):
-        bits = make_effectivizer(SCRIPTED, hit_set=FiniteOrdinalSet([P("w")]))
+        bits = bit_oracle(FiniteOrdinalSet([P("w")]))
         res = run(LAST_HIT, P("5"), {"check": bits})
         assert res.status == "diverged"
         assert render(res.ledger.total_order_type()) == "6"
@@ -159,8 +157,8 @@ class TestLastHitScan:
 FLAG_ORACLES = [(name, make_effectivizer(DEC_CARD, structure=cs))
                 for name, cs, _, _ in STRUCTURES] + [
     ("omega-powers-wide", make_effectivizer(DEC_CARD, structure=u.omega_powers(WIDE))),
-    ("omega-multiples", make_effectivizer(SCRIPTED, hit_set=OmegaMultiplesSet())),
-    ("finite", make_effectivizer(SCRIPTED, hit_set=FiniteOrdinalSet(
+    ("omega-multiples", bit_oracle(OmegaMultiplesSet())),
+    ("finite", bit_oracle(FiniteOrdinalSet(
         [P(a) for a in ("3", "w+2", "w*2", "w^2+w", "w^2*3+4")]))),
 ]
 FLAG_STAGES = [(t, tm.to_ordinal(t)) for t in tm.grid(4)]
@@ -198,7 +196,7 @@ class TestFlagScan:
     def test_all_ones_bank_exits_at_the_first_hit(self):
         prog = Program("flag-all-ones", (
             ScanFlagToggleUntil(slot="check", start=INPUT,
-                                flags=(Flag("a", 1), Flag("b", 1)), register="r"),
+                                flags=(1, 1), register="r"),
             Halt(reg("r")),
         ))
         res = run(prog, P("w+3"), dec(u.omega_powers(WIDE)))
@@ -208,12 +206,21 @@ class TestFlagScan:
     def test_all_zero_bank_exits_immediately_for_free(self):
         prog = Program("flag-all-zero", (
             ScanFlagToggleUntil(slot="check", start=INPUT,
-                                flags=(Flag("a", 0),), register="r"),
+                                flags=(0,), register="r"),
             Halt(reg("r")),
         ))
         res = run(prog, P("w+3"), dec(u.omega_powers(WIDE)))
         assert render(res.output) == "w+3"
         assert len(res.ledger) == 0 and render(res.halt_time) == "0"
+
+    @pytest.mark.parametrize("bank", [(), (0, 2), (1, "1")], ids=str)
+    def test_a_bank_that_is_not_a_nonempty_tuple_of_bits_is_refused(self, bank):
+        prog = Program("bad-bank", (
+            ScanFlagToggleUntil(slot="check", start=INPUT, flags=bank, register="r"),
+            Halt(reg("r")),
+        ))
+        with pytest.raises(ProgramError, match="nonempty tuple of bits"):
+            run(prog, P("3"), dec(u.omega_powers(WIDE)))
 
     def test_agrees_with_event_reference_on_multiples(self):
         cs = u.multiples_of_omega(W3)
@@ -243,10 +250,10 @@ class TestFlagScan:
     def test_stops_where_the_lim_inf_reference_zeroes_the_bank(self, oracle, bank):
         prog = Program("flag-bank", (
             ScanFlagToggleUntil(slot="check", start=INPUT, register="r",
-                                flags=tuple(Flag(f"f{i}", b) for i, b in enumerate(bank))),
+                                flags=bank),
             Halt(reg("r")),
         ))
-        hits = oracle.ranked()
+        hits = oracle.hit_set
         horizon = hits.scan_horizon() or W3      # every grid stage lies below w^3
         for t in anchors():
             start = tm.to_ordinal(t)
@@ -339,7 +346,7 @@ class TestSeparationScan:
 class TestControlFlow:
     def test_if_branches_on_finiteness(self):
         prog = Program("finite-shortcut", (
-            If(("is-finite", INPUT),
+            IfFinite(INPUT,
                then_branch=(Halt(INPUT),),
                else_branch=(ComputableSubroutine("succ", successor, (INPUT,), "r"),
                             Halt(reg("r")))),
@@ -402,7 +409,7 @@ class TestScripted:
     def test_pointwise_flag_scan_all_ones(self):
         prog = Program("flag-all-ones", (
             ScanFlagToggleUntil(slot="check", start=INPUT,
-                                flags=(Flag("a", 1),), register="r"),
+                                flags=(1,), register="r"),
             Halt(reg("r")),
         ))
         res = run(prog, P("4"), hits(6))
@@ -502,7 +509,7 @@ class TestReplay:
                     edited += 1
         assert edited == 7
 
-    def test_same_as_compares_what_the_json_shows(self):
+    def test_same_as_compares_what_the_json_shows_and_the_exit(self):
         single = SingleEntry("DecCard", OMEGA, 1)
         scan = RunEntry("DecCard", OMEGA, P("w*2"), OMEGA, PATTERN_ORACLE_HITS, P("w+3"))
         base = recorded(single, scan)
@@ -517,6 +524,7 @@ class TestReplay:
             (single, scan._replace(to_query=P("w*3"))),
             (single, scan._replace(order_type=P("w*2"))),
             (single, scan._replace(pattern=PATTERN_ALL_ZERO)),
+            (single, scan._replace(exit=None)),         # the exit replay reads
             (single,),
         ]
         for entries in seen:
@@ -525,7 +533,6 @@ class TestReplay:
         unseen = [
             (single._replace(query=P("w")), scan),      # equal, built apart
             (single._replace(response=ONE), scan),      # shows "1" too
-            (single, scan._replace(exit=None)),
         ]
         for entries in unseen:
             assert base.same_as(recorded(*entries)), entries

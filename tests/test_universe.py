@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from ordq import universe
 from ordq.logic import universe_of
 from ordq.oracles import summarize_query
-from ordq.ordcalc import OMEGA, Ordinal, omega_power, parse_ordinal as parse
+from ordq.ordcalc import OMEGA, Ordinal, omega_power, parse_ordinal as parse, render
 from ordq.universe import (
     EMPTY_SET,
     HFSet,
@@ -36,7 +36,6 @@ from ordq.universe import (
     encode_hf,
     explicit_list,
     hf,
-    hf_card,
     hf_product,
     is_cardinal,
     kuratowski,
@@ -51,6 +50,7 @@ from ordq.universe import (
     validate_code,
 )
 
+import cnf_model as cnf
 from reference_sets import hf_powerset, reference_validate_code, sup_of_cardinals_below
 from tuple_model import Trip, grid, to_ordinal
 
@@ -228,6 +228,76 @@ class TestStructureBrute:
                 assert got > to_ordinal((4, 4, 4)), t
 
 
+def _model_probes():
+    """The model's ordinals from w^3 up with at most two terms, coefficients
+    at most 2 and every exponent's finite part at most 3: each one's card,
+    next card and next limit of cardinals is then itself a model ordinal,
+    or there is none below the bound."""
+    return [a for a in cnf.universe()
+            if a >= (((0, 3), 1),) and len(a) <= 2
+            and all(c <= 2 and q <= 3 for (_, q), c in a)]
+
+
+MODEL_PROBES = _model_probes()
+MODEL_BOUND = parse(cnf.BOUND_TEXT)
+MODEL_LISTED = [(((0, 2), 1),), (((1, 0), 1),), (((1, 0), 2), ((0, 3), 1)),
+                (((1, 1), 1),), (((2, 0), 1), ((0, 1), 1))]
+MODEL_STRUCTURES = [
+    ("omega-powers", omega_powers(MODEL_BOUND), cnf.powers_card, cnf.powers_limit),
+    ("multiples-of-omega", multiples_of_omega(MODEL_BOUND), cnf.multiples_card,
+     cnf.multiples_limit),
+    ("explicit-list", explicit_list([parse(cnf.text(c)) for c in MODEL_LISTED], MODEL_BOUND),
+     cnf.explicit_card(MODEL_LISTED), cnf.explicit_limit),
+]
+
+
+def model_answer(got, want):
+    return got is None if want is None else got == parse(cnf.text(want))
+
+
+class TestModelBridge:
+    def test_the_probes_reach_infinite_exponents(self):
+        leading = {a[0][0] for a in MODEL_PROBES}
+        assert {(1, 0), (1, 1), (2, 0), (2, 1)} <= leading
+
+    def test_text_is_canonical_and_order_agrees(self):
+        values = [parse(cnf.text(a)) for a in MODEL_PROBES]
+        assert [render(v) for v in values] == [cnf.text(a) for a in MODEL_PROBES]
+        assert all(v < MODEL_BOUND for v in values)
+        # the probes ascend in the model, so they must ascend in the package
+        assert all(x < y for x, y in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("name,cs,card,limit", MODEL_STRUCTURES,
+                         ids=[row[0] for row in MODEL_STRUCTURES])
+class TestStructureAboveW3:
+    """Closed forms vs searches over the independent normal-form model, for
+    every probe from w^3 up, exponents w, w+1 and w*2 included."""
+
+    def test_is_cardinal(self, name, cs, card, limit):
+        for a in MODEL_PROBES:
+            assert is_cardinal(cs, parse(cnf.text(a))) == int(card(a)), cnf.text(a)
+
+    def test_card_of_is_the_greatest_cardinal_at_most(self, name, cs, card, limit):
+        cardinals = [a for a in cnf.universe() if card(a)]
+        for a in MODEL_PROBES:
+            want = cnf.greatest_at_most(cardinals, a)
+            assert model_answer(card_of(cs, parse(cnf.text(a))), want), cnf.text(a)
+
+    def test_next_card_is_the_least_cardinal_above(self, name, cs, card, limit):
+        cardinals = [a for a in cnf.universe() if card(a)]
+        for a in MODEL_PROBES:
+            want = cnf.least_above(cardinals, a)
+            assert model_answer(next_card_of(cs, parse(cnf.text(a))), want), cnf.text(a)
+
+    def test_next_limit_is_the_least_limit_of_cardinals_above(self, name, cs, card, limit):
+        limits = [a for a in cnf.universe() if limit(a)]
+        for a in MODEL_PROBES:
+            want = cnf.least_above(limits, a)
+            got = next_limit_of_cardinals_above(cs, parse(cnf.text(a)))
+            assert model_answer(got, want), (cnf.text(a), got)
+
+
 class TestHFSet:
     def test_extensional_equality_and_dedup(self):
         a = hf(EMPTY_SET, EMPTY_SET)
@@ -257,13 +327,13 @@ class TestHFSet:
         rng = random.Random(7)
         for _ in range(20):
             s = random_hfset(rng, max_rank=3, max_width=3)
-            if hf_card(s) <= 10:
-                assert hf_card(hf_powerset(s)) == 2 ** hf_card(s)
+            if len(s) <= 10:
+                assert len(hf_powerset(s)) == 2 ** len(s)
 
     def test_powerset_members_are_subsets(self):
         s = parse_hf("{{},{{}},{{{}}}}")
         p = hf_powerset(s)
-        assert hf_card(p) == 8
+        assert len(p) == 8
         for sub in p:
             assert all(m in s for m in sub)
 
@@ -281,7 +351,7 @@ class TestHFSet:
     def test_product_size(self):
         xs = HFSet(nest(i) for i in range(3))
         ys = HFSet(nest(i) for i in range(4))
-        assert hf_card(hf_product(xs, ys)) == 12
+        assert len(hf_product(xs, ys)) == 12
 
     def test_immutable(self):
         with pytest.raises(AttributeError):
@@ -439,7 +509,7 @@ class TestSetCode:
         code = encode_hf(s)
         decoded = [decode_element(code, n) for n in code_elements(code)]
         assert HFSet(decoded) == s
-        assert len(decoded) == hf_card(s)
+        assert len(decoded) == len(s)
 
     def test_long_chain_validates_and_decodes_without_recursion(self):
         # node i is the only member of node i+1: a 3,000-deep chain
@@ -883,7 +953,7 @@ class TestPowersetCode:
 
     def test_twelve_members_of_mixed_rank(self):
         s = HFSet(list(universe_of(4))[:10] + [nest(5), nest(7)])
-        assert hf_card(s) == 12
+        assert len(s) == 12
         code = permuted(encode_hf(s), random.Random(12), 3)
         assert_same_code(powerset_code(code), reference_powerset_code(code))
 
@@ -906,7 +976,7 @@ class TestPowersetCode:
                        + [HFSet(members[i::3] + [nest(2)]) for i in range(3)]
                        + [HFSet(members[:i]) for i in (1, 4, 11)])
         x = HFSet(members + [holder])
-        assert hf_card(x) == 12
+        assert len(x) == 12
         assert sum(1 for n in transitive_closure(x) if n.rank == 4 and not n <= x) == 25
         code = encode_hf(x)
         want = reference_powerset_code(code)
