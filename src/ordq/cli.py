@@ -347,6 +347,11 @@ def _suite_reductions():
     code = u.encode_hf(u.hf(u.EMPTY_SET))
     report = verify(catalog("powercard_via_pot"), None, [code])
     _check(report.passed, "power cardinality reduction failed")
+    # count-only: the second Pot answer stays pending, numbered by nothing
+    code = u.encode_hf(u.hf(u.EMPTY_SET, u.hf(u.EMPTY_SET)))
+    report = verify(catalog("powercard_via_pot", count_only=True), None, [code])
+    _check(report.passed and report.rows[0].output_text == "4",
+           "count-only power cardinality reduction failed")
 
 
 _SELFTEST_SUITES = (

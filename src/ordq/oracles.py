@@ -257,7 +257,10 @@ class QueryLedger:
 
     def append(self, entry: LedgerEntry):
         length = entry.length()
-        if not length and isinstance(entry, RunEntry):
+        # a hit-terminated window [from, to) must hold a position; an
+        # oracle-hits entry may be charged 0 (a declared last-hit scan up to
+        # 0), and is kept, as replay reads its exit
+        if not length and entry.pattern != PATTERN_ORACLE_HITS:
             raise ValueError("run intervals must be nonempty")
         self._total = add(self._total, length)
         self.entries.append(entry)
@@ -294,11 +297,13 @@ def summarize_query(q: Any) -> str:
     if isinstance(q, int) and not isinstance(q, bool):
         return render(Ordinal.from_int(q))
     if isinstance(q, SetCode):
-        # a built code's child map gives the count without an edge set; a
-        # code given by its edges is not unpacked, as its edges may be invalid
+        # reading the domain numbers a pending Pot answer; a built code's
+        # child map then gives the count without an edge set, and a code
+        # given by its edges is not unpacked, as its edges may be invalid
+        domain, root = q.domain, q.root
         children = q.__dict__.get("_children")
         edges = len(q.edges) if children is None else sum(map(len, children.values()))
-        return f"code(domain={q.domain},root={q.root},edges={edges})"
+        return f"code(domain={domain},root={root},edges={edges})"
     if isinstance(q, tuple):
         return "(" + ",".join(map(summarize_query, q)) + ")"
     if isinstance(q, list):

@@ -127,7 +127,8 @@ class ScanFirstHit(NamedTuple):
 class ScanLastHitAtMost(NamedTuple):
     """Greatest positive position at most the bound.  The naive form is
     charged bound+1 (the closed sweep); the declared form is charged just
-    the bound."""
+    the bound, and is ledgered even when that is 0, so that replay reads
+    its exit."""
 
     slot: str
     bound: tuple
@@ -296,8 +297,6 @@ class _Machine:
 
     def _append_run(self, oracle_name: str, from_q: Ordinal, to_q: Ordinal,
                     order_type: Ordinal, pattern: str, exit: Optional[Ordinal]):
-        if order_type.is_zero():
-            return
         self.ledger.append(RunEntry(oracle=oracle_name, from_query=from_q,
                                     to_query=to_q, order_type=order_type,
                                     pattern=pattern, exit=exit))

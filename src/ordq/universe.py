@@ -35,15 +35,19 @@ the code.  A code built by encode_hf keeps the child map and decoded nodes
 the encoder has in hand and no edge set, which is derived on demand; its
 verdict is still worked out on first decode.  Every decode asks for it.
 
-The Pot oracle answers on codes: powerset_code builds the canonical code of
-a power set from the argument's child map, with no HFSet and no sort per
-subset.  encode_hf and powerset_code both number their nodes one rank at a
+The Pot oracle answers on codes: powerset_code checks its argument at once
+(InvalidCodeError, then PowersetCapError) and returns a code that is
+numbered on first read: the canonical code of the power set is built from
+the argument's child map, with no HFSet and no sort per subset, the first
+time anything of the answer is read.  An answer nothing reads, such as the
+second Pot answer of a count-only powercard run, is never numbered.
+encode_hf and the power-set numbering both number their nodes one rank at a
 time, lowest first, in the canonical order (member count, then member ids),
-written two ways: encode_hf sorts each rank's member-id tuples, and
-powerset_code lists each rank's subsets with itertools.combinations over the
-new ids of the argument's members, which come out in that order already.
-The reference_powerset_code tests in tests/test_universe.py keep the two in
-agreement.
+written two ways: encode_hf sorts each rank's member-id tuples, and the
+power-set numbering lists each rank's subsets with itertools.combinations
+over the new ids of the argument's members, which come out in that order
+already.  The reference_powerset_code tests in tests/test_universe.py keep
+the two in agreement.
 """
 
 from __future__ import annotations
@@ -365,9 +369,12 @@ class SetCode(Record):
 
     A code is immutable, so it works out its child map, its validity verdict
     and its decoded nodes once, on first use, and keeps them.  A code built
-    by encode_hf or powerset_code stores its child map (and encode_hf's
-    decoded nodes); its edge set is derived on demand, for equality, hashing
-    and repr, and its verdict is worked out on first decode.
+    by encode_hf stores its child map and decoded nodes; its edge set is
+    derived on demand, for equality, hashing and repr, and its verdict is
+    worked out on first decode.  A Pot answer (powerset_code) starts out
+    pending, with its argument and no fields, and is numbered on first
+    read: reading its domain, root, child map or decoded nodes (and so
+    anything else) runs the numbering pass once, which stores all four.
     """
 
     _fields = ("domain", "edges", "root")
@@ -379,6 +386,12 @@ class SetCode(Record):
         _set(self, "edges", edges)
         _set(self, "root", root if type(root) is int else _as_nat(root, "root"))
 
+    def __getattr__(self, name):
+        # only a Pot answer not yet numbered lacks its domain and root
+        if name in ("domain", "root") and "_pending" in self.__dict__:
+            return _number_powerset(self)[name]
+        return object.__getattribute__(self, name)      # the usual AttributeError
+
     @cached_property
     def edges(self) -> FrozenSet[int]:
         """A built code's edge set, packed from its child map on first read."""
@@ -389,6 +402,8 @@ class SetCode(Record):
     def _children(self) -> Dict[int, Tuple[int, ...]]:
         """node -> its member node ids, ascending; nodes without members are
         absent."""
+        if "_pending" in self.__dict__:
+            return _number_powerset(self)["_children"]
         children: Dict[int, List[int]] = {}
         for edge in self.edges:
             x, y = cantor_unpair(edge)
@@ -402,6 +417,8 @@ class SetCode(Record):
     @cached_property
     def _decoded(self) -> Dict[int, HFSet]:
         """node -> its HFSet, filled as nodes are decoded."""
+        if "_pending" in self.__dict__:
+            return _number_powerset(self)["_decoded"]
         return {}
 
 
@@ -478,13 +495,28 @@ def _capped_elements(code: SetCode) -> List[int]:
 
 
 def powerset_code(code: SetCode) -> SetCode:
-    """The canonical code of the power set of the set x that code names,
-    built from x's child map: InvalidCodeError on a bad code, then
-    PowersetCapError above POWERSET_CAP members, both before anything is
-    built.  No HFSet is built per subset.  The code stores its child map
-    and, as decoded nodes, the sets below x that the argument has decoded,
-    so a set decoded from the answer shares them and compares with sets
-    decoded from the argument without walking down equal copies.
+    """The canonical code of the power set of the set x that code names:
+    InvalidCodeError on a bad code, then PowersetCapError above POWERSET_CAP
+    members, both raised by the call.  The answer is numbered on first read:
+    the one numbering pass (_number_powerset) runs the first time its
+    domain, root, child map or decoded nodes are read, which decoding,
+    code_elements, edges, equality, hashing, repr and ledger text all do.
+    So a Pot answer that only passes through a ledger, as the second answer
+    of a count-only powercard run does, is never numbered unless the ledger
+    is written as JSON."""
+    answer = object.__new__(SetCode)
+    answer.__dict__["_pending"] = (code, _capped_elements(code))
+    return answer
+
+
+def _number_powerset(answer: SetCode) -> Dict[str, object]:
+    """Number a pending Pot answer, the power set of the set x that its
+    argument code names, from x's child map: store its domain, root, child
+    map and decoded nodes, drop the argument, and return its fields.  No
+    HFSet is built per subset.  The decoded nodes are the sets below x that
+    the argument has decoded, so a set decoded from the answer shares them
+    and compares with sets decoded from the argument without walking down
+    equal copies.
 
     The nodes are numbered one rank at a time, lowest first, so the new ids
     of x's members numbered so far (the pool, ascending) end with the block
@@ -495,7 +527,8 @@ def powerset_code(code: SetCode) -> SetCode:
     subsets (each has a member outside x) are merged in by bisection, and
     a node below x whose members all lie in x is found among the subsets
     the same way."""
-    elements = _capped_elements(code)
+    fields = answer.__dict__
+    code, elements = fields["_pending"]
     children = code._children
     rank: Dict[int, int] = {}           # old id -> rank, for the nodes below x
     for n in elements:                  # members first, on an explicit stack
@@ -552,7 +585,9 @@ def powerset_code(code: SetCode) -> SetCode:
     new_children[base] = tuple(filterfalse(set(others).__contains__, range(base)))
     old = code._decoded
     decoded = {new[n]: old[n] for n in rank if n in old}
-    return _built_code(base + 1, base, new_children, decoded)
+    fields.update(domain=base + 1, root=base, _children=new_children, _decoded=decoded)
+    del fields["_pending"]
+    return fields
 
 
 def validate_code(code: SetCode) -> int:
@@ -567,8 +602,9 @@ def validate_code(code: SetCode) -> int:
 def _check_code(code: SetCode) -> int:
     if not (0 <= code.root < code.domain):
         return 0
-    # a negative edge packs no pair; a code built by encode_hf or
-    # powerset_code starts out with its child map, so its edge set is not read
+    # a negative edge packs no pair; a code built by encode_hf has its child
+    # map, and so has a Pot answer once the root read above numbered it, so
+    # their edge sets are not read
     if "_children" not in code.__dict__ and min(code.edges, default=0) < 0:
         return 0
     children = code._children

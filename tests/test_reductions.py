@@ -352,6 +352,49 @@ class TestPowerCard:
         assert all(row.order_type == "2" for row in report.rows)
 
 
+class TestPotAnswersNumberedOnFirstRead:
+    """A Pot answer is numbered the first time it is read, so a count-only
+    row never numbers its second answer, which only the ledger holds."""
+
+    @pytest.fixture
+    def numbered(self, monkeypatch):
+        answers = []
+        number = u._number_powerset
+
+        def counting(answer):
+            answers.append(answer)
+            return number(answer)
+
+        monkeypatch.setattr(u, "_number_powerset", counting)
+        return answers
+
+    def test_a_count_only_row_numbers_only_the_first_answer(self, numbered):
+        report = verify(catalog("powercard_via_pot", count_only=True), None,
+                        [code_of(*V3[:2])])
+        assert report.passed and report.rows[0].output_text == "4"
+        assert len(numbered) == 1
+
+    def test_replay_numbers_nothing_and_json_numbers_the_second_answer_once(self, numbered):
+        spec = catalog("powercard_via_pot", count_only=True)
+        code = code_of(*V3[:2])
+        res = run_once(spec, None, code)
+        first, second = (e.response for e in res.ledger)
+        # compared by identity: == would number a pending answer
+        assert len(numbered) == 1 and numbered[0] is first
+        assert tam.replay(spec.make_program(), code, res).same_as(res)
+        assert len(numbered) == 1 and numbered[0] is first
+        # P(V_3): 16 subsets holding 32 members, and the root over all 16
+        assert res.ledger.to_json()[1]["response"] == "code(domain=17,root=16,edges=48)"
+        res.ledger.to_json()
+        assert len(numbered) == 2 and numbered[1] is second
+        assert "edges" not in second.__dict__ and "_pending" not in second.__dict__
+
+    def test_a_full_row_numbers_both_answers(self, numbered):
+        report = verify(catalog("powercard_via_pot"), None, [code_of(*V3[:2])])
+        assert report.passed and report.rows[0].output_text == "4"
+        assert len(numbered) == 2
+
+
 def reference_is_strict_total_order(edges, n):
     for i in range(n):
         if (i, i) in edges:

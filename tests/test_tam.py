@@ -137,6 +137,24 @@ class TestLastHitScan:
         assert render(res.output) == "w"
         assert render(res.ledger.total_order_type()) == "w*2+1"
 
+    def test_declared_scan_up_to_zero_is_ledgered_and_replays(self):
+        # charged 0, the window is still ledgered, so that replay finds the
+        # exit the live scan read instead of diverging
+        prog = Program("declared", (
+            ScanLastHitAtMost("deccard", INPUT, "r", charge_closed=False),
+            Halt(reg("r")),
+        ))
+        bindings = {"deccard": make_effectivizer(DEC_CARD, structure=u.omega_powers(W3))}
+        res = run(prog, ZERO, bindings)
+        assert res.halted and res.output == ZERO
+        assert res.ledger.to_json() == [
+            {"kind": "run", "oracle": "DecCard", "from": "0", "to": "0",
+             "order_type": "0", "response": "oracle-hits"}]
+        assert res.ledger.total_order_type() == ZERO
+        again = replay(prog, ZERO, res)
+        assert again.halted and again.output == ZERO
+        assert again.same_as(res)
+
     @pytest.mark.parametrize("name,cs,pred,_", STRUCTURES, ids=[r[0] for r in STRUCTURES])
     def test_agrees_with_event_reference(self, name, cs, pred, _):
         for t in anchors():

@@ -991,7 +991,10 @@ class TestPowersetCode:
     def test_the_answer_carries_its_child_map(self):
         x = parse_hf(SUBSET_MEMBERS[1])
         code = powerset_code(encode_hf(x))
-        assert "_children" in code.__dict__
+        # numbered on first read: reading the root stores the child map
+        assert "_children" not in code.__dict__
+        assert code.root == code.domain - 1
+        assert "_children" in code.__dict__ and "edges" not in code.__dict__
         fresh = SetCode(code.domain, code.edges, code.root)
         assert fresh._children == code._children
         assert validate_code(code) == 1
@@ -1036,6 +1039,73 @@ class TestPowersetCode:
             powerset_code(code)
         assert time.perf_counter() - started < 0.5
         assert str(got.value) == str(want.value)
+
+
+# a reading of a Pot answer -> what it gives; each runs first on a pending
+# answer, so each is a first read that must number it.  Only the readings
+# in PACKS_EDGES build the edge set.
+PACKS_EDGES = {"fields", "hash", "repr", "equality"}
+FIRST_READS = {
+    "fields": lambda c: (c.domain, c.root, c.edges, c._children),
+    "hash": hash,
+    "repr": repr,
+    "decode_set": decode_set,
+    "code_elements": code_elements,
+    "summary": summarize_query,
+    "equality": lambda c: (c == SetCode(c.domain, c.edges, c.root),
+                           SetCode(c.domain, c.edges, c.root) == c),
+}
+
+
+class TestPotAnswersNumberedOnFirstRead:
+    """powerset_code checks its argument when called and numbers its answer
+    the first time anything of it is read."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 15), max_size=6, unique=True),
+           st.randoms(use_true_random=False), st.integers(0, 2))
+    def test_pending_and_forced_answers_agree_with_the_reference(self, picks, rng, extra):
+        v4 = universe_of(4)
+        code = encode_hf(HFSet(v4[i] for i in picks))
+        want = reference_powerset_code(code)
+        for argument in (code, permuted(code, rng, extra)):
+            forced = powerset_code(argument)
+            forced.root
+            assert "_pending" not in forced.__dict__
+            assert forced == want and want == forced and hash(forced) == hash(want)
+            for name, read in FIRST_READS.items():
+                pending = powerset_code(argument)
+                assert "_children" not in pending.__dict__
+                got = read(pending)
+                assert "_pending" not in pending.__dict__, name
+                assert ("edges" in pending.__dict__) == (name in PACKS_EDGES), name
+                assert got == read(forced) == read(want), name
+
+    def test_decoded_nodes_read_first_number_the_answer(self):
+        # encode_hf keeps the decoded nodes of the argument, which the
+        # numbering hands on to the answer
+        argument = encode_hf(parse_hf(SUBSET_MEMBERS[1]))
+        answer = powerset_code(argument)
+        decoded = answer._decoded
+        assert "_pending" not in answer.__dict__ and len(decoded) == 4
+        shared = {id(s) for s in argument._decoded.values()}
+        assert all(id(s) in shared for s in decoded.values())
+        assert decode_set(answer) == hf_powerset(parse_hf(SUBSET_MEMBERS[1]))
+
+    @pytest.mark.parametrize("code,error", [
+        (SetCode(2, [cantor_pair(0, 1), cantor_pair(1, 0)], 0), InvalidCodeError),
+        (SetCode(3, [-1], 0), InvalidCodeError),
+        (encode_hf(HFSet(nest(i) for i in range(POWERSET_CAP + 1))), PowersetCapError),
+    ], ids=["two-cycle", "negative-edge", "17-members"])
+    def test_bad_arguments_raise_from_the_call_before_any_numbering(self, code, error,
+                                                                     monkeypatch):
+        numbered = []
+        monkeypatch.setattr(universe, "_number_powerset", numbered.append)
+        with pytest.raises(error):
+            powerset_code(code)
+        with pytest.raises(error):
+            reference_powerset_code(code)
+        assert numbered == []
 
 
 class TestPairing:
