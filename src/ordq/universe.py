@@ -34,6 +34,9 @@ validity verdict and decoded nodes are worked out on first use and kept on
 the code.  A code built by encode_hf keeps the child map and decoded nodes
 the encoder has in hand and no edge set, which is derived on demand; its
 verdict is still worked out on first decode.  Every decode asks for it.
+encode_hf builds a new code on every call, from a numbering pass that is
+memoized for the last 128 sets of rank up to NESTING_CAP: codes of equal
+sets share the child map and the decoded nodes below the root.
 
 The Pot oracle answers on codes: powerset_code checks its argument at once
 (InvalidCodeError, then PowersetCapError) and returns a code that is
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import cached_property, wraps
+from functools import cached_property, lru_cache, wraps
 from itertools import combinations, filterfalse
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -253,6 +256,17 @@ class HFSet(frozenset):
     def __setattr__(self, name, value):
         raise AttributeError("HFSet is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild the set from its members, which works out
+        # the rank again; the default reduce sets the rank slot, which
+        # __setattr__ refuses
+        return HFSet, (tuple(self),)
+
+    def __deepcopy__(self, memo):
+        # an immutable set of immutable sets is its own deep copy; a rebuild
+        # would recurse several frames per level
+        return self
+
     def __str__(self):
         return render_hf(self)
 
@@ -369,12 +383,13 @@ class SetCode(Record):
 
     A code is immutable, so it works out its child map, its validity verdict
     and its decoded nodes once, on first use, and keeps them.  A code built
-    by encode_hf stores its child map and decoded nodes; its edge set is
-    derived on demand, for equality, hashing and repr, and its verdict is
-    worked out on first decode.  A Pot answer (powerset_code) starts out
-    pending, with its argument and no fields, and is numbered on first
-    read: reading its domain, root, child map or decoded nodes (and so
-    anything else) runs the numbering pass once, which stores all four.
+    by encode_hf stores its child map, shared with the other codes of equal
+    sets, and its own decoded nodes; its edge set is derived on demand, for
+    equality, hashing and repr, and its verdict is worked out on first
+    decode.  A Pot answer (powerset_code) starts out pending, with its
+    argument and no fields, and is numbered on first read: reading its
+    domain, root, child map or decoded nodes (and so anything else) runs
+    the numbering pass once, which stores all four.
     """
 
     _fields = ("domain", "edges", "root")
@@ -448,13 +463,31 @@ def encode_hf(s: HFSet) -> SetCode:
     member count, then by their sorted member-id tuples, so equal sets
     always get equal codes.
 
-    The returned code stores the child map and decoded nodes the numbering
-    pass has in hand, and no edge set; its verdict is still worked out on
-    first decode.
+    Each call returns a new code, which stores the child map and decoded
+    nodes of the numbering pass and no edge set; its verdict is still worked
+    out on first decode, and its root decodes to s itself.  The numbering
+    of a set of rank up to NESTING_CAP is memoized (_numbering), so an equal
+    set encoded again shares the child map and the decoded nodes below the
+    root with the earlier codes; a deeper set is numbered afresh, since a
+    memo hit compares the two sets, and frozenset comparison recurses one
+    level per frame down equal members that are distinct objects.
 
     powerset_code writes the same order a second way, as the order in which
     itertools.combinations lists subsets; the reference_powerset_code tests
     in tests/test_universe.py keep the two in agreement."""
+    number = _numbering if s.rank <= NESTING_CAP else _numbering.__wrapped__
+    domain, root, children, decoded = number(s)
+    return _built_code(domain, root, children, {**decoded, root: s})
+
+
+# a separation verdict encodes its separated set three times (run,
+# reference and replay), and a workload's subsets recur
+@lru_cache(maxsize=128, typed=True)
+def _numbering(s: HFSet) -> Tuple[int, int, Dict[int, Tuple[int, ...]], Dict[int, HFSet]]:
+    """encode_hf's numbering pass: the domain, the root, the child map and
+    the decoded nodes of s's canonical code.  The codes built from one
+    numbering share its child map, and each takes a copy of its decoded
+    nodes; neither map is changed after the pass."""
     closure = transitive_closure(s)
     by_rank: List[List[HFSet]] = [[] for _ in range(s.rank + 1)]
     for node in closure:
@@ -476,7 +509,7 @@ def encode_hf(s: HFSet) -> SetCode:
             if kids:
                 children[i] = kids
     decoded = {i: node for node, i in ids.items()}
-    return _built_code(len(ids), ids[s], children, decoded)
+    return len(ids), ids[s], children, decoded
 
 
 def _size_and_ids(kids: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:

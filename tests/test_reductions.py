@@ -600,6 +600,17 @@ class TestSeparation:
         assert report.passed and report.rows[0].order_type == "4"
         assert len(calls) == 4
 
+    def test_one_verdict_numbers_its_separated_set_once(self):
+        # the run numbers the separated set, and the reference and the
+        # replay, which build equal sets apart, find it in the memo
+        k = formula_index(parse_formula("E y A z A w (y in #0 & (w in z | !(z in y)))"))
+        instance = (u.encode_hf(u.parse_hf("{{},{{}},{{{}}},{{},{{}}}}")), k, ())
+        u._numbering.cache_clear()
+        report = verify(catalog("sep_via_truth", level=2, rank=4), None, [instance])
+        assert report.passed and report.rows[0].order_type == "4"
+        info = u._numbering.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
     def test_arity_mismatch_costs_nothing(self):
         spec = catalog("sep_via_truth", level=2, rank=3)
         k = formula_index(parse_formula("E v0 (v0 in #0 & v0 in #1)"))

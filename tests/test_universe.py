@@ -6,8 +6,10 @@ on triples, and card/next/limit answers are found by scanning capped
 grids.  Caps are chosen so the true answer provably lies inside the grid.
 """
 
+import copy
 import itertools
 import math
+import pickle
 import random
 import sys
 import time
@@ -356,6 +358,29 @@ class TestHFSet:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             EMPTY_SET.members = frozenset()
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_sets_and_their_codes_copy_and_pickle(self, duplicate):
+        # the default reduce restored the rank slot through the blocked
+        # __setattr__; HFSet's own reduce rebuilds the set from its members
+        for text in ("{}", "{{}}", "{{},{{}},{{{}}},{{},{{}}}}"):
+            s = parse_hf(text)
+            got = duplicate(s)
+            assert type(got) is HFSet and got == s and got.rank == s.rank
+            code = encode_hf(s)
+            copied = duplicate(code)
+            assert copied == code and decode_set(copied) == s
+            assert decode_set(copied).rank == s.rank
+            assert summarize_query(copied) == summarize_query(code)
+
+    def test_a_set_at_the_nesting_cap_deep_copies(self):
+        # deepcopy rebuilt the members first, several frames per level, and
+        # ran out of stack at the 200 levels parse_hf accepts
+        s = parse_hf("{" * NESTING_CAP + "}" * NESTING_CAP)
+        assert copy.deepcopy(s) == s
+        assert decode_set(copy.deepcopy(encode_hf(s))) == s
 
     def test_render_deep_chain_builds_each_node_once(self):
         # sorting members by their text used to render each member again
@@ -1106,6 +1131,79 @@ class TestPotAnswersNumberedOnFirstRead:
         with pytest.raises(error):
             reference_powerset_code(code)
         assert numbered == []
+
+
+def code_fields(code: SetCode):
+    """Everything of a code that its readers see."""
+    return (code.domain, code.root, code._children, code.edges, hash(code), repr(code),
+            summarize_query(code))
+
+
+class TestNumberingMemo:
+    """encode_hf memoizes its numbering pass and builds a new code on every
+    call: codes of equal sets share the child map and the decoded nodes
+    below the root, and nothing else."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 15), max_size=6, unique=True),
+           st.randoms(use_true_random=False), st.integers(0, 2))
+    def test_memoized_and_cold_encodes_agree(self, picks, rng, extra):
+        v4 = universe_of(4)
+        for s in (HFSet(v4[i] for i in picks), random_hfset(rng, max_rank=4, max_width=3)):
+            code = encode_hf(s)
+            copies = [s, HFSet(list(s)), parse_hf(render_hf(s)),
+                      decode_set(permuted(code, rng, extra))]
+            codes = []
+            for c in copies:
+                universe._numbering.cache_clear()
+                cold = encode_hf(c)
+                warm = encode_hf(c)
+                assert universe._numbering.cache_info()[:2] == (1, 1)
+                assert code_fields(warm) == code_fields(cold) == code_fields(code)
+                codes += [cold, warm]
+            # a hit on an equal copy built apart decodes to the copy itself
+            for c in copies:
+                assert decode_set(encode_hf(c)) is c
+            codes += [encode_hf(c) for c in copies]
+            assert len(set(map(id, codes))) == len(codes)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 15), max_size=6, unique=True),
+           st.randoms(use_true_random=False))
+    def test_readers_leave_the_memo_unchanged(self, picks, rng):
+        v4 = universe_of(4)
+        s = HFSet(v4[i] for i in picks)
+        universe._numbering.cache_clear()
+        domain, root, children, decoded = universe._numbering(s)
+        kept_children, kept_decoded = dict(children), dict(decoded)
+        for c in (s, parse_hf(render_hf(s)), decode_set(permuted(encode_hf(s), rng))):
+            code = encode_hf(c)
+            assert code._children is children
+            assert code._decoded is not decoded and code._decoded[root] is c
+            assert "_verdict" not in code.__dict__ and "edges" not in code.__dict__
+            decode_set(code)
+            for node in code_elements(code):
+                decode_element(code, node)
+            code.edges
+            decode_set(powerset_code(code))
+            summarize_query(code)
+        assert universe._numbering.cache_info().misses == 1
+        assert children == kept_children
+        assert decoded.keys() == kept_decoded.keys()
+        assert all(decoded[i] is kept_decoded[i] for i in decoded)
+
+    def test_equal_3000_level_chains_built_apart_bypass_the_memo(self):
+        # a memo hit compares keys, and before 3.13 comparing these two
+        # chains raises RecursionError; sets above NESTING_CAP skip the memo
+        before = universe._numbering.cache_info().currsize
+        chain = SetCode(3001, [cantor_pair(i, i + 1) for i in range(3000)], 3000)
+        a, b = nest(3000), decode_set(chain)
+        assert a is not b
+        code_a, code_b = encode_hf(a), encode_hf(b)
+        assert (code_a.domain, code_a.root) == (code_b.domain, code_b.root) == (3001, 3000)
+        assert code_a._children == code_b._children == chain._children
+        assert decode_set(code_a) is a and decode_set(code_b) is b
+        assert universe._numbering.cache_info().currsize == before
 
 
 class TestPairing:
