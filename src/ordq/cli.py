@@ -316,13 +316,13 @@ def _suite_arithmetic():
 
 
 def _suite_oracles():
-    from .oracles import OmegaMultiplesSet
-    hits = OmegaMultiplesSet()
-    _check(hits.least_above(parse_ordinal("w*3+5")) == parse_ordinal("w*4"), "least_above")
-    _check(hits.greatest_at_most(parse_ordinal("w*3+5")) == parse_ordinal("w*3"),
-           "greatest_at_most")
-    _check(hits.next_limit_above(parse_ordinal("5")) == parse_ordinal("w^2"),
-           "next_limit_above")
+    from .oracles import CardinalClassSet
+    from .universe import multiples_of_omega
+    hits = CardinalClassSet(multiples_of_omega(parse_ordinal("w^3")))
+    a = parse_ordinal("w*3+5")
+    _check(hits.least_above(a) == parse_ordinal("w*4"), "least_above")
+    _check(hits.greatest_at_most(a) == parse_ordinal("w*3"), "greatest_at_most")
+    _check(hits.next_limit_above(a) == parse_ordinal("w^2"), "next_limit_above")
 
 
 def _suite_ledger():

@@ -297,7 +297,7 @@ def summarize_query(q: Any) -> str:
     if isinstance(q, int) and not isinstance(q, bool):
         return render(Ordinal.from_int(q))
     if isinstance(q, SetCode):
-        # reading the domain numbers a pending Pot answer; a built code's
+        # reading the domain numbers a pending Pot answer; a numbered code's
         # child map then gives the count without an edge set, and a code
         # given by its edges is not unpacked, as its edges may be invalid
         domain, root = q.domain, q.root

@@ -29,21 +29,26 @@ rules of every text format; NESTING_CAP is ordcalc's, re-exported here.
 An HFSet is a frozenset of HFSets with a rank, so equality, hashing and
 membership are frozenset's, by value, in C.  Equal sets built apart are
 distinct objects; the empty set that parse_hf and the decoders build is
-always EMPTY_SET.  A SetCode is validated once per object: its child map,
-validity verdict and decoded nodes are worked out on first use and kept on
-the code.  A code built by encode_hf keeps the child map and decoded nodes
-the encoder has in hand and no edge set, which is derived on demand; its
-verdict is still worked out on first decode.  Every decode asks for it.
-encode_hf builds a new code on every call, from a numbering pass that is
-memoized for the last 128 sets of rank up to NESTING_CAP: codes of equal
-sets share the child map and the decoded nodes below the root.
+always EMPTY_SET.  A set is its own copy, and pickles as its code.
 
-The Pot oracle answers on codes: powerset_code checks its argument at once
-(InvalidCodeError, then PowersetCapError) and returns a code that is
-numbered on first read: the canonical code of the power set is built from
-the argument's child map, with no HFSet and no sort per subset, the first
-time anything of the answer is read.  An answer nothing reads, such as the
-second Pot answer of a count-only powercard run, is never numbered.
+A SetCode is given by its edges, as SetCode(domain, edges, root), or by a
+numbering, a pass that answers its domain, root, child map and decoded
+nodes (_numbered_code).  Each derived field is worked out once per code,
+on first read, by SetCode.__getattr__, the one place that fills them: the
+numbering, the edge set from the child map, the child map from the edge
+set, the validity verdict and the decoded nodes.  Every decode asks for
+the verdict.  A code pickles as its edges.
+
+encode_hf numbers its code at once, with a pass that is memoized for the
+last 128 sets of rank up to NESTING_CAP: codes of equal sets share the
+child map and the decoded nodes below the root.  The Pot oracle answers on
+codes: powerset_code checks its argument at once (InvalidCodeError, then
+PowersetCapError) and returns a code that is numbered on first read: the
+canonical code of the power set is built from the argument's child map,
+with no HFSet and no sort per subset, the first time anything of the answer
+is read.  An answer nothing reads, such as the second Pot answer of a
+count-only powercard run, is never numbered.
+
 encode_hf and the power-set numbering both number their nodes one rank at a
 time, lowest first, in the canonical order (member count, then member ids),
 written two ways: encode_hf sorts each rank's member-id tuples, and the
@@ -57,7 +62,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import cached_property, lru_cache, wraps
+from functools import lru_cache, wraps
 from itertools import combinations, filterfalse
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
@@ -257,15 +262,16 @@ class HFSet(frozenset):
         raise AttributeError("HFSet is immutable")
 
     def __reduce__(self):
-        # copy and pickle rebuild the set from its members, which works out
-        # the rank again; the default reduce sets the rank slot, which
-        # __setattr__ refuses
-        return HFSet, (tuple(self),)
+        # pickle rebuilds the set from its code, which pickles as its edges:
+        # a rebuild from the members would recurse several frames per level,
+        # and the default reduce sets the rank slot, which __setattr__ refuses
+        return decode_set, (encode_hf(self),)
 
-    def __deepcopy__(self, memo):
-        # an immutable set of immutable sets is its own deep copy; a rebuild
-        # would recurse several frames per level
+    def __copy__(self, memo=None):
+        # an immutable set of immutable sets is its own copy, deep or not
         return self
+
+    __deepcopy__ = __copy__
 
     def __str__(self):
         return render_hf(self)
@@ -371,25 +377,29 @@ def _as_nat(value, field: str) -> int:
     raise InvalidCodeError(f"SetCode {field} takes ints or finite ordinals, not {value!r}")
 
 
+# the fields a numbering pass answers, in the order it answers them
+_NUMBERED = ("domain", "root", "_children", "_decoded")
+
+
 class SetCode(Record):
     """A finite membership graph: node ids 0..domain-1, root, and the edge
     set {pair(x, y) : x is a member of y} packed with cantor_pair.
 
-    Node ids are plain ints; everything here stays at desk scale.  The
-    domain, each edge and the root take an int that is not a bool, or a
-    finite Ordinal, which is converted on construction; anything else
-    raises InvalidCodeError naming the field.  encode_hf, which builds its
-    fields from ints, skips that check.
+    A code is given by its edges, as SetCode(domain, edges, root), or by a
+    numbering (_numbered_code), a pass that answers its domain, root, child
+    map and decoded nodes.  Node ids are plain ints; everything here stays
+    at desk scale.  The domain, each edge and the root of a code given by
+    its edges take an int that is not a bool, or a finite Ordinal, which is
+    converted on construction; anything else raises InvalidCodeError naming
+    the field.  A numbering answers ints, and skips that check.
 
-    A code is immutable, so it works out its child map, its validity verdict
-    and its decoded nodes once, on first use, and keeps them.  A code built
-    by encode_hf stores its child map, shared with the other codes of equal
-    sets, and its own decoded nodes; its edge set is derived on demand, for
-    equality, hashing and repr, and its verdict is worked out on first
-    decode.  A Pot answer (powerset_code) starts out pending, with its
-    argument and no fields, and is numbered on first read: reading its
-    domain, root, child map or decoded nodes (and so anything else) runs
-    the numbering pass once, which stores all four.
+    A code is immutable, so __getattr__ works out each derived field once,
+    on first read, and keeps it in the instance dict, where later reads
+    find it: the numbering (on the first read of any field it answers), the
+    edge set from the child map (for equality, hashing and repr), the child
+    map from the edge set, the validity verdict and the decoded nodes.
+    encode_hf numbers its code at once; a Pot answer (powerset_code) is
+    numbered on first read.  Copy and pickle rebuild a code from its edges.
     """
 
     _fields = ("domain", "edges", "root")
@@ -402,39 +412,31 @@ class SetCode(Record):
         _set(self, "root", root if type(root) is int else _as_nat(root, "root"))
 
     def __getattr__(self, name):
-        # only a Pot answer not yet numbered lacks its domain and root
-        if name in ("domain", "root") and "_pending" in self.__dict__:
-            return _number_powerset(self)[name]
-        return object.__getattribute__(self, name)      # the usual AttributeError
+        # only a field not yet in the instance dict gets here; a name that
+        # is not a derived field, such as one that pickle or copy probes
+        # for, numbers nothing
+        fields = self.__dict__
+        if name in _NUMBERED and "_number" in fields:
+            number, argument = fields["_number"]
+            fields.update(zip(_NUMBERED, number(argument)))
+            del fields["_number"]
+        elif name == "edges":
+            fields[name] = frozenset((x + y) * (x + y + 1) // 2 + y
+                                     for y, kids in self._children.items() for x in kids)
+        elif name == "_children":       # node -> its member ids, ascending; no empty nodes
+            children: Dict[int, List[int]] = {}
+            for x, y in map(cantor_unpair, self.edges):
+                children.setdefault(y, []).append(x)
+            fields[name] = {y: tuple(sorted(xs)) for y, xs in children.items()}
+        elif name == "_verdict":
+            fields[name] = _check_code(self)
+        elif name == "_decoded":        # node -> its HFSet, filled as nodes are decoded
+            fields[name] = {}
+        return object.__getattribute__(self, name)      # filled now, or the usual AttributeError
 
-    @cached_property
-    def edges(self) -> FrozenSet[int]:
-        """A built code's edge set, packed from its child map on first read."""
-        return frozenset((x + y) * (x + y + 1) // 2 + y
-                         for y, kids in self._children.items() for x in kids)
-
-    @cached_property
-    def _children(self) -> Dict[int, Tuple[int, ...]]:
-        """node -> its member node ids, ascending; nodes without members are
-        absent."""
-        if "_pending" in self.__dict__:
-            return _number_powerset(self)["_children"]
-        children: Dict[int, List[int]] = {}
-        for edge in self.edges:
-            x, y = cantor_unpair(edge)
-            children.setdefault(y, []).append(x)
-        return {y: tuple(sorted(xs)) for y, xs in children.items()}
-
-    @cached_property
-    def _verdict(self) -> int:
-        return _check_code(self)
-
-    @cached_property
-    def _decoded(self) -> Dict[int, HFSet]:
-        """node -> its HFSet, filled as nodes are decoded."""
-        if "_pending" in self.__dict__:
-            return _number_powerset(self)["_decoded"]
-        return {}
+    def __reduce__(self):
+        # by its edges: the decoded nodes would pickle one set per node
+        return SetCode, (self.domain, self.edges, self.root)
 
 
 def cantor_pair(x: int, y: int) -> int:
@@ -447,14 +449,12 @@ def cantor_unpair(z: int) -> Tuple[int, int]:
     return (w - y, y)
 
 
-def _built_code(domain: int, root: int, children: Dict[int, Tuple[int, ...]],
-                decoded: Dict[int, HFSet]) -> SetCode:
-    """A SetCode that starts out with its child map and decoded nodes and no
-    edge set.  The fields are ints already, so __init__'s per-edge type
-    check is skipped; cached_property reads the instance dict first, so the
-    child map and the decoded nodes are the cache."""
+def _numbered_code(number, argument) -> SetCode:
+    """A code given by a numbering: number(argument) answers its domain,
+    root, child map and decoded nodes.  It runs on the first read of any of
+    the four, which stores them and drops the pass and its argument."""
     code = object.__new__(SetCode)
-    code.__dict__.update(domain=domain, root=root, _children=children, _decoded=decoded)
+    code.__dict__["_number"] = (number, argument)
     return code
 
 
@@ -463,21 +463,32 @@ def encode_hf(s: HFSet) -> SetCode:
     member count, then by their sorted member-id tuples, so equal sets
     always get equal codes.
 
-    Each call returns a new code, which stores the child map and decoded
-    nodes of the numbering pass and no edge set; its verdict is still worked
-    out on first decode, and its root decodes to s itself.  The numbering
-    of a set of rank up to NESTING_CAP is memoized (_numbering), so an equal
-    set encoded again shares the child map and the decoded nodes below the
-    root with the earlier codes; a deeper set is numbered afresh, since a
-    memo hit compares the two sets, and frozenset comparison recurses one
-    level per frame down equal members that are distinct objects.
+    Each call returns a new code, numbered at once, which stores the child
+    map and decoded nodes of the numbering pass and no edge set; its
+    verdict is still worked out on first decode, and its root decodes to s
+    itself.  The numbering of a set of rank up to NESTING_CAP is memoized
+    (_numbering), so an equal set encoded again shares the child map and the
+    decoded nodes below the root with the earlier codes; a deeper set is
+    numbered afresh, since a memo hit compares the two sets, and frozenset
+    comparison recurses one level per frame down equal members that are
+    distinct objects.
 
     powerset_code writes the same order a second way, as the order in which
     itertools.combinations lists subsets; the reference_powerset_code tests
     in tests/test_universe.py keep the two in agreement."""
+    code = _numbered_code(_encoding, s)
+    # numbered now, so that the caller that encodes pays for it; the direct
+    # call skips the failed lookup that a read of code.root makes first
+    code.__getattr__("root")
+    return code
+
+
+def _encoding(s: HFSet) -> Tuple[int, int, Dict[int, Tuple[int, ...]], Dict[int, HFSet]]:
+    """encode_hf's numbering: _numbering's fields, with a copy of its
+    decoded nodes in which the root is s itself."""
     number = _numbering if s.rank <= NESTING_CAP else _numbering.__wrapped__
     domain, root, children, decoded = number(s)
-    return _built_code(domain, root, children, {**decoded, root: s})
+    return domain, root, children, {**decoded, root: s}
 
 
 # a separation verdict encodes its separated set three times (run,
@@ -537,31 +548,27 @@ def powerset_code(code: SetCode) -> SetCode:
     So a Pot answer that only passes through a ledger, as the second answer
     of a count-only powercard run does, is never numbered unless the ledger
     is written as JSON."""
-    answer = object.__new__(SetCode)
-    answer.__dict__["_pending"] = (code, _capped_elements(code))
-    return answer
+    return _numbered_code(_number_powerset, (code, _capped_elements(code)))
 
 
-def _number_powerset(answer: SetCode) -> Dict[str, object]:
-    """Number a pending Pot answer, the power set of the set x that its
-    argument code names, from x's child map: store its domain, root, child
-    map and decoded nodes, drop the argument, and return its fields.  No
-    HFSet is built per subset.  The decoded nodes are the sets below x that
-    the argument has decoded, so a set decoded from the answer shares them
-    and compares with sets decoded from the argument without walking down
-    equal copies.
+def _number_powerset(argument: Tuple[SetCode, List[int]]
+                     ) -> Tuple[int, int, Dict[int, Tuple[int, ...]], Dict[int, HFSet]]:
+    """powerset_code's numbering pass: the domain, root, child map and
+    decoded nodes of the power set of the set x that the argument's code
+    names, from x's child map and x's members.  No HFSet is built per
+    subset.  The decoded nodes are the sets below x that the argument code
+    has decoded, so a set decoded from the answer shares them and compares
+    with sets decoded from the argument without walking down equal copies.
 
     The nodes are numbered one rank at a time, lowest first, so the new ids
     of x's members numbered so far (the pool, ascending) end with the block
     of the rank just numbered.  The subsets of the next rank are the
     combinations of the pool whose last id lies in that block, and
     itertools.combinations lists them, member count by member count, in
-    canonical order: no rank is sorted.  The nodes below x that are not
-    subsets (each has a member outside x) are merged in by bisection, and
-    a node below x whose members all lie in x is found among the subsets
-    the same way."""
-    fields = answer.__dict__
-    code, elements = fields["_pending"]
+    canonical order.  The nodes below x that are not subsets (each has a
+    member outside x) are merged in by one sort over the two sorted runs,
+    and each node below x is found in the merged order by bisection."""
+    code, elements = argument
     children = code._children
     rank: Dict[int, int] = {}           # old id -> rank, for the nodes below x
     for n in elements:                  # members first, on an explicit stack
@@ -592,13 +599,7 @@ def _number_powerset(answer: SetCode) -> Dict[str, object]:
             (inside if in_x.issuperset(kids) else outside).append((len(t), t, n))
         order = subsets
         if outside:
-            order, done = [], 0
-            for k, t, n in sorted(outside):
-                at = bisect_left(subsets, (k, t), key=_size_and_ids)
-                order += subsets[done:at]
-                order.append(t)
-                done = at
-            order += subsets[done:]
+            order = sorted(subsets + [t for _, t, _ in sorted(outside)], key=_size_and_ids)
         for k, t, n in inside + outside:
             new[n] = base + bisect_left(order, (k, t), key=_size_and_ids)
         others += [new[n] for _, _, n in outside]
@@ -618,9 +619,7 @@ def _number_powerset(answer: SetCode) -> Dict[str, object]:
     new_children[base] = tuple(filterfalse(set(others).__contains__, range(base)))
     old = code._decoded
     decoded = {new[n]: old[n] for n in rank if n in old}
-    fields.update(domain=base + 1, root=base, _children=new_children, _decoded=decoded)
-    del fields["_pending"]
-    return fields
+    return base + 1, base, new_children, decoded
 
 
 def validate_code(code: SetCode) -> int:
@@ -635,9 +634,9 @@ def validate_code(code: SetCode) -> int:
 def _check_code(code: SetCode) -> int:
     if not (0 <= code.root < code.domain):
         return 0
-    # a negative edge packs no pair; a code built by encode_hf has its child
-    # map, and so has a Pot answer once the root read above numbered it, so
-    # their edge sets are not read
+    # a negative edge packs no pair; a code given by a numbering has its
+    # child map once the root read above numbered it, so its edge set is
+    # not read
     if "_children" not in code.__dict__ and min(code.edges, default=0) < 0:
         return 0
     children = code._children

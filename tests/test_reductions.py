@@ -48,7 +48,7 @@ from ordq.reductions import (
 from ordq.tam import ApproximatorContractError
 
 import tuple_model as tm
-from test_universe import W3, permuted
+from test_universe import W3, numbering_state, permuted
 
 POWERS = u.omega_powers(W3)
 MULTIPLES = u.multiples_of_omega(W3)
@@ -358,15 +358,17 @@ class TestPotAnswersNumberedOnFirstRead:
 
     @pytest.fixture
     def numbered(self, monkeypatch):
-        answers = []
+        """The argument code of each Pot answer numbered, in order: the
+        answers of one row take the power sets of distinct codes."""
+        arguments = []
         number = u._number_powerset
 
-        def counting(answer):
-            answers.append(answer)
-            return number(answer)
+        def counting(argument):
+            arguments.append(argument[0])
+            return number(argument)
 
         monkeypatch.setattr(u, "_number_powerset", counting)
-        return answers
+        return arguments
 
     def test_a_count_only_row_numbers_only_the_first_answer(self, numbered):
         report = verify(catalog("powercard_via_pot", count_only=True), None,
@@ -379,15 +381,17 @@ class TestPotAnswersNumberedOnFirstRead:
         code = code_of(*V3[:2])
         res = run_once(spec, None, code)
         first, second = (e.response for e in res.ledger)
-        # compared by identity: == would number a pending answer
-        assert len(numbered) == 1 and numbered[0] is first
+        # first is P(code) and second is P(first), compared by identity: ==
+        # would number a pending answer
+        assert len(numbered) == 1 and numbered[0] is code
+        assert numbering_state(first) == "numbered" and numbering_state(second) == "pending"
         assert tam.replay(spec.make_program(), code, res).same_as(res)
-        assert len(numbered) == 1 and numbered[0] is first
+        assert len(numbered) == 1 and numbering_state(second) == "pending"
         # P(V_3): 16 subsets holding 32 members, and the root over all 16
         assert res.ledger.to_json()[1]["response"] == "code(domain=17,root=16,edges=48)"
         res.ledger.to_json()
-        assert len(numbered) == 2 and numbered[1] is second
-        assert "edges" not in second.__dict__ and "_pending" not in second.__dict__
+        assert len(numbered) == 2 and numbered[1] is first
+        assert "edges" not in second.__dict__ and numbering_state(second) == "numbered"
 
     def test_a_full_row_numbers_both_answers(self, numbered):
         report = verify(catalog("powercard_via_pot"), None, [code_of(*V3[:2])])

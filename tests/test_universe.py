@@ -364,7 +364,7 @@ class TestHFSet:
     ], ids=["copy", "deepcopy", "pickle"])
     def test_sets_and_their_codes_copy_and_pickle(self, duplicate):
         # the default reduce restored the rank slot through the blocked
-        # __setattr__; HFSet's own reduce rebuilds the set from its members
+        # __setattr__; HFSet's own reduce rebuilds the set from its code
         for text in ("{}", "{{}}", "{{},{{}},{{{}}},{{},{{}}}}"):
             s = parse_hf(text)
             got = duplicate(s)
@@ -374,6 +374,19 @@ class TestHFSet:
             assert copied == code and decode_set(copied) == s
             assert decode_set(copied).rank == s.rank
             assert summarize_query(copied) == summarize_query(code)
+
+    def test_a_3000_level_set_and_its_code_pickle(self):
+        # a rebuild from the members recursed several frames per level and
+        # raised RecursionError at 400 levels; a set pickles as its code,
+        # and a code as its edges
+        s = nest(3000)
+        code = encode_hf(s)
+        assert copy.copy(s) is s and copy.deepcopy(s) is s
+        assert pickle.loads(pickle.dumps(code)) == code
+        for got in (pickle.loads(pickle.dumps(s)), decode_set(pickle.loads(pickle.dumps(code)))):
+            assert type(got) is HFSet and got is not s and got.rank == 3000
+            # compared by code: comparing equal chains built apart recurses
+            assert encode_hf(got) == code
 
     def test_a_set_at_the_nesting_cap_deep_copies(self):
         # deepcopy rebuilt the members first, several frames per level, and
@@ -663,6 +676,8 @@ class TestOnePassEncoder:
     def test_prefilled_views_match_a_fresh_code(self):
         for s in encoder_cases():
             code = encode_hf(s)
+            # numbered at once, before anything of it is read
+            assert numbering_state(code) == "numbered"
             children, decoded = code.__dict__["_children"], code.__dict__["_decoded"]
             fresh = SetCode(code.domain, code.edges, code.root)
             assert "_children" not in fresh.__dict__
@@ -857,12 +872,30 @@ def members_below_owners(code: SetCode) -> bool:
 
 def code_from_children(domain: int, root: int, children) -> SetCode:
     """A code with the given child map, from packed edges; a child map with
-    a negative id packs no edge of it, so that code is built from the map."""
+    a negative id packs no edge of it, so that code is given by a numbering
+    that answers the map."""
     children = {y: tuple(sorted(set(kids))) for y, kids in children.items() if kids}
     if any(x < 0 for kids in children.values() for x in kids):
-        return universe._built_code(domain, root, children, {})
+        return universe._numbered_code(lambda fields: fields, (domain, root, children, {}))
     return SetCode(domain, [cantor_pair(x, y) for y, kids in children.items() for x in kids],
                    root)
+
+
+# the instance dict of a code given by a numbering, before and after it runs
+PENDING_KEYS = {"_number"}
+NUMBERED_KEYS = {"domain", "root", "_children", "_decoded"}
+
+
+def numbering_state(code: SetCode) -> str:
+    """"pending" for a code given by a numbering that has not run, and
+    "numbered" once it has.  Any other instance dict fails the test, so that
+    a check on a renamed key cannot pass by finding nothing."""
+    keys = code.__dict__.keys()
+    if keys == PENDING_KEYS:
+        return "pending"
+    if NUMBERED_KEYS <= keys <= NUMBERED_KEYS | {"edges", "_verdict"}:
+        return "numbered"
+    pytest.fail(f"a code in no known state: {sorted(keys)}")
 
 
 def shifted(children, by: int):
@@ -1017,9 +1050,9 @@ class TestPowersetCode:
         x = parse_hf(SUBSET_MEMBERS[1])
         code = powerset_code(encode_hf(x))
         # numbered on first read: reading the root stores the child map
-        assert "_children" not in code.__dict__
+        assert numbering_state(code) == "pending"
         assert code.root == code.domain - 1
-        assert "_children" in code.__dict__ and "edges" not in code.__dict__
+        assert numbering_state(code) == "numbered" and "edges" not in code.__dict__
         fresh = SetCode(code.domain, code.edges, code.root)
         assert fresh._children == code._children
         assert validate_code(code) == 1
@@ -1096,13 +1129,13 @@ class TestPotAnswersNumberedOnFirstRead:
         for argument in (code, permuted(code, rng, extra)):
             forced = powerset_code(argument)
             forced.root
-            assert "_pending" not in forced.__dict__
+            assert numbering_state(forced) == "numbered"
             assert forced == want and want == forced and hash(forced) == hash(want)
             for name, read in FIRST_READS.items():
                 pending = powerset_code(argument)
-                assert "_children" not in pending.__dict__
+                assert numbering_state(pending) == "pending"
                 got = read(pending)
-                assert "_pending" not in pending.__dict__, name
+                assert numbering_state(pending) == "numbered", name
                 assert ("edges" in pending.__dict__) == (name in PACKS_EDGES), name
                 assert got == read(forced) == read(want), name
 
@@ -1112,10 +1145,21 @@ class TestPotAnswersNumberedOnFirstRead:
         argument = encode_hf(parse_hf(SUBSET_MEMBERS[1]))
         answer = powerset_code(argument)
         decoded = answer._decoded
-        assert "_pending" not in answer.__dict__ and len(decoded) == 4
+        assert numbering_state(answer) == "numbered" and len(decoded) == 4
         shared = {id(s) for s in argument._decoded.values()}
         assert all(id(s) in shared for s in decoded.values())
         assert decode_set(answer) == hf_powerset(parse_hf(SUBSET_MEMBERS[1]))
+
+    def test_other_names_raise_and_leave_the_answer_pending(self):
+        # only the fields a numbering answers number the answer
+        answer = powerset_code(encode_hf(parse_hf(SUBSET_MEMBERS[1])))
+        for name in ("no_such_field", "edge", "_number_powerset", "__setstate__"):
+            with pytest.raises(AttributeError):
+                getattr(answer, name)
+        # before Python 3.11 object has no __getstate__, and pickle and
+        # copyreg probe the instance for it
+        getattr(answer, "__getstate__", None)
+        assert numbering_state(answer) == "pending"
 
     @pytest.mark.parametrize("code,error", [
         (SetCode(2, [cantor_pair(0, 1), cantor_pair(1, 0)], 0), InvalidCodeError),
