@@ -15,6 +15,11 @@ All file output is written atomically and is byte-stable for a given input.
 
 Each subcommand imports what it needs when it runs: calc loads only
 ordcalc, and a run or reduce loads logic only for separation.
+
+A process enters through entry(), which runs main() and then freezes the
+collector's objects, so that the interpreter's collection at exit has
+nothing to walk; main(argv) is the in-process call, and leaves the
+collector as it found it.
 """
 
 from __future__ import annotations
@@ -133,22 +138,27 @@ def _status_exit(status: str) -> int:
 
 
 def _atomic_write(path: str, text: str):
-    """Write a fresh file beside path, then rename it over path."""
+    """Write a fresh file beside path, then rename it over path.  An OSError,
+    such as a missing directory or a directory at path, becomes a CliError
+    that names path, and leaves no fresh file behind."""
     stem = os.path.join(os.path.dirname(os.path.abspath(path)), f".ordq-{os.getpid()}-")
-    for n in itertools.count():
-        tmp = f"{stem}{n}"
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
-            break
-        except FileExistsError:
-            pass
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        for n in itertools.count():
+            tmp = f"{stem}{n}"
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+                break
+            except FileExistsError:
+                pass
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise CliError(f"cannot write {path!r}: {e.strerror}")
 
 
 def _ledger_json(program_name: str, instance, result) -> dict:
@@ -441,5 +451,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_FAIL
 
 
+def entry() -> int:
+    """The process entry of `python -m ordq.cli` and the `ordq` script:
+    main(), then gc.freeze(), so that the interpreter's collection at exit
+    skips every object the process made.  No ordq object needs a finalizer
+    at exit, and every file is closed by its with block, so nothing the
+    process prints or writes changes."""
+    import gc
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -33,11 +33,12 @@ always EMPTY_SET.  A set is its own copy, and pickles as its code.
 
 A SetCode is given by its edges, as SetCode(domain, edges, root), or by a
 numbering, a pass that answers its domain, root, child map and decoded
-nodes (_numbered_code).  Each derived field is worked out once per code,
+nodes: encode_hf runs its pass at once, and a Pot answer's pass is pending
+(_numbered_code).  Each other derived field is worked out once per code,
 on first read, by SetCode.__getattr__, the one place that fills them: the
-numbering, the edge set from the child map, the child map from the edge
-set, the validity verdict and the decoded nodes.  Every decode asks for
-the verdict.  A code pickles as its edges.
+pending numbering, the edge set from the child map, the child map from the
+edge set, the validity verdict and the decoded nodes.  Every decode asks
+for the verdict.  A code pickles as its edges.
 
 encode_hf numbers its code at once, with a pass that is memoized for the
 last 128 sets of rank up to NESTING_CAP: codes of equal sets share the
@@ -386,18 +387,19 @@ class SetCode(Record):
     set {pair(x, y) : x is a member of y} packed with cantor_pair.
 
     A code is given by its edges, as SetCode(domain, edges, root), or by a
-    numbering (_numbered_code), a pass that answers its domain, root, child
-    map and decoded nodes.  Node ids are plain ints; everything here stays
-    at desk scale.  The domain, each edge and the root of a code given by
+    numbering, a pass that answers its domain, root, child map and decoded
+    nodes (encode_hf, or _numbered_code for a pending one).  Node ids are
+    plain ints; everything here stays at desk scale.  The domain, each edge and the root of a code given by
     its edges take an int that is not a bool, or a finite Ordinal, which is
     converted on construction; anything else raises InvalidCodeError naming
     the field.  A numbering answers ints, and skips that check.
 
     A code is immutable, so __getattr__ works out each derived field once,
     on first read, and keeps it in the instance dict, where later reads
-    find it: the numbering (on the first read of any field it answers), the
-    edge set from the child map (for equality, hashing and repr), the child
-    map from the edge set, the validity verdict and the decoded nodes.
+    find it: a pending numbering (on the first read of any field it
+    answers), the edge set from the child map (for equality, hashing and
+    repr), the child map from the edge set, the validity verdict and the
+    decoded nodes.
     encode_hf numbers its code at once; a Pot answer (powerset_code) is
     numbered on first read.  Copy and pickle rebuild a code from its edges.
     """
@@ -476,10 +478,10 @@ def encode_hf(s: HFSet) -> SetCode:
     powerset_code writes the same order a second way, as the order in which
     itertools.combinations lists subsets; the reference_powerset_code tests
     in tests/test_universe.py keep the two in agreement."""
-    code = _numbered_code(_encoding, s)
-    # numbered now, so that the caller that encodes pays for it; the direct
-    # call skips the failed lookup that a read of code.root makes first
-    code.__getattr__("root")
+    # numbered now, so that the caller that encodes pays for it, and
+    # straight into the instance dict, with no pending pass to look up
+    code = object.__new__(SetCode)
+    code.__dict__.update(zip(_NUMBERED, _encoding(s)))
     return code
 
 

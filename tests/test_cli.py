@@ -404,6 +404,9 @@ class TestReduce:
         assert out == "" and err == message + "\n"
 
 
+SHIPPED_SUITE = os.path.join(os.path.dirname(ordq.__file__), "scenarios", "nextcard_suite.json")
+
+
 def write_scenario(tmp_path, blob, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(blob))
@@ -648,11 +651,42 @@ class TestRunScenario:
         assert "all checks passed" in capsys.readouterr().out
 
     def test_packaged_suite_runs(self, capsys):
-        path = os.path.join(os.path.dirname(ordq.__file__),
-                            "scenarios", "nextcard_suite.json")
-        assert os.path.exists(path)
-        assert run_cli("run", path) == 0
+        assert os.path.exists(SHIPPED_SUITE)
+        assert run_cli("run", SHIPPED_SUITE) == 0
         assert "all checks passed" in capsys.readouterr().out
+
+
+class TestUnwritableOutput:
+    """A report or ledger path that cannot be written exits 2 with one line
+    that names the path, after the command has printed its results, and
+    leaves no fresh file beside the path."""
+
+    def check(self, capsys, tmp_path, argv, path, reason):
+        assert run_cli(*argv) == 2
+        assert one_line_error(capsys) == f"error: cannot write {str(path)!r}: {reason}"
+        assert not list(tmp_path.rglob(".ordq-*"))
+
+    def test_run_output_in_a_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        self.check(capsys, tmp_path, ["run", SHIPPED_SUITE, "--output", str(path)],
+                   path, "No such file or directory")
+
+    def test_run_output_that_is_a_directory(self, capsys, tmp_path):
+        self.check(capsys, tmp_path, ["run", SHIPPED_SUITE, "--output", str(tmp_path)],
+                   tmp_path, "Is a directory")
+        assert [p.name for p in tmp_path.iterdir()] == []
+
+    def test_reduce_ledger_that_is_a_directory(self, capsys, tmp_path):
+        argv = ["reduce", "nextcard_via_deccard", "--input", "w", "--ledger", str(tmp_path)]
+        self.check(capsys, tmp_path, argv, tmp_path, "Is a directory")
+
+    def test_scenario_output_field_in_a_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        scenario = write_scenario(tmp_path, {
+            "reduction": "ordcard_scan_naive", "output": str(path),
+            "structure": {"kind": "multiples-of-omega", "bound": "w^3"},
+            "instances": ["7"]})
+        self.check(capsys, tmp_path, ["run", scenario], path, "No such file or directory")
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")

@@ -1,7 +1,9 @@
-"""Start-up: the package loads its modules on first use, and each ordq
-subcommand imports only what it needs.  Each check runs in a fresh
+"""Start-up and exit: the package loads its modules on first use, each ordq
+subcommand imports only what it needs, and a process that enters through
+cli.entry() answers as cli.main does.  Each check runs in a fresh
 interpreter, so that modules this test session loaded do not count."""
 
+import gc
 import json
 import os
 import subprocess
@@ -9,8 +11,12 @@ import sys
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+from ordq import cli
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 SCENARIO = os.path.join(SRC, "ordq", "scenarios", "nextcard_suite.json")
+ENV = dict(os.environ, PYTHONPATH=SRC)
 
 # every name ordq/__init__.py exported when it imported all of its modules,
 # less the test-only helpers that moved to tests/reference_sets.py and the
@@ -46,8 +52,7 @@ def modules_after(statements: str) -> set:
     """The sys.modules keys of a fresh interpreter after the statements."""
     script = statements + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=120, cwd=os.path.dirname(SRC),
-                          env=dict(os.environ, PYTHONPATH=SRC))
+                          text=True, timeout=120, cwd=ROOT, env=ENV)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 
@@ -112,3 +117,91 @@ def test_star_import_gives_every_export():
     namespace = {}
     exec("from ordq import *", namespace)
     assert set(EXPORTS) <= set(namespace)
+
+
+# a scenario whose one row fails its bound check
+FAILING = {"reduction": "ordcard_scan_naive",
+           "structure": {"kind": "multiples-of-omega", "bound": "w^3"},
+           "bound_override": {"kind": "const", "value": "1"}, "instances": ["w*2+1"]}
+
+# one command per exit code, 0 to 4; <out> stands for the file it may
+# write, and <failing> for the path of FAILING
+EXIT_CASES = [
+    ["run", SCENARIO, "--output", "<out>"],
+    ["run", "<failing>", "--output", "<out>"],
+    ["reduce", "nextcard_via_deccard", "--input", "w +", "--ledger", "<out>"],
+    ["reduce", "flagtrick", "--input", "w^2+1", "--structure", "explicit-list",
+     "--cardinals", "w", "--cardinals", "w^2", "--bound", "w^3", "--ledger", "<out>"],
+    ["reduce", "nextcard_via_deccard", "--input", "5", "--bound", "w^3",
+     "--budget", "1", "--ledger", "<out>"],
+]
+
+
+def taken(path):
+    """The bytes of the file at path, which is then removed; None if there
+    is none."""
+    if not path.exists():
+        return None
+    data = path.read_bytes()
+    path.unlink()
+    return data
+
+
+@pytest.mark.parametrize("code,argv", enumerate(EXIT_CASES),
+                         ids=["ok", "failed-row", "bad-input", "diverged", "budget"])
+def test_a_process_answers_as_main_does(capsys, tmp_path, code, argv):
+    failing = tmp_path / "failing.json"
+    failing.write_text(json.dumps(FAILING))
+    out_path = tmp_path / "out.json"
+    argv = [{"<out>": str(out_path), "<failing>": str(failing)}.get(a, a) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "ordq.cli", *argv], capture_output=True,
+                          text=True, timeout=120, cwd=ROOT, env=ENV)
+    process = (proc.returncode, proc.stdout, proc.stderr, taken(out_path))
+    in_process = (cli.main(argv), *capsys.readouterr(), taken(out_path))
+    assert process == in_process
+    assert process[0] == code and (process[3] is None) == (code == 2)
+
+
+def test_a_closed_stdout_pipe_ends_as_in_main(capsys, monkeypatch, tmp_path):
+    out_path = tmp_path / "out.json"
+    argv = ["run", SCENARIO, "--output", str(out_path)]
+    # stdout block-buffered on both sides, so that the report is written
+    # before the flush that finds the reader gone
+    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen([sys.executable, "-m", "ordq.cli", *argv], cwd=ROOT, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()         # the reader has gone before the first write
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    process = (proc.wait(timeout=120), err, taken(out_path))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = cli.main(argv)
+    assert process == (code, capsys.readouterr().err, taken(out_path))
+    assert code == 1 and err == "" and process[2] is not None
+
+
+def test_a_process_exits_with_its_objects_frozen():
+    # runpy runs the module as python -m does, under an atexit hook
+    script = ("import atexit, gc, runpy, sys\n"
+              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+              "sys.argv = ['ordq', 'calc', 'w+1']\n"
+              "runpy.run_module('ordq.cli', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, cwd=ROOT, env=ENV)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "w+1\nfrozen True\n", "")
+
+
+def test_the_console_script_enters_through_entry():
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as handle:
+        assert 'ordq = "ordq.cli:entry"' in handle.read().splitlines()
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    before = (gc.get_freeze_count(), gc.isenabled())
+    for argv in (["calc", "w+1"], ["run", SCENARIO],
+                 ["reduce", "nextcard_via_deccard", "--input", "w +"]):
+        cli.main(argv)
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
