@@ -11,7 +11,8 @@ Four subcommands:
 Exit codes: 0 success, 1 failed checks, an unexpected error or a closed
 stdout pipe, 2 usage or validation problems, 3 the run diverged, 4 the run
 exceeded its budget.
-All file output is written atomically and is byte-stable for a given input.
+All file output is written atomically, before anything is printed, and is
+byte-stable for a given input; a written file's mode follows the umask.
 
 Each subcommand imports what it needs when it runs: calc loads only
 ordcalc, and a run or reduce loads logic only for separation.
@@ -138,15 +139,16 @@ def _status_exit(status: str) -> int:
 
 
 def _atomic_write(path: str, text: str):
-    """Write a fresh file beside path, then rename it over path.  An OSError,
-    such as a missing directory or a directory at path, becomes a CliError
-    that names path, and leaves no fresh file behind."""
+    """Write a fresh file beside path, with the mode the umask leaves of
+    0o666, then rename it over path.  An OSError, such as a missing
+    directory or a directory at path, becomes a CliError that names path,
+    and leaves no fresh file behind."""
     stem = os.path.join(os.path.dirname(os.path.abspath(path)), f".ordq-{os.getpid()}-")
     try:
         for n in itertools.count():
             tmp = f"{stem}{n}"
             try:
-                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
                 break
             except FileExistsError:
                 pass
@@ -200,13 +202,13 @@ def _cmd_reduce(args) -> int:
 
     program = spec.make_program()
     result = tam.run(program, instance, spec.make_bindings(structure), budget)
+    if args.ledger:
+        blob = _ledger_json(program.name, instance, result)
+        _atomic_write(args.ledger, json.dumps(blob, indent=1) + "\n")
     print(f"status: {result.status}")
     if result.output is not None:
         print(f"output: {summarize_query(result.output)}")
     print(f"total order type: {render(result.ledger.total_order_type())}")
-    if args.ledger:
-        blob = _ledger_json(program.name, instance, result)
-        _atomic_write(args.ledger, json.dumps(blob, indent=1) + "\n")
     return _status_exit(result.status)
 
 
@@ -290,10 +292,10 @@ def _cmd_run(args) -> int:
 
     report = verify(spec, structure, instances, budget,
                     bound_override=override)
-    print(report.render_table())
     out_path = args.output or _scenario_field(blob, "output", str)
     if out_path:
         _atomic_write(out_path, json.dumps(report.to_json(), indent=1) + "\n")
+    print(report.render_table())
     return EXIT_OK if report.passed else EXIT_FAIL
 
 

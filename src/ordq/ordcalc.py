@@ -147,9 +147,6 @@ class Ordinal:
 
     # -- structure ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_finite(self) -> bool:
         return self._finite
 
@@ -171,9 +168,6 @@ class Ordinal:
             if other is None:
                 return False
         return self._hash == other._hash and self._key == other._key
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __lt__(self, other):
         if type(other) is not Ordinal:

@@ -361,8 +361,7 @@ _CATALOG = {
     "flagtrick": _Row(
         "NextLimitOfCardinals", DEC_CARD, BoundForm("next-limit-interval"), "ordinal",
         lambda o: Program("flagtrick", (
-            ScanFlagToggleUntil(slot="deccard", start=INPUT, flags=(0, 1),
-                                register="r"),
+            ScanFlagToggleUntil(slot="deccard", start=INPUT, register="r"),
             _HALT_R)),
         lambda o: u.next_limit_of_cardinals_above),
     "powercard_via_pot": _Row(
@@ -575,8 +574,9 @@ def compose(outer: ReductionSpec, inner: ReductionSpec) -> ReductionSpec:
         inner_bindings = inner.make_bindings(structure)
         composite = CompositeEffectivizer(
             inner.name, inner.make_program, inner_bindings)
-        program = outer.make_program()
-        return {slot: composite for slot in program.slots()}
+        # the outer entry's own bindings name its slots, and bind what its
+        # program reads beside them, such as direct descent's structure
+        return {slot: composite for slot in outer.make_bindings(structure)}
 
     return ReductionSpec(
         name=f"{outer.name}+{inner.name}",

@@ -17,11 +17,11 @@ scan(), which answers the one rank query the statement asks of its hit set
                   first positive answer; charged the interval's order type.
   last-hit        sweeps all ordinals up to a bound and keeps the greatest
                   positive position.
-  flag-toggle     toggles a bank of flags (a tuple of bits) at every positive
-                  answer and stops at the first stage where all flags read
-                  0.  At limit stages a flag reads its lim-inf: 0 whenever
-                  toggles are cofinal, which is what ends the scan at a
-                  limit of hits.
+  flag-toggle     toggles a pair of flags, set to (0, 1), at every positive
+                  answer and stops at the first stage where both read 0.
+                  A toggle never zeroes the pair; at limit stages a flag
+                  reads its lim-inf, 0 whenever toggles are cofinal, so the
+                  pair reads 0 only at a limit of hits.
   guess-check     pulls strictly decreasing guesses from a source and makes
                   one pointwise call per distinct guess until a positive
                   answer.
@@ -36,9 +36,12 @@ Budgets cap interpreter events (statement executions plus one per guess
 and one per separated element), not ordinal time: a scan of length w^2 is
 one event, live or replayed.
 
-A run that stops without halting raises Stopped, which carries its status
-(diverged or budget-exceeded) out of the statement that stopped it; a
-composed oracle raises it for an inner run that did not halt.
+A run stops by raising Stopped, which carries its status (halted,
+diverged or budget-exceeded), and a halt's output, out of the statement
+that stopped it; a composed oracle raises it for an inner run that did
+not halt.  A replay whose script runs out stops on ScriptExhausted instead.
+The first-hit and flag-toggle scans share one helper, which asks the
+oracle its rank query, ledgers the scan and writes the exit.
 
 replay re-runs a program against a previous run's ledger instead of live
 oracles.  It runs the same scan code as a live run: a scripted oracle's
@@ -138,12 +141,11 @@ class ScanLastHitAtMost(NamedTuple):
 
 @same_class_eq
 class ScanFlagToggleUntil(NamedTuple):
-    """Toggle all flags at every hit strictly above the start; stop at the
-    first stage where every flag reads 0.  flags holds their initial bits."""
+    """Toggle the flag pair (0, 1) at every hit strictly above the start;
+    stop at the first stage where both flags read 0, a limit of hits."""
 
     slot: str
     start: tuple
-    flags: Tuple[int, ...]
     register: str
 
 
@@ -246,16 +248,12 @@ class RunResult(NamedTuple):
 # -- interpreter -------------------------------------------------------------
 
 
-class _Halted(Exception):
-    def __init__(self, output):
-        self.output = output
-
-
 class Stopped(Exception):
-    """The run stopped without halting, with this status."""
+    """The run stopped with this status, and this output if it halted."""
 
-    def __init__(self, status: str):
+    def __init__(self, status: str, output=None):
         self.status = status
+        self.output = output
 
 
 class _Machine:
@@ -301,11 +299,13 @@ class _Machine:
                                     to_query=to_q, order_type=order_type,
                                     pattern=pattern, exit=exit))
 
-    def _scan_run(self, scan: tuple, start: Ordinal, pattern: str) -> Ordinal:
-        """Ledger a scan, the (oracle name, exit, horizon) of its call, from
-        start to its exit and return the exit.  With no exit, ledger the
-        fruitless sweep up to the horizon, if there is one, and diverge."""
-        oracle_name, end, horizon = scan
+    def _scan(self, st, start_expr: tuple, query: str, pattern: str):
+        """Ask the slot's oracle the rank query of its hits above the start,
+        ledger the scan from the start to its exit and write the exit to the
+        register.  With no exit, ledger the fruitless sweep up to the
+        horizon, if there is one, and diverge."""
+        start = self._ord(self._eval(start_expr))
+        oracle_name, end, horizon = self.bindings[st.slot].scan(start, query, start)
         stop = end if end is not None else horizon
         if end is None and pattern == PATTERN_FINAL_ONE:
             pattern = PATTERN_ALL_ZERO                  # the sweep found no hit
@@ -314,7 +314,7 @@ class _Machine:
                              pattern, end)
         if end is None:
             raise Stopped(DIVERGED)
-        return end
+        self.registers[st.register] = end
 
     # -- statements ----------------------------------------------------------
 
@@ -325,7 +325,7 @@ class _Machine:
             handler(self, st)
 
     def _do_halt(self, st: Halt):
-        raise _Halted(self._eval(st.output))
+        raise Stopped(HALTED, self._eval(st.output))
 
     def _do_if(self, st: IfFinite):
         finite = self._ord(self._eval(st.value)).is_finite()
@@ -340,9 +340,7 @@ class _Machine:
             self._eval(st.arg), self.ledger)
 
     def _do_first_hit(self, st: ScanFirstHit):
-        anchor = self._ord(self._eval(st.above))
-        scan = self.bindings[st.slot].scan(anchor, "least_above", anchor)
-        self.registers[st.register] = self._scan_run(scan, anchor, PATTERN_FINAL_ONE)
+        self._scan(st, st.above, "least_above", PATTERN_FINAL_ONE)
 
     def _do_last_hit(self, st: ScanLastHitAtMost):
         bound = self._ord(self._eval(st.bound))
@@ -354,20 +352,7 @@ class _Machine:
         self.registers[st.register] = result
 
     def _do_flag_scan(self, st: ScanFlagToggleUntil):
-        start = self._ord(self._eval(st.start))
-        if not st.flags or any(f not in (0, 1) for f in st.flags):
-            raise ProgramError("a flag bank is a nonempty tuple of bits")
-        if 1 not in st.flags:
-            self.registers[st.register] = start      # nothing to wait for
-            return
-        if 0 not in st.flags:                       # one toggle zeroes all
-            query, pattern = "least_above", PATTERN_FINAL_ONE
-        else:
-            # mixed bank: toggles alone never zero it; only a limit of hits,
-            # where every flag reads its lim-inf 0, can end the scan
-            query, pattern = "next_limit_above", PATTERN_ORACLE_HITS
-        scan = self.bindings[st.slot].scan(start, query, start)
-        self.registers[st.register] = self._scan_run(scan, start, pattern)
+        self._scan(st, st.start, "next_limit_above", PATTERN_ORACLE_HITS)
 
     def _do_guess_check(self, st: GuessCheckLoop):
         oracle = self.bindings[st.slot]
@@ -423,10 +408,8 @@ class _Machine:
 def _run_machine(m: _Machine) -> RunResult:
     try:
         m._execute(m.program.body)
-    except _Halted as h:
-        return RunResult(HALTED, h.output, m.ledger)
     except Stopped as s:
-        return RunResult(s.status, None, m.ledger)
+        return RunResult(s.status, s.output, m.ledger)
     except ScriptExhausted:
         return RunResult(SCRIPT_EXHAUSTED, None, m.ledger)
     raise ProgramError(f"program {m.program.name} ended without halting")

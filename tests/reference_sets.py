@@ -1,7 +1,7 @@
 """Test-side references over ranked ordinal sets and finite sets.
 
-The flag scan (tam.ScanFlagToggleUntil) finds the stage where its whole
-bank reads 0 in closed form, from least_above and next_limit_above.  The
+The flag scan (tam.ScanFlagToggleUntil) finds the stage where its flag
+pair reads 0 in closed form, from next_limit_above.  The
 lim-inf flag reference here evaluates the flag rule pointwise instead:
 flag_value_after walks the toggles at or below a stage backwards through
 sup_below and reads 0 at every limit of toggles.  sup_below answers for the
@@ -103,7 +103,7 @@ def sup_of_cardinals_below(structure: CardinalStructure,
     case the supremum equals a itself.
     """
     a = _coerce(a)
-    if a.is_zero() or a >= structure.bound:
+    if not a or a >= structure.bound:
         return None
     if a.is_finite():
         return (left_sub(ONE, a), True)
@@ -115,7 +115,7 @@ def sup_of_cardinals_below(structure: CardinalStructure,
             if e.terms[-1][0]:          # the exponent is a limit
                 return (a, False)
             predecessor_exponent = left_sub(ONE, e)
-            if predecessor_exponent.is_zero():
+            if not predecessor_exponent:
                 return (OMEGA, False)
             return (omega_power(predecessor_exponent), True)
         return (omega_power(e), True)
@@ -128,7 +128,7 @@ def sup_of_cardinals_below(structure: CardinalStructure,
         head, c = Ordinal(a.terms[:-1]), a.terms[-1][1]
         if c >= 2:
             return (add(head, mul(OMEGA, c - 1)), True)
-        if head.is_zero():
+        if not head:
             return (OMEGA, False)
         return (head, True)
     members = [c for c in (OMEGA,) + structure.cardinals if c < a]

@@ -24,6 +24,7 @@ from ordq.logic import (
 from ordq.oracles import DEC_CARD, NEXT_CARD, TRUTH, make_effectivizer
 from ordq.ordcalc import (
     OMEGA,
+    ZERO,
     Ordinal,
     add,
     compare,
@@ -162,7 +163,7 @@ def test_criterion_4_ordinal_cardinality_scans():
     for n in (0, 1, 7, 12):
         res = run_spec(improved, POWERS, Ordinal.from_int(n))
         assert res.halted and res.output == Ordinal.from_int(n)
-        assert len(res.ledger) == 0 and res.halt_time.is_zero()
+        assert len(res.ledger) == 0 and res.halt_time == ZERO
     watch.check()
     verdict(4, True, f"naive cardinality scan charges input+1 on {checked} "
                      "instances; the improved one is free below the first limit")

@@ -3,6 +3,7 @@ scenario validation, and byte-stable output."""
 
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -658,12 +659,12 @@ class TestRunScenario:
 
 class TestUnwritableOutput:
     """A report or ledger path that cannot be written exits 2 with one line
-    that names the path, after the command has printed its results, and
+    that names the path, before the command has printed anything, and
     leaves no fresh file beside the path."""
 
     def check(self, capsys, tmp_path, argv, path, reason):
         assert run_cli(*argv) == 2
-        assert one_line_error(capsys) == f"error: cannot write {str(path)!r}: {reason}"
+        assert capsys.readouterr() == ("", f"error: cannot write {str(path)!r}: {reason}\n")
         assert not list(tmp_path.rglob(".ordq-*"))
 
     def test_run_output_in_a_missing_directory(self, capsys, tmp_path):
@@ -736,11 +737,23 @@ def test_library_input_errors_share_the_base_main_catches(module, name):
     assert issubclass(error, TypeError) == (name == "OracleTypeError")
 
 
-def run_subprocess(*argv, env=None, interpreter_flags=()):
+def run_subprocess(*argv, env=None, interpreter_flags=(), umask=-1):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     return subprocess.run([sys.executable, *interpreter_flags, "-m", "ordq.cli", *argv],
                           env=dict(os.environ, PYTHONPATH=src, **(env or {})),
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, umask=umask)
+
+
+class TestWrittenFileMode:
+    """A written report has the mode the process's umask leaves of 0o666."""
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                             ids=["umask-022", "umask-077", "umask-002"])
+    def test_a_report_follows_the_umask(self, tmp_path, umask, mode):
+        out = tmp_path / "r.json"
+        proc = run_subprocess("run", SHIPPED_SUITE, "--output", str(out), umask=umask)
+        assert proc.returncode == 0, proc.stderr
+        assert stat.S_IMODE(out.stat().st_mode) == mode
 
 
 class TestFileEncoding:

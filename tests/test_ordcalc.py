@@ -231,7 +231,7 @@ class TestArithmetic:
         c = random_ordinal(random.Random(s3))
         if b < c:
             assert add(a, b) < add(a, c)
-            if not a.is_zero():
+            if a:
                 assert mul(a, b) < mul(a, c)
 
     def test_natural_product_cap(self):
@@ -339,6 +339,10 @@ class TestOrdinalType:
         assert 1 + W == W
         assert W * 2 > W
         assert len({W, OMEGA, add(W, ZERO)}) == 1
+        five = Ordinal.from_int(5)
+        # != inverts ==, against an int, a str and a reflected int
+        assert (five != 5, W != 5, five != "5", W != "w") == (False, True, True, True)
+        assert (5 != five, 5 != W) == (False, True)
 
     def test_immutable(self):
         with pytest.raises(AttributeError):

@@ -17,9 +17,8 @@ RECORDS = [
     (tam.ScanLastHitAtMost, ("deccard", ("input",), "r"),
      "ScanLastHitAtMost(slot='deccard', bound=('input',), register='r', "
      "charge_closed=True)"),
-    (tam.ScanFlagToggleUntil, ("deccard", ("input",), (0, 1), "r"),
-     "ScanFlagToggleUntil(slot='deccard', start=('input',), "
-     "flags=(0, 1), register='r')"),
+    (tam.ScanFlagToggleUntil, ("deccard", ("input",), "r"),
+     "ScanFlagToggleUntil(slot='deccard', start=('input',), register='r')"),
     (tam.GuessCheckLoop, ("deccard", len, "r"),
      "GuessCheckLoop(slot='deccard', guesses=<built-in function len>, register='r')"),
     (tam.ComputableSubroutine, ("sq", len, (("reg", "x"),), "r"),

@@ -184,7 +184,7 @@ class TestOrdCard:
         res = run_once(spec, POWERS, 7)
         assert res.output == Ordinal.from_int(7)
         assert len(res.ledger) == 0
-        assert res.halt_time.is_zero()
+        assert res.halt_time == ZERO
 
     def test_naive_pin(self):
         spec = catalog("ordcard_scan_naive")
@@ -910,7 +910,9 @@ class TestComposition:
             assert res.ledger.total_order_type() == res.halt_time == total
         # called on a ledger that holds entries, the inner entries follow
         # them as the inner run recorded them
-        probe = compose(delegate_spec("Probe", DEC_CARD, None, None),
+        probe = compose(delegate_spec("Probe", DEC_CARD,
+                                      lambda cs: make_effectivizer(DEC_CARD, structure=cs),
+                                      None),
                         deccard_delegate(3)).make_bindings(POWERS)["o"]
         led = QueryLedger()
         led.append(RunEntry(DEC_CARD, ZERO, P("w^2"), P("w^2"), PATTERN_ALL_ZERO))
@@ -919,6 +921,15 @@ class TestComposition:
                         deccard_delegate(3).make_bindings(POWERS))
         assert led.entries[1:] == inner.ledger.entries
         assert led.total_order_type() == P("w^2+3")
+
+    def test_guess_check_as_the_outer_entry_descends_over_the_bound_structure(self):
+        # the outer entry's own bindings bind the structure its default
+        # approximator descends over
+        comp = compose(catalog("ordcard_guesscheck"), deccard_delegate(1))
+        report = verify(comp, POWERS, [P("w*2+1"), P("w^2"), 5])
+        assert report.passed
+        assert [(r.output_text, r.order_type) for r in report.rows] == [
+            ("w", "2"), ("w^2", "1"), ("5", "1")]
 
     def test_composed_bound_multiplies(self):
         outer = delegate_spec("Probe", DEC_CARD,

@@ -162,12 +162,16 @@ def test_a_process_answers_as_main_does(capsys, tmp_path, code, argv):
     assert process[0] == code and (process[3] is None) == (code == 2)
 
 
-def test_a_closed_stdout_pipe_ends_as_in_main(capsys, monkeypatch, tmp_path):
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_pipe_ends_as_in_main(capsys, monkeypatch, tmp_path, unbuffered):
     out_path = tmp_path / "out.json"
     argv = ["run", SCENARIO, "--output", str(out_path)]
-    # stdout block-buffered on both sides, so that the report is written
-    # before the flush that finds the reader gone
+    # the report is written before anything is printed, so it is there
+    # whether the first print or the flush at exit finds the reader gone;
+    # in process, a line-buffered stdout stands in for an unbuffered one
     env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen([sys.executable, "-m", "ordq.cli", *argv], cwd=ROOT, env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()         # the reader has gone before the first write
@@ -176,7 +180,7 @@ def test_a_closed_stdout_pipe_ends_as_in_main(capsys, monkeypatch, tmp_path):
     process = (proc.wait(timeout=120), err, taken(out_path))
     read_end, write_end = os.pipe()
     os.close(read_end)
-    with open(write_end, "w", encoding="utf-8") as stdout:
+    with open(write_end, "w", encoding="utf-8", buffering=1 if unbuffered else -1) as stdout:
         monkeypatch.setattr(sys, "stdout", stdout)
         code = cli.main(argv)
     assert process == (code, capsys.readouterr().err, taken(out_path))

@@ -20,6 +20,7 @@ from ordq.oracles import (
 )
 from ordq.ordcalc import OMEGA, ONE, ZERO, Ordinal, add, left_sub, omega_power, parse_ordinal as P, render, successor
 from ordq.tam import (
+    DIVERGED,
     INPUT,
     ApproximatorContractError,
     ComputableSubroutine,
@@ -34,6 +35,7 @@ from ordq.tam import (
     ScanFlagToggleUntil,
     ScanLastHitAtMost,
     SeparationScan,
+    Stopped,
     reg,
     replay,
     run,
@@ -57,8 +59,7 @@ LAST_HIT = Program("last-hit-at-most-input", (
 ))
 
 FLAG_SCAN = Program("flag-scan-two-bank", (
-    ScanFlagToggleUntil(slot="check", start=INPUT,
-                        flags=(0, 1), register="r"),
+    ScanFlagToggleUntil(slot="check", start=INPUT, register="r"),
     Halt(reg("r")),
 ))
 
@@ -182,13 +183,14 @@ FLAG_ORACLES = [(name, make_effectivizer(DEC_CARD, structure=cs))
 FLAG_STAGES = [(t, tm.to_ordinal(t)) for t in tm.grid(4)]
 
 
-def bank_reads_zero(bank, hits, start, stage) -> bool:
-    """Every flag of the bank reads 0 at the stage by the lim-inf reference,
-    fed only the hits strictly above the start: either at the stage's
-    lim-inf, before its own toggle (the hits below the stage), or after it.
-    A limit of hits that is itself a hit reads 0 before its toggle."""
+def pair_reads_zero(hits, start, stage) -> bool:
+    """Both flags of the pair (0, 1) read 0 at the stage by the lim-inf
+    reference, fed only the hits strictly above the start: either at the
+    stage's lim-inf, before its own toggle (the hits below the stage), or
+    after it.  A limit of hits that is itself a hit reads 0 before its
+    toggle."""
     views = (HitsBetween(hits, start, stage), HitsBetween(hits, start))
-    return any(all(flag_value_after(b, view, stage) == 0 for b in set(bank))
+    return any(all(flag_value_after(b, view, stage) == 0 for b in (0, 1))
                for view in views)
 
 
@@ -204,41 +206,16 @@ class TestFlagScan:
         assert render(res.output) == "w^(w)"
         assert res.ledger.total_order_type() == left_sub(OMEGA, omega_power(OMEGA))
 
+    def test_the_pair_is_fixed_and_takes_no_bank(self):
+        with pytest.raises(TypeError):
+            ScanFlagToggleUntil(slot="check", start=INPUT, register="r", flags=(0, 1))
+
     @pytest.mark.parametrize("cs", [u.omega_powers(WIDE), u.multiples_of_omega(WIDE)],
                              ids=["omega-powers", "multiples-of-omega"])
     def test_from_three_halts_at_omega(self, cs):
         res = run(FLAG_SCAN, P("3"), dec(cs))
         assert render(res.output) == "w"
         assert render(res.ledger.total_order_type()) == "w"
-
-    def test_all_ones_bank_exits_at_the_first_hit(self):
-        prog = Program("flag-all-ones", (
-            ScanFlagToggleUntil(slot="check", start=INPUT,
-                                flags=(1, 1), register="r"),
-            Halt(reg("r")),
-        ))
-        res = run(prog, P("w+3"), dec(u.omega_powers(WIDE)))
-        assert render(res.output) == "w^2"
-        assert res.ledger.entries[0].pattern == "all-0-then-final-1"
-
-    def test_all_zero_bank_exits_immediately_for_free(self):
-        prog = Program("flag-all-zero", (
-            ScanFlagToggleUntil(slot="check", start=INPUT,
-                                flags=(0,), register="r"),
-            Halt(reg("r")),
-        ))
-        res = run(prog, P("w+3"), dec(u.omega_powers(WIDE)))
-        assert render(res.output) == "w+3"
-        assert len(res.ledger) == 0 and render(res.halt_time) == "0"
-
-    @pytest.mark.parametrize("bank", [(), (0, 2), (1, "1")], ids=str)
-    def test_a_bank_that_is_not_a_nonempty_tuple_of_bits_is_refused(self, bank):
-        prog = Program("bad-bank", (
-            ScanFlagToggleUntil(slot="check", start=INPUT, flags=bank, register="r"),
-            Halt(reg("r")),
-        ))
-        with pytest.raises(ProgramError, match="nonempty tuple of bits"):
-            run(prog, P("3"), dec(u.omega_powers(WIDE)))
 
     def test_agrees_with_event_reference_on_multiples(self):
         cs = u.multiples_of_omega(W3)
@@ -262,27 +239,21 @@ class TestFlagScan:
                 assert res.output == tm.to_ordinal(exit_point), t
                 assert res.ledger.total_order_type() == tm.to_ordinal(charged), t
 
-    @pytest.mark.parametrize("bank", [(1,), (1, 1), (0, 1)], ids=str)
     @pytest.mark.parametrize("oracle", [o for _, o in FLAG_ORACLES],
                              ids=[name for name, _ in FLAG_ORACLES])
-    def test_stops_where_the_lim_inf_reference_zeroes_the_bank(self, oracle, bank):
-        prog = Program("flag-bank", (
-            ScanFlagToggleUntil(slot="check", start=INPUT, register="r",
-                                flags=bank),
-            Halt(reg("r")),
-        ))
+    def test_stops_where_the_lim_inf_reference_zeroes_the_bank(self, oracle):
         hits = oracle.hit_set
         horizon = hits.scan_horizon() or W3      # every grid stage lies below w^3
         for t in anchors():
             start = tm.to_ordinal(t)
-            res = run(prog, start, {"check": oracle})
+            res = run(FLAG_SCAN, start, {"check": oracle})
             first = next((a for s, a in FLAG_STAGES if s > t and a <= horizon
-                          and bank_reads_zero(bank, hits, start, a)), None)
+                          and pair_reads_zero(hits, start, a)), None)
             if res.halted and res.output < W3:
                 assert res.output == first, (t, res.output, first)
             else:
                 # diverged, or halted past the w^3 grid: no stage of the grid
-                # up to the horizon zeroes the bank
+                # up to the horizon zeroes the pair
                 assert res.status in ("diverged", "halted"), t
                 assert first is None, (t, first)
 
@@ -379,6 +350,33 @@ class TestControlFlow:
         ))
         assert render(run(prog, P("3"), {}).output) == "w+3"
 
+    def test_a_halt_in_a_branch_stops_the_whole_run(self):
+        def never(_):
+            raise AssertionError("a statement after the halt ran")
+
+        prog = Program("halt-in-branch", (
+            IfFinite(INPUT, then_branch=(Halt(INPUT),)),
+            ComputableSubroutine("never", never, (INPUT,), "r"),
+            Halt(reg("r")),
+        ))
+        res = run(prog, P("7"), {})
+        assert res.halted and render(res.output) == "7"
+
+    def test_a_stop_raised_inside_a_statement_ends_the_run_with_its_status(self):
+        # a composed oracle stops the outer run so when its inner run does
+        # not halt; what was ledgered before the stop stays
+        def inner(_):
+            raise Stopped(DIVERGED)
+
+        prog = Program("inner-diverges", (
+            ScanFirstHit(slot="check", above=INPUT, register="a"),
+            ComputableSubroutine("inner", inner, (reg("a"),), "r"),
+            Halt(reg("r")),
+        ))
+        res = run(prog, P("5"), dec(u.omega_powers(WIDE)))
+        assert res.status == "diverged" and res.output is None
+        assert len(res.ledger) == 1 and res.halt_time is None
+
     def test_unbound_slot(self):
         with pytest.raises(ProgramError):
             run(FIRST_HIT, P("3"), {})
@@ -423,16 +421,6 @@ class TestScripted:
         res = run(LAST_HIT, P("3"), hits(0, 3))
         assert render(res.output) == "3"
         assert render(res.ledger.total_order_type()) == "4"
-
-    def test_pointwise_flag_scan_all_ones(self):
-        prog = Program("flag-all-ones", (
-            ScanFlagToggleUntil(slot="check", start=INPUT,
-                                flags=(1,), register="r"),
-            Halt(reg("r")),
-        ))
-        res = run(prog, P("4"), hits(6))
-        assert render(res.output) == "6"
-        assert render(res.ledger.total_order_type()) == "2"
 
     def test_single_call_consumes_one_value(self):
         prog = Program("one-call", (
@@ -485,6 +473,20 @@ class TestReplay:
         for prog, inp, res in self.runs():
             again = replay(prog, inp, res)
             assert again.same_as(res), (prog.name, again.status, res.status)
+
+    @pytest.mark.parametrize("oracle", [o for _, o in FLAG_ORACLES],
+                             ids=[name for name, _ in FLAG_ORACLES])
+    @pytest.mark.parametrize("prog", [FIRST_HIT, FLAG_SCAN], ids=lambda p: p.name)
+    def test_a_scan_replays_its_own_ledger_on_every_hit_set(self, prog, oracle):
+        # both scans ledger through one helper: one entry up to the exit the
+        # register gets, or the fruitless sweep, if any, before a divergence
+        for t in anchors():
+            start = tm.to_ordinal(t)
+            res = run(prog, start, {"check": oracle})
+            exits = [e.exit for e in res.ledger]
+            assert exits == ([res.output] if res.halted else exits[:1]), t
+            assert res.halted or exits in ([], [None]), t
+            assert replay(prog, start, res).same_as(res), t
 
     def test_budget_increase_never_changes_a_result(self):
         powers = u.omega_powers(WIDE)
