@@ -2,12 +2,14 @@
 
 The package loads its modules on first use (PEP 562): ``ordq.verify`` or
 ``from ordq import verify`` imports ``ordq.reductions`` then, and ``import
-ordq`` alone imports none of them.  Names are looked up in their module on
-every access and never copied into the package, so a name patched in its
-module is what the package hands out.
+ordq`` alone imports none of them.  The set names (HFSet, SetCode, the
+codecs, parse_hf and render_hf) come from ``ordq.hfsets``, which ordinal
+work never loads.  Names are looked up in their module on every access and
+never copied into the package, so a name patched in its module is what the
+package hands out.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -19,11 +21,12 @@ _EXPORTS = {
         "parse_ordinal", "render", "successor",
     ),
     "universe": (
-        "CardinalStructure", "HFSet", "OutOfStructureError", "SetCode",
-        "card_of", "decode_set", "encode_hf", "explicit_list", "hf",
+        "CardinalStructure", "OutOfStructureError", "card_of", "explicit_list",
         "is_cardinal", "multiples_of_omega", "next_card_of",
-        "next_limit_of_cardinals_above", "omega_powers", "parse_hf",
-        "render_hf",
+        "next_limit_of_cardinals_above", "omega_powers",
+    ),
+    "hfsets": (
+        "HFSet", "SetCode", "decode_set", "encode_hf", "hf", "parse_hf", "render_hf",
     ),
     "logic": (
         "Formula", "TruthEnv", "classify_level", "eval_formula",
@@ -44,7 +47,8 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("cli", "logic", "oracles", "ordcalc", "reductions", "tam", "universe")
+_SUBMODULES = ("cli", "hfsets", "logic", "oracles", "ordcalc", "reductions", "selftest",
+               "tam", "universe")
 
 __all__ = list(_MODULE_OF)
 
@@ -52,10 +56,17 @@ __all__ = list(_MODULE_OF)
 def __getattr__(name):
     module = _MODULE_OF.get(name)
     if module is not None:
-        return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+        return getattr(_submodule(module), name)
     if name in _SUBMODULES:
-        return importlib.import_module(f"{__name__}.{name}")
+        return _submodule(name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _submodule(name):
+    # imported the way an import statement imports, which -X importtime
+    # logs; what importlib.import_module imports goes unlogged
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
 
 
 def __dir__():

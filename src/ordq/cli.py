@@ -12,10 +12,13 @@ Exit codes: 0 success, 1 failed checks, an unexpected error or a closed
 stdout pipe, 2 usage or validation problems, 3 the run diverged, 4 the run
 exceeded its budget.
 All file output is written atomically, before anything is printed, and is
-byte-stable for a given input; a written file's mode follows the umask.
+byte-stable for a given input.  A file that replaces a regular file keeps
+its mode, and a new file's mode follows the umask.
 
 Each subcommand imports what it needs when it runs: calc loads only
-ordcalc, and a run or reduce loads logic only for separation.
+ordcalc, a run or reduce loads hfsets only for set-typed entries and
+separation, and logic only for separation, and only selftest loads the
+selftest suites.
 
 A process enters through entry(), which runs main() and then freezes the
 collector's objects, so that the interpreter's collection at exit has
@@ -29,20 +32,11 @@ import argparse
 import itertools
 import json
 import os
+import stat
 import sys
 from typing import List, Optional
 
-from .ordcalc import (
-    OMEGA,
-    InputError,
-    _echo,
-    add,
-    evaluate,
-    left_sub,
-    opow,
-    parse_ordinal,
-    render,
-)
+from .ordcalc import InputError, _echo, evaluate, parse_ordinal, render
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -105,16 +99,16 @@ def _parse_instance(spec, raw, where: str, structure):
             raise CliError(f"{where} {_echo(render(a))} is not below the "
                            f"structure bound {render(structure.bound)}")
         return a
-    from . import universe as u
+    from .hfsets import encode_hf, parse_hf
     if spec.shape == "set":
         if not isinstance(raw, str):
             raise CliError(f"{where} should be a set literal string")
-        return u.encode_hf(_parse_arg(u.parse_hf, raw, where))
+        return encode_hf(_parse_arg(parse_hf, raw, where))
     from .logic import formula_index, free_variables, parse_formula
     if not isinstance(raw, dict):
         raise CliError(f"{where} should be an object with set/formula/params")
     text = _scenario_field(raw, "set", str, required=True)
-    code = u.encode_hf(_parse_arg(u.parse_hf, text, f"{where} set"))
+    code = encode_hf(_parse_arg(parse_hf, text, f"{where} set"))
     text = _scenario_field(raw, "formula", str, required=True)
     f = _parse_arg(parse_formula, text, "formula")
     free = free_variables(f)
@@ -122,7 +116,7 @@ def _parse_instance(spec, raw, where: str, structure):
         raise CliError(f"bad formula {_echo(text)}: free variable "
                        f"{', '.join(f'v{i}' for i in free)}")
     k = formula_index(f)
-    params = tuple(u.encode_hf(_parse_arg(u.parse_hf, p, f"{where} parameter"))
+    params = tuple(encode_hf(_parse_arg(parse_hf, p, f"{where} parameter"))
                    for p in _scenario_field(raw, "params", list, default=[], items=str))
     return (code, k, params)
 
@@ -139,12 +133,17 @@ def _status_exit(status: str) -> int:
 
 
 def _atomic_write(path: str, text: str):
-    """Write a fresh file beside path, with the mode the umask leaves of
-    0o666, then rename it over path.  An OSError, such as a missing
-    directory or a directory at path, becomes a CliError that names path,
-    and leaves no fresh file behind."""
+    """Write a fresh file beside path, then rename it over path.  The fresh
+    file takes the permission bits of the regular file it replaces, and a
+    new file the mode the umask leaves of 0o666.  An OSError, such as a
+    missing directory or a directory at path, becomes a CliError that
+    names path, and leaves no fresh file behind."""
     stem = os.path.join(os.path.dirname(os.path.abspath(path)), f".ordq-{os.getpid()}-")
     try:
+        try:
+            old = os.stat(path).st_mode
+        except FileNotFoundError:
+            old = 0
         for n in itertools.count():
             tmp = f"{stem}{n}"
             try:
@@ -153,6 +152,8 @@ def _atomic_write(path: str, text: str):
             except FileExistsError:
                 pass
         try:
+            if stat.S_ISREG(old):
+                os.fchmod(fd, stat.S_IMODE(old))
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)
             os.replace(tmp, path)
@@ -302,93 +303,9 @@ def _cmd_run(args) -> int:
 # -- selftest ----------------------------------------------------------------
 
 
-class SelftestFailure(Exception):
-    """A selftest check that did not hold."""
-
-
-def _check(ok: bool, what: str):
-    # an explicit check, so that python -O cannot strip it as it does assert
-    if not ok:
-        raise SelftestFailure(what)
-
-
-def _suite_arithmetic():
-    samples = [parse_ordinal(s) for s in
-               ("0", "1", "5", "w", "w+3", "w*2", "w*2+1", "w^2", "w^2+w",
-                "w^3+w^2*2+4", "w^(w)")]
-    for a in samples:
-        for b in samples:
-            s = add(a, b)
-            _check(s >= b, "addition dropped below its right operand")
-            _check(left_sub(a, s) == left_sub(a, s), "left subtraction is not deterministic")
-            _check(add(a, left_sub(a, s)) == s, "left subtraction round trip")
-            _check(render(parse_ordinal(render(s))) == render(s), "render/parse round trip")
-    _check(render(add(1, OMEGA)) == "w", "1 + w is not w")
-    _check(render(opow(OMEGA, OMEGA)) == "w^(w)", "w^w renders wrongly")
-
-
-def _suite_oracles():
-    from .oracles import CardinalClassSet
-    from .universe import multiples_of_omega
-    hits = CardinalClassSet(multiples_of_omega(parse_ordinal("w^3")))
-    a = parse_ordinal("w*3+5")
-    _check(hits.least_above(a) == parse_ordinal("w*4"), "least_above")
-    _check(hits.greatest_at_most(a) == parse_ordinal("w*3"), "greatest_at_most")
-    _check(hits.next_limit_above(a) == parse_ordinal("w^2"), "next_limit_above")
-
-
-def _suite_ledger():
-    from .oracles import QueryLedger, ScriptedEffectivizer, SingleEntry
-    ledger = QueryLedger()
-    ledger.append(SingleEntry("X", 0, 1))
-    _check(render(ledger.total_order_type()) == "1", "total order type of one entry")
-    _check(ScriptedEffectivizer(ledger).call(0) == 1,
-           "a replayed entry's answer")
-
-
-def _suite_reductions():
-    from . import universe as u
-    from .reductions import catalog, verify
-    cs = u.omega_powers(parse_ordinal("w^3"))
-    report = verify(catalog("nextcard_via_deccard"), cs,
-                    [parse_ordinal(s) for s in ("5", "w", "w*2+1")])
-    _check(report.passed, "next-cardinal reduction failed")
-    report = verify(catalog("flagtrick"), u.multiples_of_omega(parse_ordinal("w^3")),
-                    [parse_ordinal(s) for s in ("3", "w", "w+5")])
-    _check(report.passed, "flag toggling reduction failed")
-    code = u.encode_hf(u.hf(u.EMPTY_SET))
-    report = verify(catalog("powercard_via_pot"), None, [code])
-    _check(report.passed, "power cardinality reduction failed")
-    # count-only: the second Pot answer stays pending, numbered by nothing
-    code = u.encode_hf(u.hf(u.EMPTY_SET, u.hf(u.EMPTY_SET)))
-    report = verify(catalog("powercard_via_pot", count_only=True), None, [code])
-    _check(report.passed and report.rows[0].output_text == "4",
-           "count-only power cardinality reduction failed")
-
-
-_SELFTEST_SUITES = (
-    ("ordinal arithmetic", _suite_arithmetic),
-    ("ranked oracles", _suite_oracles),
-    ("query ledgers", _suite_ledger),
-    ("reduction catalog", _suite_reductions),
-)
-
-
 def _cmd_selftest(_args) -> int:
-    failures = 0
-    for name, suite in _SELFTEST_SUITES:
-        try:
-            suite()
-        except SelftestFailure as e:
-            failures += 1
-            print(f"FAIL - {name}: {e}")
-        else:
-            print(f"ok - {name}")
-    if failures:
-        print(f"selftest: {failures} of {len(_SELFTEST_SUITES)} suites failed")
-        return EXIT_FAIL
-    print(f"selftest: {len(_SELFTEST_SUITES)} suites passed")
-    return EXIT_OK
+    from .selftest import run_suites
+    return EXIT_FAIL if run_suites() else EXIT_OK
 
 
 # -- entry point -------------------------------------------------------------

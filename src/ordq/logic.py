@@ -9,7 +9,7 @@ on ordcalc's scanner, with the rules of every text format (NESTING_CAP, ASCII
 digits, errors that name their position), and raises FormulaError.
 
 Numeric indices use one fixed scheme.  pair is the diagonal polynomial on
-naturals (see universe.cantor_pair); terms encode as
+naturals (see hfsets.cantor_pair); terms encode as
 
     variable at prefix position p  ->  2*p
     parameter #i                   ->  2*i + 1
@@ -46,6 +46,8 @@ quantifiers, rank 4 with six) raises RankError before it starts.
 The truth oracles' answers (_sigma_truth) are memoized, 32 at a time.  The
 separation reference asks the very queries the run's truth oracle asked,
 so it re-reads the run's truth values instead of evaluating them again.
+The answer functions of the TruthSigma and SepSigma oracles (_truth_fn,
+_sep_fn) are built here, so that only separation loads them.
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ from typing import Dict, List, Tuple
 
 from ._record import Record, _set
 from .ordcalc import _DIGITS, _DIGITS_CAP, InputError, _echo, _Scanner
-from .universe import HFSet, cantor_pair, cantor_unpair
+from .hfsets import HFSet, cantor_pair, cantor_unpair, decode_set, encode_hf
+from .oracles import OracleTypeError, _expect_code, summarize_query
 
 EXISTS = "E"
 FORALL = "A"
@@ -529,3 +532,48 @@ def _sigma_truth(f: Formula, level: int, rank: int, params: Tuple[HFSet, ...]) -
     if classify_level(f) > level or f.num_params != len(params):
         return 0
     return eval_formula(f, TruthEnv(rank, params))
+
+
+# -- the truth and separation oracles -------------------------------------
+
+
+def _check_environment(level: int, rank: int):
+    """A truth or separation oracle's environment: RankError for a rank
+    outside 0..MAX_RANK, InputError for a negative level, before any call
+    is made."""
+    _check_rank(rank)
+    if level < 0:
+        raise InputError(f"level must be at least 0, got {level}")
+
+
+def _truth_fn(level: int, rank: int):
+    _check_environment(level, rank)
+
+    def truth(q):
+        # the parameters must be sets: they key the truth values' memo
+        if not (isinstance(q, tuple) and len(q) == 2 and type(q[0]) is int
+                and isinstance(q[1], tuple)
+                and all(isinstance(p, HFSet) for p in q[1])):
+            raise OracleTypeError(
+                f"expected (index, set params) query, got {summarize_query(q)}")
+        k, params = q
+        return _sigma_truth(formula_from_index(k), level, rank, params)
+
+    return truth
+
+
+def _sep_fn(level: int, rank: int):
+    _check_environment(level, rank)
+
+    def sep(q):
+        if not (isinstance(q, tuple) and len(q) == 3 and type(q[1]) is int
+                and isinstance(q[2], tuple)):
+            raise OracleTypeError(
+                f"expected (code, index, param codes) query, got {summarize_query(q)}")
+        code_s, k, param_codes = q
+        s = decode_set(_expect_code(code_s))
+        params = tuple(decode_set(_expect_code(c)) for c in param_codes)
+        f = formula_from_index(k)
+        return encode_hf(HFSet(x for x in s if _sigma_truth(f, level, rank, (x,) + params)))
+
+    return sep

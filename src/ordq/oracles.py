@@ -42,6 +42,7 @@ probe, and asks no oracle or structure.
 from __future__ import annotations
 
 import functools
+import sys
 from typing import Any, Callable, List, NamedTuple, Optional, Tuple, Union
 
 from ._record import same_class_eq
@@ -59,15 +60,7 @@ from .ordcalc import (
     render,
 )
 from . import universe as _u
-from .universe import (
-    CardinalStructure,
-    HFSet,
-    OutOfStructureError,
-    SetCode,
-    decode_set,
-    encode_hf,
-    render_hf,
-)
+from .universe import CardinalStructure, OutOfStructureError
 
 PATTERN_ALL_ZERO = "all-0"
 PATTERN_FINAL_ONE = "all-0-then-final-1"
@@ -296,7 +289,12 @@ def summarize_query(q: Any) -> str:
         return render(q)
     if isinstance(q, int) and not isinstance(q, bool):
         return render(Ordinal.from_int(q))
-    if isinstance(q, SetCode):
+    if isinstance(q, tuple):
+        return "(" + ",".join(map(summarize_query, q)) + ")"
+    if isinstance(q, list):
+        return "[" + ",".join(map(summarize_query, q)) + "]"
+    h = _module("hfsets")
+    if isinstance(q, h.SetCode):
         # reading the domain numbers a pending Pot answer; a numbered code's
         # child map then gives the count without an edge set, and a code
         # given by its edges is not unpacked, as its edges may be invalid
@@ -304,17 +302,15 @@ def summarize_query(q: Any) -> str:
         children = q.__dict__.get("_children")
         edges = len(q.edges) if children is None else sum(map(len, children.values()))
         return f"code(domain={domain},root={root},edges={edges})"
-    if isinstance(q, tuple):
-        return "(" + ",".join(map(summarize_query, q)) + ")"
-    if isinstance(q, list):
-        return "[" + ",".join(map(summarize_query, q)) + "]"
-    if isinstance(q, HFSet):
-        return render_hf(q)
+    if isinstance(q, h.HFSet):
+        return h.render_hf(q)
     return str(q)
 
 
-# types whose equal values have equal summarize_query text
-_BY_VALUE = frozenset({Ordinal, int, bool, str, HFSet, SetCode, type(None)})
+# types whose equal values have equal summarize_query text; HFSet and
+# SetCode join the first time same_value meets them, since an ordinal run
+# loads no set code
+_BY_VALUE = {Ordinal, int, bool, str, type(None)}
 
 
 def same_value(a: Any, b: Any) -> bool:
@@ -331,6 +327,10 @@ def same_value(a: Any, b: Any) -> bool:
         if kind is tuple:
             return len(a) == len(b) and all(map(same_value, a, b))
         if kind in _BY_VALUE:
+            return a == b
+        h = _module("hfsets")
+        if kind is h.SetCode or kind is h.HFSet:
+            _BY_VALUE.add(kind)
             return a == b
     return summarize_query(a) == summarize_query(b)
 
@@ -402,20 +402,22 @@ def make_effectivizer(name: str, structure: CardinalStructure = None,
                             hit_set=CardinalClassSet(structure) if name == DEC_CARD else None)
     if name == POT:
         _require(structure is None and level is None, "Pot takes no environment")
-        return Effectivizer(POT, lambda q: _u.powerset_code(_expect_code(q)))
+        h = _module("hfsets")
+        return Effectivizer(POT, lambda q: h.powerset_code(_expect_code(q)))
     if name == POWER_CARD:
         _require(structure is None and level is None, "PowerCard takes no environment")
+        h = _module("hfsets")
         return Effectivizer(POWER_CARD,
                             lambda q: Ordinal.from_int(
-                                2 ** len(_u._capped_elements(_expect_code(q)))))
+                                2 ** len(h._capped_elements(_expect_code(q)))))
     if name == TRUTH:
         _require(level is not None and rank is not None,
                  "TruthSigma needs a level and a rank")
-        return Effectivizer(f"{TRUTH}{level}", _truth_fn(level, rank))
+        return Effectivizer(f"{TRUTH}{level}", _module("logic")._truth_fn(level, rank))
     if name == SEP:
         _require(level is not None and rank is not None,
                  "SepSigma needs a level and a rank")
-        return Effectivizer(f"{SEP}{level}", _sep_fn(level, rank))
+        return Effectivizer(f"{SEP}{level}", _module("logic")._sep_fn(level, rank))
     raise OracleTypeError(f"unknown effectivizer name {name!r}")
 
 
@@ -425,64 +427,19 @@ def _expect_ordinal(q) -> Ordinal:
     raise OracleTypeError(f"expected an ordinal query, got {summarize_query(q)}")
 
 
-def _expect_code(q) -> SetCode:
-    if isinstance(q, SetCode):
+def _expect_code(q):
+    if isinstance(q, _module("hfsets").SetCode):
         return q
     raise OracleTypeError(f"expected a set code query, got {summarize_query(q)}")
 
 
 @functools.cache
-def _logic():
-    """ordq.logic, loaded on first use: only the truth and separation
-    oracles and the separation scan need it.  A cached module beats an
-    import statement on these per-instance paths."""
-    from . import logic
-    return logic
-
-
-def _checked_logic(level: int, rank: int):
-    """ordq.logic, once a truth or separation oracle's environment passes:
-    RankError for a rank outside 0..MAX_RANK, InputError for a negative
-    level, before any call is made."""
-    logic = _logic()
-    logic._check_rank(rank)
-    if level < 0:
-        raise InputError(f"level must be at least 0, got {level}")
-    return logic
-
-
-def _truth_fn(level: int, rank: int):
-    logic = _checked_logic(level, rank)
-
-    def truth(q):
-        # the parameters must be sets: they key the truth values' memo
-        if not (isinstance(q, tuple) and len(q) == 2 and type(q[0]) is int
-                and isinstance(q[1], tuple)
-                and all(isinstance(p, HFSet) for p in q[1])):
-            raise OracleTypeError(
-                f"expected (index, set params) query, got {summarize_query(q)}")
-        k, params = q
-        return logic._sigma_truth(logic.formula_from_index(k), level, rank, params)
-
-    return truth
-
-
-def _sep_fn(level: int, rank: int):
-    logic = _checked_logic(level, rank)
-
-    def sep(q):
-        if not (isinstance(q, tuple) and len(q) == 3 and type(q[1]) is int
-                and isinstance(q[2], tuple)):
-            raise OracleTypeError(
-                f"expected (code, index, param codes) query, got {summarize_query(q)}")
-        code_s, k, param_codes = q
-        s = decode_set(_expect_code(code_s))
-        params = tuple(decode_set(_expect_code(c)) for c in param_codes)
-        f = logic.formula_from_index(k)
-        return encode_hf(HFSet(x for x in s
-                               if logic._sigma_truth(f, level, rank, (x,) + params)))
-
-    return sep
+def _module(name: str):
+    """ordq.hfsets or ordq.logic, loaded on first use by the package's
+    __getattr__: only set-typed entries, separation and set literals need
+    them.  A cached module beats an import statement on these per-instance
+    paths."""
+    return getattr(sys.modules[__package__], name)
 
 
 # -- scripted oracles and replay ---------------------------------------------

@@ -20,6 +20,7 @@ ordinal multiplication does not commute.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
@@ -37,13 +38,14 @@ from .ordcalc import (
     successor,
 )
 from . import universe as u
-from .universe import CardinalStructure, SetCode
+from .universe import CardinalStructure
 from .oracles import (
     DEC_CARD,
     POT,
     TRUTH,
     Effectivizer,
-    _sep_fn,
+    NotRankedError,
+    _module,
     make_effectivizer,
     summarize_query,
 )
@@ -144,7 +146,8 @@ BOUND_KINDS = {
     "next-card-succ": ("nextcard(a)+1", "ordinal", _next_card_succ),
     "finite": ("finite", None, lambda form, cs, a: None),
     "set-size": ("|S|", "separation",
-                 lambda form, cs, a: Ordinal.from_int(len(u.code_elements(a[0])))),
+                 lambda form, cs, a: Ordinal.from_int(
+                     len(_module("hfsets").code_elements(a[0])))),
     "next-limit-interval": ("leftsub(a, next limit of cardinals)", "ordinal",
                             _next_limit_interval),
     "product": (None, None, lambda form, cs, a: form.check(ZERO, cs, a).value),
@@ -166,12 +169,14 @@ class BoundCheck(NamedTuple):
 @same_class_eq
 class Approximator(NamedTuple):
     """Pull-based guess source.  The distinct values it emits must strictly
-    decrease, and any emitted cardinal must be the input's cardinality."""
+    decrease, and any emitted cardinal must be the input's cardinality.  Its
+    chain depends on the input alone, not on the oracle the machine hands
+    it."""
 
     name: str
     chain_for: Callable[[Ordinal], Sequence[Ordinal]]
 
-    def __call__(self, input_value):
+    def __call__(self, input_value, oracle):
         return iter(self.chain_for(input_value))
 
 
@@ -187,6 +192,16 @@ def direct_descent(structure: CardinalStructure) -> Approximator:
         return (b,) if c == b else (b, c)
 
     return Approximator("direct-descent", chain)
+
+
+def _bound_descent(a, oracle):
+    """ordcard_guesscheck's default guess source: direct descent over the
+    structure of the DecCard oracle bound to its slot (a composed oracle
+    keeps the hit set of the one it stands in for, and a replay hands the
+    source the live run's oracle when it is given the run's bindings)."""
+    if oracle.hit_set is None:
+        raise tam.ProgramError("direct descent reads the structure of a ranked oracle")
+    return direct_descent(oracle.hit_set.structure)(a, oracle)
 
 
 # -- catalog entries ---------------------------------------------------------
@@ -205,82 +220,11 @@ class ReductionSpec:
     shape: str = "ordinal"    # the instances it takes: ordinal, set or separation
 
 
-def _is_transitive(rows: List[int]) -> bool:
-    """rows[i] is the bit set of the j with (i, j) in the relation; it is
-    transitive when each such row j lies inside row i (Warshall, JACM 1962)."""
-    for row in rows:
-        rest = row
-        while rest:
-            low = rest & -rest
-            if rows[low.bit_length() - 1] & ~row:
-                return False
-            rest ^= low
-    return True
-
-
-def _minimal_well_order_length(power_code: SetCode, relations_code: SetCode) -> Ordinal:
-    """Scan every relation for well-orderings of the power set and return the
-    shortest length found.
-
-    Only the small power set is decoded.  Every relation's member count is
-    read from the relations code's child map, and only the relations with
-    n(n-1)/2 members can be strict total orders.  Each distinct member node
-    of those is decoded once and mapped to bit i*n+j when it is the pair
-    (i, j), or to the stray bit above all pairs when it is not a pair; a
-    relation is then the sum of its members' bits, and its n rows are tested
-    with int operations."""
-    elements = list(u.decode_set(power_code))
-    n = len(elements)
-    stray = 1 << (n * n)
-    bit_of = {u.kuratowski(a, b): 1 << (i * n + j)
-              for i, a in enumerate(elements)
-              for j, b in enumerate(elements)}
-    relations = u.code_elements(relations_code)
-    children = relations_code._children
-    # an irreflexive transitive relation is asymmetric, so it is total
-    # exactly when it holds one pair of each of the n(n-1)/2 two-element
-    # sets; distinct member nodes are distinct sets, so a relation with that
-    # many members and no stray one holds that many pairs
-    total_pairs = n * (n - 1) // 2
-    sized = [kids for kids in (children.get(r, ()) for r in relations)
-             if len(kids) == total_pairs]
-    bit = {node: bit_of.get(u.decode_element(relations_code, node), stray)
-           for node in set().union(*sized)}
-    diagonal = sum(1 << (i * n + i) for i in range(n))
-    full_row = (1 << n) - 1
-    found = False
-    for kids in sized:
-        pairs = sum(map(bit.__getitem__, kids))
-        if pairs >= stray or pairs & diagonal:
-            continue
-        if _is_transitive([(pairs >> (i * n)) & full_row for i in range(n)]):
-            # finite strict total orders are exactly the well-orderings
-            found = True
-    if not found:
-        raise ValueError("no well-ordering among the relations")
-    return Ordinal.from_int(n)
-
-
-def _square_code(power_code: SetCode) -> SetCode:
-    s = u.decode_set(power_code)
-    return u.encode_hf(u.hf_product(s, s))
-
-
-def _count_power(power_code: SetCode, _unused) -> Ordinal:
-    # counts the root's members without decoding them; the code is still
-    # validated, so a bad one raises InvalidCodeError
-    return Ordinal.from_int(len(u.code_elements(power_code)))
-
-
 # -- references --------------------------------------------------------------
 
 
-def _ref_powercard(_structure, code):
-    return Ordinal.from_int(2 ** len(u.decode_set(code)))
-
-
 def _ref_separation(level: int, rank: int):
-    sep = _sep_fn(level, rank)          # the SepSigma oracle's filter
+    sep = _module("logic")._sep_fn(level, rank)         # the SepSigma oracle's filter
     return lambda _structure, triple: sep(triple)
 
 
@@ -311,27 +255,32 @@ class _Row(NamedTuple):
 
 _HALT_R = Halt(reg("r"))
 
-# Two oracle calls bracketing free host work.  The full mode points the
-# second call at the square of the power set, so every binary relation on
-# it, well-orderings included, comes back; the count-only mode keeps the
-# call count but aims the second call at the power set itself, since the
-# square of anything bigger overflows the host powerset cap.
-_POWERCARD = {
-    False: Program("powercard_via_pot", (
+
+@functools.cache
+def _powercard(count_only: bool) -> Program:
+    """Two oracle calls bracketing free host work, built on first use.  The
+    full mode points the second call at the square of the power set, so
+    every binary relation on it, well-orderings included, comes back; the
+    count-only mode keeps the call count but aims the second call at the
+    power set itself, since the square of anything bigger overflows the
+    host powerset cap."""
+    h = _module("hfsets")
+    if count_only:
+        return Program("powercard_via_pot_count", (
+            OracleCall(slot="pot", arg=INPUT, register="pow1"),
+            OracleCall(slot="pot", arg=reg("pow1"), register="pow2"),
+            ComputableSubroutine("count-power", h._count_power, (reg("pow1"), reg("pow2")), "n"),
+            Halt(reg("n")),
+        ))
+    return Program("powercard_via_pot", (
         OracleCall(slot="pot", arg=INPUT, register="pow1"),
-        ComputableSubroutine("square-code", _square_code, (reg("pow1"),), "sq"),
+        ComputableSubroutine("square-code", h._square_code, (reg("pow1"),), "sq"),
         OracleCall(slot="pot", arg=reg("sq"), register="rels"),
-        ComputableSubroutine("minimal-well-order-length", _minimal_well_order_length,
+        ComputableSubroutine("minimal-well-order-length", h._minimal_well_order_length,
                              (reg("pow1"), reg("rels")), "n"),
         Halt(reg("n")),
-    )),
-    True: Program("powercard_via_pot_count", (
-        OracleCall(slot="pot", arg=INPUT, register="pow1"),
-        OracleCall(slot="pot", arg=reg("pow1"), register="pow2"),
-        ComputableSubroutine("count-power", _count_power, (reg("pow1"), reg("pow2")), "n"),
-        Halt(reg("n")),
-    )),
-}
+    ))
+
 
 _CATALOG = {
     "nextcard_via_deccard": _Row(
@@ -366,8 +315,8 @@ _CATALOG = {
         lambda o: u.next_limit_of_cardinals_above),
     "powercard_via_pot": _Row(
         "PowerCard", POT, BoundForm.const(2), "set",
-        lambda o: _POWERCARD[o.count_only],
-        lambda o: _ref_powercard),
+        lambda o: _powercard(o.count_only),
+        lambda o: _module("hfsets")._ref_powercard),
     "sep_via_truth": _Row(
         "Separation", TRUTH, BoundForm("set-size"), "separation",
         lambda o: Program("sep_via_truth", (
@@ -382,24 +331,19 @@ def catalog(name: str, approximator: Optional[Approximator] = None,
             count_only: bool = False, level: int = 2,
             rank: int = 3) -> ReductionSpec:
     """Build a catalog entry by its stable name.  approximator reaches
-    ordcard_guesscheck (by default, direct descent over the structure the
-    entry is bound to), count_only powercard_via_pot, and level and rank
-    sep_via_truth's truth oracle and reference."""
+    ordcard_guesscheck (by default, direct descent over the structure of
+    the oracle each run is bound to), count_only powercard_via_pot, and
+    level and rank sep_via_truth's truth oracle and reference."""
     row = _CATALOG.get(name)
     if row is None:
         raise ValueError(f"unknown reduction name {name!r}")
-    bound_to = [None]           # the structure last bound, for direct descent
-    if approximator is None:
-        approximator = Approximator(
-            "direct-descent", lambda a: direct_descent(bound_to[0]).chain_for(a))
-    options = _Options(approximator, count_only, level, rank)
+    options = _Options(approximator or _bound_descent, count_only, level, rank)
     program = row.program(options)
     slot, = program.slots()
     oracle, env = ((f"{TRUTH}{level}", {"level": level, "rank": rank})
                    if row.oracle == TRUTH else (row.oracle, {}))
 
     def make_bindings(structure):
-        bound_to[0] = structure
         return {slot: make_effectivizer(row.oracle, structure=structure, **env)}
 
     return ReductionSpec(name, row.source, oracle, row.bound, lambda: program,
@@ -522,7 +466,7 @@ def verify(spec: ReductionSpec, structure: Optional[CardinalStructure],
         if spec.composite:
             replay_ok = None
         else:
-            replay_ok = tam.replay(program, instance, res, budget).same_as(res)
+            replay_ok = tam.replay(program, instance, res, budget, bindings).same_as(res)
         report.rows.append(Row(
             input_text=summarize_query(instance),
             status=res.status,
@@ -546,12 +490,17 @@ class CompositeEffectivizer(Effectivizer):
     """Answers each pointwise call by running an inner reduction program,
     appending the inner oracle traffic, entry by entry, to the caller's
     ledger.  An inner run that does not halt stops the caller's run with
-    its status, after its traffic is appended."""
+    its status, after its traffic is appended.  It keeps the hit set of the
+    oracle it stands in for, which a guess source may read, but a scan
+    cannot drive it."""
 
-    def __init__(self, name: str, inner_program_factory, inner_bindings):
-        super().__init__(name, answer_fn=None, hit_set=None)
+    def __init__(self, name: str, inner_program_factory, inner_bindings, hit_set=None):
+        super().__init__(name, answer_fn=None, hit_set=hit_set)
         self._factory = inner_program_factory
         self._bindings = inner_bindings
+
+    def scan(self, start, query, point):
+        raise NotRankedError(f"{self.name} is composed, so no scan can drive it")
 
     def call(self, query, ledger=None):
         res = tam.run(self._factory(), query, self._bindings)
@@ -572,11 +521,12 @@ def compose(outer: ReductionSpec, inner: ReductionSpec) -> ReductionSpec:
 
     def make_bindings(structure):
         inner_bindings = inner.make_bindings(structure)
-        composite = CompositeEffectivizer(
-            inner.name, inner.make_program, inner_bindings)
-        # the outer entry's own bindings name its slots, and bind what its
-        # program reads beside them, such as direct descent's structure
-        return {slot: composite for slot in outer.make_bindings(structure)}
+        # the outer entry's own bindings name its slots, and each composed
+        # oracle keeps the hit set of the one it stands in for, whose
+        # structure direct descent reads
+        return {slot: CompositeEffectivizer(inner.name, inner.make_program,
+                                            inner_bindings, own.hit_set)
+                for slot, own in outer.make_bindings(structure).items()}
 
     return ReductionSpec(
         name=f"{outer.name}+{inner.name}",

@@ -22,9 +22,9 @@ scan(), which answers the one rank query the statement asks of its hit set
                   A toggle never zeroes the pair; at limit stages a flag
                   reads its lim-inf, 0 whenever toggles are cofinal, so the
                   pair reads 0 only at a limit of hits.
-  guess-check     pulls strictly decreasing guesses from a source and makes
-                  one pointwise call per distinct guess until a positive
-                  answer.
+  guess-check     pulls strictly decreasing guesses from a source, which is
+                  handed the bound oracle, and makes one pointwise call per
+                  distinct guess until a positive answer.
   member-filter   one pointwise truth call per element of a coded set,
                   keeping the satisfying elements.
 
@@ -47,7 +47,10 @@ replay re-runs a program against a previous run's ledger instead of live
 oracles.  It runs the same scan code as a live run: a scripted oracle's
 scan() answers each scan with the exit and the window end its recorded
 run entry holds.  Replaying a run's own ledger reproduces the run exactly,
-ledger included, whether or not it halted, and asks no oracle.
+ledger included, whether or not it halted, and asks no oracle.  A guess
+source is handed the oracle bound to its slot; a replay given the live
+run's bindings hands it the live oracle instead of the scripted one, so a
+source that reads its oracle's structure guesses as in the run.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from ._record import Record, _set, same_class_eq
 from .ordcalc import ZERO, Ordinal, _coerce, left_sub, successor
-from .universe import EMPTY_SET, HFSet, SetCode, code_elements, decode_element, decode_set, encode_hf
 from .oracles import (
     PATTERN_ALL_ZERO,
     PATTERN_FINAL_ONE,
@@ -66,7 +68,7 @@ from .oracles import (
     RunEntry,
     ScriptExhausted,
     ScriptedEffectivizer,
-    _logic,
+    _module,
     entries_agree,
 )
 
@@ -151,11 +153,12 @@ class ScanFlagToggleUntil(NamedTuple):
 
 @same_class_eq
 class GuessCheckLoop(NamedTuple):
-    """guesses(input) yields candidates; consecutive repeats collapse and
-    the distinct values must strictly decrease."""
+    """guesses(input, oracle) yields candidates, where oracle is the one
+    bound to the slot; consecutive repeats collapse and the distinct values
+    must strictly decrease."""
 
     slot: str
-    guesses: Callable[[Any], Any]
+    guesses: Callable[[Any, Any], Any]
     register: str
 
 
@@ -257,7 +260,8 @@ class Stopped(Exception):
 
 
 class _Machine:
-    def __init__(self, program: Program, input_value, bindings, budget: int):
+    def __init__(self, program: Program, input_value, bindings, budget: int,
+                 sources=None):
         if budget <= 0:
             raise ProgramError("budget must be positive")
         for slot in program.slots():
@@ -266,6 +270,7 @@ class _Machine:
         self.program = program
         self.input = input_value
         self.bindings = bindings
+        self.sources = bindings if sources is None else sources    # what guess sources read
         self.budget = budget
         self.events = 0
         self.registers: Dict[str, Any] = {}
@@ -356,7 +361,7 @@ class _Machine:
 
     def _do_guess_check(self, st: GuessCheckLoop):
         oracle = self.bindings[st.slot]
-        source = st.guesses(self.input)
+        source = st.guesses(self.input, self.sources[st.slot])
         last = None
         for raw in source:
             value = self._ord(raw)
@@ -373,24 +378,26 @@ class _Machine:
         raise Stopped(DIVERGED)
 
     def _do_separation(self, st: SeparationScan):
+        h = _module("hfsets")
         shape = self.input
         if not (isinstance(shape, tuple) and len(shape) == 3
-                and isinstance(shape[0], SetCode) and type(shape[1]) is int
+                and isinstance(shape[0], h.SetCode) and type(shape[1]) is int
                 and isinstance(shape[2], tuple)):
             raise ProgramError("input must be (set code, formula index, parameter codes)")
         code, k, param_codes = shape
-        params = tuple(decode_set(c) for c in param_codes)
-        if _logic().formula_from_index(k).num_params != len(params) + 1:
-            self.registers[st.register] = encode_hf(EMPTY_SET)
+        params = tuple(map(h.decode_set, param_codes))
+        if _module("logic").formula_from_index(k).num_params != len(params) + 1:
+            self.registers[st.register] = h.encode_hf(h.EMPTY_SET)
             return
         oracle = self.bindings[st.slot]
+        decode_element = h.decode_element
         kept = []
-        for node in code_elements(code):
+        for node in h.code_elements(code):
             self._tick()
             x = decode_element(code, node)
             if oracle.call((k, (x,) + params), self.ledger) == 1:
                 kept.append(x)
-        self.registers[st.register] = encode_hf(HFSet(kept))
+        self.registers[st.register] = h.encode_hf(h.HFSet(kept))
 
     _HANDLERS = {
         Halt: _do_halt,
@@ -422,10 +429,14 @@ def run(program: Program, input_value, bindings: Dict[str, Effectivizer],
 
 
 def replay(program: Program, input_value, result: RunResult,
-           budget: int = DEFAULT_BUDGET) -> RunResult:
+           budget: int = DEFAULT_BUDGET, bindings: Optional[Dict[str, Effectivizer]] = None
+           ) -> RunResult:
     """Re-run a program with every oracle slot answered from the ledger of
     a previous result; the scans run their live code, on the recorded
-    exits and horizons ScriptedEffectivizer.scan() answers."""
+    exits and horizons ScriptedEffectivizer.scan() answers.  A guess source
+    is handed the scripted oracle, or, when the live run's bindings are
+    given, its slot's live oracle, which it may read but which answers no
+    call."""
     oracle = ScriptedEffectivizer(result.ledger)
-    bindings = {slot: oracle for slot in program.slots()}
-    return _run_machine(_Machine(program, input_value, bindings, budget))
+    scripted = {slot: oracle for slot in program.slots()}
+    return _run_machine(_Machine(program, input_value, scripted, budget, bindings))

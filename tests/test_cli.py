@@ -745,7 +745,8 @@ def run_subprocess(*argv, env=None, interpreter_flags=(), umask=-1):
 
 
 class TestWrittenFileMode:
-    """A written report has the mode the process's umask leaves of 0o666."""
+    """A new report has the mode the process's umask leaves of 0o666, and a
+    report or ledger that replaces a regular file keeps that file's mode."""
 
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
                              ids=["umask-022", "umask-077", "umask-002"])
@@ -754,6 +755,24 @@ class TestWrittenFileMode:
         proc = run_subprocess("run", SHIPPED_SUITE, "--output", str(out), umask=umask)
         assert proc.returncode == 0, proc.stderr
         assert stat.S_IMODE(out.stat().st_mode) == mode
+
+    @pytest.mark.parametrize("old", [0o600, 0o640], ids=["600", "640"])
+    @pytest.mark.parametrize("argv", [
+        ("run", SHIPPED_SUITE, "--output"),
+        ("reduce", "nextcard_via_deccard", "--input", "w", "--ledger"),
+    ], ids=["report", "ledger"])
+    def test_a_replaced_file_keeps_its_mode(self, tmp_path, argv, old):
+        out = tmp_path / "r.json"
+        out.write_text("old\n", encoding="utf-8")
+        out.chmod(old)
+        proc = run_subprocess(*argv, str(out), umask=0o022)
+        assert proc.returncode == 0, proc.stderr
+        assert stat.S_IMODE(out.stat().st_mode) == old
+        assert out.read_text(encoding="utf-8") != "old\n"
+        fresh = tmp_path / "fresh.json"
+        proc = run_subprocess(*argv, str(fresh), umask=0o022)
+        assert proc.returncode == 0, proc.stderr
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
 
 
 class TestFileEncoding:
@@ -796,8 +815,8 @@ class TestSelftest:
     def test_a_broken_check_fails_under_dash_o(self):
         # python -O strips assert statements; the suites' checks must survive it
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        script = ("import sys, ordq.cli as c\n"
-                  "c.left_sub = lambda a, b: a\n"
+        script = ("import sys, ordq.cli as c, ordq.selftest as s\n"
+                  "s.left_sub = lambda a, b: a\n"
                   "sys.exit(c.main(['selftest']))\n")
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,

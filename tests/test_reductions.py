@@ -6,12 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordq import tam
+from ordq import hfsets, tam
 from ordq import universe as u
 from ordq.logic import TruthEnv, eval_formula, formula_from_index, formula_index, parse_formula, universe_of
 from ordq.oracles import (
     DEC_CARD,
     NEXT_CARD,
+    NotRankedError,
     PATTERN_ALL_ZERO,
     TRUTH,
     OrdinalSet,
@@ -32,9 +33,8 @@ from ordq.ordcalc import (
     render,
     successor,
 )
+from ordq.hfsets import _count_power, _minimal_well_order_length
 from ordq.reductions import (
-    _count_power,
-    _minimal_well_order_length,
     Approximator,
     BoundForm,
     CATALOG_NAMES,
@@ -265,6 +265,23 @@ class TestGuessCheck:
         for row in report.rows:
             assert row.status == "halted"
 
+    def test_default_descent_reads_the_structure_its_run_is_bound_to(self):
+        # binding the entry again, over another structure, leaves the
+        # bindings made first descending over their own structure
+        spec = catalog("ordcard_guesscheck")
+        bound = spec.make_bindings(POWERS)
+        spec.make_bindings(MULTIPLES)
+        res = tam.run(spec.make_program(), P("w*2+1"), bound)
+        assert (res.status, render(res.output), len(res.ledger)) == ("halted", "w", 2)
+        # a replay handed the run's bindings descends as the run did
+        assert tam.replay(spec.make_program(), P("w*2+1"), res, bindings=bound).same_as(res)
+
+    def test_a_replay_without_the_bindings_cannot_descend(self):
+        spec = catalog("ordcard_guesscheck")
+        res = run_once(spec, POWERS, P("w*2+1"))
+        with pytest.raises(tam.ProgramError, match="direct descent"):
+            tam.replay(spec.make_program(), P("w*2+1"), res)
+
     def test_direct_descent_chain_shape(self):
         chain = direct_descent(POWERS).chain_for(P("w*2+1"))
         assert [render(g) for g in chain] == ["w*2+1", "w"]
@@ -361,13 +378,13 @@ class TestPotAnswersNumberedOnFirstRead:
         """The argument code of each Pot answer numbered, in order: the
         answers of one row take the power sets of distinct codes."""
         arguments = []
-        number = u._number_powerset
+        number = hfsets._number_powerset
 
         def counting(argument):
             arguments.append(argument[0])
             return number(argument)
 
-        monkeypatch.setattr(u, "_number_powerset", counting)
+        monkeypatch.setattr(hfsets, "_number_powerset", counting)
         return arguments
 
     def test_a_count_only_row_numbers_only_the_first_answer(self, numbered):
@@ -609,10 +626,10 @@ class TestSeparation:
         # replay, which build equal sets apart, find it in the memo
         k = formula_index(parse_formula("E y A z A w (y in #0 & (w in z | !(z in y)))"))
         instance = (u.encode_hf(u.parse_hf("{{},{{}},{{{}}},{{},{{}}}}")), k, ())
-        u._numbering.cache_clear()
+        hfsets._numbering.cache_clear()
         report = verify(catalog("sep_via_truth", level=2, rank=4), None, [instance])
         assert report.passed and report.rows[0].order_type == "4"
-        info = u._numbering.cache_info()
+        info = hfsets._numbering.cache_info()
         assert (info.misses, info.hits) == (1, 2)
 
     def test_arity_mismatch_costs_nothing(self):
@@ -930,6 +947,22 @@ class TestComposition:
         assert report.passed
         assert [(r.output_text, r.order_type) for r in report.rows] == [
             ("w", "2"), ("w^2", "1"), ("5", "1")]
+
+    def test_composed_bindings_keep_their_own_structure(self):
+        comp = compose(catalog("ordcard_guesscheck"), deccard_delegate(1))
+        bound = comp.make_bindings(POWERS)
+        comp.make_bindings(MULTIPLES)
+        res = tam.run(comp.make_program(), P("w*2+1"), bound)
+        assert (res.status, render(res.output)) == ("halted", "w")
+
+    def test_no_scan_drives_a_composed_oracle(self):
+        # the composed oracle keeps a hit set for guess sources to read,
+        # but a scan would answer from it with no inner run
+        comp = compose(catalog("ordcard_guesscheck"), deccard_delegate(1))
+        (oracle,) = comp.make_bindings(POWERS).values()
+        assert oracle.hit_set is not None
+        with pytest.raises(NotRankedError):
+            oracle.scan(OMEGA, "least_above", OMEGA)
 
     def test_composed_bound_multiplies(self):
         outer = delegate_spec("Probe", DEC_CARD,

@@ -40,7 +40,11 @@ EXPORTS = (
     "ReductionSpec", "ReductionTypeError", "Report", "catalog", "compose",
     "delegate_spec", "verify",
 )
-SUBMODULES = ("cli", "logic", "oracles", "ordcalc", "reductions", "tam", "universe")
+SUBMODULES = ("cli", "hfsets", "logic", "oracles", "ordcalc", "reductions", "selftest",
+              "tam", "universe")
+# the modules an ordinal run or reduce never loads: the set half that was
+# split out of ordq.universe, the formula logic and the selftest suites
+NOT_ORDINAL = ("ordq.hfsets", "ordq.logic", "ordq.selftest")
 # the names that moved to tests/reference_sets.py, which no module exports
 MOVED_TO_TESTS = ("flag_value_after", "sup_of_cardinals_below", "hf_powerset")
 # the names that were removed: Effectivizer.call and a run's ledger do the
@@ -70,14 +74,54 @@ def test_calc_loads_only_ordcalc():
         assert absent not in loaded, absent
 
 
+# an ordinal scenario beside the shipped one: the flag scan over an
+# explicit list, with a bound override
+ORDINAL = {"reduction": "flagtrick",
+           "structure": {"kind": "explicit-list", "bound": "w^3", "cardinals": ["w^2"]},
+           "bound_override": {"kind": "const", "value": "w^3"}, "instances": ["5", "w+1"]}
+POWERCARD = {"reduction": "powercard_via_pot", "instances": ["{{}}"]}
+SEPARATION = {"reduction": "sep_via_truth",
+              "instances": [{"set": "{{},{{}}}", "formula": "E v0 (v0 in #0)"}]}
+
+
+def scenario_argv(tmp_path, blob) -> list:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    return ["run", str(path)]
+
+
 @pytest.mark.parametrize("argv", [
     ["run", SCENARIO],
     ["reduce", "ordcard_scan_naive", "--input", "w^2+3"],
+    ORDINAL,
 ])
-def test_scan_runs_do_not_load_logic(argv):
+def test_scan_runs_do_not_load_logic(tmp_path, argv):
+    if isinstance(argv, dict):
+        argv = scenario_argv(tmp_path, argv)
     loaded = modules_after(f"from ordq import cli\nassert cli.main({argv!r}) == 0")
     assert "ordq.reductions" in loaded
-    assert "ordq.logic" not in loaded
+    assert not set(NOT_ORDINAL) & loaded
+
+
+@pytest.mark.parametrize("blob", [POWERCARD, SEPARATION], ids=["powercard", "separation"])
+def test_set_entries_load_the_set_half(tmp_path, blob):
+    argv = scenario_argv(tmp_path, blob)
+    loaded = modules_after(f"from ordq import cli\nassert cli.main({argv!r}) == 0")
+    assert "ordq.hfsets" in loaded and "ordq.selftest" not in loaded
+    assert ("ordq.logic" in loaded) == (blob is SEPARATION)
+
+
+def test_selftest_loads_its_suites_and_passes():
+    script = ("import sys\nfrom ordq import cli\nassert cli.main(['selftest']) == 0\n"
+              "print('selftest' if 'ordq.selftest' in sys.modules else 'no selftest')")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, cwd=ROOT, env=ENV)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line for line in lines if line.startswith("ok - ")] == [
+        "ok - ordinal arithmetic", "ok - ranked oracles", "ok - query ledgers",
+        "ok - reduction catalog"]
+    assert lines[-2:] == ["selftest: 4 suites passed", "selftest"]
 
 
 def test_every_export_and_submodule_resolves():
@@ -111,6 +155,56 @@ def test_exports_resolve_in_a_fresh_interpreter():
         f"assert all(isinstance(getattr(ordq, m), types.ModuleType) for m in {SUBMODULES!r})\n"
         f"assert all(getattr(ordq, n) is not None for n in {EXPORTS!r})")
     assert {f"ordq.{m}" for m in SUBMODULES} <= loaded
+
+
+# pickles written before the set half left ordq.universe, which name
+# ordq.universe.decode_set and ordq.universe.SetCode: the set
+# {{},{{}},{{{}}}}, of rank 3, and its code
+OLD_SET_PICKLE = (b"\x80\x04\x95G\x00\x00\x00\x00\x00\x00\x00\x8c\rordq.universe\x94"
+                  b"\x8c\ndecode_set\x94\x93\x94h\x00\x8c\x07SetCode\x94\x93\x94K\x04(K"
+                  b"\x02K\x08K\tK\rK\x12\x91\x94K\x03\x87\x94R\x94\x85\x94R\x94.")
+OLD_CODE_PICKLE = (b"\x80\x04\x952\x00\x00\x00\x00\x00\x00\x00\x8c\rordq.universe\x94"
+                   b"\x8c\x07SetCode\x94\x93\x94K\x04(K\x02K\x08K\tK\rK\x12\x91\x94K\x03"
+                   b"\x87\x94R\x94.")
+
+
+class TestTheSplitOfUniverse:
+    """ordq.universe still answers the public names of the set half that
+    moved to ordq.hfsets, and pickles made before the move still load."""
+
+    def test_pickles_that_name_universe_load(self):
+        import pickle
+        from ordq import hfsets
+        s = hfsets.parse_hf("{{},{{}},{{{}}}}")
+        loaded = pickle.loads(OLD_SET_PICKLE)
+        assert type(loaded) is hfsets.HFSet and loaded == s and loaded.rank == 3
+        code = pickle.loads(OLD_CODE_PICKLE)
+        assert type(code) is hfsets.SetCode and code == hfsets.encode_hf(s)
+
+    def test_moved_names_import_from_universe(self):
+        from ordq import hfsets
+        from ordq.universe import HFSet, encode_hf
+        assert HFSet is hfsets.HFSet and encode_hf is hfsets.encode_hf
+
+    def test_every_public_name_of_the_set_half_is_forwarded(self):
+        import ast
+        import inspect
+        from ordq import hfsets, universe
+        body = ast.parse(inspect.getsource(hfsets)).body
+        defined = {node.name for node in body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+        defined |= {target.id for node in body if isinstance(node, ast.Assign)
+                    for target in node.targets}
+        # NESTING_CAP is ordcalc's, which hfsets re-exports
+        public = {name for name in defined if not name.startswith("_")} | {"NESTING_CAP"}
+        assert public == set(universe._HFSETS)
+        for name in public:
+            assert getattr(universe, name) is getattr(hfsets, name), name
+
+    @pytest.mark.parametrize("name", ["no_such_name", "_numbering", "_check_code"])
+    def test_other_names_raise_an_error_that_names_universe(self, name):
+        from ordq import universe
+        with pytest.raises(AttributeError, match="module 'ordq.universe' has no attribute"):
+            getattr(universe, name)
 
 
 def test_star_import_gives_every_export():

@@ -261,7 +261,7 @@ class TestFlagScan:
 class TestGuessCheck:
     def prog(self, chain):
         return Program("guess-check", (
-            GuessCheckLoop(slot="check", guesses=lambda i: iter(chain),
+            GuessCheckLoop(slot="check", guesses=lambda i, oracle: iter(chain),
                            register="r"),
             Halt(reg("r")),
         ))
@@ -458,7 +458,7 @@ class TestReplay:
         yield FLAG_SCAN, OMEGA, run(FLAG_SCAN, OMEGA, dec(ex))      # diverges
         gc = Program("guess-check", (
             GuessCheckLoop(slot="check",
-                           guesses=lambda i: iter([P("w^2+3"), P("w+7"), OMEGA]),
+                           guesses=lambda i, oracle: iter([P("w^2+3"), P("w+7"), OMEGA]),
                            register="r"),
             Halt(reg("r")),
         ))

@@ -17,7 +17,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordq import universe
+from ordq import hfsets, universe
 from ordq.logic import universe_of
 from ordq.oracles import summarize_query
 from ordq.ordcalc import OMEGA, Ordinal, omega_power, parse_ordinal as parse, render
@@ -689,13 +689,13 @@ class TestOnePassEncoder:
 
     def test_first_decode_still_validates_once(self, monkeypatch):
         calls = []
-        check = universe._check_code
+        check = hfsets._check_code
 
         def counting(code):
             calls.append(code)
             return check(code)
 
-        monkeypatch.setattr(universe, "_check_code", counting)
+        monkeypatch.setattr(hfsets, "_check_code", counting)
         code = encode_hf(hf_powerset(HFSet(universe_of(3))))
         assert calls == []
         decode_set(code)
@@ -876,7 +876,7 @@ def code_from_children(domain: int, root: int, children) -> SetCode:
     that answers the map."""
     children = {y: tuple(sorted(set(kids))) for y, kids in children.items() if kids}
     if any(x < 0 for kids in children.values() for x in kids):
-        return universe._numbered_code(lambda fields: fields, (domain, root, children, {}))
+        return hfsets._numbered_code(lambda fields: fields, (domain, root, children, {}))
     return SetCode(domain, [cantor_pair(x, y) for y, kids in children.items() for x in kids],
                    root)
 
@@ -1169,7 +1169,7 @@ class TestPotAnswersNumberedOnFirstRead:
     def test_bad_arguments_raise_from_the_call_before_any_numbering(self, code, error,
                                                                      monkeypatch):
         numbered = []
-        monkeypatch.setattr(universe, "_number_powerset", numbered.append)
+        monkeypatch.setattr(hfsets, "_number_powerset", numbered.append)
         with pytest.raises(error):
             powerset_code(code)
         with pytest.raises(error):
@@ -1199,10 +1199,10 @@ class TestNumberingMemo:
                       decode_set(permuted(code, rng, extra))]
             codes = []
             for c in copies:
-                universe._numbering.cache_clear()
+                hfsets._numbering.cache_clear()
                 cold = encode_hf(c)
                 warm = encode_hf(c)
-                assert universe._numbering.cache_info()[:2] == (1, 1)
+                assert hfsets._numbering.cache_info()[:2] == (1, 1)
                 assert code_fields(warm) == code_fields(cold) == code_fields(code)
                 codes += [cold, warm]
             # a hit on an equal copy built apart decodes to the copy itself
@@ -1217,8 +1217,8 @@ class TestNumberingMemo:
     def test_readers_leave_the_memo_unchanged(self, picks, rng):
         v4 = universe_of(4)
         s = HFSet(v4[i] for i in picks)
-        universe._numbering.cache_clear()
-        domain, root, children, decoded = universe._numbering(s)
+        hfsets._numbering.cache_clear()
+        domain, root, children, decoded = hfsets._numbering(s)
         kept_children, kept_decoded = dict(children), dict(decoded)
         for c in (s, parse_hf(render_hf(s)), decode_set(permuted(encode_hf(s), rng))):
             code = encode_hf(c)
@@ -1231,7 +1231,7 @@ class TestNumberingMemo:
             code.edges
             decode_set(powerset_code(code))
             summarize_query(code)
-        assert universe._numbering.cache_info().misses == 1
+        assert hfsets._numbering.cache_info().misses == 1
         assert children == kept_children
         assert decoded.keys() == kept_decoded.keys()
         assert all(decoded[i] is kept_decoded[i] for i in decoded)
@@ -1239,7 +1239,7 @@ class TestNumberingMemo:
     def test_equal_3000_level_chains_built_apart_bypass_the_memo(self):
         # a memo hit compares keys, and before 3.13 comparing these two
         # chains raises RecursionError; sets above NESTING_CAP skip the memo
-        before = universe._numbering.cache_info().currsize
+        before = hfsets._numbering.cache_info().currsize
         chain = SetCode(3001, [cantor_pair(i, i + 1) for i in range(3000)], 3000)
         a, b = nest(3000), decode_set(chain)
         assert a is not b
@@ -1247,7 +1247,7 @@ class TestNumberingMemo:
         assert (code_a.domain, code_a.root) == (code_b.domain, code_b.root) == (3001, 3000)
         assert code_a._children == code_b._children == chain._children
         assert decode_set(code_a) is a and decode_set(code_b) is b
-        assert universe._numbering.cache_info().currsize == before
+        assert hfsets._numbering.cache_info().currsize == before
 
 
 class TestPairing:
