@@ -21,7 +21,8 @@ nodes: encode_hf runs its pass at once, and a Pot answer's pass is pending
 on first read, by SetCode.__getattr__, the one place that fills them: the
 pending numbering, the edge set from the child map, the child map from the
 edge set, the validity verdict and the decoded nodes.  Every decode asks
-for the verdict.  A code pickles as its edges.
+for the verdict.  A code pickles as its edges, and its str() is its ledger
+text, code(domain=...,root=...,edges=N), which reports show.
 
 encode_hf numbers its code at once, with a pass that is memoized for the
 last 128 sets of rank up to NESTING_CAP: codes of equal sets share the
@@ -231,6 +232,10 @@ class SetCode(Record):
     decoded nodes.
     encode_hf numbers its code at once; a Pot answer (powerset_code) is
     numbered on first read.  Copy and pickle rebuild a code from its edges.
+
+    str() gives the ledger text, code(domain=...,root=...,edges=N): it
+    numbers a pending code, counts a numbered code's edges from its child
+    map, and neither validates nor unpacks a code given by its edges.
     """
 
     _fields = ("domain", "edges", "root")
@@ -268,6 +273,15 @@ class SetCode(Record):
     def __reduce__(self):
         # by its edges: the decoded nodes would pickle one set per node
         return SetCode, (self.domain, self.edges, self.root)
+
+    def __str__(self):
+        # reading the domain numbers a pending Pot answer; a numbered code's
+        # child map then gives the count without an edge set, and a code
+        # given by its edges is not unpacked, as its edges may be invalid
+        domain, root = self.domain, self.root
+        children = self.__dict__.get("_children")
+        edges = len(self.edges) if children is None else sum(map(len, children.values()))
+        return f"code(domain={domain},root={root},edges={edges})"
 
 
 def cantor_pair(x: int, y: int) -> int:
@@ -307,19 +321,14 @@ def encode_hf(s: HFSet) -> SetCode:
     powerset_code writes the same order a second way, as the order in which
     itertools.combinations lists subsets; the reference_powerset_code tests
     in tests/test_universe.py keep the two in agreement."""
-    # numbered now, so that the caller that encodes pays for it, and
-    # straight into the instance dict, with no pending pass to look up
-    code = object.__new__(SetCode)
-    code.__dict__.update(zip(_NUMBERED, _encoding(s)))
-    return code
-
-
-def _encoding(s: HFSet) -> Tuple[int, int, Dict[int, Tuple[int, ...]], Dict[int, HFSet]]:
-    """encode_hf's numbering: _numbering's fields, with a copy of its
-    decoded nodes in which the root is s itself."""
     number = _numbering if s.rank <= NESTING_CAP else _numbering.__wrapped__
     domain, root, children, decoded = number(s)
-    return domain, root, children, {**decoded, root: s}
+    # numbered now, so that the caller that encodes pays for it, and
+    # straight into the instance dict, with no pending pass to look up; the
+    # decoded nodes are a copy of the pass's, in which the root is s itself
+    code = object.__new__(SetCode)
+    code.__dict__.update(zip(_NUMBERED, (domain, root, children, {**decoded, root: s})))
+    return code
 
 
 # a separation verdict encodes its separated set three times (run,
@@ -472,53 +481,50 @@ def _check_code(code: SetCode) -> int:
         return 0
     children = code._children
     if all(kids[-1] < y for y, kids in children.items()):
-        return _sweep_code(code.root, children)
-    touched = set(children).union(*children.values())
-    if touched and not (0 <= min(touched) and max(touched) < code.domain):
-        return 0
-    # well-founded: no cycle through the nodes the root reaches (a search on
-    # an explicit stack); the nodes it marks are the root's transitive closure
-    state: Dict[int, int] = {code.root: 1}      # 1 on the stack, 2 done
-    stack = [(code.root, iter(children.get(code.root, ())))]
-    while stack:
-        node, kids = stack[-1]
-        for child in kids:
-            mark = state.get(child)
-            if mark == 1:
+        # every member lies below its owner, as in every code encode_hf and
+        # powerset_code build: there is no cycle, and an owner can be reached
+        # only from owners above it, so one sweep down the owners marks the
+        # root's transitive closure; an owner not marked when the sweep gets
+        # to it is touched and never reached
+        reached = {code.root}
+        for y in sorted(children, reverse=True):
+            if y not in reached:
                 return 0
-            if mark is None:
-                state[child] = 1
-                stack.append((child, iter(children.get(child, ()))))
-                break
-        else:
-            state[node] = 2
-            stack.pop()
-    # every touched node must sit in the transitive closure of the root, so
-    # the search above also covered every cycle among them
-    if not touched <= state.keys():
-        return 0
-    # extensional: no two present nodes share the same member set
-    member_sets = {children.get(node, ()) for node in state}
-    return int(len(member_sets) == len(state))
-
-
-def _sweep_code(root: int, children: Dict[int, Tuple[int, ...]]) -> int:
-    """_check_code for a code whose members all lie below their owners, as
-    in every code encode_hf and powerset_code build.  Such a code has no
-    cycle, and an owner can be reached only from owners above it, so one
-    sweep down the owners marks the root's transitive closure: an owner not
-    marked when the sweep gets to it is touched and never reached."""
-    reached = {root}
-    for y in sorted(children, reverse=True):
-        if y not in reached:
+            reached.update(children[y])
+        # every touched node is now reached, and none lies above the root,
+        # which is in the domain; only a negative id can fall outside it
+        if min(reached) < 0:
             return 0
-        reached.update(children[y])
-    # every touched node is now reached, and none lies above the root,
-    # which is in the domain; only a negative id can fall outside it
-    if min(reached) < 0:
-        return 0
-    # extensional: the owners' member sets differ, and at most one reached
-    # node (the empty set) has none
+    else:
+        touched = set(children).union(*children.values())
+        if touched and not (0 <= min(touched) and max(touched) < code.domain):
+            return 0
+        # well-founded: no cycle through the nodes the root reaches (a search
+        # on an explicit stack); the nodes it marks are the root's transitive
+        # closure
+        reached = {code.root: 1}        # node -> 1 on the stack, 2 done
+        stack = [(code.root, iter(children.get(code.root, ())))]
+        while stack:
+            node, kids = stack[-1]
+            for child in kids:
+                mark = reached.get(child)
+                if mark == 1:
+                    return 0
+                if mark is None:
+                    reached[child] = 1
+                    stack.append((child, iter(children.get(child, ()))))
+                    break
+            else:
+                reached[node] = 2
+                stack.pop()
+        # every touched node must sit in the transitive closure of the root,
+        # so the search above also covered every cycle among them
+        if not touched <= reached.keys():
+            return 0
+    # extensional: no two reached nodes share a member set.  Every owner is
+    # reached, and the child map holds no empty member tuple, so that holds
+    # when the owners' member sets differ and at most one reached node (the
+    # empty set) has no members
     return int(len(set(children.values())) == len(children)
                and len(reached) - len(children) <= 1)
 
@@ -583,8 +589,9 @@ def _is_transitive(rows: List[int]) -> bool:
 
 
 def _minimal_well_order_length(power_code: SetCode, relations_code: SetCode) -> Ordinal:
-    """Scan every relation for well-orderings of the power set and return the
-    shortest length found.
+    """Scan the relations for a well-ordering of the power set and return its
+    length, n, at the first one found: every well-ordering of an n-element
+    set has length n.  ValueError when no relation is one.
 
     Only the small power set is decoded.  Every relation's member count is
     read from the relations code's child map, and only the relations with
@@ -612,17 +619,14 @@ def _minimal_well_order_length(power_code: SetCode, relations_code: SetCode) -> 
            for node in set().union(*sized)}
     diagonal = sum(1 << (i * n + i) for i in range(n))
     full_row = (1 << n) - 1
-    found = False
     for kids in sized:
         pairs = sum(map(bit.__getitem__, kids))
         if pairs >= stray or pairs & diagonal:
             continue
         if _is_transitive([(pairs >> (i * n)) & full_row for i in range(n)]):
             # finite strict total orders are exactly the well-orderings
-            found = True
-    if not found:
-        raise ValueError("no well-ordering among the relations")
-    return Ordinal.from_int(n)
+            return Ordinal.from_int(n)
+    raise ValueError("no well-ordering among the relations")
 
 
 def _square_code(power_code: SetCode) -> SetCode:

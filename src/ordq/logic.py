@@ -86,20 +86,24 @@ class RankError(InputError):
 
 
 class Formula(Record):
-    __slots__ = ("prefix", "matrix", "_params")
+    __slots__ = ("prefix", "matrix", "_params", "_free")
     _fields = ("prefix", "matrix")
 
     def __init__(self, prefix: Tuple[str, ...], matrix: tuple):
         for q in prefix:
             if q not in (EXISTS, FORALL):
                 raise FormulaError(f"bad quantifier {q!r}")
-        params = set()
-        _check_matrix(matrix, params)
+        # the one walk of the matrix checks it and collects its terms
+        terms = set()
+        _check_matrix(matrix, terms)
+        params = {i for kind, i in terms if kind == "param"}
         if params and sorted(params) != list(range(max(params) + 1)):
             raise FormulaError("parameter slots must be numbered 0..m-1")
         _set(self, "prefix", prefix)
         _set(self, "matrix", matrix)
         _set(self, "_params", 1 + max(params) if params else 0)
+        _set(self, "_free", sorted({i for kind, i in terms
+                                    if kind == "var" and i >= len(prefix)}))
 
     @property
     def num_params(self) -> int:
@@ -112,7 +116,8 @@ class Formula(Record):
         return f"Formula({render_formula(self)!r})"
 
 
-def _check_matrix(node, params: set):
+def _check_matrix(node, terms: set):
+    """Check a matrix node, adding the terms of its atoms to terms."""
     if not isinstance(node, tuple) or not node:
         raise FormulaError(f"bad matrix node {node!r}")
     kind = node[0]
@@ -122,36 +127,26 @@ def _check_matrix(node, params: set):
                     and term[0] in ("var", "param")
                     and isinstance(term[1], int) and term[1] >= 0):
                 raise FormulaError(f"bad term {term!r}")
-            if term[0] == "param":
-                params.add(term[1])
+            terms.add(term)
         if len(node) != 3:
             raise FormulaError(f"bad atom {node!r}")
     elif kind == "not":
         if len(node) != 2:
             raise FormulaError(f"bad negation {node!r}")
-        _check_matrix(node[1], params)
+        _check_matrix(node[1], terms)
     elif kind in ("and", "or"):
         if len(node) != 3:
             raise FormulaError(f"bad connective {node!r}")
-        _check_matrix(node[1], params)
-        _check_matrix(node[2], params)
+        _check_matrix(node[1], terms)
+        _check_matrix(node[2], terms)
     else:
         raise FormulaError(f"unknown node kind {kind!r}")
 
 
 def free_variables(f: Formula) -> List[int]:
-    """Indices of variables not bound by the prefix, ascending."""
-    out = set()
-
-    def walk(node):
-        for child in node[1:]:
-            if node[0] not in ("in", "eq"):
-                walk(child)
-            elif child[0] == "var" and child[1] >= len(f.prefix):
-                out.add(child[1])
-
-    walk(f.matrix)
-    return sorted(out)
+    """Indices of variables not bound by the prefix, ascending; the
+    constructor's walk of the matrix collected them."""
+    return list(f._free)
 
 
 FALSE_FORMULA = Formula((EXISTS,), ("not", ("eq", ("var", 0), ("var", 0))))
@@ -322,16 +317,17 @@ def _index_term(t: tuple) -> int:
     return 2 * t[1] if t[0] == "var" else 2 * t[1] + 1
 
 
+# matrix node kind -> its tag, and back: the kind of tag t is _KINDS[t]
+_TAGS = {"in": TAG_IN, "eq": TAG_EQ, "not": TAG_NOT, "and": TAG_AND, "or": TAG_OR}
+_KINDS = sorted(_TAGS, key=_TAGS.get)
+
+
 def _index_node(node: tuple) -> int:
-    kind = node[0]
-    if kind == "in":
-        return _pair(TAG_IN, _pair(_index_term(node[1]), _index_term(node[2])))
-    if kind == "eq":
-        return _pair(TAG_EQ, _pair(_index_term(node[1]), _index_term(node[2])))
-    if kind == "not":
-        return _pair(TAG_NOT, _index_node(node[1]))
-    tag = TAG_AND if kind == "and" else TAG_OR
-    return _pair(tag, _pair(_index_node(node[1]), _index_node(node[2])))
+    tag = _TAGS[node[0]]
+    if tag == TAG_NOT:
+        return _pair(tag, _index_node(node[1]))
+    index = _index_term if tag <= TAG_EQ else _index_node
+    return _pair(tag, _pair(index(node[1]), index(node[2])))
 
 
 def formula_index(f: Formula) -> int:
@@ -349,17 +345,13 @@ def _decode_term(code: int) -> tuple:
 
 def _decode_node(code: int) -> tuple:
     tag, payload = cantor_unpair(code)
-    if tag in (TAG_IN, TAG_EQ):
-        left, right = cantor_unpair(payload)
-        kind = "in" if tag == TAG_IN else "eq"
-        return (kind, _decode_term(left), _decode_term(right))
+    if tag > TAG_OR:
+        raise FormulaError(f"tag {tag} is not a matrix constructor")
     if tag == TAG_NOT:
         return ("not", _decode_node(payload))
-    if tag in (TAG_AND, TAG_OR):
-        left, right = cantor_unpair(payload)
-        kind = "and" if tag == TAG_AND else "or"
-        return (kind, _decode_node(left), _decode_node(right))
-    raise FormulaError(f"tag {tag} is not a matrix constructor")
+    decode = _decode_term if tag <= TAG_EQ else _decode_node
+    left, right = cantor_unpair(payload)
+    return (_KINDS[tag], decode(left), decode(right))
 
 
 @functools.lru_cache(maxsize=32)

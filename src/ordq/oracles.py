@@ -285,25 +285,18 @@ SCRIPTED = "Scripted"
 
 
 def summarize_query(q: Any) -> str:
+    """The ledger and report text of a value: an ordinal, or an int that is
+    not negative, as an ordinal; tuples and lists item by item; anything
+    else as its str(), which a set code and a set give as their ledger text
+    (see ordq.hfsets), so this loads no set code."""
     if isinstance(q, Ordinal):
         return render(q)
-    if isinstance(q, int) and not isinstance(q, bool):
+    if isinstance(q, int) and not isinstance(q, bool) and q >= 0:
         return render(Ordinal.from_int(q))
     if isinstance(q, tuple):
         return "(" + ",".join(map(summarize_query, q)) + ")"
     if isinstance(q, list):
         return "[" + ",".join(map(summarize_query, q)) + "]"
-    h = _module("hfsets")
-    if isinstance(q, h.SetCode):
-        # reading the domain numbers a pending Pot answer; a numbered code's
-        # child map then gives the count without an edge set, and a code
-        # given by its edges is not unpacked, as its edges may be invalid
-        domain, root = q.domain, q.root
-        children = q.__dict__.get("_children")
-        edges = len(q.edges) if children is None else sum(map(len, children.values()))
-        return f"code(domain={domain},root={root},edges={edges})"
-    if isinstance(q, h.HFSet):
-        return h.render_hf(q)
     return str(q)
 
 
@@ -400,24 +393,19 @@ def make_effectivizer(name: str, structure: CardinalStructure = None,
 
         return Effectivizer(name, card_answer,
                             hit_set=CardinalClassSet(structure) if name == DEC_CARD else None)
-    if name == POT:
-        _require(structure is None and level is None, "Pot takes no environment")
+    if name in (POT, POWER_CARD):
+        _require(structure is None and level is None, f"{name} takes no environment")
         h = _module("hfsets")
-        return Effectivizer(POT, lambda q: h.powerset_code(_expect_code(q)))
-    if name == POWER_CARD:
-        _require(structure is None and level is None, "PowerCard takes no environment")
-        h = _module("hfsets")
+        if name == POT:
+            return Effectivizer(POT, lambda q: h.powerset_code(_expect_code(q)))
         return Effectivizer(POWER_CARD,
                             lambda q: Ordinal.from_int(
                                 2 ** len(h._capped_elements(_expect_code(q)))))
-    if name == TRUTH:
-        _require(level is not None and rank is not None,
-                 "TruthSigma needs a level and a rank")
-        return Effectivizer(f"{TRUTH}{level}", _module("logic")._truth_fn(level, rank))
-    if name == SEP:
-        _require(level is not None and rank is not None,
-                 "SepSigma needs a level and a rank")
-        return Effectivizer(f"{SEP}{level}", _module("logic")._sep_fn(level, rank))
+    if name in (TRUTH, SEP):
+        _require(level is not None and rank is not None, f"{name} needs a level and a rank")
+        logic = _module("logic")
+        answer_fn = logic._truth_fn if name == TRUTH else logic._sep_fn
+        return Effectivizer(f"{name}{level}", answer_fn(level, rank))
     raise OracleTypeError(f"unknown effectivizer name {name!r}")
 
 

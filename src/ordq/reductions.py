@@ -20,7 +20,6 @@ ordinal multiplication does not commute.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence
 
@@ -256,9 +255,9 @@ class _Row(NamedTuple):
 _HALT_R = Halt(reg("r"))
 
 
-@functools.cache
 def _powercard(count_only: bool) -> Program:
-    """Two oracle calls bracketing free host work, built on first use.  The
+    """Two oracle calls bracketing free host work.  catalog() builds it once
+    per call, and the spec it returns hands out that one program.  The
     full mode points the second call at the square of the power set, so
     every binary relation on it, well-orderings included, comes back; the
     count-only mode keeps the call count but aims the second call at the

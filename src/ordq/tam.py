@@ -298,12 +298,6 @@ class _Machine:
             return _coerce(value)
         raise ProgramError(f"expected an ordinal, got {value!r}")
 
-    def _append_run(self, oracle_name: str, from_q: Ordinal, to_q: Ordinal,
-                    order_type: Ordinal, pattern: str, exit: Optional[Ordinal]):
-        self.ledger.append(RunEntry(oracle=oracle_name, from_query=from_q,
-                                    to_query=to_q, order_type=order_type,
-                                    pattern=pattern, exit=exit))
-
     def _scan(self, st, start_expr: tuple, query: str, pattern: str):
         """Ask the slot's oracle the rank query of its hits above the start,
         ledger the scan from the start to its exit and write the exit to the
@@ -315,8 +309,8 @@ class _Machine:
         if end is None and pattern == PATTERN_FINAL_ONE:
             pattern = PATTERN_ALL_ZERO                  # the sweep found no hit
         if stop is not None and stop > start:
-            self._append_run(oracle_name, start, stop, left_sub(start, stop),
-                             pattern, end)
+            self.ledger.append(RunEntry(oracle_name, start, stop, left_sub(start, stop),
+                                        pattern, end))
         if end is None:
             raise Stopped(DIVERGED)
         self.registers[st.register] = end
@@ -351,7 +345,7 @@ class _Machine:
         bound = self._ord(self._eval(st.bound))
         name, result, _ = self.bindings[st.slot].scan(ZERO, "greatest_at_most", bound)
         charged = successor(bound) if st.charge_closed else bound
-        self._append_run(name, ZERO, bound, charged, PATTERN_ORACLE_HITS, result)
+        self.ledger.append(RunEntry(name, ZERO, bound, charged, PATTERN_ORACLE_HITS, result))
         if result is None:
             raise Stopped(DIVERGED)
         self.registers[st.register] = result
@@ -382,7 +376,8 @@ class _Machine:
         shape = self.input
         if not (isinstance(shape, tuple) and len(shape) == 3
                 and isinstance(shape[0], h.SetCode) and type(shape[1]) is int
-                and isinstance(shape[2], tuple)):
+                and isinstance(shape[2], tuple)
+                and all(isinstance(p, h.SetCode) for p in shape[2])):
             raise ProgramError("input must be (set code, formula index, parameter codes)")
         code, k, param_codes = shape
         params = tuple(map(h.decode_set, param_codes))

@@ -45,7 +45,7 @@ from reference_sets import (
     sup_below,
     sup_of_cardinals_below,
 )
-from test_universe import nest
+from test_universe import nest, numbering_state
 
 W2 = (1, 0, 0)
 
@@ -315,15 +315,22 @@ class TestLedger:
     @pytest.mark.parametrize("text,power", [
         ("{}", False), ("{{}}", False), ("{{},{{}}}", False), ("{{},{{}}}", True)])
     def test_code_summary_counts_edges_from_the_child_map(self, text, power):
+        # the summary is the code's str(), for an encode_hf code, a Pot
+        # answer, whose text numbers it, and a valid code given by its edges
         code = u.encode_hf(u.parse_hf(text))
         if power:
             code = u.powerset_code(code)
+            assert numbering_state(code) == "pending"
+            first_read = str(code)
+            assert numbering_state(code) == "numbered"
         summary = summarize_query(code)
+        assert str(code) == summary
+        assert not power or first_read == summary
         assert "edges" not in code.__dict__
         assert summary == (f"code(domain={code.domain},root={code.root},"
                            f"edges={len(code.edges)})")
         rebuilt = u.SetCode(code.domain, code.edges, code.root)
-        assert summarize_query(rebuilt) == summary
+        assert summarize_query(rebuilt) == str(rebuilt) == summary
 
 
 def _codes():
@@ -426,6 +433,15 @@ class TestEffectivizerCatalog:
             make_effectivizer("NoSuchOracle")
         with pytest.raises(OracleTypeError):
             make_effectivizer(DEC_CARD)
+        # each family's environment check, with its message word for word
+        for name, env, message in (
+                (POT, {"level": 1}, "Pot takes no environment"),
+                (POWER_CARD, {"structure": self.CS}, "PowerCard takes no environment"),
+                (TRUTH, {"level": 1}, "TruthSigma needs a level and a rank"),
+                (SEP, {"rank": 3}, "SepSigma needs a level and a rank")):
+            with pytest.raises(OracleTypeError) as caught:
+                make_effectivizer(name, **env)
+            assert str(caught.value) == message
 
     def test_a_query_error_summarizes_a_code(self):
         # the message counts the code's edges, as a ledger does, and does
@@ -438,6 +454,14 @@ class TestEffectivizerCatalog:
                 oracle.call(q)
             assert "code(domain=3,root=2,edges=2)" in str(caught.value)
             assert "SetCode" not in str(caught.value)
+        # a code's str() is that text, and it neither validates nor unpacks
+        # a code given by its edges: a two-cycle, and a negative edge, which
+        # packs no pair
+        for bad, text in ((u.SetCode(2, [u.cantor_pair(0, 1), u.cantor_pair(1, 0)], 0),
+                           "code(domain=2,root=0,edges=2)"),
+                          (u.SetCode(1, [-5], 0), "code(domain=1,root=0,edges=1)")):
+            assert str(bad) == summarize_query(bad) == text
+            assert "_verdict" not in bad.__dict__ and "_children" not in bad.__dict__
 
     def test_a_list_in_a_query_error_is_summarized_item_by_item(self):
         code = u.encode_hf(u.parse_hf("{{},{{}},{{{}}}}"))

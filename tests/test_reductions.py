@@ -323,10 +323,21 @@ class TestFlagTrick:
 
 class TestPowerCard:
     @pytest.mark.parametrize("size,expected", [(0, 1), (1, 2), (2, 4)])
-    def test_full_search(self, size, expected):
+    def test_full_search(self, size, expected, monkeypatch):
+        # the well-order search stops at the first well-ordering: the last
+        # relation it tests is the one transitive relation it meets
+        verdicts = []
+        is_transitive = hfsets._is_transitive
+
+        def counting(rows):
+            verdicts.append(is_transitive(rows))
+            return verdicts[-1]
+
+        monkeypatch.setattr(hfsets, "_is_transitive", counting)
         code = code_of(*V3[:size])
         res = run_once(catalog("powercard_via_pot"), None, code)
         assert res.output == Ordinal.from_int(expected)
+        assert verdicts.count(True) == 1 and verdicts[-1]
         entries = list(res.ledger)
         assert len(entries) == 2
         assert all(e.oracle == "Pot" for e in entries)
@@ -786,6 +797,25 @@ class TestVerifyReports:
         assert row.status == ("error: ProgramError: input must be "
                               "(set code, formula index, parameter codes)")
         assert not row.ok and kept.ok and not report.passed
+
+    @pytest.mark.parametrize("bad", [5, u.hf(), P("3")])
+    def test_a_parameter_that_is_not_a_code_fails_its_own_row(self, bad):
+        code = code_of(u.hf(), u.hf(u.hf()))
+        report = verify(catalog("sep_via_truth"), None, [(code, 0, (bad,)), (code, 0, ())])
+        row, kept = report.rows
+        assert row.status == ("error: ProgramError: input must be "
+                              "(set code, formula index, parameter codes)")
+        assert not row.ok and kept.ok and kept.status == "halted"
+
+    @pytest.mark.parametrize("name", [n for n in CATALOG_NAMES
+                                      if catalog(n).shape == "ordinal"])
+    def test_a_negative_int_fails_its_own_row(self, name):
+        # the row's input text is the int's own, not an ordinal's
+        report = verify(catalog(name), POWERS, [-1, 3])
+        row, fine = report.rows
+        assert row.input_text == "-1"
+        assert row.status == "error: OrdinalDomainError: ordinals are non-negative"
+        assert not row.ok and fine.ok and fine.status == "halted"
 
     @pytest.mark.parametrize("bad", [True, False, 1.5])
     def test_a_bool_instance_fails_its_own_row_as_a_float_does(self, bad):
