@@ -66,16 +66,14 @@ def _cmd_calc(args) -> int:
 def _build_structure(kind: str, bound_text: str, cardinal_texts: Optional[List[str]]):
     from . import universe as u
     bound = _parse_arg(parse_ordinal, bound_text, "bound")
-    if kind == u.OMEGA_POWERS:
-        return u.omega_powers(bound)
-    if kind == u.MULTIPLES_OF_OMEGA:
-        return u.multiples_of_omega(bound)
-    if kind == u.EXPLICIT_LIST:
-        if not cardinal_texts:
-            raise CliError("an explicit-list structure needs --cardinals")
-        cards = [_parse_arg(parse_ordinal, c, "cardinal") for c in cardinal_texts]
-        return u.explicit_list(cards, bound)
-    raise CliError(f"unknown structure kind {_echo(kind)}; pick one of {', '.join(u.KINDS)}")
+    if kind not in u.KINDS:
+        raise CliError(f"unknown structure kind {_echo(kind)}; pick one of {', '.join(u.KINDS)}")
+    if kind != u.EXPLICIT_LIST:
+        return u.CardinalStructure(kind, bound)
+    if not cardinal_texts:
+        raise CliError("an explicit-list structure needs --cardinals")
+    cards = [_parse_arg(parse_ordinal, c, "cardinal") for c in cardinal_texts]
+    return u.explicit_list(cards, bound)
 
 
 def _parse_arg(parse, text: str, what: str):

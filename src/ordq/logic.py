@@ -86,7 +86,7 @@ class RankError(InputError):
 
 
 class Formula(Record):
-    __slots__ = ("prefix", "matrix", "_params", "_free")
+    __slots__ = ("prefix", "matrix", "num_params", "_free")
     _fields = ("prefix", "matrix")
 
     def __init__(self, prefix: Tuple[str, ...], matrix: tuple):
@@ -101,13 +101,9 @@ class Formula(Record):
             raise FormulaError("parameter slots must be numbered 0..m-1")
         _set(self, "prefix", prefix)
         _set(self, "matrix", matrix)
-        _set(self, "_params", 1 + max(params) if params else 0)
+        _set(self, "num_params", 1 + max(params) if params else 0)
         _set(self, "_free", sorted({i for kind, i in terms
                                     if kind == "var" and i >= len(prefix)}))
-
-    @property
-    def num_params(self) -> int:
-        return self._params
 
     def __str__(self):
         return render_formula(self)
@@ -125,7 +121,7 @@ def _check_matrix(node, terms: set):
         for term in node[1:]:
             if not (isinstance(term, tuple) and len(term) == 2
                     and term[0] in ("var", "param")
-                    and isinstance(term[1], int) and term[1] >= 0):
+                    and type(term[1]) is int and term[1] >= 0):
                 raise FormulaError(f"bad term {term!r}")
             terms.add(term)
         if len(node) != 3:
@@ -257,31 +253,27 @@ def _render_term(t: tuple) -> str:
 _PREC = {"or": 1, "and": 2}
 
 
-def _render_node(node: tuple, parent: str) -> str:
+def _render_node(node: tuple, binding: int = 0) -> str:
+    """The text of a matrix node, parenthesized when its connective binds
+    looser than `binding`, the least precedence its place needs.  Rendering
+    is left-associative: a connective's right operand needs one more than
+    its own precedence."""
     kind = node[0]
     if kind == "in":
         return f"{_render_term(node[1])} in {_render_term(node[2])}"
     if kind == "eq":
         return f"{_render_term(node[1])} = {_render_term(node[2])}"
     if kind == "not":
-        return f"!({_render_node(node[1], 'top')})"
+        return f"!({_render_node(node[1])})"
+    prec = _PREC[kind]
     op = " & " if kind == "and" else " | "
-    left = _render_node(node[1], kind)
-    right = _render_node(node[2], kind + "-right")
-    text = left + op + right
-    if parent == "top":
-        return text
-    #  parenthesize when binding looser than the parent, or when this node
-    #  is the right operand of its own connective (rendering is left-assoc)
-    base = parent.replace("-right", "")
-    if _PREC[kind] < _PREC[base] or (parent.endswith("-right") and base == kind):
-        return f"({text})"
-    return text
+    text = _render_node(node[1], prec) + op + _render_node(node[2], prec + 1)
+    return f"({text})" if prec < binding else text
 
 
 def render_formula(f: Formula) -> str:
     """Canonical text; parse_formula inverts it exactly."""
-    body = _render_node(f.matrix, "top")
+    body = _render_node(f.matrix)
     for position in range(len(f.prefix) - 1, -1, -1):
         body = f"{f.prefix[position]} v{position} ({body})"
     return body
@@ -513,15 +505,16 @@ def eval_formula(f: Formula, env: TruthEnv) -> int:
 @functools.lru_cache(maxsize=32)
 def _sigma_truth(f: Formula, level: int, rank: int, params: Tuple[HFSet, ...]) -> int:
     """The answer of a level-`level` truth oracle over V_rank: 0 for a
-    formula above the level or taking another number of parameters, else
-    f's truth value.  The oracles and the separation reference share it.
+    formula above the level, taking another number of parameters or with a
+    free variable, else f's truth value.  The oracles and the separation
+    reference share it.
 
     A pure function of its arguments, so memoized: the separation reference
     asks the run's own queries and re-reads the run's truth values.  That
     checks no less than evaluating them again, which would run this same
     code on the same arguments; the tests check the evaluator against an
     independent one."""
-    if classify_level(f) > level or f.num_params != len(params):
+    if classify_level(f) > level or f.num_params != len(params) or free_variables(f):
         return 0
     return eval_formula(f, TruthEnv(rank, params))
 

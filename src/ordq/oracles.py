@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import sys
+from bisect import bisect_right
 from typing import Any, Callable, List, NamedTuple, Optional, Tuple, Union
 
 from ._record import same_class_eq
@@ -93,11 +94,14 @@ class OrdinalSet:
     when the members at most the argument have a maximum; next_limit_above
     is the least ordinal above the argument in which members are cofinal.
     None always means "no such point"; CardinalClassSet passes on the None
-    of the universe queries as it comes (see ordq.universe).
+    of the universe queries as it comes (see ordq.universe).  Membership is
+    derived from greatest_at_most, so a subclass defines only the three
+    rank queries.
     """
 
     def contains(self, a: OrdinalLike) -> bool:
-        raise NotImplementedError
+        """a is a member exactly when it is the greatest member at most a."""
+        return self.greatest_at_most(a) == a
 
     def least_above(self, a: OrdinalLike) -> Optional[Ordinal]:
         raise NotImplementedError
@@ -120,9 +124,6 @@ class CardinalClassSet(OrdinalSet):
     def __init__(self, structure: CardinalStructure):
         self.structure = structure
 
-    def contains(self, a):
-        return bool(_u.is_cardinal(self.structure, a))
-
     def least_above(self, a):
         return _u.next_card_of(self.structure, a)
 
@@ -137,28 +138,19 @@ class CardinalClassSet(OrdinalSet):
 
 
 class FiniteOrdinalSet(OrdinalSet):
-    """An explicit finite set; every rank query is a list walk."""
+    """An explicit finite set; every rank query bisects its sorted
+    members."""
 
     def __init__(self, members):
         self.members = tuple(sorted({_coerce(m) for m in members}))
 
-    def contains(self, a):
-        return _coerce(a) in self.members
-
     def least_above(self, a):
-        a = _coerce(a)
-        for m in self.members:
-            if m > a:
-                return m
-        return None
+        i = bisect_right(self.members, _coerce(a))
+        return self.members[i] if i < len(self.members) else None
 
     def greatest_at_most(self, a):
-        a = _coerce(a)
-        best = None
-        for m in self.members:
-            if m <= a:
-                best = m
-        return best
+        i = bisect_right(self.members, _coerce(a))
+        return self.members[i - 1] if i else None
 
     def next_limit_above(self, a):
         return None
@@ -168,10 +160,6 @@ class OmegaMultiplesSet(OrdinalSet):
     """{w*n : n >= 1}; its single limit point is w^2."""
 
     W2 = omega_power(2)
-
-    def contains(self, a):
-        a = _coerce(a)
-        return len(a.terms) == 1 and a.terms[0][0] == ONE
 
     def least_above(self, a):
         a = _coerce(a)

@@ -27,7 +27,7 @@ each value as it is read; its naturals may have leading zeros:
     power   := operand ("^" power)?
     operand := nat | "w" | "(" expr ")" | "leftsub(" expr "," expr ")"
 
-_Scanner is the lexer of these grammars, of universe.parse_hf and of
+_Scanner is the lexer of these grammars, of hfsets.parse_hf and of
 logic.parse_formula: whitespace between tokens, ASCII digits only, at most
 _DIGITS_CAP per natural, identifiers, errors that name their position and
 the one nesting guard.  The grammars recurse, so a text nests at most
@@ -388,15 +388,14 @@ def _left_sub(a: Ordinal, b: Ordinal) -> Ordinal:
         i += 1
     if i == len(at):
         return Ordinal(bt[i:])
-    if i == len(bt):
-        raise OrdinalDomainError(f"left_sub needs a <= b, got {a} > {b}")
-    (ea, ca), (eb, cb) = at[i], bt[i]
-    cmp = _cmp(ea, eb)
-    if cmp < 0:
-        return Ordinal(bt[i:])
-    if cmp > 0 or ca > cb:
-        raise OrdinalDomainError(f"left_sub needs a <= b, got {a} > {b}")
-    return Ordinal(((eb, cb - ca),) + bt[i + 1:])
+    if i < len(bt):
+        (ea, ca), (eb, cb) = at[i], bt[i]
+        cmp = _cmp(ea, eb)
+        if cmp < 0:
+            return Ordinal(bt[i:])
+        if cmp == 0 and ca <= cb:
+            return Ordinal(((eb, cb - ca),) + bt[i + 1:])
+    raise OrdinalDomainError(f"left_sub needs a <= b, got {a} > {b}")
 
 
 def left_sub(a: OrdinalLike, b: OrdinalLike) -> Ordinal:

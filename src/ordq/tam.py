@@ -94,8 +94,9 @@ class ProgramError(RuntimeError):
     missing halt, malformed input shape."""
 
 
-class ApproximatorContractError(RuntimeError):
-    """A guess source emitted a non-decreasing distinct value."""
+class ApproximatorContractError(ProgramError):
+    """A guess source emitted a non-decreasing distinct value; like any
+    ProgramError, it fails only its own row of a verify batch."""
 
 
 # -- expressions -------------------------------------------------------------

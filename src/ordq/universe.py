@@ -166,14 +166,9 @@ def next_limit_of_cardinals_above(structure: CardinalStructure,
     if a < OMEGA:
         result = OMEGA
     elif structure.kind == OMEGA_POWERS:
-        e = leading_exponent(a)
-        if e.is_finite():
-            next_limit_exponent = OMEGA
-        elif finite_part(e) > 0:
-            next_limit_exponent = add(limit_part(e), OMEGA)
-        else:
-            next_limit_exponent = add(e, OMEGA)
-        result = omega_power(next_limit_exponent)
+        # e + w is the least limit above a's leading exponent e: the sum
+        # absorbs e's finite tail
+        result = omega_power(add(leading_exponent(a), OMEGA))
     elif structure.kind == MULTIPLES_OF_OMEGA:
         high = Ordinal(tuple(t for t in a.terms if t[0] >= 2))
         result = add(high, omega_power(2))

@@ -536,6 +536,16 @@ class TestRunScenario:
         assert one_line_error(capsys) == \
             f"error: scenario field {field!r} should be a list of str"
 
+    def test_no_instances_exits_2(self, capsys, tmp_path):
+        assert run_cli("run", self.scenario(tmp_path, instances=[])) == 2
+        assert one_line_error(capsys) == "error: scenario has no instances"
+
+    def test_a_set_instance_that_is_not_a_string_exits_2(self, capsys, tmp_path):
+        path = write_scenario(tmp_path, {"reduction": "powercard_via_pot",
+                                         "instances": [["{}"]]})
+        assert run_cli("run", path) == 2
+        assert one_line_error(capsys) == "error: instance #0 should be a set literal string"
+
     def test_wrong_field_type_exits_2(self, capsys, tmp_path):
         path = self.scenario(tmp_path, budget="lots")
         assert run_cli("run", path) == 2

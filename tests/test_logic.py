@@ -93,6 +93,15 @@ class TestParseRender:
             parse_formula("v0 in #1")
         f = parse_formula("#1 in #0")
         assert f.num_params == 2
+        with pytest.raises(AttributeError):
+            f.num_params = 3
+
+    @pytest.mark.parametrize("kind", ["var", "param"])
+    def test_a_bool_term_index_is_refused(self, kind):
+        # True passed as index 1, and rendered as vTrue, which parse_formula refuses
+        with pytest.raises(FormulaError) as caught:
+            Formula((EXISTS,), ("in", (kind, True), ("var", 0)))
+        assert str(caught.value) == f"bad term ('{kind}', True)"
 
 
 class TestScanner:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ordq import hfsets, tam
 from ordq import universe as u
-from ordq.logic import TruthEnv, eval_formula, formula_from_index, formula_index, parse_formula, universe_of
+from ordq.logic import Formula, TruthEnv, eval_formula, formula_from_index, formula_index, parse_formula, universe_of
 from ordq.oracles import (
     DEC_CARD,
     NEXT_CARD,
@@ -806,6 +806,25 @@ class TestVerifyReports:
         assert row.status == ("error: ProgramError: input must be "
                               "(set code, formula index, parameter codes)")
         assert not row.ok and kept.ok and kept.status == "halted"
+
+    def test_a_climbing_guess_source_fails_its_own_row(self):
+        climbing = Approximator("climbing", lambda a: (P("w+1"), P("w+2")))
+        spec = catalog("ordcard_guesscheck", approximator=climbing)
+        report = verify(spec, u.omega_powers(P("w^3")), [P("w"), P("w+3")])
+        assert [row.status for row in report.rows] == [
+            "error: ApproximatorContractError: guess w+2 does not decrease below w+1"] * 2
+        assert not report.passed
+
+    def test_an_open_formula_index_reads_the_empty_set(self):
+        # E v0 (v1 in #0) leaves v1 free: its truth queries answer 0
+        k = formula_index(Formula(("E",), ("in", ("var", 1), ("param", 0))))
+        assert k == 855
+        code = code_of(u.hf(), u.hf(u.hf()))
+        report = verify(catalog("sep_via_truth"), None, [(code, k, ()), (code, 0, ())])
+        row, kept = report.rows
+        assert row.ok and row.status == "halted"
+        assert row.output_text == "code(domain=1,root=0,edges=0)"   # the empty set
+        assert kept.ok and report.passed
 
     @pytest.mark.parametrize("name", [n for n in CATALOG_NAMES
                                       if catalog(n).shape == "ordinal"])

@@ -283,9 +283,10 @@ class TestGuessCheck:
             run(self.prog([P("w+1"), P("w+2")]), OMEGA, dec(u.omega_powers(WIDE)))
 
     def test_consecutive_repeats_collapse(self):
-        res = run(self.prog([P("5"), P("5"), P("3")]), P("9"),
+        # the repeated w+1 is asked once: two calls, not three
+        res = run(self.prog([P("w+1"), P("w+1"), P("w")]), P("w+3"),
                   dec(u.omega_powers(WIDE)))
-        assert render(res.output) == "5" and len(res.ledger) == 1
+        assert render(res.output) == "w" and len(res.ledger) == 2
 
     def test_exhausted_source_diverges(self):
         res = run(self.prog([P("w+1")]), P("w+5"), dec(u.omega_powers(WIDE)))

@@ -574,6 +574,14 @@ class TestSetCode:
             decode_element(code, node)
         assert decode_element(code, Ordinal.from_int(1)) == decode_element(code, 1)
 
+    @pytest.mark.parametrize("node", [99, -1])
+    def test_decode_element_rejects_a_node_outside_the_domain(self, node):
+        code = encode_hf(parse_hf("{{},{{}}}"))
+        assert code.domain == 3
+        with pytest.raises(InvalidCodeError) as caught:
+            decode_element(code, node)
+        assert str(caught.value) == f"node {node} outside domain 3"
+
     def test_decode_element_rejects_an_invalid_code(self):
         # node 2 sits on a cycle the root 0 does not reach
         code = SetCode(3, [cantor_pair(1, 2), cantor_pair(2, 1)], 0)
