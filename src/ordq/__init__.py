@@ -47,8 +47,7 @@ _EXPORTS = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = ("cli", "hfsets", "logic", "oracles", "ordcalc", "reductions", "selftest",
-               "tam", "universe")
+_SUBMODULES = (*_EXPORTS, "cli", "selftest")
 
 __all__ = list(_MODULE_OF)
 

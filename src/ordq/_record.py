@@ -5,7 +5,8 @@ check their fields subclass Record and set each field once, in __init__,
 with _set.  Both keep the frozen-dataclass contract: the hash is the hash
 of the field tuple (so set and dict orders do not change), a record equals
 only a record of its own class, fields cannot be reassigned, and the repr
-is "Name(field=value, ...)".
+is "Name(field=value, ...)".  Copy and pickle rebuild a Record from its
+fields, through its __init__ and so through its checks.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ class Record:
 
     def __hash__(self):
         return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), self._key()
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

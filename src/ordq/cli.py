@@ -66,8 +66,6 @@ def _cmd_calc(args) -> int:
 def _build_structure(kind: str, bound_text: str, cardinal_texts: Optional[List[str]]):
     from . import universe as u
     bound = _parse_arg(parse_ordinal, bound_text, "bound")
-    if kind not in u.KINDS:
-        raise CliError(f"unknown structure kind {_echo(kind)}; pick one of {', '.join(u.KINDS)}")
     if kind != u.EXPLICIT_LIST:
         return u.CardinalStructure(kind, bound)
     if not cardinal_texts:

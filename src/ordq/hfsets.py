@@ -270,10 +270,6 @@ class SetCode(Record):
             fields[name] = {}
         return object.__getattribute__(self, name)      # filled now, or the usual AttributeError
 
-    def __reduce__(self):
-        # by its edges: the decoded nodes would pickle one set per node
-        return SetCode, (self.domain, self.edges, self.root)
-
     def __str__(self):
         # reading the domain numbers a pending Pot answer; a numbered code's
         # child map then gives the count without an edge set, and a code
@@ -630,6 +626,11 @@ def _minimal_well_order_length(power_code: SetCode, relations_code: SetCode) -> 
 
 
 def _square_code(power_code: SetCode) -> SetCode:
+    """The code of s x s for the set s that power_code names.  A square the
+    next Pot call must refuse is refused before it is built, with that
+    call's PowersetCapError."""
+    if len(code_elements(power_code)) ** 2 > POWERSET_CAP:
+        raise PowersetCapError(f"powerset argument exceeds the size cap of {POWERSET_CAP}")
     s = decode_set(power_code)
     return encode_hf(hf_product(s, s))
 

@@ -97,11 +97,11 @@ class Formula(Record):
         terms = set()
         _check_matrix(matrix, terms)
         params = {i for kind, i in terms if kind == "param"}
-        if params and sorted(params) != list(range(max(params) + 1)):
+        if params != set(range(len(params))):
             raise FormulaError("parameter slots must be numbered 0..m-1")
         _set(self, "prefix", prefix)
         _set(self, "matrix", matrix)
-        _set(self, "num_params", 1 + max(params) if params else 0)
+        _set(self, "num_params", len(params))
         _set(self, "_free", sorted({i for kind, i in terms
                                     if kind == "var" and i >= len(prefix)}))
 
@@ -309,8 +309,9 @@ def _index_term(t: tuple) -> int:
     return 2 * t[1] if t[0] == "var" else 2 * t[1] + 1
 
 
-# matrix node kind -> its tag, and back: the kind of tag t is _KINDS[t]
-_TAGS = {"in": TAG_IN, "eq": TAG_EQ, "not": TAG_NOT, "and": TAG_AND, "or": TAG_OR}
+# matrix node kind or quantifier -> its tag, and back: the kind of tag t is _KINDS[t]
+_TAGS = {"in": TAG_IN, "eq": TAG_EQ, "not": TAG_NOT, "and": TAG_AND, "or": TAG_OR,
+         EXISTS: TAG_EXISTS, FORALL: TAG_FORALL}
 _KINDS = sorted(_TAGS, key=_TAGS.get)
 
 
@@ -327,7 +328,7 @@ def formula_index(f: Formula) -> int:
     more than _DIGITS_CAP digits."""
     k = _index_node(f.matrix)
     for q in reversed(f.prefix):
-        k = _pair(TAG_EXISTS if q == EXISTS else TAG_FORALL, k)
+        k = _pair(_TAGS[q], k)
     return k
 
 
@@ -355,12 +356,9 @@ def formula_from_index(k: int) -> Formula:
     prefix: List[str] = []
     while True:
         tag, payload = cantor_unpair(k)
-        if tag == TAG_EXISTS:
-            prefix.append(EXISTS)
-        elif tag == TAG_FORALL:
-            prefix.append(FORALL)
-        else:
+        if tag not in (TAG_EXISTS, TAG_FORALL):
             break
+        prefix.append(_KINDS[tag])
         k = payload
     try:
         return Formula(tuple(prefix), _decode_node(k))

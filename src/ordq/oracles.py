@@ -196,9 +196,7 @@ class SingleEntry(NamedTuple):
     oracle: str
     query: Any
     response: Any
-
-    def length(self) -> Ordinal:
-        return ONE
+    order_type = ONE                   # a class attribute, not a field
 
     def to_json(self) -> dict:
         query = summarize_query(self.query)
@@ -215,9 +213,6 @@ class RunEntry(NamedTuple):
     order_type: Ordinal
     pattern: str
     exit: Optional[Ordinal] = None     # where the scan stopped; None if nowhere
-
-    def length(self) -> Ordinal:
-        return self.order_type
 
     def to_json(self) -> dict:
         return {"kind": "run", "oracle": self.oracle,
@@ -237,7 +232,7 @@ class QueryLedger:
         self._total: Ordinal = ZERO
 
     def append(self, entry: LedgerEntry):
-        length = entry.length()
+        length = entry.order_type
         # a hit-terminated window [from, to) must hold a position; an
         # oracle-hits entry may be charged 0 (a declared last-hit scan up to
         # 0), and is kept, as replay reads its exit

@@ -204,6 +204,19 @@ class Ordinal:
     def __pow__(self, other):
         return _pow(self, _coerce(other))
 
+    def __rpow__(self, other):
+        return _pow(_coerce(other), self)
+
+    def __reduce__(self):
+        # rebuilt from its terms, through the intern table
+        return Ordinal, (self.terms,)
+
+    def __copy__(self, memo=None):
+        # an immutable ordinal is its own copy, deep or not
+        return self
+
+    __deepcopy__ = __copy__
+
     def __str__(self):
         return render(self)
 

@@ -179,28 +179,20 @@ class Approximator(NamedTuple):
         return iter(self.chain_for(input_value))
 
 
-def direct_descent(structure: CardinalStructure) -> Approximator:
-    """Two-step default: the input itself, then its cardinality.  An input
-    that is no ordinal is guessed as it is, for the machine to refuse."""
-
-    def chain(a):
-        b = _coerce_opt(a)
-        if b is None:
-            return (a,)
-        c = u.card_of(structure, b)
-        return (b,) if c == b else (b, c)
-
-    return Approximator("direct-descent", chain)
-
-
 def _bound_descent(a, oracle):
-    """ordcard_guesscheck's default guess source: direct descent over the
-    structure of the DecCard oracle bound to its slot (a composed oracle
-    keeps the hit set of the one it stands in for, and a replay hands the
-    source the live run's oracle when it is given the run's bindings)."""
+    """ordcard_guesscheck's default guess source, direct descent: the input
+    itself, then its cardinality in the structure of the DecCard oracle
+    bound to its slot (a composed oracle keeps the hit set of the one it
+    stands in for, and a replay hands the source the live run's oracle when
+    it is given the run's bindings).  An input that is no ordinal is
+    guessed as it is, for the machine to refuse."""
     if oracle.hit_set is None:
         raise tam.ProgramError("direct descent reads the structure of a ranked oracle")
-    return direct_descent(oracle.hit_set.structure)(a, oracle)
+    b = _coerce_opt(a)
+    if b is None:
+        return iter((a,))
+    c = u.card_of(oracle.hit_set.structure, b)
+    return iter((b,) if c == b else (b, c))
 
 
 # -- catalog entries ---------------------------------------------------------

@@ -1,12 +1,14 @@
 """A small transfinite machine evaluated in closed form.
 
-Programs are flat statement lists over named registers.  Plain computation
-between oracle calls is free: it costs no time and leaves no ledger trace.
-The clock advances only when an oracle is consulted, one step per answered
-call.  The clock is the ledger's total order type, which the ledger keeps
-as a running sum (see ordq.oracles): each entry is appended at the stage
-the entries before it add up to, and a halting run's halt time is the
-ledger's total, re-summed nowhere.
+Programs are flat statement lists over named registers.  A statement is
+any of the record types that _Machine._HANDLERS runs, which is the one
+list of the statement kinds.  Plain computation between oracle calls is
+free: it costs no time and leaves no ledger trace.  The clock advances
+only when an oracle is consulted, one step per answered call.  The clock
+is the ledger's total order type, which the ledger keeps as a running sum
+(see ordq.oracles): each entry is appended at the stage the entries before
+it add up to, and a halting run's halt time is the ledger's total,
+re-summed nowhere.
 
 The scan statements are where the transfinite content lives.  Instead of
 stepping through limit stages, each scan is one call of the bound oracle's
@@ -55,7 +57,7 @@ source that reads its oracle's structure guesses as in the run.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from ._record import Record, _set, same_class_eq
 from .ordcalc import ZERO, Ordinal, _coerce, left_sub, successor
@@ -71,15 +73,6 @@ from .oracles import (
     _module,
     entries_agree,
 )
-
-__all__ = [
-    "HALTED", "DIVERGED", "BUDGET_EXCEEDED", "SCRIPT_EXHAUSTED",
-    "DEFAULT_BUDGET", "ProgramError", "Stopped", "ApproximatorContractError",
-    "INPUT", "reg", "OracleCall", "ScanFirstHit", "ScanLastHitAtMost",
-    "ScanFlagToggleUntil", "GuessCheckLoop", "ComputableSubroutine",
-    "SeparationScan", "IfFinite", "Halt", "Program", "RunResult",
-    "run", "replay",
-]
 
 HALTED = "halted"
 DIVERGED = "diverged"
@@ -193,16 +186,11 @@ class Halt(NamedTuple):
     output: tuple
 
 
-Statement = Union[OracleCall, ScanFirstHit, ScanLastHitAtMost,
-                  ScanFlagToggleUntil, GuessCheckLoop, ComputableSubroutine,
-                  SeparationScan, IfFinite, Halt]
-
-
 class Program(Record):
     __slots__ = ("name", "body", "_slot_names")
     _fields = ("name", "body")
 
-    def __init__(self, name: str, body: Tuple[Statement, ...]):
+    def __init__(self, name: str, body: tuple):
         _set(self, "name", name)
         _set(self, "body", body)
         found: Dict[str, None] = {}

@@ -40,6 +40,7 @@ from .ordcalc import (
     Ordinal,
     OrdinalLike,
     _coerce,
+    _echo,
     add,
     finite_part,
     leading_exponent,
@@ -66,7 +67,7 @@ class CardinalStructure(Record):
 
     def __init__(self, kind: str, bound: Ordinal, cardinals: Tuple[Ordinal, ...] = ()):
         if kind not in KINDS:
-            raise ValueError(f"unknown structure kind {kind!r}")
+            raise InputError(f"unknown structure kind {_echo(str(kind))}; pick one of {', '.join(KINDS)}")
         if bound <= OMEGA:
             raise InputError("the working bound must exceed w")
         _set(self, "kind", kind)

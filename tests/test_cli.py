@@ -244,6 +244,8 @@ class TestReduce:
          "explicit cardinal 5 must be infinite"),
         (["--structure", "explicit-list", "--cardinals", "w^(w*2)"],
          "explicit cardinal w^(w*2) must lie below the bound w^(w*2)"),
+        (["--structure", "bogus"], "unknown structure kind 'bogus'; "
+         "pick one of omega-powers, multiples-of-omega, explicit-list"),
     ])
     def test_bad_structure_exits_2(self, capsys, argv, message):
         assert run_cli("reduce", "flagtrick", "--input", "w", *argv) == 2
@@ -271,6 +273,12 @@ class TestReduce:
         assert code == 2
         assert one_line_error(capsys) == (
             "error: bad formula 'E v0 (v0 in #0 | v1 in v0)': free variable v1")
+
+    def test_a_huge_parameter_slot_exits_2(self, capsys):
+        formula = "E v0 (v0 in #100000000000000000000)"
+        assert run_cli(*separation(formula)) == 2
+        assert one_line_error(capsys) == (
+            f"error: bad formula {formula!r}: parameter slots must be numbered 0..m-1")
 
     def test_long_formula_token_is_quoted_in_part(self, capsys):
         name = "x" * 3000
@@ -545,6 +553,15 @@ class TestRunScenario:
                                          "instances": [["{}"]]})
         assert run_cli("run", path) == 2
         assert one_line_error(capsys) == "error: instance #0 should be a set literal string"
+
+    @pytest.mark.parametrize("name,message", [
+        ("ordcard_scan_naive", "should be an ordinal string"),
+        ("sep_via_truth", "should be an object with set/formula/params"),
+    ])
+    def test_an_instance_of_another_json_type_exits_2(self, capsys, tmp_path, name, message):
+        path = self.scenario(tmp_path, reduction=name, instances=[["{}"]])
+        assert run_cli("run", path) == 2
+        assert one_line_error(capsys) == f"error: instance #0 {message}"
 
     def test_wrong_field_type_exits_2(self, capsys, tmp_path):
         path = self.scenario(tmp_path, budget="lots")

@@ -96,6 +96,25 @@ class TestParseRender:
         with pytest.raises(AttributeError):
             f.num_params = 3
 
+    def test_a_huge_parameter_slot_is_refused_without_a_list_of_slots(self):
+        with pytest.raises(FormulaError, match=r"parameter slots must be numbered 0\.\.m-1"):
+            parse_formula("E v0 (v0 in #100000000000000000000)")
+
+    @pytest.mark.parametrize("prefix,matrix,message", [
+        (("X",), ("eq", ("var", 0), ("var", 0)), "bad quantifier 'X'"),
+        ((), "v0 = v0", "bad matrix node 'v0 = v0'"),
+        ((), (), "bad matrix node ()"),
+        ((), ("in", ("var", 0)), "bad atom ('in', ('var', 0))"),
+        ((), ("not",), "bad negation ('not',)"),
+        ((), ("and", ("eq", ("var", 0), ("var", 0))),
+         "bad connective ('and', ('eq', ('var', 0), ('var', 0)))"),
+        ((), ("xor", ("var", 0), ("var", 0)), "unknown node kind 'xor'"),
+    ])
+    def test_an_ill_formed_tree_is_refused(self, prefix, matrix, message):
+        with pytest.raises(FormulaError) as caught:
+            Formula(prefix, matrix)
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("kind", ["var", "param"])
     def test_a_bool_term_index_is_refused(self, kind):
         # True passed as index 1, and rendered as vTrue, which parse_formula refuses
@@ -181,6 +200,13 @@ class TestIndexing:
         assert formula_from_index(diag(2, diag(5, 20))) == FALSE_FORMULA
         # parameter slots {1} skip 0
         assert formula_from_index(diag(0, diag(0, 3))) == FALSE_FORMULA
+        assert formula_from_index(-1) == FALSE_FORMULA
+
+    def test_a_huge_parameter_slot_decodes_to_false(self):
+        # E v0 (v0 in #10^20): the pairing in closed form, as diag is a sum
+        pair = lambda x, y: (x + y) * (x + y + 1) // 2 + y
+        k = pair(5, pair(0, pair(0, 2 * 10**20 + 1)))
+        assert formula_from_index(k) == FALSE_FORMULA
 
     def test_index_cap(self):
         # each conjunct about squares the index: six give 1,546 digits

@@ -23,6 +23,7 @@ from ordq.oracles import (
     FiniteOrdinalSet,
     OmegaMultiplesSet,
     OracleTypeError,
+    OrdinalSet,
     QueryLedger,
     RunEntry,
     ScriptExhausted,
@@ -117,6 +118,12 @@ class TestOmegaMultiplesRanked:
                 assert got is None, t
             elif t < self.SAFE:
                 assert got == (tm.to_ordinal(max(strictly_below)), True), t
+
+
+@pytest.mark.parametrize("query", ["least_above", "greatest_at_most", "next_limit_above"])
+def test_the_base_class_leaves_each_rank_query_to_a_subclass(query):
+    with pytest.raises(NotImplementedError):
+        getattr(OrdinalSet(), query)(OMEGA)
 
 
 class TestFiniteSetRanked:
@@ -225,7 +232,7 @@ def resum(ledger: QueryLedger) -> Ordinal:
     """The ledger's total order type, added up entry by entry."""
     total = ZERO
     for entry in ledger:
-        total = add(total, entry.length())
+        total = add(total, entry.order_type)
     return total
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 import tracemalloc
@@ -332,6 +334,16 @@ class TestClassification:
         with pytest.raises(OrdinalDomainError):
             leading_exponent(ZERO)
 
+    def test_to_int_refuses_an_infinite_ordinal(self):
+        assert Ordinal.from_int(7).to_int() == 7
+        with pytest.raises(OrdinalDomainError, match="w is not finite"):
+            W.to_int()
+
+    def test_omega_power_coefficient(self):
+        assert omega_power(1, 0) == ZERO
+        with pytest.raises(OrdinalDomainError, match="coefficient must be >= 0"):
+            omega_power(1, -1)
+
 
 class TestOrdinalType:
     def test_int_interop_and_hash(self):
@@ -343,6 +355,26 @@ class TestOrdinalType:
         # != inverts ==, against an int, a str and a reflected int
         assert (five != 5, W != 5, five != "5", W != "w") == (False, True, True, True)
         assert (5 != five, 5 != W) == (False, True)
+
+    def test_every_operator_takes_an_int_on_either_side(self):
+        assert (W <= 5, W > 5, W >= 5, W < 5) == (False, True, True, False)
+        assert 5 * W == W and W * 5 == mul(W, 5)
+        assert W ** 2 == opow(W, 2)
+        assert 2 ** W == opow(2, W) == W
+        assert 2 ** parse_ordinal("w+1") == mul(W, 2)
+
+    def test_copy_and_pickle(self):
+        value = parse_ordinal("w^(w+1)*2+w^2+7")
+        assert copy.copy(value) is value and copy.deepcopy(value) is value
+        assert pickle.loads(pickle.dumps(value)) is value
+        assert pickle.loads(pickle.dumps(ZERO)) is ZERO
+
+    def test_copy_and_pickle_a_tower_at_the_nesting_cap(self):
+        # calc's deepest tower, w^w^...^w, nests 202 levels of exponents
+        tower = evaluate("w^" * 200 + "w")
+        assert copy.deepcopy([tower])[0] is tower
+        rebuilt = pickle.loads(pickle.dumps(tower))
+        assert rebuilt == tower and render(rebuilt) == render(tower)
 
     def test_immutable(self):
         with pytest.raises(AttributeError):

@@ -2,6 +2,9 @@
 hash is the hash of the field tuple, equality holds only within one class,
 fields cannot be reassigned, and the repr is the dataclass repr."""
 
+import copy
+import pickle
+
 import pytest
 
 from ordq import logic, oracles, reductions, tam, universe
@@ -87,7 +90,15 @@ class TestRecordContract:
         for name in record._fields:
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
         assert repr(record) == text
+
+    def test_copy_and_pickle_rebuild_an_equal_record(self, cls, args, text):
+        record = cls(*args)
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     pickle.loads(pickle.dumps(record))):
+            assert type(twin) is cls and twin == record and repr(twin) == text
 
 
 def test_records_of_two_classes_with_equal_fields_differ():
@@ -108,6 +119,13 @@ def test_replace_gives_a_new_record():
     moved = entry._replace(query=ZERO)
     assert moved.query == ZERO and entry.query == OMEGA
     assert type(moved) is oracles.SingleEntry
+
+
+def test_a_shallow_copy_of_a_report_shares_its_rows():
+    report = reductions.Report("r", "-", "2", [1])
+    assert copy.copy(report).rows is report.rows
+    deep = copy.deepcopy(report)
+    assert deep.rows == report.rows and deep.rows is not report.rows
 
 
 def test_report_rows_default_to_a_fresh_list():

@@ -39,10 +39,10 @@ from ordq.reductions import (
     BoundForm,
     CATALOG_NAMES,
     ReductionTypeError,
+    _bound_descent,
     catalog,
     compose,
     delegate_spec,
-    direct_descent,
     verify,
 )
 from ordq.tam import ApproximatorContractError
@@ -97,6 +97,10 @@ class TestBoundForms:
         cs = u.explicit_list([P("w*2")], W3)
         assert BoundForm("next-card-succ").evaluate(cs, P("w*3")) is None
         assert BoundForm("next-limit-interval").evaluate(POWERS, P("w^2")) is None
+
+    def test_an_unknown_form_is_refused(self):
+        with pytest.raises(ValueError, match="unknown bound form 'bogus'"):
+            BoundForm("bogus").evaluate(POWERS, P("w"))
 
     def test_within_finite_form(self):
         f = BoundForm("finite")
@@ -283,9 +287,10 @@ class TestGuessCheck:
             tam.replay(spec.make_program(), P("w*2+1"), res)
 
     def test_direct_descent_chain_shape(self):
-        chain = direct_descent(POWERS).chain_for(P("w*2+1"))
+        oracle = make_effectivizer(DEC_CARD, structure=POWERS)
+        chain = _bound_descent(P("w*2+1"), oracle)
         assert [render(g) for g in chain] == ["w*2+1", "w"]
-        assert direct_descent(POWERS).chain_for(P("w^2")) == (P("w^2"),)
+        assert tuple(_bound_descent(P("w^2"), oracle)) == (P("w^2"),)
 
 
 class TestFlagTrick:
@@ -363,6 +368,20 @@ class TestPowerCard:
         code = code_of(*V3[:3])
         with pytest.raises(ValueError):
             run_once(catalog("powercard_via_pot"), None, code)
+
+    def test_a_square_past_the_cap_is_refused_before_it_is_built(self, monkeypatch):
+        # the power set of a 5-member set has 32 members, and its square
+        # 1,024 pairs, which the next Pot call would refuse
+        def unbuilt(a, b):
+            raise AssertionError("the square was built")
+
+        monkeypatch.setattr(hfsets, "hf_product", unbuilt)
+        members = [u.EMPTY_SET]
+        while len(members) < 5:
+            members.append(u.hf(*members))
+        with pytest.raises(hfsets.PowersetCapError,
+                           match="powerset argument exceeds the size cap of 16"):
+            run_once(catalog("powercard_via_pot"), None, code_of(*members))
 
     def test_verify_report(self):
         codes = [code_of(*V3[:k]) for k in range(3)]
@@ -972,7 +991,7 @@ class TestComposition:
             res = run_once(comp, structure, a)
             total = ZERO
             for entry in res.ledger:
-                total = add(total, entry.length())
+                total = add(total, entry.order_type)
             assert res.ledger.total_order_type() == res.halt_time == total
         # called on a ledger that holds entries, the inner entries follow
         # them as the inner run recorded them

@@ -1,6 +1,8 @@
 """Machine semantics: closed-form scans vs event-level reference, scripted
 replay, budgets, and the statement catalog plumbing."""
 
+import pickle
+
 import pytest
 
 from ordq import universe as u
@@ -387,6 +389,11 @@ class TestControlFlow:
         with pytest.raises(ProgramError):
             run(prog, P("0"), {})
 
+    def test_unknown_expression_tag(self):
+        prog = Program("bad-expression", (Halt(("bogus",)),))
+        with pytest.raises(ProgramError, match="unknown expression tag 'bogus'"):
+            run(prog, P("0"), {})
+
     def test_missing_halt(self):
         prog = Program("no-halt", (ComputableSubroutine("one", lambda: P("1"), (), "r"),))
         with pytest.raises(ProgramError):
@@ -489,6 +496,11 @@ class TestReplay:
             assert res.halted or exits in ([], [None]), t
             assert replay(prog, start, res).same_as(res), t
 
+    def test_a_pickled_run_is_the_same_run(self):
+        for prog, inp, res in self.runs():
+            again = pickle.loads(pickle.dumps(res))
+            assert again.same_as(res) and again.halt_time == res.halt_time, prog.name
+
     def test_budget_increase_never_changes_a_result(self):
         powers = u.omega_powers(WIDE)
         a = run(FIRST_HIT, P("w*2+1"), dec(powers), budget=3)
@@ -501,7 +513,7 @@ class TestReplay:
         for prog, inp, res in self.runs():
             total = ZERO
             for entry in res.ledger:
-                total = add(total, entry.length())
+                total = add(total, entry.order_type)
             assert res.halt_time == (total if res.halted else None), prog.name
 
     def test_replay_asks_no_structure(self, monkeypatch):

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from ordq import hfsets, universe
 from ordq.logic import universe_of
 from ordq.oracles import summarize_query
-from ordq.ordcalc import OMEGA, Ordinal, omega_power, parse_ordinal as parse, render
+from ordq.ordcalc import OMEGA, InputError, Ordinal, omega_power, parse_ordinal as parse, render
 from ordq.universe import (
     EMPTY_SET,
     HFSet,
@@ -165,6 +165,12 @@ class TestStructureExamples:
             explicit_list([parse("w+1"), 4], W3)
         with pytest.raises(ValueError):
             explicit_list([W3], W3)
+
+    def test_an_unknown_kind_is_an_input_error_in_the_cli_text(self):
+        with pytest.raises(InputError) as caught:
+            universe.CardinalStructure("bogus", parse("w^2"))
+        assert str(caught.value) == ("unknown structure kind 'bogus'; pick one of "
+                                     "omega-powers, multiples-of-omega, explicit-list")
 
     def test_explicit_list_inserts_omega(self):
         cs = explicit_list([parse("w*5")], W3)
