@@ -10,9 +10,10 @@ names, so that ``from ordq.universe import encode_hf`` and pickles that
 name ordq.universe still work.
 
 An HFSet is a frozenset of HFSets with a rank, so equality, hashing and
-membership are frozenset's, by value, in C.  Equal sets built apart are
-distinct objects; the empty set that parse_hf and the decoders build is
-always EMPTY_SET.  A set is its own copy, and pickles as its code.
+membership are frozenset's, by value, in C.  Equal sets are one object,
+however they are built: HFSet(...) returns the live set with the same
+members, if there is one.  A set pickles as its code, and its copies and
+unpickled copies are the set itself.
 
 A SetCode is given by its edges, as SetCode(domain, edges, root), or by a
 numbering, a pass that answers its domain, root, child map and decoded
@@ -25,14 +26,13 @@ for the verdict.  A code pickles as its edges, and its str() is its ledger
 text, code(domain=...,root=...,edges=N), which reports show.
 
 encode_hf numbers its code at once, with a pass that is memoized for the
-last 128 sets of rank up to NESTING_CAP: codes of equal sets share the
-child map and the decoded nodes below the root.  The Pot oracle answers on
-codes: powerset_code checks its argument at once (InvalidCodeError, then
-PowersetCapError) and returns a code that is numbered on first read: the
-canonical code of the power set is built from the argument's child map,
-with no HFSet and no sort per subset, the first time anything of the answer
-is read.  An answer nothing reads, such as the second Pot answer of a
-count-only powercard run, is never numbered.
+last 128 sets: the codes of one set share its child map and decoded nodes.
+The Pot oracle answers on codes: powerset_code checks its argument at once
+(InvalidCodeError, then PowersetCapError) and returns a code that is
+numbered on first read: the canonical code of the power set is built from
+the argument's child map, with no HFSet and no sort per subset, the first
+time anything of the answer is read.  An answer nothing reads, such as the
+second Pot answer of a count-only powercard run, is never numbered.
 
 encode_hf and the power-set numbering both number their nodes one rank at a
 time, lowest first, in the canonical order (member count, then member ids),
@@ -53,6 +53,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations, filterfalse
 from operator import attrgetter
+from weakref import ref as _ref
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from ._record import Record, _set
@@ -71,37 +72,48 @@ class HFSet(frozenset):
     """An immutable extensional finite set of HFSets: the frozenset of its
     members, plus its rank.
 
+    Equal sets are one object: HFSet(members) returns the live set with
+    these members, if there is one (_live), and a new set is given its rank.
     Equality, hashing, membership and len are frozenset's and run in C, so
-    an HFSet equals a frozenset with the same members and hashes like it.
-    Equal sets may be distinct objects.  Iteration is in frozenset order;
-    render_hf writes members in the canonical (rank, size, text) order.
+    an HFSet equals a frozenset with the same members and hashes like it;
+    members are one object per value, so a comparison goes one level down.
+    Iteration is in frozenset order; render_hf writes members in the
+    canonical (rank, size, text) order.
     """
 
     __slots__ = ("rank",)
 
-    # Named so that the class dict holds __eq__, which perfbench's layer
-    # trace wraps from there to count calls; a class that names __eq__
-    # without __hash__ gets no hash.  Both stay frozenset's C slots.
+    def __new__(cls, members: Iterable["HFSet"] = ()):
+        s = frozenset.__new__(cls, members)
+        live = _live.get(_ref(s))
+        if live is None:                # a new set: ranked, then keyed by itself
+            _set_rank(s, 1 + max((m.rank for m in s), default=-1))
+            live = _ref(s, _forget)
+            # an equal set another thread keyed meanwhile wins, and the
+            # reference that lost goes before s does, so it calls nothing
+            live = _live.setdefault(live, live)
+        return live()
+
+    # Named so that the class dict holds __init__ and __eq__, which
+    # perfbench's layer trace wraps from there to count calls; a class that
+    # names __eq__ without __hash__ gets no hash.  Both stay frozenset's C
+    # slots, and __init__, which Python calls on the set __new__ returns,
+    # live or new, does nothing.
     __eq__ = frozenset.__eq__
     __hash__ = frozenset.__hash__
 
     def __init__(self, members: Iterable["HFSet"] = ()):
-        _set_rank(self, 1 + max((m.rank for m in self), default=-1))
+        pass
 
     def __setattr__(self, name, value):
         raise AttributeError("HFSet is immutable")
 
     def __reduce__(self):
-        # pickle rebuilds the set from its code, which pickles as its edges:
-        # a rebuild from the members would recurse several frames per level,
-        # and the default reduce sets the rank slot, which __setattr__ refuses
+        # pickle and copy rebuild the set from its code, which pickles as its
+        # edges, and so get the live set back: a rebuild from the members
+        # would recurse several frames per level, and the default reduce sets
+        # the rank slot, which __setattr__ refuses
         return decode_set, (encode_hf(self),)
-
-    def __copy__(self, memo=None):
-        # an immutable set of immutable sets is its own copy, deep or not
-        return self
-
-    __deepcopy__ = __copy__
 
     def __str__(self):
         return render_hf(self)
@@ -110,6 +122,10 @@ class HFSet(frozenset):
         return f"HFSet({render_hf(self)})"
 
 
+# the live sets, each under a weak reference to itself, which the set's
+# death removes
+_live: Dict[_ref, _ref] = {}
+_forget = _live.__delitem__
 _set_rank = HFSet.rank.__set__
 EMPTY_SET = HFSet()
 
@@ -155,8 +171,7 @@ def _set_literal(p: _Scanner) -> HFSet:
             open_sets.append([])
             allowed = "{}"
         elif ch == "}":
-            members = open_sets.pop()
-            s = HFSet(members) if members else EMPTY_SET
+            s = HFSet(open_sets.pop())
             if not open_sets:
                 p.pos = pos
                 return s
@@ -307,23 +322,17 @@ def encode_hf(s: HFSet) -> SetCode:
     Each call returns a new code, numbered at once, which stores the child
     map and decoded nodes of the numbering pass and no edge set; its
     verdict is still worked out on first decode, and its root decodes to s
-    itself.  The numbering of a set of rank up to NESTING_CAP is memoized
-    (_numbering), so an equal set encoded again shares the child map and the
-    decoded nodes below the root with the earlier codes; a deeper set is
-    numbered afresh, since a memo hit compares the two sets, and frozenset
-    comparison recurses one level per frame down equal members that are
-    distinct objects.
+    itself.  The numbering pass is memoized (_numbering), and a memo hit
+    compares by identity, as equal sets are one object: the codes of a set
+    encoded again share the child map and the decoded nodes of the pass.
 
     powerset_code writes the same order a second way, as the order in which
     itertools.combinations lists subsets; the reference_powerset_code tests
     in tests/test_universe.py keep the two in agreement."""
-    number = _numbering if s.rank <= NESTING_CAP else _numbering.__wrapped__
-    domain, root, children, decoded = number(s)
     # numbered now, so that the caller that encodes pays for it, and
-    # straight into the instance dict, with no pending pass to look up; the
-    # decoded nodes are a copy of the pass's, in which the root is s itself
+    # straight into the instance dict, with no pending pass to look up
     code = object.__new__(SetCode)
-    code.__dict__.update(zip(_NUMBERED, (domain, root, children, {**decoded, root: s})))
+    code.__dict__.update(zip(_NUMBERED, _numbering(s)))
     return code
 
 
@@ -333,14 +342,12 @@ def encode_hf(s: HFSet) -> SetCode:
 def _numbering(s: HFSet) -> Tuple[int, int, Dict[int, Tuple[int, ...]], Dict[int, HFSet]]:
     """encode_hf's numbering pass: the domain, the root, the child map and
     the decoded nodes of s's canonical code.  The codes built from one
-    numbering share its child map, and each takes a copy of its decoded
-    nodes; neither map is changed after the pass."""
+    numbering share both maps, and neither is changed after the pass: every
+    node of the code is decoded already."""
     closure = transitive_closure(s)
     by_rank: List[List[HFSet]] = [[] for _ in range(s.rank + 1)]
     for node in closure:
         by_rank[node.rank].append(node)
-    # keyed by node: the closure holds one node per value, and a member
-    # may be another object equal to it
     ids: Dict[HFSet, int] = {}
     children: Dict[int, Tuple[int, ...]] = {}
     for group in by_rank:
@@ -355,8 +362,7 @@ def _numbering(s: HFSet) -> Tuple[int, int, Dict[int, Tuple[int, ...]], Dict[int
             i = ids[nodes[kids]] = len(ids)
             if kids:
                 children[i] = kids
-    decoded = {i: node for node, i in ids.items()}
-    return len(ids), ids[s], children, decoded
+    return len(ids), ids[s], children, {i: node for node, i in ids.items()}
 
 
 def _size_and_ids(kids: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
@@ -393,8 +399,7 @@ def _number_powerset(argument: Tuple[SetCode, List[int]]
     decoded nodes of the power set of the set x that the argument's code
     names, from x's child map and x's members.  No HFSet is built per
     subset.  The decoded nodes are the sets below x that the argument code
-    has decoded, so a set decoded from the answer shares them and compares
-    with sets decoded from the argument without walking down equal copies.
+    has decoded, so that decoding the answer does not build them again.
 
     The nodes are numbered one rank at a time, lowest first, so the new ids
     of x's members numbered so far (the pool, ascending) end with the block
@@ -454,8 +459,7 @@ def _number_powerset(argument: Tuple[SetCode, List[int]]
     # the power set, the one node of the top rank, has every subset as a member
     new_children[base] = tuple(filterfalse(set(others).__contains__, range(base)))
     old = code._decoded
-    decoded = {new[n]: old[n] for n in rank if n in old}
-    return base + 1, base, new_children, decoded
+    return base + 1, base, new_children, {new[n]: old[n] for n in rank if n in old}
 
 
 def validate_code(code: SetCode) -> int:
@@ -536,8 +540,7 @@ def _decode_node(code: SetCode, node: int) -> HFSet:
         if todo:
             stack += reversed(todo)
         elif stack.pop() not in memo:      # n may be on the stack twice
-            kids = children.get(n)
-            memo[n] = HFSet([memo[c] for c in kids]) if kids else EMPTY_SET
+            memo[n] = HFSet([memo[c] for c in children.get(n, ())])
     return memo[node]
 
 

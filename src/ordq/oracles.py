@@ -25,11 +25,10 @@ time.  A ledger keeps its total order type as a running sum, one addition
 per append, and total_order_type() reads it, re-summing nothing.
 
 Single entries hold the raw query and answer values, and their text is
-made only when the ledger is written as JSON.  Two runs agree when their
-entries agree value by value (see entries_agree): a replay decodes from the
-same code objects, so most of its values are the live run's own, and a
-set code compares whole, edges included, which its JSON text does not
-show.
+made only when the ledger is written as JSON.  Two ledgers, and so two
+runs, are equal when their entries agree value by value (entries_agree),
+so a run equals its copies, its pickle and its replay.  A set code
+compares whole, edges included, which its JSON text does not show.
 
 ScriptedEffectivizer replaces an oracle with recorded responses.  Its
 script is a previous run's ledger.  A single entry answers one pointwise
@@ -225,7 +224,9 @@ LedgerEntry = Union[SingleEntry, RunEntry]
 
 class QueryLedger:
     """Single-writer sequence of call records; its total order type is a
-    running sum (see the module docstring)."""
+    running sum (see the module docstring).  Two ledgers are equal when
+    their entries agree one by one (entries_agree).  A ledger grows while
+    its run lasts, so it has no hash: naming __eq__ alone drops it."""
 
     def __init__(self):
         self.entries: List[LedgerEntry] = []
@@ -252,6 +253,10 @@ class QueryLedger:
 
     def __iter__(self):
         return iter(self.entries)
+
+    def __eq__(self, other):
+        return (type(other) is QueryLedger and len(self.entries) == len(other.entries)
+                and all(map(entries_agree, self.entries, other.entries)))
 
 
 # -- effectivizers -----------------------------------------------------------

@@ -457,7 +457,7 @@ def verify(spec: ReductionSpec, structure: Optional[CardinalStructure],
         if spec.composite:
             replay_ok = None
         else:
-            replay_ok = tam.replay(program, instance, res, budget, bindings).same_as(res)
+            replay_ok = tam.replay(program, instance, res, budget, bindings) == res
         report.rows.append(Row(
             input_text=summarize_query(instance),
             status=res.status,

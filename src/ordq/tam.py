@@ -71,7 +71,6 @@ from .oracles import (
     ScriptExhausted,
     ScriptedEffectivizer,
     _module,
-    entries_agree,
 )
 
 HALTED = "halted"
@@ -226,15 +225,6 @@ class RunResult(NamedTuple):
     def halt_time(self) -> Optional[Ordinal]:
         """The clock reading at the halt, None if the run did not halt."""
         return self.ledger.total_order_type() if self.status == HALTED else None
-
-    def same_as(self, other: "RunResult") -> bool:
-        """Whether other has this status and output, and ledger entries that
-        agree (oracles.entries_agree): the class, oracle, query or window,
-        order type, response or pattern, and a scan's exit.  Equal entries
-        have equal totals, so the halt times agree too."""
-        return (self.status == other.status and self.output == other.output
-                and len(self.ledger) == len(other.ledger)
-                and all(map(entries_agree, self.ledger, other.ledger)))
 
 
 # -- interpreter -------------------------------------------------------------

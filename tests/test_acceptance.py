@@ -257,7 +257,7 @@ def test_criterion_7_replay_identity():
     assert len(RECORDED) >= 50, "earlier criteria did not record enough runs"
     for program, instance, result in RECORDED:
         again = tam.replay(program, instance, result)
-        assert again.same_as(result), program.name
+        assert again == result, program.name
     watch.check()
     verdict(7, True, f"all {len(RECORDED)} recorded runs replay to identical "
                      "results from their response scripts alone")

@@ -1,6 +1,8 @@
 """Reduction catalog: recorded counts versus declared bounds, independent
 references, report plumbing, and two-stage composition."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -278,7 +280,7 @@ class TestGuessCheck:
         res = tam.run(spec.make_program(), P("w*2+1"), bound)
         assert (res.status, render(res.output), len(res.ledger)) == ("halted", "w", 2)
         # a replay handed the run's bindings descends as the run did
-        assert tam.replay(spec.make_program(), P("w*2+1"), res, bindings=bound).same_as(res)
+        assert tam.replay(spec.make_program(), P("w*2+1"), res, bindings=bound) == res
 
     def test_a_replay_without_the_bindings_cannot_descend(self):
         spec = catalog("ordcard_guesscheck")
@@ -432,7 +434,7 @@ class TestPotAnswersNumberedOnFirstRead:
         # would number a pending answer
         assert len(numbered) == 1 and numbered[0] is code
         assert numbering_state(first) == "numbered" and numbering_state(second) == "pending"
-        assert tam.replay(spec.make_program(), code, res).same_as(res)
+        assert tam.replay(spec.make_program(), code, res) == res
         assert len(numbered) == 1 and numbering_state(second) == "pending"
         # P(V_3): 16 subsets holding 32 members, and the root over all 16
         assert res.ledger.to_json()[1]["response"] == "code(domain=17,root=16,edges=48)"
@@ -738,6 +740,29 @@ class TestVerifyReports:
         rows = diverged.rows + over_budget.rows
         assert [row.status for row in rows] == ["diverged"] * 2 + ["budget-exceeded"] * 2
         assert all(row.replay_ok is True for row in rows)
+
+    def test_a_run_equals_its_copies_and_its_pickle(self):
+        # a halted run and a stopped one, each with a nonempty ledger, per
+        # entry; a ledger grows while its run lasts, so a run has no hash
+        sep = (code_of(*V3[:3]), formula_index(parse_formula("E v0 (v0 = #0)")), ())
+        cases = {   # name -> structure, instance, a budget the run stops at
+            "nextcard_via_deccard": (POWERS, P("w*2+1"), 1),
+            "ordcard_scan_naive": (POWERS, P("w*2+1"), 1),
+            "ordcard_scan_improved": (POWERS, P("w*2+1"), 2),
+            "ordcard_guesscheck": (POWERS, P("w*2+1"), 2),
+            "flagtrick": (MULTIPLES, OMEGA, 1),
+            "powercard_via_pot": (None, code_of(*V3[:2]), 2),
+            "sep_via_truth": (None, sep, 2),
+        }
+        assert tuple(cases) == CATALOG_NAMES
+        for name, (structure, instance, stop) in cases.items():
+            for budget in (tam.DEFAULT_BUDGET, stop):
+                res = run_once(catalog(name), structure, instance, budget)
+                assert res.halted is (budget != stop) and len(res.ledger), (name, budget)
+                for twin in (copy.copy(res), copy.deepcopy(res), pickle.loads(pickle.dumps(res))):
+                    assert twin == res and res == twin, (name, budget)
+                with pytest.raises(TypeError):
+                    hash(res)
 
     def test_a_replay_over_an_edited_exit_fails_the_row(self, monkeypatch):
         # the replay reads the exit the ledger records, so a run whose

@@ -156,7 +156,7 @@ class TestLastHitScan:
         assert res.ledger.total_order_type() == ZERO
         again = replay(prog, ZERO, res)
         assert again.halted and again.output == ZERO
-        assert again.same_as(res)
+        assert again == res
 
     @pytest.mark.parametrize("name,cs,pred,_", STRUCTURES, ids=[r[0] for r in STRUCTURES])
     def test_agrees_with_event_reference(self, name, cs, pred, _):
@@ -423,7 +423,7 @@ class TestScripted:
     def test_replay_of_a_scan_that_diverges_without_a_sweep(self, prog):
         res = run(prog, P("w+1"), hits(OMEGA))
         assert res.status == "diverged" and len(res.ledger) == 0
-        assert replay(prog, P("w+1"), res).same_as(res)
+        assert replay(prog, P("w+1"), res) == res
 
     def test_pointwise_last_hit_on_a_finite_bound(self):
         res = run(LAST_HIT, P("3"), hits(0, 3))
@@ -480,7 +480,7 @@ class TestReplay:
     def test_replaying_the_recorded_script_reproduces_the_run(self):
         for prog, inp, res in self.runs():
             again = replay(prog, inp, res)
-            assert again.same_as(res), (prog.name, again.status, res.status)
+            assert again == res, (prog.name, again.status, res.status)
 
     @pytest.mark.parametrize("oracle", [o for _, o in FLAG_ORACLES],
                              ids=[name for name, _ in FLAG_ORACLES])
@@ -494,18 +494,18 @@ class TestReplay:
             exits = [e.exit for e in res.ledger]
             assert exits == ([res.output] if res.halted else exits[:1]), t
             assert res.halted or exits in ([], [None]), t
-            assert replay(prog, start, res).same_as(res), t
+            assert replay(prog, start, res) == res, t
 
     def test_a_pickled_run_is_the_same_run(self):
         for prog, inp, res in self.runs():
             again = pickle.loads(pickle.dumps(res))
-            assert again.same_as(res) and again.halt_time == res.halt_time, prog.name
+            assert again == res and again.halt_time == res.halt_time, prog.name
 
     def test_budget_increase_never_changes_a_result(self):
         powers = u.omega_powers(WIDE)
         a = run(FIRST_HIT, P("w*2+1"), dec(powers), budget=3)
         b = run(FIRST_HIT, P("w*2+1"), dec(powers), budget=3000)
-        assert a.same_as(b)
+        assert a == b
 
     def test_ledger_time_coherence(self):
         # the halt time is the clock at the halt: the entries' order types
@@ -526,7 +526,7 @@ class TestReplay:
                       "next_limit_of_cardinals_above"):
             monkeypatch.setattr(u, query, refuse)
         for prog, inp, res in recorded:
-            assert replay(prog, inp, res).same_as(res), prog.name
+            assert replay(prog, inp, res) == res, prog.name
 
     def test_an_edited_exit_fails_the_replay(self):
         edited = 0
@@ -536,13 +536,13 @@ class TestReplay:
                 if isinstance(e, RunEntry):
                     exit = e.to_query if e.exit is None else successor(e.exit)
                     entries[i] = e._replace(exit=exit)
-                    assert not replay(prog, inp, res).same_as(res), prog.name
+                    assert replay(prog, inp, res) != res, prog.name
                     entries[i] = e
-                    assert replay(prog, inp, res).same_as(res), prog.name
+                    assert replay(prog, inp, res) == res, prog.name
                     edited += 1
         assert edited == 7
 
-    def test_same_as_compares_what_the_json_shows_and_the_exit(self):
+    def test_run_equality_compares_what_the_json_shows_and_the_exit(self):
         single = SingleEntry("DecCard", OMEGA, 1)
         scan = RunEntry("DecCard", OMEGA, P("w*2"), OMEGA, PATTERN_ORACLE_HITS, P("w+3"))
         base = recorded(single, scan)
@@ -561,14 +561,14 @@ class TestReplay:
             (single,),
         ]
         for entries in seen:
-            assert not base.same_as(recorded(*entries)), entries
-            assert not recorded(*entries).same_as(base), entries
+            assert base != recorded(*entries), entries
+            assert recorded(*entries) != base, entries
         unseen = [
             (single._replace(query=P("w")), scan),      # equal, built apart
             (single._replace(response=ONE), scan),      # shows "1" too
         ]
         for entries in unseen:
-            assert base.same_as(recorded(*entries)), entries
+            assert base == recorded(*entries), entries
 
 
 def edited(result, index, **fields):
@@ -580,7 +580,7 @@ def edited(result, index, **fields):
 
 
 class TestRawComparison:
-    """same_as compares the values ledger entries hold, not their text."""
+    """Run equality compares the values ledger entries hold, not their text."""
 
     def test_a_separation_query_with_another_element_fails(self):
         s = u.hf(u.hf(), u.hf(u.hf()))
@@ -593,8 +593,8 @@ class TestRawComparison:
         k, (x,) = res.ledger.entries[0].query
         other = next(m for m in (u.hf(), u.hf(u.hf()), u.hf(u.hf(u.hf()))) if m != x)
         changed = edited(again, 0, query=(k, (other,)))
-        assert not changed.same_as(res) and not res.same_as(changed)
-        assert edited(again, 0, query=(k, (u.HFSet(x),))).same_as(res)
+        assert changed != res and res != changed
+        assert edited(again, 0, query=(k, (u.HFSet(x),))) == res
 
     def test_an_edited_ordinal_query_fails(self):
         count = 0
@@ -602,8 +602,8 @@ class TestRawComparison:
             for i, entry in enumerate(res.ledger):
                 if isinstance(entry, SingleEntry) and isinstance(entry.query, Ordinal):
                     changed = edited(res, i, query=successor(entry.query))
-                    assert not changed.same_as(res), prog.name
-                    assert edited(res, i).same_as(res), prog.name
+                    assert changed != res, prog.name
+                    assert edited(res, i) == res, prog.name
                     count += 1
         assert count == 3
 
@@ -621,8 +621,8 @@ class TestRawComparison:
         changed = edited(res, 0, query=lookalike)
         # the text comparison let this pair pass: the JSON is the same
         assert changed.ledger.to_json() == res.ledger.to_json()
-        assert not changed.same_as(res) and not res.same_as(changed)
-        assert edited(res, 0, query=u.encode_hf(u.parse_hf("{{},{{{}}}}"))).same_as(res)
+        assert changed != res and res != changed
+        assert edited(res, 0, query=u.encode_hf(u.parse_hf("{{},{{{}}}}"))) == res
 
 
 class TestFlagValueAfter:

@@ -7,12 +7,15 @@ grids.  Caps are chosen so the true answer provably lies inside the grid.
 """
 
 import copy
+import gc
 import itertools
 import math
 import pickle
 import random
 import sys
+import threading
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -390,8 +393,7 @@ class TestHFSet:
         assert copy.copy(s) is s and copy.deepcopy(s) is s
         assert pickle.loads(pickle.dumps(code)) == code
         for got in (pickle.loads(pickle.dumps(s)), decode_set(pickle.loads(pickle.dumps(code)))):
-            assert type(got) is HFSet and got is not s and got.rank == 3000
-            # compared by code: comparing equal chains built apart recurses
+            assert type(got) is HFSet and got is s and got.rank == 3000
             assert encode_hf(got) == code
 
     def test_a_set_at_the_nesting_cap_deep_copies(self):
@@ -427,17 +429,18 @@ class TestHFSet:
         assert render_hf(chain) == str(chain) == summarize_query(chain) == text
         assert repr(chain) == f"HFSet({text})"
         assert render_hf(HFSet([hf(chain), chain, EMPTY_SET])) == "{{}," + text + ",{" + text + "}}"
+        # a set of two equal chains built apart holds one member
+        both = hf(nest(3000), decode_set(SetCode(3001, [cantor_pair(i, i + 1)
+                                                        for i in range(3000)], 3000)))
+        assert transitive_closure(both) == transitive_closure(hf(chain))
+        assert render_hf(both) == "{" + text + "}"
+        assert encode_hf(both) == encode_hf(hf(chain))
 
     def test_equal_chains_that_share_no_node_compare(self):
-        # equality is frozenset's, which recurses in C one level per frame
-        # down equal members that are distinct objects; 500 levels compare
-        # on every supported Python
+        # equal chains built apart are one object
         chain = SetCode(501, [cantor_pair(i, i + 1) for i in range(500)], 500)
         assert nest(500) == decode_set(chain)
 
-    @pytest.mark.xfail(sys.version_info < (3, 13), raises=RecursionError, strict=True,
-                       reason="before 3.13 frozenset comparison recurses within "
-                              "about 1,000 (3.10, 3.11) or 1,500 (3.12) levels")
     def test_equal_3000_deep_chains_that_share_no_node_compare(self):
         chain = SetCode(3001, [cantor_pair(i, i + 1) for i in range(3000)], 3000)
         assert nest(3000) == decode_set(chain)
@@ -744,8 +747,8 @@ def assert_same_value(a: HFSet, b) -> None:
 
 
 class TestHashConsing:
-    """Sets compare by value; a code works its verdict and decoded nodes out
-    once."""
+    """Equal sets are one object; a code works its verdict and decoded nodes
+    out once."""
 
     def test_equal_sets_are_equal_however_built(self):
         zero, one = EMPTY_SET, hf(EMPTY_SET)
@@ -776,23 +779,73 @@ class TestHashConsing:
                    for mask in range(1 << len(picks))]
         s = hf_powerset(x)
         code = encode_hf(s)
+        holder = permuted(encode_hf(hf(s)), rng, 1)
         copies = [
             HFSet(members),
+            hf(*members),
             HFSet(rng.sample(members, len(members))),
             HFSet(parse_hf(render_hf(m)) for m in reversed(members)),
             parse_hf(render_hf(s)),
             hf_powerset(parse_hf(render_hf(x))),
             decode_set(SetCode(code.domain, code.edges, code.root)),
             decode_set(permuted(code, rng, 2)),
+            decode_element(holder, code_elements(holder)[0]),
+            decode_set(powerset_code(permuted(encode_hf(x), rng))),
+            pickle.loads(pickle.dumps(s)),
         ]
         if len(picks) == 4:
             copies.append(HFSet(v4))        # the power set of V_3 is V_4
         table = {}
         for i, copy in enumerate(copies):
+            assert copy is s
             assert_same_value(copy, s)
             assert_same_value(copy, frozenset(members))
             table[copy] = i
             assert list(table) == [copies[0]] and table[s] == i
+
+    def test_the_table_keeps_no_set_alive(self):
+        gc.collect()
+        before = len(hfsets._live)
+        s = EMPTY_SET
+        for _ in range(3000):
+            s = hf(s, EMPTY_SET)
+        assert len(hfsets._live) > before
+        dead = weakref.ref(s)
+        del s
+        assert dead() is None and len(hfsets._live) == before
+
+    def test_threads_building_equal_sets_get_one_object(self):
+        # the table is read and filled without a lock: the set keyed first
+        # wins, a thread that lost the race gets it, and no entry is left
+        step = threading.Barrier(4, timeout=10)
+
+        def build(out):
+            s = EMPTY_SET
+            for _ in range(1000):
+                step.wait()             # the four threads build each set at once
+                s = HFSet([s, hf(s, EMPTY_SET)])
+                out.append(s)
+
+        gc.collect()
+        before = len(hfsets._live)
+        unraised, hook, interval = [], sys.unraisablehook, sys.getswitchinterval()
+        sys.unraisablehook = unraised.append
+        sys.setswitchinterval(1e-6)
+        try:
+            outs = [[] for _ in range(4)]
+            threads = [threading.Thread(target=build, args=(out,)) for out in outs]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert all(len(out) == 1000 for out in outs)
+            assert all(all(s is sets[0] for s in sets) for sets in zip(*outs))
+            outs.clear()
+            assert len(hfsets._live) == before and unraised == []
+        finally:
+            sys.setswitchinterval(interval)
+            sys.unraisablehook = hook
 
     def test_decode_of_encode_is_the_same_object(self):
         rng = random.Random(5)
@@ -831,11 +884,10 @@ class TestHashConsing:
         assert [decode_element(code, n) for n in code_elements(code)] == elements
 
     def test_encode_keys_equal_copies_by_value(self):
-        # the chains below are equal but distinct objects, so an encoder that
-        # looked members up by object would miss them
+        # the chains below are built apart, and are one object
         s = HFSet([nest(3), hf(parse_hf("{{{}}}")), hf(hf(hf(EMPTY_SET)), EMPTY_SET),
                    HFSet([parse_hf("{{{}}}"), nest(1)])])
-        assert hf(nest(2)) is not hf(nest(2))
+        assert hf(nest(2)) is hf(nest(2))
         assert encode_hf(s) == reference_encode_hf(s) == encode_hf(parse_hf(render_hf(s)))
 
     def test_leaves_are_the_empty_set_itself(self):
@@ -1237,7 +1289,7 @@ class TestNumberingMemo:
         for c in (s, parse_hf(render_hf(s)), decode_set(permuted(encode_hf(s), rng))):
             code = encode_hf(c)
             assert code._children is children
-            assert code._decoded is not decoded and code._decoded[root] is c
+            assert code._decoded is decoded and decoded[root] is c
             assert "_verdict" not in code.__dict__ and "edges" not in code.__dict__
             decode_set(code)
             for node in code_elements(code):
@@ -1250,18 +1302,17 @@ class TestNumberingMemo:
         assert decoded.keys() == kept_decoded.keys()
         assert all(decoded[i] is kept_decoded[i] for i in decoded)
 
-    def test_equal_3000_level_chains_built_apart_bypass_the_memo(self):
-        # a memo hit compares keys, and before 3.13 comparing these two
-        # chains raises RecursionError; sets above NESTING_CAP skip the memo
-        before = hfsets._numbering.cache_info().currsize
+    def test_equal_3000_level_chains_built_apart_go_through_the_memo_as_one_object(self):
+        # a memo hit compares keys, which are one object per value
+        hfsets._numbering.cache_clear()
         chain = SetCode(3001, [cantor_pair(i, i + 1) for i in range(3000)], 3000)
         a, b = nest(3000), decode_set(chain)
-        assert a is not b
+        assert a is b
         code_a, code_b = encode_hf(a), encode_hf(b)
         assert (code_a.domain, code_a.root) == (code_b.domain, code_b.root) == (3001, 3000)
-        assert code_a._children == code_b._children == chain._children
+        assert code_a._children is code_b._children == chain._children
         assert decode_set(code_a) is a and decode_set(code_b) is b
-        assert hfsets._numbering.cache_info().currsize == before
+        assert hfsets._numbering.cache_info()[:2] == (1, 1)     # one hit, one miss
 
 
 class TestPairing:
