@@ -16,14 +16,17 @@ members, if there is one.  A set pickles as its code, and its copies and
 unpickled copies are the set itself.
 
 A SetCode is given by its edges, as SetCode(domain, edges, root), or by a
-numbering, a pass that answers its domain, root, child map and decoded
-nodes: encode_hf runs its pass at once, and a Pot answer's pass is pending
-(_numbered_code).  Each other derived field is worked out once per code,
-on first read, by SetCode.__getattr__, the one place that fills them: the
-pending numbering, the edge set from the child map, the child map from the
-edge set, the validity verdict and the decoded nodes.  Every decode asks
-for the verdict.  A code pickles as its edges, and its str() is its ledger
-text, code(domain=...,root=...,edges=N), which reports show.
+numbering, a pass that answers its domain, root, child map, decoded nodes
+and verdict: encode_hf runs its pass at once, and a Pot answer's pass is
+pending (_numbered_code).  A code that ordq numbers itself is valid by
+construction, so both passes answer the verdict 1.  Each other derived
+field is worked out once per code, on first read, by SetCode.__getattr__,
+the one place that fills them: the pending numbering, the edge set from
+the child map, the child map from the edge set, the validity verdict (one
+search, for a code from outside: one given by its edges, or by a pass that
+answers no verdict) and the decoded nodes.  A code pickles as its edges,
+and its str() is its ledger text, code(domain=...,root=...,edges=N), which
+reports show.
 
 encode_hf numbers its code at once, with a pass that is memoized for the
 last 128 sets: the codes of one set share its child map and decoded nodes.
@@ -222,8 +225,9 @@ def _as_nat(value, field: str) -> int:
     raise InvalidCodeError(f"SetCode {field} takes ints or finite ordinals, not {value!r}")
 
 
-# the fields a numbering pass answers, in the order it answers them
-_NUMBERED = ("domain", "root", "_children", "_decoded")
+# the fields a numbering pass answers, in the order it answers them; a pass
+# that stops before the verdict leaves it to be checked
+_NUMBERED = ("domain", "root", "_children", "_decoded", "_verdict")
 
 
 class SetCode(Record):
@@ -231,8 +235,10 @@ class SetCode(Record):
     set {pair(x, y) : x is a member of y} packed with cantor_pair.
 
     A code is given by its edges, as SetCode(domain, edges, root), or by a
-    numbering, a pass that answers its domain, root, child map and decoded
-    nodes (encode_hf, or _numbered_code for a pending one).  Node ids are
+    numbering, a pass that answers its domain, root, child map, decoded
+    nodes and verdict (encode_hf, or _numbered_code for a pending one).
+    The verdict of a code from outside, given by its edges or by a pass
+    that answers none, is worked out on first decode.  Node ids are
     plain ints; everything here stays at desk scale.  The domain, each edge
     and the root of a code given by its edges take an int that is not a
     bool, or a finite Ordinal, which is converted on construction; anything
@@ -246,7 +252,8 @@ class SetCode(Record):
     repr), the child map from the edge set, the validity verdict and the
     decoded nodes.
     encode_hf numbers its code at once; a Pot answer (powerset_code) is
-    numbered on first read.  Copy and pickle rebuild a code from its edges.
+    numbered on first read.  Copy and pickle rebuild a code from its edges,
+    and so check it again.
 
     str() gives the ledger text, code(domain=...,root=...,edges=N): it
     numbers a pending code, counts a numbered code's edges from its child
@@ -271,7 +278,9 @@ class SetCode(Record):
             number, argument = fields["_number"]
             fields.update(zip(_NUMBERED, number(argument)))
             del fields["_number"]
-        elif name == "edges":
+            if name in fields:          # else a field the pass left, derived below
+                return fields[name]
+        if name == "edges":
             fields[name] = frozenset((x + y) * (x + y + 1) // 2 + y
                                      for y, kids in self._children.items() for x in kids)
         elif name == "_children":       # node -> its member ids, ascending; no empty nodes
@@ -307,8 +316,9 @@ def cantor_unpair(z: int) -> Tuple[int, int]:
 
 def _numbered_code(number, argument) -> SetCode:
     """A code given by a numbering: number(argument) answers its domain,
-    root, child map and decoded nodes.  It runs on the first read of any of
-    the four, which stores them and drops the pass and its argument."""
+    root, child map, decoded nodes and, if it vouches for the code, the
+    verdict 1.  It runs on the first read of any of the five, which stores
+    what it answers and drops the pass and its argument."""
     code = object.__new__(SetCode)
     code.__dict__["_number"] = (number, argument)
     return code
@@ -320,11 +330,11 @@ def encode_hf(s: HFSet) -> SetCode:
     always get equal codes.
 
     Each call returns a new code, numbered at once, which stores the child
-    map and decoded nodes of the numbering pass and no edge set; its
-    verdict is still worked out on first decode, and its root decodes to s
-    itself.  The numbering pass is memoized (_numbering), and a memo hit
-    compares by identity, as equal sets are one object: the codes of a set
-    encoded again share the child map and the decoded nodes of the pass.
+    map, the decoded nodes and the verdict 1 of the numbering pass and no
+    edge set, so nothing checks it, and its root decodes to s itself.  The
+    numbering pass is memoized (_numbering), and a memo hit compares by
+    identity, as equal sets are one object: the codes of a set encoded
+    again share the child map and the decoded nodes of the pass.
 
     powerset_code writes the same order a second way, as the order in which
     itertools.combinations lists subsets; the reference_powerset_code tests
@@ -339,11 +349,12 @@ def encode_hf(s: HFSet) -> SetCode:
 # a separation verdict encodes its separated set three times (run,
 # reference and replay), and a workload's subsets recur
 @lru_cache(maxsize=128, typed=True)
-def _numbering(s: HFSet) -> Tuple[int, int, Dict[int, Tuple[int, ...]], Dict[int, HFSet]]:
-    """encode_hf's numbering pass: the domain, the root, the child map and
-    the decoded nodes of s's canonical code.  The codes built from one
-    numbering share both maps, and neither is changed after the pass: every
-    node of the code is decoded already."""
+def _numbering(s: HFSet) -> Tuple[int, int, Dict[int, Tuple[int, ...]], Dict[int, HFSet], int]:
+    """encode_hf's numbering pass: the domain, the root, the child map, the
+    decoded nodes and the verdict of s's canonical code, which is valid as
+    the code of a set.  The codes built from one numbering share both maps,
+    and neither is changed after the pass: every node of the code is
+    decoded already."""
     closure = transitive_closure(s)
     by_rank: List[List[HFSet]] = [[] for _ in range(s.rank + 1)]
     for node in closure:
@@ -362,7 +373,7 @@ def _numbering(s: HFSet) -> Tuple[int, int, Dict[int, Tuple[int, ...]], Dict[int
             i = ids[nodes[kids]] = len(ids)
             if kids:
                 children[i] = kids
-    return len(ids), ids[s], children, {i: node for node, i in ids.items()}
+    return len(ids), ids[s], children, {i: node for node, i in ids.items()}, 1
 
 
 def _size_and_ids(kids: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
@@ -385,8 +396,10 @@ def powerset_code(code: SetCode) -> SetCode:
     InvalidCodeError on a bad code, then PowersetCapError above POWERSET_CAP
     members, both raised by the call.  The answer is numbered on first read:
     the one numbering pass (_number_powerset) runs the first time its
-    domain, root, child map or decoded nodes are read, which decoding,
-    code_elements, edges, equality, hashing, repr and ledger text all do.
+    domain, root, child map, decoded nodes or verdict are read; the pass
+    answers the verdict 1, since the argument is valid.  Decoding,
+    code_elements, edges, equality, hashing, repr and ledger text each read
+    one of them.
     So a Pot answer that only passes through a ledger, as the second answer
     of a count-only powercard run does, is never numbered unless the ledger
     is written as JSON."""
@@ -394,10 +407,11 @@ def powerset_code(code: SetCode) -> SetCode:
 
 
 def _number_powerset(argument: Tuple[SetCode, List[int]]
-                     ) -> Tuple[int, int, Dict[int, Tuple[int, ...]], Dict[int, HFSet]]:
-    """powerset_code's numbering pass: the domain, root, child map and
-    decoded nodes of the power set of the set x that the argument's code
-    names, from x's child map and x's members.  No HFSet is built per
+                     ) -> Tuple[int, int, Dict[int, Tuple[int, ...]], Dict[int, HFSet], int]:
+    """powerset_code's numbering pass: the domain, root, child map, decoded
+    nodes and verdict of the power set of the set x that the argument's
+    code names, from x's child map and x's members; powerset_code has
+    validated the argument, so the answer is valid.  No HFSet is built per
     subset.  The decoded nodes are the sets below x that the argument code
     has decoded, so that decoding the answer does not build them again.
 
@@ -459,19 +473,20 @@ def _number_powerset(argument: Tuple[SetCode, List[int]]
     # the power set, the one node of the top rank, has every subset as a member
     new_children[base] = tuple(filterfalse(set(others).__contains__, range(base)))
     old = code._decoded
-    return base + 1, base, new_children, {new[n]: old[n] for n in rank if n in old}
+    return base + 1, base, new_children, {new[n]: old[n] for n in rank if n in old}, 1
 
 
 def validate_code(code: SetCode) -> int:
     """1 if the code is a well-formed extensional well-founded membership
-    graph in which every edge-touched node reaches the root, else 0.  The
-    verdict is worked out once per code object: in one sweep down the
-    owners when every member lies below its owner, else by a depth-first
-    search from the root."""
+    graph in which every edge-touched node reaches the root, else 0.  A
+    code that encode_hf or powerset_code numbered holds the verdict 1; any
+    other code is checked once per object (_check_code)."""
     return code._verdict
 
 
 def _check_code(code: SetCode) -> int:
+    """The verdict of a code from outside, by one depth-first search from
+    the root."""
     if not (0 <= code.root < code.domain):
         return 0
     # a negative edge packs no pair; a code given by a numbering has its
@@ -480,47 +495,31 @@ def _check_code(code: SetCode) -> int:
     if "_children" not in code.__dict__ and min(code.edges, default=0) < 0:
         return 0
     children = code._children
-    if all(kids[-1] < y for y, kids in children.items()):
-        # every member lies below its owner, as in every code encode_hf and
-        # powerset_code build: there is no cycle, and an owner can be reached
-        # only from owners above it, so one sweep down the owners marks the
-        # root's transitive closure; an owner not marked when the sweep gets
-        # to it is touched and never reached
-        reached = {code.root}
-        for y in sorted(children, reverse=True):
-            if y not in reached:
+    touched = set(children).union(*children.values())
+    if touched and not (0 <= min(touched) and max(touched) < code.domain):
+        return 0
+    # well-founded: no cycle through the nodes the root reaches (a search on
+    # an explicit stack); the nodes it marks are the root's transitive
+    # closure
+    reached = {code.root: 1}            # node -> 1 on the stack, 2 done
+    stack = [(code.root, iter(children.get(code.root, ())))]
+    while stack:
+        node, kids = stack[-1]
+        for child in kids:
+            mark = reached.get(child)
+            if mark == 1:
                 return 0
-            reached.update(children[y])
-        # every touched node is now reached, and none lies above the root,
-        # which is in the domain; only a negative id can fall outside it
-        if min(reached) < 0:
-            return 0
-    else:
-        touched = set(children).union(*children.values())
-        if touched and not (0 <= min(touched) and max(touched) < code.domain):
-            return 0
-        # well-founded: no cycle through the nodes the root reaches (a search
-        # on an explicit stack); the nodes it marks are the root's transitive
-        # closure
-        reached = {code.root: 1}        # node -> 1 on the stack, 2 done
-        stack = [(code.root, iter(children.get(code.root, ())))]
-        while stack:
-            node, kids = stack[-1]
-            for child in kids:
-                mark = reached.get(child)
-                if mark == 1:
-                    return 0
-                if mark is None:
-                    reached[child] = 1
-                    stack.append((child, iter(children.get(child, ()))))
-                    break
-            else:
-                reached[node] = 2
-                stack.pop()
-        # every touched node must sit in the transitive closure of the root,
-        # so the search above also covered every cycle among them
-        if not touched <= reached.keys():
-            return 0
+            if mark is None:
+                reached[child] = 1
+                stack.append((child, iter(children.get(child, ()))))
+                break
+        else:
+            reached[node] = 2
+            stack.pop()
+    # every touched node must sit in the transitive closure of the root, so
+    # the search above also covered every cycle among them
+    if not touched <= reached.keys():
+        return 0
     # extensional: no two reached nodes share a member set.  Every owner is
     # reached, and the child map holds no empty member tuple, so that holds
     # when the owners' member sets differ and at most one reached node (the
@@ -639,8 +638,8 @@ def _square_code(power_code: SetCode) -> SetCode:
 
 
 def _count_power(power_code: SetCode, _unused) -> Ordinal:
-    # counts the root's members without decoding them; the code is still
-    # validated, so a bad one raises InvalidCodeError
+    # counts the root's members without decoding them; the verdict is still
+    # read, so a bad code from outside raises InvalidCodeError
     return Ordinal.from_int(len(code_elements(power_code)))
 
 

@@ -704,7 +704,7 @@ class TestOnePassEncoder:
             assert all(type(kids) is tuple for kids in fresh._children.values())
             assert fresh._decoded == decoded
 
-    def test_first_decode_still_validates_once(self, monkeypatch):
+    def test_only_codes_from_outside_are_checked_once(self, monkeypatch):
         calls = []
         check = hfsets._check_code
 
@@ -713,13 +713,34 @@ class TestOnePassEncoder:
             return check(code)
 
         monkeypatch.setattr(hfsets, "_check_code", counting)
-        code = encode_hf(hf_powerset(HFSet(universe_of(3))))
+        argument = encode_hf(parse_hf("{{},{{}}}"))
+        # an encode_hf code, a Pot answer and _square_code's code hold the
+        # verdict their pass answered, and nothing checks them
+        own = [encode_hf(hf_powerset(HFSet(universe_of(3)))), argument,
+               powerset_code(argument), hfsets._square_code(argument)]
+        for code in own:
+            decode_set(code)
+            code_elements(code)
+            assert code.__dict__["_verdict"] == 1
         assert calls == []
-        decode_set(code)
-        assert len(calls) == 1 and calls[0] is code
-        decode_set(code)
-        code_elements(code)
-        assert len(calls) == 1
+        # a code given by its edges, a copy and an unpickled code are each
+        # checked once, on first decode
+        for code in own:
+            for outside in (SetCode(code.domain, code.edges, code.root), copy.copy(code),
+                            copy.deepcopy(code), pickle.loads(pickle.dumps(code))):
+                assert outside == code and "_verdict" not in outside.__dict__
+                calls.clear()
+                decode_set(outside)
+                decode_set(outside)
+                code_elements(outside)
+                assert calls == [outside]
+        # so is a flawed code given by a pass that answers no verdict
+        calls.clear()
+        flawed = code_from_children(2, 0, {0: [-1]})
+        for _ in range(2):
+            with pytest.raises(InvalidCodeError):
+                decode_set(flawed)
+        assert calls == [flawed] and flawed.__dict__["_verdict"] == 0
 
     def test_encoded_codes_skip_the_edge_check(self, monkeypatch):
         calls = []
@@ -931,8 +952,8 @@ def assert_same_code(got: SetCode, want: SetCode):
 
 
 def members_below_owners(code: SetCode) -> bool:
-    """Whether validate_code takes the code in one descending sweep, as it
-    does every code the encoders build, rather than by search."""
+    """Whether every member lies below its owner, as in every code the
+    encoders build; validate_code searches such a code like any other."""
     return all(kids[-1] < y for y, kids in code._children.items())
 
 
@@ -969,7 +990,7 @@ def shifted(children, by: int):
 
 
 # flaw -> (domain, root, child map) -> the flawed code's fields; the flaws
-# in SWEPT_FLAWS keep every member below its owner
+# in ORDERED_FLAWS keep every member below its owner, as an encoder would
 FLAWS = {
     "none": lambda d, r, ch: (d, r, ch),
     "self-loop": lambda d, r, ch: (d, r, {**ch, r: [*ch.get(r, ()), r]}),
@@ -984,24 +1005,24 @@ FLAWS = {
     "negative-member": lambda d, r, ch: (d, r, {**ch, r: [-1, *ch.get(r, ())]}),
     "member-outside-domain": lambda d, r, ch: (d, r, {**ch, r: [*ch.get(r, ()), d]}),
 }
-SWEPT_FLAWS = {"none", "unreached-owner", "two-empty-nodes", "duplicate-members",
-               "negative-member"}
+ORDERED_FLAWS = {"none", "unreached-owner", "two-empty-nodes", "duplicate-members",
+                 "negative-member"}
 
 
 class TestSweepAgreesWithSearch:
-    """validate_code sweeps a code whose members all lie below their owners
-    and searches any other; both must give reference_validate_code's
-    verdict."""
+    """validate_code checks a code from outside by one search, whether its
+    members all lie below their owners, as in the encoders' codes, or its
+    ids are shuffled; both must give reference_validate_code's verdict."""
 
     @staticmethod
     def check_flawed(base: SetCode, flaw: str, seed: int, extra: int):
         code = code_from_children(*FLAWS[flaw](base.domain, base.root,
                                                dict(base._children)))
-        assert members_below_owners(code) == (flaw in SWEPT_FLAWS)
+        assert members_below_owners(code) == (flaw in ORDERED_FLAWS)
         assert validate_code(code) == reference_validate_code(code) == (flaw == "none")
         if flaw in ("negative-member", "member-outside-domain") or not code._children:
             return      # permuted renames only the ids in the domain
-        # shuffle the ids until some edge points up, so that the search runs
+        # shuffle the ids until some edge points up
         rng = random.Random(seed)
         for _ in range(50):
             shuffled = permuted(code, rng, extra)
@@ -1243,6 +1264,52 @@ class TestPotAnswersNumberedOnFirstRead:
         assert numbered == []
 
 
+def own_codes(x: HFSet, count_only: bool):
+    """The codes a powercard_via_pot verdict on x builds: x's encode_hf code
+    and the Pot answers, with the square's code in full mode."""
+    code = encode_hf(x)
+    power = powerset_code(code)
+    if count_only:
+        return [code, power, powerset_code(power)]
+    square = hfsets._square_code(power)
+    return [code, power, square, powerset_code(square)]
+
+
+class TestNumberedCodesAreValid:
+    """encode_hf's and the Pot's numbering passes answer the verdict 1, so
+    nothing checks their codes at run time; here the check and its reference
+    accept every code the two passes build."""
+
+    @staticmethod
+    def assert_valid(codes):
+        for code in codes:
+            assert code._verdict == 1
+            assert hfsets._check_code(code) == reference_validate_code(code) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 15), max_size=5, unique=True),
+           st.randoms(use_true_random=False), st.integers(0, 2))
+    def test_on_subsets_of_v4(self, picks, rng, extra):
+        # the workloads' sizes: powercard takes up to 3 members in count-only
+        # mode and 1 in full mode, separation encodes up to 5
+        x = HFSet(universe_of(4)[i] for i in picks)
+        code = encode_hf(x)
+        self.assert_valid([code, powerset_code(code), powerset_code(permuted(code, rng, extra))])
+        if len(x) <= 3:
+            self.assert_valid(own_codes(x, count_only=True))
+        if len(x) <= 1:
+            self.assert_valid(own_codes(x, count_only=False))
+
+    @pytest.mark.parametrize("text,count_only,domain", [
+        ("{{},{{}}}", False, 65555),
+        ("{{},{{}},{{{}}},{{},{{}}}}", True, 65537),
+    ], ids=["full", "count-only"])
+    def test_on_the_large_reduce_instances(self, text, count_only, domain):
+        codes = own_codes(parse_hf(text), count_only)
+        assert codes[-1].domain == domain
+        self.assert_valid(codes)
+
+
 def code_fields(code: SetCode):
     """Everything of a code that its readers see."""
     return (code.domain, code.root, code._children, code.edges, hash(code), repr(code),
@@ -1284,13 +1351,14 @@ class TestNumberingMemo:
         v4 = universe_of(4)
         s = HFSet(v4[i] for i in picks)
         hfsets._numbering.cache_clear()
-        domain, root, children, decoded = hfsets._numbering(s)
+        domain, root, children, decoded, verdict = hfsets._numbering(s)
+        assert verdict == 1
         kept_children, kept_decoded = dict(children), dict(decoded)
         for c in (s, parse_hf(render_hf(s)), decode_set(permuted(encode_hf(s), rng))):
             code = encode_hf(c)
             assert code._children is children
             assert code._decoded is decoded and decoded[root] is c
-            assert "_verdict" not in code.__dict__ and "edges" not in code.__dict__
+            assert code.__dict__["_verdict"] == 1 and "edges" not in code.__dict__
             decode_set(code)
             for node in code_elements(code):
                 decode_element(code, node)
