@@ -35,7 +35,10 @@ The Pot oracle answers on codes: powerset_code checks its argument at once
 numbered on first read: the canonical code of the power set is built from
 the argument's child map, with no HFSet and no sort per subset, the first
 time anything of the answer is read.  An answer nothing reads, such as the
-second Pot answer of a count-only powercard run, is never numbered.
+second Pot answer of a count-only powercard run, is never numbered.  Equal
+arguments whose root is decoded share one answer of at most POWERSET_CAP
+members, within the last 128 sets (_pot_answer), so each such power set is
+numbered once while it is kept.
 
 encode_hf and the power-set numbering both number their nodes one rank at a
 time, lowest first, in the canonical order (member count, then member ids),
@@ -46,16 +49,18 @@ already.  The reference_powerset_code tests in tests/test_universe.py keep
 the two in agreement.
 
 The last part holds the powercard_via_pot entry's host subroutines and
-reference (ordq.reductions names them in its catalog).
+reference (ordq.reductions names them in its catalog).  The square code and
+the well-order search keep their last answer (_last_answer), so the replay
+of a row, which hands them the run's own objects, re-reads them.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations, filterfalse
-from operator import attrgetter
+from operator import attrgetter, is_
 from weakref import ref as _ref
 from typing import Dict, FrozenSet, Iterable, List, Tuple
 
@@ -402,8 +407,31 @@ def powerset_code(code: SetCode) -> SetCode:
     one of them.
     So a Pot answer that only passes through a ledger, as the second answer
     of a count-only powercard run does, is never numbered unless the ledger
-    is written as JSON."""
-    return _numbered_code(_number_powerset, (code, _capped_elements(code)))
+    is written as JSON.
+
+    Equal arguments share one answer, within the last 128 sets
+    (_pot_answer): when the argument's root is decoded already, the set x
+    it names keys the memo, and the answer, pending or numbered, depends on
+    x alone.  Only an answer small enough to be a Pot argument itself, of at
+    most POWERSET_CAP members, is kept: the power set of a 16-member square
+    is the 65,555-node relation code, which must go with its row.  An
+    argument whose root is not decoded, such as the first answer, which a
+    count-only run hands back to Pot, gets a new pending answer: it is not
+    decoded just to find a key."""
+    argument = (code, _capped_elements(code))
+    x = code._decoded.get(code.root)
+    if x is None or 1 << len(argument[1]) > POWERSET_CAP:
+        return _numbered_code(_number_powerset, argument)
+    answer = _pot_answer(x)
+    if not answer:                      # the first call on x numbers from its own code
+        # calls in two threads may both append; both return the first
+        answer.append(_numbered_code(_number_powerset, argument))
+    return answer[0]
+
+
+# a powercard workload's inputs recur, and so do their squares: one list per
+# set, which holds the set's one Pot answer once a call has put it there
+_pot_answer = lru_cache(maxsize=128, typed=True)(lambda x: [])
 
 
 def _number_powerset(argument: Tuple[SetCode, List[int]]
@@ -414,6 +442,9 @@ def _number_powerset(argument: Tuple[SetCode, List[int]]
     validated the argument, so the answer is valid.  No HFSet is built per
     subset.  The decoded nodes are the sets below x that the argument code
     has decoded, so that decoding the answer does not build them again.
+    What it answers depends on x alone, whatever the argument code's ids,
+    so powerset_code keeps one answer per set (reference_powerset_code in
+    tests/test_universe.py pins that).
 
     The nodes are numbered one rank at a time, lowest first, so the new ids
     of x's members numbered so far (the pool, ascending) end with the block
@@ -586,6 +617,29 @@ def _is_transitive(rows: List[int]) -> bool:
     return True
 
 
+def _last_answer(fn):
+    """fn, answering a call on the very objects of its last call from that
+    call: verify replays each row right after its run, and the replay hands
+    the host subroutines the run's own Pot answers, so its second evaluation
+    runs the same deterministic code on the same objects.  One entry, keyed
+    by the identity of the arguments, which it holds: a code's value is its
+    edge set, which is costly to build, and answers kept from row to row
+    would hold large codes."""
+    last = ((), None)
+
+    @wraps(fn)
+    def memo(*args):
+        nonlocal last
+        key, answer = last
+        if len(key) == len(args) and all(map(is_, key, args)):
+            return answer
+        answer = fn(*args)
+        last = args, answer
+        return answer
+    return memo
+
+
+@_last_answer
 def _minimal_well_order_length(power_code: SetCode, relations_code: SetCode) -> Ordinal:
     """Scan the relations for a well-ordering of the power set and return its
     length, n, at the first one found: every well-ordering of an n-element
@@ -627,6 +681,7 @@ def _minimal_well_order_length(power_code: SetCode, relations_code: SetCode) -> 
     raise ValueError("no well-ordering among the relations")
 
 
+@_last_answer
 def _square_code(power_code: SetCode) -> SetCode:
     """The code of s x s for the set s that power_code names.  A square the
     next Pot call must refuse is refused before it is built, with that

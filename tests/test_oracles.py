@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ordq import universe as u
+from ordq import hfsets, universe as u
 from ordq.logic import formula_index, parse_formula, universe_of
 from ordq.oracles import (
     DEC_CARD,
@@ -326,6 +326,7 @@ class TestLedger:
         # answer, whose text numbers it, and a valid code given by its edges
         code = u.encode_hf(u.parse_hf(text))
         if power:
+            hfsets._pot_answer.cache_clear()        # else an earlier test's answer comes back
             code = u.powerset_code(code)
             assert numbering_state(code) == "pending"
             first_read = str(code)

@@ -2,8 +2,12 @@
 references, report plumbing, and two-stage composition."""
 
 import copy
+import gc
+import json
 import pickle
 import random
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -411,6 +415,7 @@ class TestPotAnswersNumberedOnFirstRead:
         answers of one row take the power sets of distinct codes."""
         arguments = []
         number = hfsets._number_powerset
+        hfsets._pot_answer.cache_clear()        # else an earlier test's answers come back
 
         def counting(argument):
             arguments.append(argument[0])
@@ -446,6 +451,93 @@ class TestPotAnswersNumberedOnFirstRead:
         report = verify(catalog("powercard_via_pot"), None, [code_of(*V3[:2])])
         assert report.passed and report.rows[0].output_text == "4"
         assert len(numbered) == 2
+
+
+class TestReplayRereadsHostAnswers:
+    """verify replays a row on the run's own Pot answers, so the replay's
+    host subroutines answer from their last call, and equal Pot arguments
+    share one answer; neither changes a report."""
+
+    def test_a_full_row_runs_each_host_body_once(self):
+        hfsets._pot_answer.cache_clear()        # so the row's answers are new objects
+        bodies = {hfsets._square_code.__wrapped__.__code__: "square",
+                  hfsets._minimal_well_order_length.__wrapped__.__code__: "length"}
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in bodies:
+                calls.append(bodies[frame.f_code])
+
+        before = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            report = verify(catalog("powercard_via_pot"), None, [code_of(*V3[:2])])
+        finally:
+            sys.setprofile(before)
+        assert report.passed and report.rows[0].replay_ok
+        assert sorted(calls) == ["length", "square"]
+
+    def test_the_replay_asks_pot_for_the_runs_square(self):
+        spec = catalog("powercard_via_pot")
+        code = code_of(*V3[:2])
+        res = run_once(spec, None, code)
+        again = tam.replay(spec.make_program(), code, res)
+        assert again == res
+        assert again.ledger.entries[1].query is res.ledger.entries[1].query
+
+    @pytest.mark.parametrize("size", [0, 1, 2])
+    def test_host_bodies_answer_alike_on_fresh_objects(self, size):
+        # the replay re-reads the run's answers instead of running these
+        # bodies again, so the suite runs each twice on fresh, equal codes
+        def evaluate():
+            hfsets._pot_answer.cache_clear()
+            power = u.powerset_code(code_of(*V3[:size]))
+            square = hfsets._square_code.__wrapped__(power)
+            relations = u.powerset_code(square)
+            return square, hfsets._minimal_well_order_length.__wrapped__(power, relations)
+
+        (square, length), (again, length_again) = evaluate(), evaluate()
+        assert again is not square and again == square
+        assert length_again == length == Ordinal.from_int(2 ** size)
+
+    def test_each_rows_relation_code_goes_with_the_next_row(self, monkeypatch):
+        # the Pot answer on a 16-member square, the 65,555-node relation
+        # code, is not kept in the Pot answer memo; the well-order search
+        # keeps it only until its next call
+        answers = []
+        powerset_code = hfsets.powerset_code
+
+        def watching(code):
+            answer = powerset_code(code)
+            if len(u.code_elements(code)) == hfsets.POWERSET_CAP:
+                answers.append(weakref.ref(answer))
+            return answer
+
+        monkeypatch.setattr(hfsets, "powerset_code", watching)
+        spec = catalog("powercard_via_pot")
+        for row, members in enumerate([V3[:2], V3[1:3], V3[2:4]]):
+            assert verify(spec, None, [code_of(*members)]).passed
+            gc.collect()
+            assert len(answers) == row + 1
+            assert [answer() is None for answer in answers[:row]] == [True] * row
+
+    def test_reports_and_ledgers_read_alike_from_a_cold_and_a_warm_memo(self):
+        rng = random.Random(11)
+        sets = [[], V3[:1], V3[:2], V3[1:3], V3[:2], [], V3[:1]]
+        cases = [(catalog("powercard_via_pot", count_only=count_only), code)
+                 for members in sets for count_only in (False, True)
+                 for code in (code_of(*members), permuted(code_of(*members), rng, 1))]
+
+        def texts():
+            return [(json.dumps(report.to_json(), sort_keys=True), report.render_table(),
+                     json.dumps(run_once(spec, None, code).ledger.to_json()))
+                    for spec, code in cases for report in [verify(spec, None, [code])]]
+
+        hfsets._pot_answer.cache_clear()
+        hfsets._numbering.cache_clear()
+        cold = texts()
+        assert hfsets._pot_answer.cache_info().hits > 0
+        assert texts() == cold
 
 
 def reference_is_strict_total_order(edges, n):

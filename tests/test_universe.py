@@ -1135,6 +1135,7 @@ class TestPowersetCode:
 
     def test_the_answer_carries_its_child_map(self):
         x = parse_hf(SUBSET_MEMBERS[1])
+        hfsets._pot_answer.cache_clear()        # else an earlier test's answer comes back
         code = powerset_code(encode_hf(x))
         # numbered on first read: reading the root stores the child map
         assert numbering_state(code) == "pending"
@@ -1214,11 +1215,15 @@ class TestPotAnswersNumberedOnFirstRead:
         code = encode_hf(HFSet(v4[i] for i in picks))
         want = reference_powerset_code(code)
         for argument in (code, permuted(code, rng, extra)):
+            # cleared before each call, or the answers for the decoded
+            # argument code would all be the one forced answer
+            hfsets._pot_answer.cache_clear()
             forced = powerset_code(argument)
             forced.root
             assert numbering_state(forced) == "numbered"
             assert forced == want and want == forced and hash(forced) == hash(want)
             for name, read in FIRST_READS.items():
+                hfsets._pot_answer.cache_clear()
                 pending = powerset_code(argument)
                 assert numbering_state(pending) == "pending"
                 got = read(pending)
@@ -1230,6 +1235,7 @@ class TestPotAnswersNumberedOnFirstRead:
         # encode_hf keeps the decoded nodes of the argument, which the
         # numbering hands on to the answer
         argument = encode_hf(parse_hf(SUBSET_MEMBERS[1]))
+        hfsets._pot_answer.cache_clear()        # else an earlier test's answer comes back
         answer = powerset_code(argument)
         decoded = answer._decoded
         assert numbering_state(answer) == "numbered" and len(decoded) == 4
@@ -1239,6 +1245,7 @@ class TestPotAnswersNumberedOnFirstRead:
 
     def test_other_names_raise_and_leave_the_answer_pending(self):
         # only the fields a numbering answers number the answer
+        hfsets._pot_answer.cache_clear()        # else an earlier test's answer comes back
         answer = powerset_code(encode_hf(parse_hf(SUBSET_MEMBERS[1])))
         for name in ("no_such_field", "edge", "_number_powerset", "__setstate__"):
             with pytest.raises(AttributeError):
@@ -1262,6 +1269,68 @@ class TestPotAnswersNumberedOnFirstRead:
         with pytest.raises(error):
             reference_powerset_code(code)
         assert numbered == []
+
+
+class TestPotAnswerMemo:
+    """Equal Pot arguments whose root is decoded share one answer, within
+    the last 128 sets, and the memo comes after both checks."""
+
+    def test_equal_arguments_built_apart_share_one_answer(self):
+        hfsets._pot_answer.cache_clear()
+        x = parse_hf(SUBSET_MEMBERS[1])
+        code = encode_hf(x)
+        apart = permuted(code, random.Random(5), 2)     # given by its edges
+        # an argument whose root is not decoded gets a new pending answer,
+        # and no lookup
+        pending = powerset_code(apart)
+        assert numbering_state(pending) == "pending"
+        assert hfsets._pot_answer.cache_info()[:2] == (0, 0)
+        assert decode_set(apart) is x
+        answer = powerset_code(code)
+        assert powerset_code(apart) is answer and powerset_code(encode_hf(x)) is answer
+        assert hfsets._pot_answer.cache_info()[:2] == (2, 1)     # (hits, misses)
+        want = reference_powerset_code(apart)
+        assert_same_code(answer, want)
+        assert answer == want == pending and pending is not answer
+
+    @pytest.mark.parametrize("code,error", [
+        (SetCode(2, [cantor_pair(0, 1), cantor_pair(1, 0)], 0), InvalidCodeError),
+        (SetCode(3, [-1], 0), InvalidCodeError),
+        (encode_hf(HFSet(nest(i) for i in range(POWERSET_CAP + 1))), PowersetCapError),
+    ], ids=["two-cycle", "negative-edge", "17-members"])
+    def test_a_warm_memo_skips_no_check(self, code, error):
+        powerset_code(encode_hf(parse_hf(SUBSET_MEMBERS[0])))
+        try:
+            if error is PowersetCapError:       # an answer held for the 17-member set
+                hfsets._pot_answer(decode_set(code)).append(powerset_code(encode_hf(EMPTY_SET)))
+            before = hfsets._pot_answer.cache_info()
+            with pytest.raises(error):
+                powerset_code(code)
+            assert hfsets._pot_answer.cache_info() == before
+        finally:
+            hfsets._pot_answer.cache_clear()
+
+    def test_only_answers_of_at_most_16_members_are_kept(self):
+        hfsets._pot_answer.cache_clear()
+        four = encode_hf(HFSet(nest(i) for i in range(4)))
+        five = encode_hf(HFSet(nest(i) for i in range(5)))
+        assert powerset_code(four) is powerset_code(four)
+        assert powerset_code(five) is not powerset_code(five)
+        assert hfsets._pot_answer.cache_info()[:2] == (1, 1)     # (hits, misses)
+
+    def test_the_memo_keeps_the_last_128_sets(self):
+        hfsets._pot_answer.cache_clear()
+        v4 = universe_of(4)
+        sets = [HFSet(c) for k in range(3) for c in itertools.combinations(v4, k)][:129]
+        first = powerset_code(encode_hf(sets[0]))
+        assert powerset_code(encode_hf(sets[0])) is first
+        for x in sets[1:]:
+            powerset_code(encode_hf(x))
+        info = hfsets._pot_answer.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 129, 128)
+        again = powerset_code(encode_hf(sets[0]))
+        assert again is not first and again == first
+        assert hfsets._pot_answer.cache_info().misses == 130
 
 
 def own_codes(x: HFSet, count_only: bool):
