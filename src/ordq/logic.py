@@ -30,18 +30,27 @@ map to the canonical false formula instead of erroring.  Each node about
 squares the index, so formula_index refuses one of more than _DIGITS_CAP
 digits (InputError): ledgers and reports print it.
 
-Evaluation is bit-parallel over the innermost quantified variable, on
+Evaluation is bit-parallel over the innermost quantified variables, on
 Ackermann's numbering (Ackermann 1937): a set is numbered by the sum of
 2^m over the numbers m of its members, so V_rank is the naturals below
 n = |V_rank| (0, 1, 2, 4, 16, 65536 for ranks 0..5), the members of y are
 the one bits of y, and the sets that contain x form a periodic bit
-pattern.  The matrix compiles to a function from the numbers of the outer
-variables and the parameters to an n-bit mask, the values of the
-innermost variable that make it true; !, & and | are bit operations.  The
-innermost E asks for a nonzero mask and the innermost A for a full one, so
-q quantifiers cost n^(q-1) mask walks instead of n^q walks down the
-matrix.  An evaluation needing more than 65,536 walks (rank 5 with three
-quantifiers, rank 4 with six) raises RankError before it starts.
+pattern.  The matrix compiles to a function from the numbers of the
+walked variables and the parameters to a mask over the values of the
+folded ones; !, & and | are bit operations.  At ranks 1-4 under two
+quantifiers or more the two innermost variables u and y fold into an
+n x n plane of at most 256 bits, bit u*n + y standing for (u, y): a
+y-atom is a row mask copied to every row, a u-atom selects whole rows,
+and u in y, y in u and u = y are fixed masks.  One test on the plane
+decides both quantifiers: EE asks for a nonzero mask, AA for a full one,
+EA for a full row and AE for no zero row, which the borrows of one
+subtraction find.  So q quantifiers cost n^(q-2) mask walks instead of
+n^q walks down the matrix; at rank 0, at rank 5 and under one quantifier
+y folds alone, into one row of n bits, and q quantifiers cost n^(q-1)
+walks.  The rule on work is the same at every rank: an evaluation may
+decide at most 65,536 rows of n bits, one per assignment of the variables
+above y, n^(q-1) in all; rank 5 with three quantifiers or rank 4 with
+six raises RankError before it starts.
 
 The truth oracles' answers (_sigma_truth) are memoized, 32 at a time.  The
 separation reference asks the very queries the run's truth oracle asked,
@@ -69,7 +78,7 @@ TAG_IN, TAG_EQ, TAG_NOT, TAG_AND, TAG_OR, TAG_EXISTS, TAG_FORALL = range(7)
 MAX_RANK = 5
 # |V_rank| for each rank: V_0 is empty and V_{r+1} is the power set of V_r
 _SIZES = (0, 1, 2, 4, 16, 65536)
-_MAX_WALKS = _SIZES[MAX_RANK]      # the most mask walks one evaluation may take
+_MAX_ROWS = _SIZES[MAX_RANK]       # the most n-bit rows one evaluation may decide
 
 
 class FormulaError(ValueError):
@@ -420,27 +429,76 @@ def _owners(size: int) -> List[int]:
     return rows + [0] * (size - len(rows))
 
 
+@functools.lru_cache(maxsize=None)
+def _tables(size: int) -> tuple:
+    """(low, in_y, pair, rows) of the size x size plane, whose bit
+    u*size + y stands for the pair (u, y).  low, the lowest bit of each
+    row, copies a row mask to every row; in_y[x] is the mask of x in y;
+    pair holds the masks of u = y, u in y and y in u, and rows, per
+    x < size, the whole rows u with u = x, u in x and x in u."""
+    line, owners = (1 << size) - 1, _owners(size)
+
+    def plane(row) -> int:
+        """The mask whose row u is row(u)."""
+        return sum(row(u) << u * size for u in range(size))
+
+    low = plane(lambda u: 1)
+    # row u holds u's bit, the sets that hold u, u's members
+    pair = [plane(row) for row in (lambda u: 1 << u, owners.__getitem__, int)]
+    rows = [[plane(lambda u: line * (m >> u & 1)) for m in masks] for masks in
+            ([1 << x for x in range(size)], range(size), owners)]
+    return low, [o * low for o in owners], pair, rows
+
+
+@functools.lru_cache(maxsize=None)
+def _plane(rank: int, last: Tuple[str, ...]) -> tuple:
+    """How _compile folds a prefix ending in `last`, its last two
+    quantifiers, over V_rank: (folded, full, low, test, in_y, pair, rows).
+    At ranks 1-4 under two quantifiers or more, the innermost variables u
+    and y fold into the size x size plane (see _tables); otherwise y alone
+    folds, into one row.  full has a bit per value of the folded
+    variables, and test decides their quantifiers on a mask."""
+    size = _SIZES[rank]
+    folded = len(last) == 2 and 1 <= rank <= 4
+    low, in_y, pair, rows = _tables(size) if folded else (1, _owners(size), (), ())
+    full = (1 << size * (size if folded else 1)) - 1
+    # E asks for a nonzero row and A for a full one; a row is zero exactly
+    # where subtracting low borrows into the row's high bit
+    high = low << size >> 1
+    qu, qy = (last if folded else last[-1:] * 2) or (EXISTS, EXISTS)
+    if qu == qy:
+        test = full.__eq__ if qy == FORALL else bool
+    elif qu == EXISTS:          # some row of full ^ m is zero
+        test = lambda m: (full ^ m) - low & m & high != 0
+    else:                       # no row of m is zero
+        test = lambda m: (m - low) & ~m & high == 0
+    return folded, full, low, test, in_y, pair, rows
+
+
 @functools.lru_cache(maxsize=32)
 def _compile(f: Formula, rank: int):
-    """(matrix, full) for a closed f over V_rank.  matrix maps the slot
-    values (numbers of the outer variables, then of the parameters) to the
-    mask of innermost values that satisfy f's matrix; full has a bit per set
-    of V_rank.  An atom without the innermost variable (with no quantifier,
-    every atom) gives full or 0."""
+    """(matrix, test, outer) for a closed f over V_rank.  The first outer
+    variables are walked; matrix maps their numbers, then the parameters',
+    to the mask of the values of the folded variables (see _plane) that
+    satisfy f's matrix, and test decides the folded quantifiers on it.  An
+    atom without a folded variable (with no quantifier, every atom) gives
+    full or 0."""
     if free_variables(f):
         raise FormulaError(f"cannot evaluate open formula {render_formula(f)}")
     size = _SIZES[rank]
     q = len(f.prefix)
     outer = max(q - 1, 0)
-    if size ** outer > _MAX_WALKS:
+    if size ** outer > _MAX_ROWS:
         raise RankError(f"{q} quantifiers over V_{rank} take {size}^{outer} "
-                        f"mask walks, over the cap of {_MAX_WALKS}")
-    owners = _owners(size)
-    full = (1 << size) - 1
-    inner = ("var", q - 1)
+                        f"mask walks, over the cap of {_MAX_ROWS}")
+    folded, full, low, test, in_y, pair, rows = _plane(rank, f.prefix[-2:])
+    outer -= folded
 
     def slot(t: tuple) -> int:
-        return t[1] if t[0] == "var" else outer + t[1]
+        """A term's place in vals; -1 for y and -2 for u, which fold."""
+        if t[0] == "param":
+            return outer + t[1]
+        return t[1] if t[1] < outer else t[1] - q
 
     def build(node: tuple):
         kind = node[0]
@@ -452,41 +510,42 @@ def _compile(f: Formula, rank: int):
             if kind == "and":
                 return lambda vals: g(vals) & h(vals)
             return lambda vals: g(vals) | h(vals)
-        left, right = node[1], node[2]
-        if left == inner and right == inner:
-            constant = 0 if kind == "in" else full
+        a, b = slot(node[1]), slot(node[2])
+        i = 0 if kind == "eq" else 1 if a == -2 else 2      # u = ., u in ., . in u
+        if a < 0 and b < 0:
+            constant = (0 if kind == "in" else full) if a == b else pair[i]
             return lambda vals: constant
-        if inner in (left, right):
-            j = slot(right if left == inner else left)
+        if -1 in (a, b):
+            j = a + b + 1
             if kind == "eq":
-                return lambda vals: 1 << vals[j]
-            if left == inner:
-                return lambda vals: vals[j]         # y's members are y's bits
-            return lambda vals: owners[vals[j]]
-        a, b = slot(left), slot(right)
+                return lambda vals: low << vals[j]
+            if a == -1:
+                return lambda vals: vals[j] * low       # x's members are x's bits
+            return lambda vals: in_y[vals[j]]
+        if -2 in (a, b):
+            table, j = rows[i], a + b + 2
+            return lambda vals: table[vals[j]]
         if kind == "eq":
             return lambda vals: full if vals[a] == vals[b] else 0
         return lambda vals: full if vals[b] >> vals[a] & 1 else 0
 
-    return build(f.matrix), full
+    return build(f.matrix), test, outer
 
 
 def eval_formula(f: Formula, env: TruthEnv) -> int:
     """Truth value of f over V_env.rank with env.params: the outer
-    quantifiers are enumerated, the innermost one is decided on a bitset."""
-    matrix, full = _compile(f, env.rank)
+    quantifiers are enumerated, the folded ones are decided on a bitset."""
+    matrix, test, outer = _compile(f, env.rank)
     if f.num_params > len(env.params):
         raise FormulaError(
             f"formula uses {f.num_params} parameters, env provides {len(env.params)}")
     prefix = f.prefix
-    last = len(prefix) - 1
     size = _SIZES[env.rank]
-    vals = [0] * max(last, 0) + [_position(p) for p in env.params]
+    vals = [0] * outer + [_position(p) for p in env.params]
 
     def quantify(position: int) -> bool:
-        if position >= last:
-            mask = matrix(vals)
-            return mask == full if last >= 0 and prefix[last] == FORALL else mask != 0
+        if position >= outer:
+            return test(matrix(vals))
         # E stops at the first true value, A at the first false one
         exists = prefix[position] == EXISTS
         for x in range(size):

@@ -268,8 +268,8 @@ class TestEval:
             TruthEnv(2, ("nope",))
 
     def test_evaluations_over_the_walk_cap_are_refused(self):
-        # q quantifiers over V_rank take |V_rank|^(q-1) mask walks; more
-        # than 65,536 is refused before the first walk
+        # q quantifiers over V_rank decide |V_rank|^(q-1) rows of |V_rank|
+        # bits; more than 65,536 is refused before the first walk
         for text, env in [("A v0 A v1 E v2 (v2 = v2 & #0 = #0)", TruthEnv(5, (EMPTY_SET,))),
                           ("E v0 E v1 E v2 E v3 E v4 E v5 (v0 in v5)", TruthEnv(4))]:
             with pytest.raises(RankError):
@@ -352,10 +352,11 @@ def reference_eval_formula(f: Formula, env: TruthEnv) -> int:
 
 @st.composite
 def closed_formulas(draw):
-    """A closed formula with 0-3 quantifiers at a rank 0-4, and parameters
+    """A closed formula with 0-3 quantifiers at a rank 0-4, or 0-4 at a
+    rank 0-3, so that a walked quantifier sits above the plane; parameters
     drawn from that rank's universe."""
     rank = draw(st.integers(0, 4))
-    binders = draw(st.integers(0, 3))
+    binders = draw(st.integers(0, 4 if rank <= 3 else 3))
     prefix = tuple(draw(st.sampled_from((EXISTS, FORALL))) for _ in range(binders))
     domain = universe_of(rank)
     slots = draw(st.integers(0, 2)) if domain else 0
@@ -402,6 +403,35 @@ class TestBitsetEval:
         ("A v0 E v1 (v1 in v0 | v0 = v1)", 5, (), 1),
         ("E v0 A v1 (v1 in v0 | v1 = v0)", 5, (), 0),
         ("E v0 (#0 in v0)", 5, ("{{{{}}}}",), 1),
+        # the two innermost variables u, y on one plane at ranks 1-4 (rows
+        # of 1, 2, 4 and 16 bits), against each other, a parameter and a
+        # walked variable; EE
+        ("E v0 E v1 E v2 (v1 in v2 & v2 in v0)", 3, (), 1),
+        ("E v0 E v1 (v0 in v1 & v1 = #0)", 2, ("{{}}",), 1),
+        ("A v0 E v1 E v2 (v2 = v1 & !(v1 in v0))", 4, (), 1),
+        ("E v0 E v1 (v0 in v1)", 1, (), 0),
+        # EA: some row is full
+        ("E v0 A v1 (v1 in v0 | v1 = v0)", 1, (), 1),
+        ("A v0 E v1 A v2 (v2 in v1 | !(v2 in v0))", 4, (), 1),
+        ("E v0 A v1 (v0 = #0 & !(v1 in v0))", 3, ("{}",), 1),
+        ("E v0 A v1 (v0 in v1 | v0 = v1)", 2, (), 1),
+        # AE: no row is zero
+        ("A v0 E v1 (v0 in v1)", 4, (), 0),
+        ("A v0 E v1 (v0 in v1)", 1, (), 0),
+        ("A v0 A v1 E v2 (v2 = v1 | v0 in v2)", 2, (), 1),
+        ("A v0 E v1 (v1 in v0 | #0 in v0)", 3, ("{}",), 0),
+        ("E v0 A v1 E v2 (v1 in v2 & !(v2 = v0))", 3, (), 0),
+        ("A v0 E v1 A v2 E v3 (v3 = v2 & v1 in v0 | v0 = v1)", 2, (), 1),
+        # AA
+        ("A v0 A v1 (!(v0 in v1) | !(v1 in v0))", 4, (), 1),
+        ("E v0 A v1 A v2 (v1 = v2 | !(v0 = v1))", 3, (), 0),
+        ("A v0 A v1 (v1 in v0 | !(v1 in #0))", 2, ("{{}}",), 0),
+        ("A v0 A v1 (v0 = v1 | v0 in v1 | v1 in v0)", 1, (), 1),
+        # no plane at ranks 0 and 5: y folds alone
+        ("E v0 E v1 (v0 = v1)", 0, (), 0),
+        ("A v0 A v1 E v2 (v1 in v2)", 0, (), 1),
+        ("E v0 E v1 (v1 in v0 & v0 = #0)", 5, ("{{}}",), 1),
+        ("A v0 A v1 (v1 in v0 | v0 = #0)", 5, ("{}",), 0),
     ])
     def test_edge_cases(self, text, rank, params, expected):
         f = parse_formula(text)
@@ -425,16 +455,30 @@ class TestBitsetEval:
         for rank in range(5):
             assert eval_formula(FALSE_FORMULA, TruthEnv(rank)) == 0
 
-    @pytest.mark.parametrize("rank", [3, 4])
+    @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_bitsets_agree_with_membership(self, rank):
         # Ackermann's numbering: universe_of(rank)[y] is numbered y, and
         # x in y iff bit x of y is set, which the owner rows also say
         domain = universe_of(rank)
-        owners = logic._owners(len(domain))
-        assert [logic._position(s) for s in domain] == list(range(len(domain)))
+        n = len(domain)
+        owners = logic._owners(n)
+        assert [logic._position(s) for s in domain] == list(range(n))
         for x, a in enumerate(domain):
             for y, b in enumerate(domain):
                 assert y >> x & 1 == owners[x] >> y & 1 == (a in b)
+        # the plane: bit u*n + y stands for (u, y); the pair masks say
+        # u = y, u in y and y in u, the row tables u = x, u in x and x in u
+        # on every y, and in_y[x] says x in y on every row
+        folded, full, low, _, in_y, pair, rows = logic._plane(rank, (EXISTS, FORALL))
+        assert folded and full == (1 << n * n) - 1
+        for u, a in enumerate(domain):
+            assert low >> u * n & ((1 << n) - 1) == 1
+            for y, b in enumerate(domain):
+                bit = u * n + y
+                assert [m >> bit & 1 for m in pair] == [a == b, a in b, b in a]
+                for x, c in enumerate(domain):
+                    assert [table[x] >> bit & 1 for table in rows] == [a == c, a in c, c in a]
+                    assert in_y[x] >> bit & 1 == (c in b)
 
     def test_decoded_formulas_are_shared(self):
         k = formula_index(parse_formula("E v0 A v1 (v1 in v0 | v1 = #0)"))
