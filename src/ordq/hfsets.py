@@ -32,21 +32,22 @@ encode_hf numbers its code at once, with a pass that is memoized for the
 last 128 sets: the codes of one set share its child map and decoded nodes.
 The Pot oracle answers on codes: powerset_code checks its argument at once
 (InvalidCodeError, then PowersetCapError) and returns a code that is
-numbered on first read: the canonical code of the power set is built from
-the argument's child map, with no HFSet and no sort per subset, the first
-time anything of the answer is read.  An answer nothing reads, such as the
-second Pot answer of a count-only powercard run, is never numbered.  Equal
-arguments whose root is decoded share one answer of at most POWERSET_CAP
-members, within the last 128 sets (_pot_answer), so each such power set is
+numbered on first read: the first time anything of the answer is read, one
+pass decodes the set x that the argument names and builds the canonical
+code of its power set from the sets below x, with no HFSet and no sort per
+subset.  An answer nothing reads, such as the second Pot answer of a
+count-only powercard run, is never numbered.  Equal arguments whose root is
+decoded share one answer of at most POWERSET_CAP members, within the last
+128 sets (_pot_answer, a memo of the answers), so each such power set is
 numbered once while it is kept.
 
 encode_hf and the power-set numbering both number their nodes one rank at a
 time, lowest first, in the canonical order (member count, then member ids),
 written two ways: encode_hf sorts each rank's member-id tuples, and the
 power-set numbering lists each rank's subsets with itertools.combinations
-over the new ids of the argument's members, which come out in that order
-already.  The reference_powerset_code tests in tests/test_universe.py keep
-the two in agreement.
+over the new ids of x's members, which come out in that order already.
+The reference_powerset_code tests in tests/test_universe.py keep the two in
+agreement.
 
 The last part holds the powercard_via_pot entry's host subroutines and
 reference (ordq.reductions names them in its catalog).  The square code and
@@ -411,40 +412,36 @@ def powerset_code(code: SetCode) -> SetCode:
 
     Equal arguments share one answer, within the last 128 sets
     (_pot_answer): when the argument's root is decoded already, the set x
-    it names keys the memo, and the answer, pending or numbered, depends on
-    x alone.  Only an answer small enough to be a Pot argument itself, of at
-    most POWERSET_CAP members, is kept: the power set of a 16-member square
-    is the 65,555-node relation code, which must go with its row.  An
-    argument whose root is not decoded, such as the first answer, which a
-    count-only run hands back to Pot, gets a new pending answer: it is not
-    decoded just to find a key."""
-    argument = (code, _capped_elements(code))
+    it names keys the memo, which holds x's one answer, pending or
+    numbered.  Only an answer small enough to be a Pot argument itself, of
+    at most POWERSET_CAP members, is kept: the power set of a 16-member
+    square is the 65,555-node relation code, which must go with its row.
+    An argument whose root is not decoded, such as the first answer, which
+    a count-only run hands back to Pot, gets a new pending answer: it is
+    not decoded just to find a key."""
+    elements = _capped_elements(code)
     x = code._decoded.get(code.root)
-    if x is None or 1 << len(argument[1]) > POWERSET_CAP:
-        return _numbered_code(_number_powerset, argument)
-    answer = _pot_answer(x)
-    if not answer:                      # the first call on x numbers from its own code
-        # calls in two threads may both append; both return the first
-        answer.append(_numbered_code(_number_powerset, argument))
-    return answer[0]
+    if x is None or 1 << len(elements) > POWERSET_CAP:
+        return _numbered_code(_number_powerset, code)
+    return _pot_answer(x)
 
 
-# a powercard workload's inputs recur, and so do their squares: one list per
-# set, which holds the set's one Pot answer once a call has put it there
-_pot_answer = lru_cache(maxsize=128, typed=True)(lambda x: [])
+# a powercard workload's inputs recur, and so do their squares
+@lru_cache(maxsize=128, typed=True)
+def _pot_answer(x: HFSet) -> SetCode:
+    """x's one Pot answer, pending until first read."""
+    return _numbered_code(_number_powerset, encode_hf(x))
 
 
-def _number_powerset(argument: Tuple[SetCode, List[int]]
+def _number_powerset(code: SetCode
                      ) -> Tuple[int, int, Dict[int, Tuple[int, ...]], Dict[int, HFSet], int]:
     """powerset_code's numbering pass: the domain, root, child map, decoded
-    nodes and verdict of the power set of the set x that the argument's
-    code names, from x's child map and x's members; powerset_code has
-    validated the argument, so the answer is valid.  No HFSet is built per
-    subset.  The decoded nodes are the sets below x that the argument code
-    has decoded, so that decoding the answer does not build them again.
-    What it answers depends on x alone, whatever the argument code's ids,
-    so powerset_code keeps one answer per set (reference_powerset_code in
-    tests/test_universe.py pins that).
+    nodes and verdict of the power set of the set x that code names, which
+    powerset_code has validated, so the answer is valid.  The pass decodes
+    x and numbers from the sets below x, so what it answers depends on x
+    alone, whatever the code's ids (reference_powerset_code in
+    tests/test_universe.py pins that).  No HFSet is built per subset, and
+    the decoded nodes are the sets below x, the live sets themselves.
 
     The nodes are numbered one rank at a time, lowest first, so the new ids
     of x's members numbered so far (the pool, ascending) end with the block
@@ -454,45 +451,31 @@ def _number_powerset(argument: Tuple[SetCode, List[int]]
     canonical order.  The nodes below x that are not subsets (each has a
     member outside x) are merged in by one sort over the two sorted runs,
     and each node below x is found in the merged order by bisection."""
-    code, elements = argument
-    children = code._children
-    rank: Dict[int, int] = {}           # old id -> rank, for the nodes below x
-    for n in elements:                  # members first, on an explicit stack
-        stack = [n]
-        while n not in rank:
-            m = stack[-1]
-            todo = [c for c in children.get(m, ()) if c not in rank]
-            if todo:
-                stack += todo
-            elif stack.pop() not in rank:      # m may be on the stack twice
-                rank[m] = 1 + max(map(rank.__getitem__, children.get(m, ())), default=-1)
-    x_rank = 1 + max(map(rank.__getitem__, elements), default=-1)
-    below: List[List[int]] = [[] for _ in range(x_rank + 1)]
-    for n, r in rank.items():
-        below[r].append(n)
-    in_x = set(elements)
-    new: Dict[int, int] = {}            # old id -> new id, for the nodes below x
+    x = decode_set(code)
+    below: List[List[HFSet]] = [[] for _ in range(x.rank + 1)]
+    for node in transitive_closure(x) - {x}:
+        below[node.rank].append(node)
+    new: Dict[HFSet, int] = {}          # node below x -> its new id
     others: List[int] = []              # new ids of the nodes below x that are not subsets
     pool: List[int] = []                # new ids of x's members numbered so far
     subsets: List[Tuple[int, ...]] = [()]       # the rank's subsets, in canonical order
     new_children: Dict[int, Tuple[int, ...]] = {}
     base = 0                            # the first id of the rank
-    for r in range(x_rank + 1):
+    for r, group in enumerate(below):
         inside, outside = [], []
-        for n in below[r]:
-            kids = children.get(n, ())
-            t = tuple(sorted(map(new.__getitem__, kids)))
-            (inside if in_x.issuperset(kids) else outside).append((len(t), t, n))
+        for node in group:
+            t = tuple(sorted(map(new.__getitem__, node)))
+            (inside if x.issuperset(node) else outside).append((len(t), t, node))
         order = subsets
         if outside:
             order = sorted(subsets + [t for _, t, _ in sorted(outside)], key=_size_and_ids)
-        for k, t, n in inside + outside:
-            new[n] = base + bisect_left(order, (k, t), key=_size_and_ids)
-        others += [new[n] for _, _, n in outside]
+        for k, t, node in inside + outside:
+            new[node] = base + bisect_left(order, (k, t), key=_size_and_ids)
+        others += [new[node] for _, _, node in outside]
         if r:                           # rank 0 is the empty set, which has no members
             new_children.update(zip(range(base, base + len(order)), order))
         base += len(order)
-        block = sorted(new[e] for e in below[r] if e in in_x)
+        block = sorted(new[e] for e in group if e in x)
         earlier = len(pool)
         pool += block
         subsets = []
@@ -503,8 +486,7 @@ def _number_powerset(argument: Tuple[SetCode, List[int]]
                 subsets += [t for t in combos if t[-1] >= block[0]] if k <= earlier else combos
     # the power set, the one node of the top rank, has every subset as a member
     new_children[base] = tuple(filterfalse(set(others).__contains__, range(base)))
-    old = code._decoded
-    return base + 1, base, new_children, {new[n]: old[n] for n in rank if n in old}, 1
+    return base + 1, base, new_children, {i: node for node, i in new.items()}, 1
 
 
 def validate_code(code: SetCode) -> int:

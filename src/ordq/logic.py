@@ -489,8 +489,8 @@ def _compile(f: Formula, rank: int):
     q = len(f.prefix)
     outer = max(q - 1, 0)
     if size ** outer > _MAX_ROWS:
-        raise RankError(f"{q} quantifiers over V_{rank} take {size}^{outer} "
-                        f"mask walks, over the cap of {_MAX_ROWS}")
+        raise RankError(f"{q} quantifiers over V_{rank} decide {size}^{outer} rows of "
+                        f"{size} bits, over the cap of {_MAX_ROWS}")
     folded, full, low, test, in_y, pair, rows = _plane(rank, f.prefix[-2:])
     outer -= folded
 

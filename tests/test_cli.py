@@ -341,14 +341,14 @@ class TestReduce:
         assert one_line_error(capsys) == message
 
     def test_evaluation_over_the_walk_cap_exits_2(self, capsys):
-        # three quantifiers over V_5 would take 65,536^2 mask walks per call
+        # three quantifiers over V_5 would decide 65,536^2 rows per call
         start = time.perf_counter()
         code = run_cli("reduce", "sep_via_truth", "--rank", "5", "--level", "3",
                        "--input", "{{},{{}}}",
                        "--formula", "A v0 A v1 E v2 (v2 = v2 & #0 = #0)")
         assert code == 2
         assert one_line_error(capsys) == (
-            "error: 3 quantifiers over V_5 take 65536^2 mask walks, "
+            "error: 3 quantifiers over V_5 decide 65536^2 rows of 65536 bits, "
             "over the cap of 65536")
         assert time.perf_counter() - start < 5
 
@@ -718,6 +718,20 @@ class TestUnwritableOutput:
 
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def test_a_taken_fresh_file_name_is_skipped(capsys, tmp_path):
+    # a file left beside the path under the first fresh name, as by an
+    # earlier process with the same pid, is neither written nor removed
+    taken = tmp_path / f".ordq-{os.getpid()}-0"
+    taken.write_bytes(b"left over\n\x00")
+    out = tmp_path / "r.json"
+    assert run_cli("run", SHIPPED_SUITE, "--output", str(out)) == 0
+    capsys.readouterr()
+    with open(os.path.join(GOLDEN, "nextcard_suite_report.json"), "rb") as handle:
+        assert out.read_bytes() == handle.read()
+    assert taken.read_bytes() == b"left over\n\x00"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "r.json"]
 
 
 class TestGoldenBytes:

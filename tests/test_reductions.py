@@ -412,13 +412,13 @@ class TestPotAnswersNumberedOnFirstRead:
     @pytest.fixture
     def numbered(self, monkeypatch):
         """The argument code of each Pot answer numbered, in order: the
-        answers of one row take the power sets of distinct codes."""
+        answers of one row take the power sets of distinct sets."""
         arguments = []
         number = hfsets._number_powerset
         hfsets._pot_answer.cache_clear()        # else an earlier test's answers come back
 
         def counting(argument):
-            arguments.append(argument[0])
+            arguments.append(argument)
             return number(argument)
 
         monkeypatch.setattr(hfsets, "_number_powerset", counting)
@@ -437,7 +437,7 @@ class TestPotAnswersNumberedOnFirstRead:
         first, second = (e.response for e in res.ledger)
         # first is P(code) and second is P(first), compared by identity: ==
         # would number a pending answer
-        assert len(numbered) == 1 and numbered[0] is code
+        assert len(numbered) == 1 and u.decode_set(numbered[0]) is u.decode_set(code)
         assert numbering_state(first) == "numbered" and numbering_state(second) == "pending"
         assert tam.replay(spec.make_program(), code, res) == res
         assert len(numbered) == 1 and numbering_state(second) == "pending"
@@ -898,8 +898,8 @@ class TestVerifyReports:
         assert report.to_json()["instances"][0] == alone.to_json()["instances"][0]
         assert report.rows[0].ok and not report.passed
         row = report.rows[1]
-        assert row.status == ("error: RankError: 3 quantifiers over V_5 take "
-                              "65536^2 mask walks, over the cap of 65536")
+        assert row.status == ("error: RankError: 3 quantifiers over V_5 decide "
+                              "65536^2 rows of 65536 bits, over the cap of 65536")
         assert not row.ok and row.order_type is None and row.replay_ok is None
         assert set(report.to_json()["instances"][1]) == set(alone.to_json()["instances"][0])
         assert "FAIL" in report.render_table()

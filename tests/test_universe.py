@@ -1152,10 +1152,16 @@ class TestPowersetCode:
         # compares with sets built from them without walking down equal
         # copies, however deep they are
         code = encode_hf(HFSet([nest(3000), hf(EMPTY_SET)]))
-        argument = SetCode(code.domain, code.edges, code.root)
-        assert powerset_code(argument)._decoded == {}
-        x = decode_set(argument)
+        argument = SetCode(code.domain, code.edges, code.root)      # given by its edges
         answer = powerset_code(argument)
+        # numbering the answer decodes the argument: its decoded nodes are
+        # exactly the nodes below x, each the live set
+        decoded = answer._decoded
+        x = decode_set(argument)
+        below = transitive_closure(x) - {x}
+        assert len(decoded) == len(below) == 3001
+        assert {id(s) for s in decoded.values()} == {id(s) for s in below}
+        assert all(HFSet(s) is s for s in decoded.values())
         for subset in decode_set(answer):
             assert all(any(m is e for e in x) for m in subset)
         assert decode_set(answer) == hf_powerset(x)
@@ -1302,7 +1308,7 @@ class TestPotAnswerMemo:
         powerset_code(encode_hf(parse_hf(SUBSET_MEMBERS[0])))
         try:
             if error is PowersetCapError:       # an answer held for the 17-member set
-                hfsets._pot_answer(decode_set(code)).append(powerset_code(encode_hf(EMPTY_SET)))
+                assert numbering_state(hfsets._pot_answer(decode_set(code))) == "pending"
             before = hfsets._pot_answer.cache_info()
             with pytest.raises(error):
                 powerset_code(code)
